@@ -9,6 +9,7 @@ sum-of-sinusoids so any time instant can be evaluated statelessly.
 """
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -109,6 +110,18 @@ class FadingBank:
         self._w_im = wd[:, None, None] * np.sin(alpha)
         self._phi = rng.uniform(-math.pi, math.pi, size=shape)
         self._psi = rng.uniform(-math.pi, math.pi, size=shape)
+        self._pow_key = None
+        self._pow_re = self._pow_im = None
+
+    def subset(self, pairs: slice) -> "FadingBank":
+        """The same processes restricted to `pairs` (views, no new draws)."""
+        sub = copy.copy(self)
+        sub._w_re, sub._w_im = self._w_re[pairs], self._w_im[pairs]
+        sub._phi, sub._psi = self._phi[pairs], self._psi[pairs]
+        sub.n_pairs = len(sub._phi)
+        sub._pow_key = None
+        sub._pow_re = sub._pow_im = None
+        return sub
 
     def tap_gains(self, t) -> np.ndarray:
         """Per-tap complex gains at time(s) t: shape (len(t), n_pairs, n_taps)."""
@@ -125,12 +138,15 @@ class FadingBank:
         One trig evaluation anchors the block; successive samples multiply by
         precomputed per-oscillator rotation powers, which is much cheaper than
         per-sample trig and drifts only at float rounding level within a block.
+        The two rotation tables are kept between calls with the same (n, dt);
+        each holds n * n_pairs * n_taps * N_OSCILLATORS complex values, so
+        ChannelModel passes only its moving pairs here block after block.
         """
         key = (n, dt)
-        if getattr(self, "_pow_key", None) != key:
+        if self._pow_key != key:
             steps = np.arange(n, dtype=float)[:, None, None, None]
-            self._pow_re = np.exp(1j * (self._w_re[None] * dt) * steps)
-            self._pow_im = np.exp(1j * (self._w_im[None] * dt) * steps)
+            self._pow_re = _rotations(self._w_re, dt, steps)
+            self._pow_im = _rotations(self._w_im, dt, steps)
             self._pow_key = key
         z_re0 = np.exp(1j * (self._w_re * t0 + self._phi))
         z_im0 = np.exp(1j * (self._w_im * t0 + self._psi))
@@ -148,6 +164,14 @@ class FadingBank:
     def coefficients(self, t, freq_offsets_hz) -> np.ndarray:
         """Fading per pair and frequency: (len(t), n_pairs, n_freqs)."""
         return self.tap_gains(t) @ self.steering(freq_offsets_hz)
+
+
+def _rotations(w: np.ndarray, dt: float, steps: np.ndarray) -> np.ndarray:
+    """exp(1j * (w*dt) * steps) to the bit, built in its output buffer
+    instead of through two table-sized temporaries."""
+    out = np.zeros(steps.shape[:1] + w.shape, dtype=complex)
+    np.multiply(w * dt, steps, out=out.imag)
+    return np.exp(out, out=out)
 
 
 class FadingProcess:
@@ -200,8 +224,16 @@ class ChannelModel:
     Shadowing is frozen per (user, cell) for the whole run; the macroscopic
     amplitude is recomputed from current positions each snapshot so moving
     users see the correct distance-dependent gain.  Fading evolves with the
-    TTI clock (1 ms).  Blocks of consecutive TTIs are precomputed to keep
-    numpy overheads off the per-TTI path.
+    TTI clock (1 ms).
+
+    Users with zero Doppler have constant fading: their pairs are evaluated
+    once here and kept as (n_static, n_cells, n_rb) complex values.  Only
+    the moving pairs are evaluated per block of `block_len` consecutive
+    TTIs, which holds (block_len, n_moving, n_cells, n_rb) complex values
+    plus the bank's two rotation tables of block_len * n_moving * n_cells
+    * n_taps * N_OSCILLATORS each.  Moving users must come first in the
+    user order; both groups draw from one FadingBank over all pairs, so the
+    split leaves every value unchanged.
     """
 
     def __init__(self, cell_positions: np.ndarray, user_speeds_ms: np.ndarray,
@@ -222,11 +254,20 @@ class ChannelModel:
         self.min_distance_m = min_distance_m
         self.n_rb = n_rb
         self.rb_freqs = (np.arange(n_rb) - (n_rb - 1) / 2.0) * RB_BANDWIDTH_HZ
-        doppler = np.repeat(
-            [doppler_frequency(s, carrier_hz) for s in user_speeds_ms],
-            self.n_cells)
-        self.bank = FadingBank(doppler, tap_delays, tap_powers_db, seed)
-        self._steer = self.bank.steering(self.rb_freqs)
+        user_doppler = np.array([doppler_frequency(s, carrier_hz)
+                                 for s in user_speeds_ms], dtype=float)
+        moving = user_doppler != 0.0
+        self.n_moving = int(moving.sum())
+        if moving[self.n_moving:].any():
+            raise ChannelStateError("moving users must precede static ones")
+        bank = FadingBank(np.repeat(user_doppler, self.n_cells), tap_delays,
+                          tap_powers_db, seed)
+        split = self.n_moving * self.n_cells
+        self.bank = bank.subset(slice(0, split))
+        self._steer = bank.steering(self.rb_freqs)
+        static = bank.subset(slice(split, None)).block_tap_gains(
+            0.0, 1, tti_s)[0] @ self._steer
+        self._static = static.reshape(-1, self.n_cells, n_rb)
         self._block_start = None
         self._block = None
         self._clamp_warned = False
@@ -244,23 +285,27 @@ class ChannelModel:
         return 10.0 ** (gain_db / 20.0)
 
     def _fading_at(self, tti: int) -> np.ndarray:
+        """Moving users' fading at `tti`: (n_moving, n_cells, n_rb)."""
         if self._block_start is None or not \
                 (self._block_start <= tti < self._block_start + self.block_len):
+            self._block = None
             start = (tti // self.block_len) * self.block_len
             gains = self.bank.block_tap_gains(start * self.tti_s,
                                               self.block_len, self.tti_s)
-            self._block = gains @ self._steer
+            self._block = (gains @ self._steer).reshape(
+                self.block_len, self.n_moving, self.n_cells, self.n_rb)
             self._block_start = start
         return self._block[tti - self._block_start]
 
     def snapshot(self, tti: int, positions: np.ndarray) -> ChannelSnapshot:
         if len(positions) != self.n_users:
             raise ChannelStateError("positions do not match the user set")
-        gamma = self.amplitude_gain(positions)
-        fading = self._fading_at(tti).reshape(self.n_users, self.n_cells,
-                                              self.n_rb)
-        return ChannelSnapshot(h=gamma[:, :, None] * fading, tti=tti,
-                               noise_variance=self.noise_variance)
+        gamma = self.amplitude_gain(positions)[:, :, None]
+        h = np.empty((self.n_users, self.n_cells, self.n_rb), dtype=complex)
+        m = self.n_moving
+        np.multiply(gamma[:m], self._fading_at(tti), out=h[:m])
+        np.multiply(gamma[m:], self._static, out=h[m:])
+        return ChannelSnapshot(h=h, tti=tti, noise_variance=self.noise_variance)
 
 
 def noise_variance_normalized(bandwidth_rb: int, tx_power_dbm: float,

@@ -73,6 +73,8 @@ class ScenarioConfig:
             raise ValueError("adaptive CQI bound must be in 0..15")
         if not 1 <= self.reservation_cqi <= 15:
             raise ValueError("reservation_cqi must be in 1..15")
+        if self.users_per_cell < 1:
+            raise ValueError("users_per_cell must be >= 1")
         if self.cars_per_cell > self.users_per_cell:
             raise ValueError("cars_per_cell exceeds users_per_cell")
         if self.n_tti < 0 or self.cam_period_ms <= 0 or self.cam_size_bytes <= 0:
@@ -81,6 +83,12 @@ class ScenarioConfig:
             raise ValueError("feedback delay must be >= 0")
         if self.inter_site_distance_m <= 0:
             raise ValueError("inter-site distance must be positive")
+        if self.car_speed_kmh < 0:
+            raise ValueError("car_speed_kmh must be >= 0")
+        if self.usable_re_per_rb < 1:
+            raise ValueError("usable_re_per_rb must be >= 1")
+        if self.bler_slope_db_per_decade <= 0:
+            raise ValueError("bler_slope_db_per_decade must be positive")
 
     @property
     def n_rb(self) -> int:

@@ -162,6 +162,50 @@ class TestChannelModel:
                          1e-14, seed=1)
 
 
+class TestStaticMovingSplit:
+    """The split model against one unsplit FadingBank over all pairs."""
+
+    CELLS = np.array([[0.0, 0.0], [500.0, 0.0], [250.0, 433.0],
+                      [-250.0, 433.0]])
+
+    def _oracle(self, model, speeds, pos, tti, seed):
+        doppler = np.repeat([channel.doppler_frequency(s, 2.14e9)
+                             for s in speeds], len(self.CELLS))
+        full = FadingBank(doppler, channel.VEHA_TAP_DELAYS,
+                          channel.VEHA_TAP_POWERS_DB, seed)
+        start = (tti // model.block_len) * model.block_len
+        gains = full.block_tap_gains(start * model.tti_s, model.block_len,
+                                     model.tti_s)[tti - start]
+        fading = (gains @ full.steering(model.rb_freqs)).reshape(
+            len(speeds), len(self.CELLS), model.n_rb)
+        return model.amplitude_gain(pos)[:, :, None] * fading
+
+    @pytest.mark.parametrize("speeds", [
+        (27.8, 13.9, 0.0, 0.0, 0.0),   # moving sources, static ordinary
+        (0.0, 0.0, 0.0),               # car_speed_kmh = 0: no moving pairs
+        (27.8, 20.0, 5.0),             # no static pairs
+    ])
+    def test_snapshot_bitwise_equals_unsplit_bank(self, speeds):
+        seed = 17
+        n = len(speeds)
+        shadow = draw_shadowing(n, len(self.CELLS), 8.0, seed)
+        model = ChannelModel(self.CELLS, np.array(speeds), shadow, 2.14e9, 6,
+                             1e-14, seed)
+        assert model.n_moving == sum(s > 0 for s in speeds)
+        pos = np.column_stack([np.linspace(60.0, 700.0, n),
+                               np.linspace(-40.0, 300.0, n)])
+        for tti in (0, 63, 64, 130):
+            np.testing.assert_array_equal(
+                model.snapshot(tti, pos).h,
+                self._oracle(model, speeds, pos, tti, seed))
+
+    def test_static_user_before_moving_one_rejected(self):
+        with pytest.raises(channel.ChannelStateError, match="precede"):
+            ChannelModel(self.CELLS, np.array([0.0, 27.8]),
+                         np.zeros((2, len(self.CELLS))), 2.14e9, 6, 1e-14,
+                         seed=1)
+
+
 def test_noise_variance_arithmetic():
     # -174 dBm/Hz + 9 dB over 180 kHz against 43 dBm split over 25 RBs.
     noise_dbm = -174.0 + 9.0 + 10.0 * math.log10(180e3)

@@ -35,6 +35,21 @@ class TestConfig:
             ScenarioConfig(cars_per_cell=7).validate()
         ScenarioConfig(cqi_policy="adaptive", cqi_value=0).validate()
 
+    @pytest.mark.parametrize("field, value, others", [
+        ("bler_slope_db_per_decade", 0.0, {}),
+        ("bler_slope_db_per_decade", -1.0, {}),
+        ("users_per_cell", 0, {"cars_per_cell": 0}),
+        ("users_per_cell", -2, {}),
+        ("car_speed_kmh", -30.0, {}),
+        ("usable_re_per_rb", 0, {}),
+    ])
+    def test_validation_names_field(self, field, value, others):
+        cfg = ScenarioConfig(**{field: value, **others})
+        with pytest.raises(ValueError, match=field):
+            cfg.validate()
+        with pytest.raises(ValueError, match=field):
+            run(replace(cfg, n_tti=1))
+
     def test_hash_tracks_content(self):
         a = ScenarioConfig()
         b = ScenarioConfig(seed=2)

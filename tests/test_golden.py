@@ -1,0 +1,58 @@
+"""Golden digests: short runs of the four acceptance-battery configs.
+
+Each run's artifact files (name and bytes, as `metrics.write_run_outputs`
+emits them) and its per-TTI RB arrays are hashed with SHA-256 and compared
+with a committed digest.  A refactor or speed-up must leave every digest
+unchanged; a change that moves simulated results must re-bless the digest
+here and say why.
+"""
+import hashlib
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mbsfnsim import engine, metrics
+
+N_TTI = 256
+SEED = 1
+
+BASE = engine.ScenarioConfig(n_tti=N_TTI, seed=SEED)
+CONFIGS = {
+    "mc_fixed_5": BASE,
+    "mc_adaptive_5": replace(BASE, cqi_policy="adaptive"),
+    "uc_fixed_5": replace(BASE, mode="unicast_baseline"),
+    "mc_fixed_20": replace(BASE, bandwidth_mhz=20),
+}
+
+GOLDEN = {
+    "mc_fixed_5": ("09f742e5e1937a96b10969e136db4161"
+                   "a640b3b205bfeadb1107cfc2c905ffde"),
+    "mc_adaptive_5": ("fbb2b1503cd18cb7dddd340e3dd2d619"
+                      "b42d005421e05049204ed83500e9a658"),
+    "uc_fixed_5": ("ad186ed6642290dc622a95b1ae77a1ab"
+                   "b1b9ad3bc2191bb162657931fc9c536b"),
+    "mc_fixed_20": ("0bdf861381f6bfd5f9f7a3164401ba6d"
+                    "4c24a6655d331c4ad8e03ef18c5fb5d0"),
+}
+
+
+def run_digest(cfg, out_dir) -> str:
+    record = engine.run(cfg)
+    metrics.write_run_outputs(out_dir, record)
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        data = (out_dir / name).read_bytes()
+        h.update(f"file {name} {len(data)}\n".encode())
+        h.update(data)
+    for field in ("multicast_rb_per_tti", "cam_rb_per_tti"):
+        arr = np.ascontiguousarray(getattr(record, field))
+        h.update(f"array {field} {arr.dtype.str} {arr.shape}\n".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_digest(name, tmp_path):
+    assert run_digest(CONFIGS[name], tmp_path) == GOLDEN[name]
