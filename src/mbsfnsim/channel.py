@@ -226,14 +226,16 @@ class ChannelModel:
     users see the correct distance-dependent gain.  Fading evolves with the
     TTI clock (1 ms).
 
-    Users with zero Doppler have constant fading: their pairs are evaluated
-    once here and kept as (n_static, n_cells, n_rb) complex values.  Only
-    the moving pairs are evaluated per block of `block_len` consecutive
-    TTIs, which holds (block_len, n_moving, n_cells, n_rb) complex values
-    plus the bank's two rotation tables of block_len * n_moving * n_cells
-    * n_taps * N_OSCILLATORS each.  Moving users must come first in the
-    user order; both groups draw from one FadingBank over all pairs, so the
-    split leaves every value unchanged.
+    Users with zero Doppler have constant fading and must not move: their
+    pairs are evaluated once here, and at the first snapshot their
+    coefficients (amplitude times fading) are fixed as (n_static, n_cells,
+    n_rb) complex values.  Only the moving pairs' tap gains are evaluated
+    per block of `block_len` consecutive TTIs, which holds (block_len,
+    n_moving * n_cells, n_taps) complex values plus the bank's two rotation
+    tables of block_len * n_moving * n_cells * n_taps * N_OSCILLATORS each;
+    each snapshot steers one TTI of taps to the RB frequencies.  Moving
+    users must come first in the user order; both groups draw from one
+    FadingBank over all pairs, so the split leaves every value unchanged.
     """
 
     def __init__(self, cell_positions: np.ndarray, user_speeds_ms: np.ndarray,
@@ -267,13 +269,17 @@ class ChannelModel:
         self._steer = bank.steering(self.rb_freqs)
         static = bank.subset(slice(split, None)).block_tap_gains(
             0.0, 1, tti_s)[0] @ self._steer
-        self._static = static.reshape(-1, self.n_cells, n_rb)
+        self._static_fading = static.reshape(-1, self.n_cells, n_rb)
+        self._static_positions = None
+        self._static_h = None
         self._block_start = None
-        self._block = None
+        self._gains = None
         self._clamp_warned = False
 
-    def amplitude_gain(self, positions: np.ndarray) -> np.ndarray:
-        """Linear macroscopic amplitude per (user, cell) at given positions."""
+    def amplitude_gain(self, positions: np.ndarray,
+                       rows=slice(None)) -> np.ndarray:
+        """Linear macroscopic amplitude per (user, cell) at given positions;
+        `rows` selects the users (and shadowing rows) they belong to."""
         d = np.linalg.norm(positions[:, None, :]
                            - self.cell_positions[None, :, :], axis=2)
         clamped = d < self.min_distance_m
@@ -281,30 +287,45 @@ class ChannelModel:
             log.warning("%d user-cell distance(s) below %.1f m clamped",
                         int(clamped.sum()), self.min_distance_m)
             self._clamp_warned = True
-        gain_db = -pathloss_db(d, self.min_distance_m) + self.shadowing_db
+        gain_db = (-pathloss_db(d, self.min_distance_m)
+                   + self.shadowing_db[rows])
         return 10.0 ** (gain_db / 20.0)
 
-    def _fading_at(self, tti: int) -> np.ndarray:
-        """Moving users' fading at `tti`: (n_moving, n_cells, n_rb)."""
+    def _tap_gains_at(self, tti: int) -> np.ndarray:
+        """Moving pairs' tap gains at `tti`: (n_moving * n_cells, n_taps)."""
         if self._block_start is None or not \
                 (self._block_start <= tti < self._block_start + self.block_len):
-            self._block = None
+            self._gains = None
             start = (tti // self.block_len) * self.block_len
-            gains = self.bank.block_tap_gains(start * self.tti_s,
-                                              self.block_len, self.tti_s)
-            self._block = (gains @ self._steer).reshape(
-                self.block_len, self.n_moving, self.n_cells, self.n_rb)
+            self._gains = self.bank.block_tap_gains(start * self.tti_s,
+                                                    self.block_len, self.tti_s)
             self._block_start = start
-        return self._block[tti - self._block_start]
+        return self._gains[tti - self._block_start]
+
+    def _moving_gamma(self, positions: np.ndarray) -> np.ndarray:
+        """Moving users' amplitude (n_moving, n_cells, 1); the first call
+        also fixes the static users' coefficients at their positions."""
+        m = self.n_moving
+        if self._static_h is None:
+            gamma = self.amplitude_gain(positions)[:, :, None]
+            self._static_positions = positions[m:].copy()
+            self._static_h = gamma[m:] * self._static_fading
+            self._static_fading = None
+            return gamma[:m]
+        if not np.array_equal(positions[m:], self._static_positions):
+            raise ChannelStateError("a zero-Doppler user changed position")
+        return self.amplitude_gain(positions[:m], slice(0, m))[:, :, None]
 
     def snapshot(self, tti: int, positions: np.ndarray) -> ChannelSnapshot:
         if len(positions) != self.n_users:
             raise ChannelStateError("positions do not match the user set")
-        gamma = self.amplitude_gain(positions)[:, :, None]
+        gamma = self._moving_gamma(positions)
         h = np.empty((self.n_users, self.n_cells, self.n_rb), dtype=complex)
         m = self.n_moving
-        np.multiply(gamma[:m], self._fading_at(tti), out=h[:m])
-        np.multiply(gamma[m:], self._static, out=h[m:])
+        np.matmul(self._tap_gains_at(tti), self._steer,
+                  out=h[:m].reshape(-1, self.n_rb))
+        np.multiply(gamma, h[:m], out=h[:m])
+        h[m:] = self._static_h
         return ChannelSnapshot(h=h, tti=tti, noise_variance=self.noise_variance)
 
 

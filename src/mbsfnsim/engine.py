@@ -10,6 +10,7 @@ results.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -198,17 +199,43 @@ class RunRecord:
         }
 
 
-def _cqi_from_sinr_rows(sinr_rows: np.ndarray) -> np.ndarray:
-    """Vectorized per-row CQI: MI-average each row, then table lookup."""
-    mi = np.log2(1.0 + sinr_rows).mean(axis=1)
-    eff_db = 10.0 * np.log10(np.maximum(2.0 ** mi - 1.0, 1e-30))
-    idx = np.searchsorted(link.THRESHOLDS_DB, eff_db + 1e-12, side="right")
-    return np.maximum(idx, 1)
+def decoder(slope_db_per_decade: float, perfect_decode: bool,
+            rng: np.random.Generator):
+    """`decode(eff_db, cqi)`: success flags for a batch of transport blocks.
+
+    Each block takes one uniform draw from `rng` in batch order, so one
+    batch of n blocks leaves `rng` where n batches of one would; with
+    `perfect_decode` every block succeeds and nothing is drawn.
+    """
+    def decode(eff_db: np.ndarray, cqi) -> np.ndarray:
+        if perfect_decode:
+            return np.ones(len(eff_db), dtype=bool)
+        p = link.bler(eff_db, cqi, slope_db_per_decade)
+        return rng.random(len(eff_db)) >= p
+    return decode
 
 
-def _effective_sinr_db_rows(sinr_rows: np.ndarray) -> np.ndarray:
-    mi = np.log2(1.0 + sinr_rows).mean(axis=1)
-    return 10.0 * np.log10(np.maximum(2.0 ** mi - 1.0, 1e-30))
+def ordinary_stage(slots, report_sinr: np.ndarray, sinr: np.ndarray,
+                   n_re_per_rb: int, decode):
+    """Link stage of the ordinary full-buffer users' round-robin slots.
+
+    `slots` lists (row, rb_start, rb_count) with rb_count > 0.  Each slot's
+    CQI comes from `report_sinr` (the possibly delayed report) over its RB
+    slice and its decode from `sinr` (this TTI's channel); slots of equal
+    length are evaluated as one (n, rb_count) array.  Returns per-slot CQI,
+    transport-block bits and decode flags, in slot order.
+    """
+    rows, starts, counts = np.array(slots, dtype=np.intp).reshape(-1, 3).T
+    cqi = np.empty(len(counts), dtype=np.intp)
+    eff_db = np.empty(len(counts))
+    for length in np.unique(counts):
+        group = np.flatnonzero(counts == length)
+        r = rows[group, None]
+        rbs = starts[group, None] + np.arange(length)
+        cqi[group] = link.cqi_from_sinr_rows(report_sinr[r, rbs])
+        eff_db[group] = link.effective_sinr_db_rows(sinr[r, rbs])
+    bits = counts * n_re_per_rb * link.EFFICIENCIES[cqi - 1]
+    return cqi, bits, decode(eff_db, cqi)
 
 
 def run(config: ScenarioConfig) -> RunRecord:
@@ -334,13 +361,20 @@ def _run(config: ScenarioConfig) -> RunRecord:
     delay = cfg.cqi_feedback_delay_tti
     report_cache: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=delay + 1)
 
-    slope = cfg.bler_slope_db_per_decade
+    decode_ok = decoder(cfg.bler_slope_db_per_decade, cfg.perfect_decode,
+                        rng_decode)
 
-    def decode_ok(eff_db_array, cqi) -> np.ndarray:
-        if cfg.perfect_decode:
-            return np.ones(len(eff_db_array), dtype=bool)
-        p = link.bler(eff_db_array, cqi, slope)
-        return rng_decode.random(len(eff_db_array)) >= p
+    def price_copy(copy: _CopyJob, cell: int) -> float:
+        """Set the copy's CQI from this TTI's channel report towards
+        `cell`; returns its efficiency."""
+        if cfg.cqi_policy == POLICY_FIXED:
+            copy.cqi = cfg.cqi_value
+        else:
+            rep = link.sinr_vs_cell(pw_rep, tot_rep, [row_of[copy.receiver]],
+                                    [cell], noise_var)
+            copy.cqi = max(int(link.cqi_from_sinr_rows(rep)[0]),
+                           max(cfg.cqi_value, 1))
+        return link.cqi_efficiency(copy.cqi)
 
     area_now = in_area_sources()
 
@@ -365,7 +399,7 @@ def _run(config: ScenarioConfig) -> RunRecord:
         report_cache.append((mc_sinr, uc_sinr, power, total_power))
         mc_rep, uc_rep, pw_rep, tot_rep = report_cache[0]
         area_rows = np.array([row_of[s] for s in sorted(area_now)], dtype=int)
-        car_cqi = (_cqi_from_sinr_rows(mc_rep[area_rows])
+        car_cqi = (link.cqi_from_sinr_rows(mc_rep[area_rows])
                    if area_rows.size else np.array([], int))
 
         # --- generation (replacing any undelivered predecessor) ---
@@ -422,7 +456,8 @@ def _run(config: ScenarioConfig) -> RunRecord:
                     recv_rows = np.array(
                         [row_of[r] for r in sorted(job.receivers)], dtype=int)
                     if recv_rows.size:
-                        eff_db = _effective_sinr_db_rows(mc_sinr[recv_rows][:, rbs])
+                        eff_db = link.effective_sinr_db_rows(
+                            mc_sinr[recv_rows][:, rbs])
                         ok = decode_ok(eff_db, tx_cqi)
                         for r_row, r_ok in zip(recv_rows, ok):
                             if not r_ok:
@@ -449,20 +484,12 @@ def _run(config: ScenarioConfig) -> RunRecord:
                 q = cell_queues[cell]
                 while q and (not q[0].alive or q[0].residual <= 0):
                     q.popleft()
-                items = []
-                for copy in q:
-                    if not copy.alive or copy.residual <= 0:
-                        continue
-                    if cfg.cqi_policy == POLICY_FIXED:
-                        copy.cqi = cfg.cqi_value
-                    else:
-                        row = row_of[copy.receiver]
-                        rep = link.sinr_vs_cell(pw_rep, tot_rep, [row], [cell],
-                                                noise_var)
-                        copy.cqi = max(int(_cqi_from_sinr_rows(rep)[0]),
-                                       max(cfg.cqi_value, 1))
-                    items.append((copy, copy.residual,
-                                  link.cqi_efficiency(copy.cqi)))
+                # Only the copies that fit are priced; a copy's CQI is
+                # read only after it is granted RBs in this subframe.
+                items = scheduler.price_until_full(
+                    ((c, c.residual) for c in q if c.alive),
+                    functools.partial(price_copy, cell=cell),
+                    plan.n_rb_per_subframe, plan.n_re_per_rb)
                 allocations, used = scheduler.schedule_unicast_cam_baseline(
                     items, plan.n_rb_per_subframe, plan.n_re_per_rb)
                 cam_used_now += used
@@ -472,7 +499,7 @@ def _run(config: ScenarioConfig) -> RunRecord:
                     cur = link.sinr_vs_cell(power, total_power,
                                             [row_of[copy.receiver]], [cell],
                                             noise_var)
-                    eff_db = _effective_sinr_db_rows(cur[:, rbs])
+                    eff_db = link.effective_sinr_db_rows(cur[:, rbs])
                     ok = bool(decode_ok(eff_db, copy.cqi)[0])
                     if ok:
                         copy.residual = max(copy.residual - alloc.capacity_bits,
@@ -485,6 +512,7 @@ def _run(config: ScenarioConfig) -> RunRecord:
             cam_rb[tti] = cam_used_now
 
         # --- ordinary full-buffer users on whatever is left ---
+        slots, slot_users = [], []
         for cell in sorted(mbsfn_cells):
             users = ordinary_by_cell[cell]
             if not users:
@@ -495,17 +523,18 @@ def _run(config: ScenarioConfig) -> RunRecord:
                 continue
             for user, rb_start, rb_count in scheduler.schedule_unicast_ordinary(
                     users, avail, rr_offset[cell]):
-                if rb_count == 0:
-                    continue
-                row = row_of[user]
-                rbs = slice(rb_start, rb_start + rb_count)
-                # Rate adaptation on the assigned slice, not the whole band.
-                cq = max(int(_cqi_from_sinr_rows(uc_rep[row][None, rbs])[0]), 1)
-                bits = rb_count * plan.n_re_per_rb * link.cqi_efficiency(cq)
-                eff_db = _effective_sinr_db_rows(uc_sinr[row][None, rbs])
-                if bool(decode_ok(eff_db, cq)[0]):
-                    ordinary_bits[user] += bits
+                if rb_count > 0:
+                    slots.append((row_of[user], rb_start, rb_count))
+                    slot_users.append(user)
             rr_offset[cell] += 1
+        if slots:
+            # Rate adaptation on the assigned slice, not the whole band.
+            _, bits, ok = ordinary_stage(slots, uc_rep, uc_sinr,
+                                         plan.n_re_per_rb, decode_ok)
+            for user, b, success in zip(slot_users, bits.tolist(),
+                                        ok.tolist()):
+                if success:
+                    ordinary_bits[user] += b
 
     # --- post-processing ---
     duration_s = cfg.n_tti * TTI_SECONDS

@@ -178,14 +178,41 @@ def sinr_to_cqi(sinr_per_rb) -> int:
     return max(idx, 1)
 
 
-def bler(effective_sinr_db, cqi_index: int,
+def effective_sinr_db_rows(sinr_rows: np.ndarray) -> np.ndarray:
+    """Effective SINR in dB of each row of a (rows, rb) SINR array.
+
+    Row-wise counterpart of `effective_sinr`; each row reduces with the
+    same pairwise sum whatever the number of rows, so a row's value does
+    not depend on which other rows are evaluated with it.
+    """
+    mi = np.log2(1.0 + sinr_rows).mean(axis=1)
+    return 10.0 * np.log10(np.maximum(2.0 ** mi - 1.0, 1e-30))
+
+
+def cqi_from_sinr_rows(sinr_rows: np.ndarray) -> np.ndarray:
+    """Row-wise `sinr_to_cqi` against the CQI table installed now."""
+    idx = np.searchsorted(THRESHOLDS_DB, effective_sinr_db_rows(sinr_rows)
+                          + 1e-12, side="right")
+    return np.maximum(idx, 1)
+
+
+def bler(effective_sinr_db, cqi_index,
          slope_db_per_decade: float = BLER_SLOPE_DB_PER_DECADE):
     """Block error probability of a transport block sent with `cqi_index`.
 
     Logistic in dB, anchored so that error probability is BLER_TARGET at the
     CQI's threshold and falls one decade per `slope` dB around it.
+    `cqi_index` is one index or an integer array matching the SINR array,
+    one index per block.
     """
-    thr = cqi_threshold_db(cqi_index)
+    if np.isscalar(cqi_index):
+        thr = cqi_threshold_db(cqi_index)
+    else:
+        cqi_index = np.asarray(cqi_index)
+        if cqi_index.size and not (1 <= cqi_index.min()
+                                   and cqi_index.max() <= 15):
+            raise CqiRangeError("CQI index outside 1..15")
+        thr = THRESHOLDS_DB[cqi_index - 1]
     k = slope_db_per_decade * math.log(10.0) / (1.0 - BLER_TARGET)
     midpoint = thr - math.log(1.0 / BLER_TARGET - 1.0) / k
     x = np.asarray(effective_sinr_db, dtype=float)

@@ -101,6 +101,12 @@ class Allocation:
     capacity_bits: float        # transport-block capacity of the allocation
 
 
+def rb_demand(residual_bits: float, n_re_per_rb: int,
+              efficiency: float) -> int:
+    """RBs that carry `residual_bits` at `efficiency` bits per RE."""
+    return math.ceil(residual_bits / (n_re_per_rb * efficiency) - 1e-12)
+
+
 def allocate_fifo(items, n_rb: int, n_re_per_rb: int) -> tuple[list[Allocation], int]:
     """Serve (key, residual_bits, efficiency) items in order until RBs run out.
 
@@ -115,11 +121,34 @@ def allocate_fifo(items, n_rb: int, n_re_per_rb: int) -> tuple[list[Allocation],
         if residual <= 0:
             continue
         per_rb = n_re_per_rb * efficiency
-        want = math.ceil(residual / per_rb - 1e-12)
+        want = rb_demand(residual, n_re_per_rb, efficiency)
         take = min(want, n_rb - rb_next)
         allocations.append(Allocation(key, rb_next, take, take * per_rb))
         rb_next += take
     return allocations, rb_next
+
+
+def price_until_full(pending, efficiency_of, n_rb: int,
+                     n_re_per_rb: int) -> list[tuple[object, float, float]]:
+    """(key, residual_bits, efficiency) items for `allocate_fifo`, pricing
+    only the queue head it can serve.
+
+    `pending` yields (key, residual_bits) in queue order and
+    `efficiency_of(key)` prices one item.  Pricing stops once the priced
+    items' RB demand fills `n_rb`: `allocate_fifo` stops at that same item,
+    so its allocations equal those of the whole queue priced.
+    """
+    items = []
+    demand = 0
+    for key, residual in pending:
+        if demand >= n_rb:
+            break
+        if residual <= 0:
+            continue
+        efficiency = efficiency_of(key)
+        items.append((key, residual, efficiency))
+        demand += rb_demand(residual, n_re_per_rb, efficiency)
+    return items
 
 
 def schedule_multicast(pending, n_rb: int, n_re_per_rb: int,

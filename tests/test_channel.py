@@ -199,6 +199,28 @@ class TestStaticMovingSplit:
                 model.snapshot(tti, pos).h,
                 self._oracle(model, speeds, pos, tti, seed))
 
+    def test_static_user_that_moves_rejected(self):
+        model = ChannelModel(self.CELLS, np.array([27.8, 0.0]),
+                             np.zeros((2, len(self.CELLS))), 2.14e9, 6, 1e-14,
+                             seed=1)
+        pos = np.array([[100.0, 50.0], [300.0, 10.0]])
+        model.snapshot(0, pos)
+        pos[0] += 1.0  # the moving user may move
+        model.snapshot(1, pos)
+        pos[1, 0] += 1e-9
+        with pytest.raises(channel.ChannelStateError, match="position"):
+            model.snapshot(2, pos)
+
+    def test_amplitude_rows_match_all_users(self):
+        shadow = draw_shadowing(5, len(self.CELLS), 8.0, 3)
+        model = ChannelModel(self.CELLS, np.zeros(5), shadow, 2.14e9, 6,
+                             1e-14, seed=3)
+        pos = np.column_stack([np.linspace(10.0, 900.0, 5),
+                               np.linspace(-300.0, 40.0, 5)])
+        full = model.amplitude_gain(pos)
+        np.testing.assert_array_equal(
+            model.amplitude_gain(pos[1:4], slice(1, 4)), full[1:4])
+
     def test_static_user_before_moving_one_rejected(self):
         with pytest.raises(channel.ChannelStateError, match="precede"):
             ChannelModel(self.CELLS, np.array([0.0, 27.8]),

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbsfnsim import engine
+from mbsfnsim import engine, link, scheduler
 from mbsfnsim.engine import ScenarioConfig, derived_seeds, replicate, run
 
 
@@ -193,3 +193,105 @@ class TestReplicate:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             replicate(small_config(), 0)
+
+
+def _mi_rows(sinr_rows):
+    mi = np.log2(1.0 + sinr_rows).mean(axis=1)
+    return 10.0 * np.log10(np.maximum(2.0 ** mi - 1.0, 1e-30))
+
+
+def _per_slot_oracle(slots, report_sinr, sinr, n_re_per_rb, slope,
+                     perfect_decode, rng):
+    """The ordinary stage as one (1, rb_count) evaluation, one BLER call
+    and one size-1 draw per slot."""
+    cqi, bits, ok = [], [], []
+    for row, rb_start, rb_count in slots:
+        rbs = slice(rb_start, rb_start + rb_count)
+        eff_rep = _mi_rows(report_sinr[row][None, rbs])
+        idx = np.searchsorted(link.THRESHOLDS_DB, eff_rep + 1e-12,
+                              side="right")
+        cq = max(int(np.maximum(idx, 1)[0]), 1)
+        eff_db = _mi_rows(sinr[row][None, rbs])
+        if perfect_decode:
+            success = True
+        else:
+            p = link.bler(eff_db, cq, slope)
+            success = bool((rng.random(1) >= p)[0])
+        cqi.append(cq)
+        bits.append(rb_count * n_re_per_rb * link.cqi_efficiency(cq))
+        ok.append(success)
+    return cqi, bits, ok
+
+
+class TestOrdinaryStage:
+    """The batched stage against the per-slot loop, bit for bit."""
+
+    @pytest.mark.parametrize("n_rb", [25, 100])
+    @pytest.mark.parametrize("perfect_decode", [False, True])
+    def test_matches_per_slot_loop(self, n_rb, perfect_decode):
+        gen = np.random.default_rng(n_rb + perfect_decode)
+        n_rows = 9
+        for trial in range(5):
+            report = 10.0 ** (gen.uniform(-15.0, 30.0, (n_rows, n_rb)) / 10.0)
+            current = 10.0 ** (gen.uniform(-15.0, 30.0, (n_rows, n_rb)) / 10.0)
+            slots = []
+            for length in range(1, n_rb + 1):
+                start = int(gen.integers(0, n_rb - length + 1))
+                slots.append((int(gen.integers(n_rows)), start, length))
+            slots = [slots[k] for k in gen.permutation(len(slots))]
+            rng_a = np.random.default_rng(trial)
+            rng_b = np.random.default_rng(trial)
+            cqi, bits, ok = engine.ordinary_stage(
+                slots, report, current, 100,
+                engine.decoder(1.0, perfect_decode, rng_a))
+            want_cqi, want_bits, want_ok = _per_slot_oracle(
+                slots, report, current, 100, 1.0, perfect_decode, rng_b)
+            np.testing.assert_array_equal(cqi, want_cqi)
+            np.testing.assert_array_equal(bits, want_bits)
+            assert bits.tolist() == want_bits
+            np.testing.assert_array_equal(ok, want_ok)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            if not perfect_decode:
+                assert 0 < ok.sum() < len(ok)
+
+    def test_round_robin_slots(self):
+        """Two lengths per cell, as round robin hands them out."""
+        gen = np.random.default_rng(3)
+        report = 10.0 ** (gen.uniform(-5.0, 20.0, (6, 25)) / 10.0)
+        slots = [(row, start, count) for row, (_, start, count) in
+                 enumerate(scheduler.schedule_unicast_ordinary(
+                     range(6), 25, rr_offset=4))]
+        assert {c for _, _, c in slots} == {4, 5}
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        cqi, bits, ok = engine.ordinary_stage(
+            slots, report, report, 100, engine.decoder(1.0, False, rng_a))
+        want = _per_slot_oracle(slots, report, report, 100, 1.0, False, rng_b)
+        assert (cqi.tolist(), bits.tolist(), ok.tolist()) == want
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_no_slots(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        cqi, bits, ok = engine.ordinary_stage(
+            [], np.ones((2, 25)), np.ones((2, 25)), 100,
+            engine.decoder(1.0, False, rng))
+        assert len(cqi) == len(bits) == len(ok) == 0
+        assert rng.bit_generator.state == state
+
+
+def test_cqi_table_file_changes_ordinary_rates_and_is_restored(tmp_path):
+    """A replacement table reaches the ordinary users' rate adaptation
+    and is uninstalled when the run ends."""
+    path = tmp_path / "shifted.csv"
+    with open(path, "w") as fh:
+        fh.write("index,modulation,efficiency,sinr_threshold_db\n")
+        for e in link.CQI_TABLE:
+            fh.write(f"{e.index},{e.modulation},{e.efficiency},"
+                     f"{e.sinr_threshold_db + 3.0}\n")
+    table = link.CQI_TABLE
+    cfg = small_config(n_tti=200)
+    default = run(cfg).mean_throughput_mbps()
+    shifted = run(replace(cfg, cqi_table_file=str(path))).mean_throughput_mbps()
+    assert link.CQI_TABLE is table
+    assert shifted != default
+    assert run(cfg).mean_throughput_mbps() == default

@@ -1,4 +1,5 @@
-"""Golden digests: short runs of the four acceptance-battery configs.
+"""Golden digests: short runs of the four acceptance-battery configs,
+plus adaptive unicast.
 
 Each run's artifact files (name and bytes, as `metrics.write_run_outputs`
 emits them) and its per-TTI RB arrays are hashed with SHA-256 and compared
@@ -24,6 +25,9 @@ CONFIGS = {
     "mc_adaptive_5": replace(BASE, cqi_policy="adaptive"),
     "uc_fixed_5": replace(BASE, mode="unicast_baseline"),
     "mc_fixed_20": replace(BASE, bandwidth_mhz=20),
+    # The one path that prices each unicast copy through sinr_vs_cell.
+    "uc_adaptive_5": replace(BASE, mode="unicast_baseline",
+                             cqi_policy="adaptive"),
 }
 
 GOLDEN = {
@@ -35,6 +39,8 @@ GOLDEN = {
                    "b1b9ad3bc2191bb162657931fc9c536b"),
     "mc_fixed_20": ("0bdf861381f6bfd5f9f7a3164401ba6d"
                     "4c24a6655d331c4ad8e03ef18c5fb5d0"),
+    "uc_adaptive_5": ("c67e427dc089149e90b75b0e2acddf56"
+                      "1eb984885039411e0b569ec84cbfb918"),
 }
 
 

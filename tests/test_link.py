@@ -201,6 +201,28 @@ class TestDecoding:
                              cqi_threshold_db(6) + 4.0, 41)
         assert np.all(np.diff(bler(active, 6)) < 0)
 
+    def test_bler_cqi_array_matches_scalar_calls(self):
+        gen = np.random.default_rng(4)
+        eff_db = gen.uniform(-15.0, 30.0, 200)
+        cqi = gen.integers(1, 16, 200)
+        batched = bler(eff_db, cqi, 1.5)
+        for x, c, p in zip(eff_db, cqi, batched):
+            assert bler(np.array([x]), int(c), 1.5)[0] == p
+        with pytest.raises(CqiRangeError):
+            bler(eff_db[:2], np.array([3, 16]))
+
     def test_bler_exact_at_anchor(self):
         for cqi in (1, 7, 15):
             assert bler(cqi_threshold_db(cqi), cqi) == pytest.approx(0.1)
+
+
+class TestRowHelpers:
+    def test_rows_independent_of_batch(self):
+        gen = np.random.default_rng(9)
+        rows = 10.0 ** (gen.uniform(-15.0, 30.0, (40, 25)) / 10.0)
+        eff_db = link.effective_sinr_db_rows(rows)
+        cqi = link.cqi_from_sinr_rows(rows)
+        for k in range(len(rows)):
+            assert link.effective_sinr_db_rows(rows[k:k + 1])[0] == eff_db[k]
+            assert link.cqi_from_sinr_rows(rows[k:k + 1])[0] == cqi[k]
+            assert cqi[k] == sinr_to_cqi(rows[k])
