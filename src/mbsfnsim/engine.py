@@ -222,7 +222,7 @@ def ordinary_stage(slots, report_sinr: np.ndarray, sinr: np.ndarray,
     `slots` lists (row, rb_start, rb_count) with rb_count > 0.  Each slot's
     CQI comes from `report_sinr` (the possibly delayed report) over its RB
     slice and its decode from `sinr` (this TTI's channel); slots of equal
-    length are evaluated as one (n, rb_count) array.  Returns per-slot CQI,
+    length are evaluated as one (n, rb_count) array.  Returns per-slot
     transport-block bits and decode flags, in slot order.
     """
     rows, starts, counts = np.array(slots, dtype=np.intp).reshape(-1, 3).T
@@ -235,7 +235,7 @@ def ordinary_stage(slots, report_sinr: np.ndarray, sinr: np.ndarray,
         cqi[group] = link.cqi_from_sinr_rows(report_sinr[r, rbs])
         eff_db[group] = link.effective_sinr_db_rows(sinr[r, rbs])
     bits = counts * n_re_per_rb * link.EFFICIENCIES[cqi - 1]
-    return cqi, bits, decode(eff_db, cqi)
+    return bits, decode(eff_db, cqi)
 
 
 def run(config: ScenarioConfig) -> RunRecord:
@@ -529,8 +529,8 @@ def _run(config: ScenarioConfig) -> RunRecord:
             rr_offset[cell] += 1
         if slots:
             # Rate adaptation on the assigned slice, not the whole band.
-            _, bits, ok = ordinary_stage(slots, uc_rep, uc_sinr,
-                                         plan.n_re_per_rb, decode_ok)
+            bits, ok = ordinary_stage(slots, uc_rep, uc_sinr,
+                                      plan.n_re_per_rb, decode_ok)
             for user, b, success in zip(slot_users, bits.tolist(),
                                         ok.tolist()):
                 if success:

@@ -205,14 +205,10 @@ def bler(effective_sinr_db, cqi_index,
     `cqi_index` is one index or an integer array matching the SINR array,
     one index per block.
     """
-    if np.isscalar(cqi_index):
-        thr = cqi_threshold_db(cqi_index)
-    else:
-        cqi_index = np.asarray(cqi_index)
-        if cqi_index.size and not (1 <= cqi_index.min()
-                                   and cqi_index.max() <= 15):
-            raise CqiRangeError("CQI index outside 1..15")
-        thr = THRESHOLDS_DB[cqi_index - 1]
+    cqi = np.asarray(cqi_index)
+    if cqi.size and not (1 <= cqi.min() and cqi.max() <= 15):
+        raise CqiRangeError(f"CQI index {cqi_index} outside 1..15")
+    thr = THRESHOLDS_DB[cqi - 1]
     k = slope_db_per_decade * math.log(10.0) / (1.0 - BLER_TARGET)
     midpoint = thr - math.log(1.0 / BLER_TARGET - 1.0) / k
     x = np.asarray(effective_sinr_db, dtype=float)

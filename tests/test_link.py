@@ -210,6 +210,9 @@ class TestDecoding:
             assert bler(np.array([x]), int(c), 1.5)[0] == p
         with pytest.raises(CqiRangeError):
             bler(eff_db[:2], np.array([3, 16]))
+        for bad in (0, 16):
+            with pytest.raises(CqiRangeError):
+                bler(0.0, bad)
 
     def test_bler_exact_at_anchor(self):
         for cqi in (1, 7, 15):
