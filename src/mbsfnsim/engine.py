@@ -15,7 +15,8 @@ import hashlib
 import json
 import logging
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,15 @@ POLICY_ADAPTIVE = "adaptive"
 
 BANDWIDTH_TO_RB = {5: 25, 20: 100}
 TTI_SECONDS = 1e-3
+
+
+# Lower bounds of the numeric config fields, checked by `validate`.
+_AT_LEAST = (("mbsfn_rings", 0), ("interference_rings", 1),
+             ("users_per_cell", 1), ("cars_per_cell", 0), ("car_speed_kmh", 0),
+             ("usable_re_per_rb", 1), ("shadowing_std_db", 0),
+             ("cqi_feedback_delay_tti", 0), ("n_tti", 0), ("seed", 0))
+_POSITIVE = ("inter_site_distance_m", "cam_size_bytes", "cam_period_ms",
+             "carrier_ghz", "bler_slope_db_per_decade")
 
 
 @dataclass(frozen=True)
@@ -74,22 +84,14 @@ class ScenarioConfig:
             raise ValueError("adaptive CQI bound must be in 0..15")
         if not 1 <= self.reservation_cqi <= 15:
             raise ValueError("reservation_cqi must be in 1..15")
-        if self.users_per_cell < 1:
-            raise ValueError("users_per_cell must be >= 1")
+        for name, low in _AT_LEAST:
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.cars_per_cell > self.users_per_cell:
             raise ValueError("cars_per_cell exceeds users_per_cell")
-        if self.n_tti < 0 or self.cam_period_ms <= 0 or self.cam_size_bytes <= 0:
-            raise ValueError("run length and traffic sizes must be positive")
-        if self.cqi_feedback_delay_tti < 0:
-            raise ValueError("feedback delay must be >= 0")
-        if self.inter_site_distance_m <= 0:
-            raise ValueError("inter-site distance must be positive")
-        if self.car_speed_kmh < 0:
-            raise ValueError("car_speed_kmh must be >= 0")
-        if self.usable_re_per_rb < 1:
-            raise ValueError("usable_re_per_rb must be >= 1")
-        if self.bler_slope_db_per_decade <= 0:
-            raise ValueError("bler_slope_db_per_decade must be positive")
 
     @property
     def n_rb(self) -> int:
@@ -131,29 +133,23 @@ class ScenarioConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@dataclass(slots=True, eq=False)
 class _McastJob:
-    __slots__ = ("source", "sequence", "generation_tti", "receivers",
-                 "failed", "alive")
-
-    def __init__(self, source, sequence, generation_tti, receivers):
-        self.source = source
-        self.sequence = sequence
-        self.generation_tti = generation_tti
-        self.receivers = frozenset(receivers)
-        self.failed: set[int] = set()
-        self.alive = True
+    source: int
+    sequence: int
+    receivers: frozenset[int]
+    failed: set[int] = field(default_factory=set)
+    alive: bool = True
 
 
+@dataclass(slots=True, eq=False)
 class _CopyJob:
-    __slots__ = ("source", "sequence", "receiver", "residual", "cqi", "alive")
-
-    def __init__(self, source, sequence, receiver, residual):
-        self.source = source
-        self.sequence = sequence
-        self.receiver = receiver
-        self.residual = float(residual)
-        self.cqi = 1
-        self.alive = True
+    source: int
+    sequence: int
+    receiver: int
+    residual: float
+    cqi: int = 1
+    alive: bool = True
 
 
 @dataclass
@@ -199,8 +195,16 @@ class RunRecord:
         }
 
 
+class LinkState(NamedTuple):
+    """One TTI's link quantities of the tracked rows."""
+    mc_sinr: np.ndarray         # (sources, rb) multicast SINR
+    uc_sinr: np.ndarray         # (tracked, rb) SINR from the serving cell
+    power: np.ndarray           # (tracked, cell, rb) received power
+    total_power: np.ndarray     # (tracked, rb) power summed over cells
+
+
 def decoder(slope_db_per_decade: float, perfect_decode: bool,
-            rng: np.random.Generator):
+            rng: np.random.Generator, table: link.CqiTable = link.CQI_TABLE):
     """`decode(eff_db, cqi)`: success flags for a batch of transport blocks.
 
     Each block takes one uniform draw from `rng` in batch order, so one
@@ -210,49 +214,240 @@ def decoder(slope_db_per_decade: float, perfect_decode: bool,
     def decode(eff_db: np.ndarray, cqi) -> np.ndarray:
         if perfect_decode:
             return np.ones(len(eff_db), dtype=bool)
-        p = link.bler(eff_db, cqi, slope_db_per_decade)
+        p = link.bler(eff_db, cqi, slope_db_per_decade, table)
         return rng.random(len(eff_db)) >= p
     return decode
 
 
 def ordinary_stage(slots, report_sinr: np.ndarray, sinr: np.ndarray,
-                   n_re_per_rb: int, decode):
+                   n_re_per_rb: int, decode,
+                   table: link.CqiTable = link.CQI_TABLE):
     """Link stage of the ordinary full-buffer users' round-robin slots.
 
     `slots` lists (row, rb_start, rb_count) with rb_count > 0.  Each slot's
     CQI comes from `report_sinr` (the possibly delayed report) over its RB
-    slice and its decode from `sinr` (this TTI's channel); slots of equal
-    length are evaluated as one (n, rb_count) array.  Returns per-slot
+    slice and its decode from `sinr` (this TTI's channel).  Returns per-slot
     transport-block bits and decode flags, in slot order.
     """
     rows, starts, counts = np.array(slots, dtype=np.intp).reshape(-1, 3).T
-    cqi = np.empty(len(counts), dtype=np.intp)
-    eff_db = np.empty(len(counts))
-    for length in np.unique(counts):
-        group = np.flatnonzero(counts == length)
-        r = rows[group, None]
-        rbs = starts[group, None] + np.arange(length)
-        cqi[group] = link.cqi_from_sinr_rows(report_sinr[r, rbs])
-        eff_db[group] = link.effective_sinr_db_rows(sinr[r, rbs])
-    bits = counts * n_re_per_rb * link.EFFICIENCIES[cqi - 1]
+    report_db, eff_db = link.effective_sinr_db_slices(
+        (report_sinr, sinr), rows, starts, counts)
+    cqi = link.cqi_from_sinr_db(report_db, table)
+    bits = counts * n_re_per_rb * table.efficiencies[cqi - 1]
     return bits, decode(eff_db, cqi)
+
+
+class MulticastDelivery:
+    """MBSFN delivery: each message is sent once, in the subframes reserved
+    for multicast, and decoded by every receiver in the area.
+
+    The reservation is sized once from the sizing CQI, whatever the rate
+    adaptation.  A reserved subframe carries no ordinary traffic unless it
+    has nothing to send and `reassign_unused_subframes` hands it back.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, table: link.CqiTable, area_cells,
+                 buffers, recorder, row_of, decode):
+        self.cfg, self.table, self.area_cells = cfg, table, area_cells
+        self.buffers, self.recorder = buffers, recorder
+        self.row_of, self.decode = row_of, decode
+        sizing_eff = link.cqi_efficiency(cfg.sizing_cqi, table)
+        self.congested = False
+        try:
+            reserved = scheduler.required_subframes(
+                cfg.cam_size_bits, len(buffers), cfg.n_rb,
+                cfg.usable_re_per_rb, sizing_eff, cfg.cam_period_ttis)
+        except scheduler.CongestionInfeasibleError as exc:
+            reserved = len(scheduler.MBSFN_LEGAL_SUBFRAMES)
+            log.warning("reservation infeasible (%s); using the maximum of "
+                        "%d subframes per frame", exc, reserved)
+            self.congested = True
+        self.reserved_per_frame = reserved
+        self.plan = scheduler.build_frame_plan(reserved, cfg.n_rb,
+                                               cfg.usable_re_per_rb)
+        # One generation period's messages over the RB grid.
+        self.analytic_utilization_pct = metrics.utilization(
+            cfg.cam_size_bits, len(buffers), cfg.n_rb * cfg.cam_period_ttis,
+            cfg.usable_re_per_rb, sizing_eff)
+        self.multicast_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
+        self.cam_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
+        self.queue: deque[_McastJob] = deque()
+        self.current: dict[int, _McastJob] = {}
+
+    def add(self, packet: traffic.CamPacket, receivers) -> None:
+        """Queue a generated message, replacing its source's undelivered
+        predecessor."""
+        if (old := self.current.get(packet.source_user_id)) is not None:
+            old.alive = False
+        job = _McastJob(packet.source_user_id, packet.sequence,
+                        frozenset(receivers))
+        self.current[job.source] = job
+        self.queue.append(job)
+
+    def serve(self, tti: int, area_sources, now: LinkState,
+              report: LinkState) -> dict[int, int]:
+        """Send and decode this TTI's messages; returns the RBs each area
+        cell leaves to ordinary users."""
+        plan, buffers = self.plan, self.buffers
+        if not plan.is_reserved(tti):
+            return dict.fromkeys(self.area_cells, plan.n_rb_per_subframe)
+        pending = [j for j in self.queue
+                   if j.alive and buffers[j.source].residual_bits > 0]
+        if not pending:
+            # A fully unused reserved subframe goes back, if allowed.
+            return dict.fromkeys(self.area_cells, plan.n_rb_per_subframe
+                                 if self.cfg.reassign_unused_subframes else 0)
+        tx_cqi = self._tx_cqi(area_sources, report)
+        allocations, used = scheduler.schedule_multicast(
+            [(j, buffers[j.source].residual_bits) for j in pending],
+            plan.n_rb_per_subframe, plan.n_re_per_rb,
+            link.cqi_efficiency(tx_cqi, self.table))
+        self.multicast_rb_per_tti[tti] = used
+        for alloc in allocations:
+            job: _McastJob = alloc.key
+            rbs = slice(alloc.rb_start, alloc.rb_start + alloc.rb_count)
+            receivers = sorted(job.receivers)
+            if receivers:
+                rows = np.array([self.row_of[r] for r in receivers], dtype=int)
+                ok = self.decode(link.effective_sinr_db_rows(
+                    now.mc_sinr[rows][:, rbs]), tx_cqi)
+                job.failed.update(r for r, r_ok in zip(receivers, ok)
+                                  if not r_ok)
+            buf = buffers[job.source]
+            traffic.consume(buf, alloc.capacity_bits)
+            if buf.residual_bits <= 0:
+                job.alive = False
+                self.recorder.on_delivery(job.source, job.sequence, tti + 1,
+                                          job.receivers - job.failed)
+        while self.queue and not self.queue[0].alive:
+            self.queue.popleft()
+        return dict.fromkeys(self.area_cells, 0)
+
+    def _tx_cqi(self, area_sources, report: LinkState) -> int:
+        cfg = self.cfg
+        if cfg.cqi_policy == POLICY_FIXED:
+            return cfg.cqi_value
+        if not area_sources:
+            return cfg.sizing_cqi  # nobody left in the area to report
+        rows = np.array([self.row_of[s] for s in sorted(area_sources)])
+        return scheduler.select_mbsfn_cqi(
+            link.cqi_from_sinr_rows(report.mc_sinr[rows], self.table),
+            cfg.cqi_value)
+
+    def measured_utilization_pct(self) -> float:
+        grid_rb = self.cfg.n_rb * max(self.cfg.n_tti, 1)
+        return 100.0 * float(self.multicast_rb_per_tti.sum()) / grid_rb
+
+
+class UnicastDelivery:
+    """Unicast baseline: each message is copied to every receiver and sent
+    with the copy's own CQI through the area cell the receiver was dropped
+    in, ahead of ordinary traffic.
+
+    Recipients stay subscribed at their drop cell, so ring cells never carry
+    copies and every area cell carries the same recipients-per-cell load.
+    """
+    reserved_per_frame = 0
+    congested = False
+
+    def __init__(self, cfg: ScenarioConfig, table: link.CqiTable, area_cells,
+                 drop_cell, recorder, row_of, decode, noise_variance: float):
+        self.cfg, self.table, self.area_cells = cfg, table, area_cells
+        self.drop_cell, self.recorder = drop_cell, recorder
+        self.row_of, self.decode = row_of, decode
+        self.noise_variance = noise_variance
+        # One generation period's copies over the area cells' RB grids.
+        n_sources = len(drop_cell)
+        self.analytic_utilization_pct = metrics.utilization(
+            cfg.cam_size_bits, n_sources * (n_sources - 1),
+            len(area_cells) * cfg.n_rb * cfg.cam_period_ttis,
+            cfg.usable_re_per_rb, link.cqi_efficiency(cfg.sizing_cqi, table))
+        self.multicast_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
+        self.cam_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
+        self.queues = {c: deque() for c in area_cells}
+        self.current: dict[tuple[int, int], _CopyJob] = {}
+
+    def add(self, packet: traffic.CamPacket, receivers) -> None:
+        """Queue one copy per receiver, replacing the undelivered copy of
+        the source's predecessor to that receiver."""
+        src = packet.source_user_id
+        for recv in sorted(receivers):
+            if (old := self.current.get((src, recv))) is not None:
+                old.alive = False
+            copy = _CopyJob(src, packet.sequence, recv,
+                            float(packet.size_bits))
+            self.current[(src, recv)] = copy
+            self.queues[self.drop_cell[recv]].append(copy)
+
+    def serve(self, tti: int, area_sources, now: LinkState,
+              report: LinkState) -> dict[int, int]:
+        """Schedule every area cell's copies, then decode the granted ones
+        as one batch; returns the RBs each area cell leaves to ordinary
+        users."""
+        n_rb, n_re = self.cfg.n_rb, self.cfg.usable_re_per_rb
+        price = functools.partial(self._price, report=report)
+        left, granted = {}, []
+        for cell, q in self.queues.items():
+            while q and (not q[0].alive or q[0].residual <= 0):
+                q.popleft()
+            # Only the copies that fit are priced; a copy's CQI is read
+            # only after it is granted RBs in this subframe.
+            items = scheduler.price_until_full(
+                ((c, c.residual) for c in q if c.alive), price, n_rb, n_re)
+            allocations, used = scheduler.schedule_unicast_cam_baseline(
+                items, n_rb, n_re)
+            self.cam_rb_per_tti[tti] += used
+            granted += allocations
+            left[cell] = n_rb - used
+        if not granted:
+            return left
+        # One draw per copy, in cell-then-allocation order.
+        copies = [alloc.key for alloc in granted]
+        sinr = link.sinr_vs_cell(now.power, now.total_power,
+                                 [self.row_of[c.receiver] for c in copies],
+                                 [self.drop_cell[c.receiver] for c in copies],
+                                 self.noise_variance)
+        eff_db, = link.effective_sinr_db_slices(
+            (sinr,), np.arange(len(granted)),
+            np.array([a.rb_start for a in granted]),
+            np.array([a.rb_count for a in granted]))
+        ok = self.decode(eff_db, np.array([c.cqi for c in copies]))
+        for copy, alloc, success in zip(copies, granted, ok.tolist()):
+            if success:
+                copy.residual = max(copy.residual - alloc.capacity_bits, 0.0)
+            if copy.residual <= 0:
+                copy.alive = False
+                self.recorder.on_delivery(copy.source, copy.sequence,
+                                          tti + 1, {copy.receiver})
+        return left
+
+    def _price(self, copy: _CopyJob, report: LinkState) -> float:
+        """Set the copy's CQI from the report towards its queue cell;
+        returns its efficiency."""
+        cfg = self.cfg
+        if cfg.cqi_policy == POLICY_FIXED:
+            copy.cqi = cfg.cqi_value
+        else:
+            rep = link.sinr_vs_cell(report.power, report.total_power,
+                                    [self.row_of[copy.receiver]],
+                                    [self.drop_cell[copy.receiver]],
+                                    self.noise_variance)
+            copy.cqi = max(int(link.cqi_from_sinr_rows(rep, self.table)[0]),
+                           max(cfg.cqi_value, 1))
+        return link.cqi_efficiency(copy.cqi, self.table)
+
+    def measured_utilization_pct(self) -> float:
+        grid_rb = self.cfg.n_rb * max(self.cfg.n_tti, 1)
+        return (100.0 * float(self.cam_rb_per_tti.sum())
+                / (grid_rb * len(self.area_cells)))
 
 
 def run(config: ScenarioConfig) -> RunRecord:
     config.validate()
-    if config.cqi_table_file:
-        previous = link.apply_cqi_table(link.load_cqi_table(
-            config.cqi_table_file))
-        try:
-            return _run(config)
-        finally:
-            link.apply_cqi_table(previous)
-    return _run(config)
-
-
-def _run(config: ScenarioConfig) -> RunRecord:
     cfg = config
     seed = cfg.seed
+    table = (link.load_cqi_table(cfg.cqi_table_file) if cfg.cqi_table_file
+             else link.CQI_TABLE)
     rng_decode = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC]))
 
     layout = topology.build_layout(cfg.mbsfn_rings, cfg.interference_rings,
@@ -260,6 +455,7 @@ def _run(config: ScenarioConfig) -> RunRecord:
     pop = topology.drop_users(layout, cfg.users_per_cell, cfg.cars_per_cell,
                               cfg.car_speed_ms, rng_seed=seed)
     mbsfn_cells = layout.mbsfn_cells
+    area_cells = sorted(mbsfn_cells)
     shadow_full = channel.draw_shadowing(pop.n_users, layout.n_cells,
                                          cfg.shadowing_std_db, seed)
 
@@ -286,283 +482,116 @@ def _run(config: ScenarioConfig) -> RunRecord:
         noise_variance=noise_var,
         seed=seed,
     )
-    mbsfn_mask = np.zeros(layout.n_cells, dtype=bool)
-    mbsfn_mask[list(mbsfn_cells)] = True
+    mbsfn_mask = np.isin(np.arange(layout.n_cells), area_cells)
 
     def reselect_gain_db(user_ids, positions):
         d = np.linalg.norm(positions[:, None, :]
                            - layout.cell_positions[None, :, :], axis=2)
         return -channel.pathloss_db(d) + shadow_full[user_ids]
 
-    # Subframe reservation, sized once regardless of rate adaptation.
-    congested = False
-    reserved_per_frame = 0
-    if cfg.mode == MODE_MULTICAST and n_sources > 0:
-        sizing_eff = link.cqi_efficiency(cfg.sizing_cqi)
-        try:
-            reserved_per_frame = scheduler.required_subframes(
-                cfg.cam_size_bits, n_sources, cfg.n_rb, cfg.usable_re_per_rb,
-                sizing_eff, cfg.cam_period_ttis)
-        except scheduler.CongestionInfeasibleError as exc:
-            log.warning("reservation infeasible (%s); using the maximum of "
-                        "%d subframes per frame", exc,
-                        len(scheduler.MBSFN_LEGAL_SUBFRAMES))
-            reserved_per_frame = len(scheduler.MBSFN_LEGAL_SUBFRAMES)
-            congested = True
-    plan = scheduler.build_frame_plan(reserved_per_frame, cfg.n_rb,
-                                      cfg.usable_re_per_rb)
-
-    # Analytic utilization over one generation period of the full RB grid.
-    rb_per_period = cfg.n_rb * cfg.cam_period_ttis
-    if cfg.mode == MODE_MULTICAST:
-        analytic_util = metrics.utilization(
-            cfg.cam_size_bits, n_sources, rb_per_period, cfg.usable_re_per_rb,
-            link.cqi_efficiency(cfg.sizing_cqi)) if n_sources else 0.0
-    else:
-        n_area_cells = max(len(mbsfn_cells), 1)
-        analytic_util = metrics.utilization(
-            cfg.cam_size_bits, n_sources * max(n_sources - 1, 0),
-            n_area_cells * rb_per_period, cfg.usable_re_per_rb,
-            link.cqi_efficiency(cfg.sizing_cqi)) if n_sources else 0.0
-    if analytic_util > 100.0:
-        congested = True
-        log.warning("offered message load is %.1f%% of capacity; expect "
-                    "unbounded latency growth", analytic_util)
-
-    # Traffic state.
     offsets = traffic.draw_offsets(n_sources, cfg.cam_period_ttis, seed)
     buffers = {src: traffic.UserBuffer(
         user_id=src, offset=int(offsets[k]), period=cfg.cam_period_ttis,
         packet_bits=cfg.cam_size_bits) for k, src in enumerate(sources)}
     recorder = metrics.LatencyRecorder(sources, cfg.cam_period_ttis)
-
-    def in_area_sources() -> set[int]:
-        """Cars currently served by an area cell; only they are obliged to
-        receive (and report CQI for) multicast messages."""
-        return {s for s in sources if int(pop.serving_cell[s]) in mbsfn_cells}
-
-    mcast_queue: deque[_McastJob] = deque()
-    current_job: dict[int, _McastJob] = {}
-    # One copy queue per area cell; recipients stay subscribed at their drop
-    # cell, so ring cells never carry message copies.
-    cell_queues: dict[int, deque[_CopyJob]] = {c: deque()
-                                               for c in sorted(mbsfn_cells)}
-    current_copies: dict[tuple[int, int], _CopyJob] = {}
+    decode = decoder(cfg.bler_slope_db_per_decade, cfg.perfect_decode,
+                     rng_decode, table)
+    if cfg.mode == MODE_MULTICAST:
+        delivery = MulticastDelivery(cfg, table, area_cells, buffers,
+                                     recorder, row_of, decode)
+    else:
+        delivery = UnicastDelivery(
+            cfg, table, area_cells,
+            {src: int(pop.drop_cell[src]) for src in sources}, recorder,
+            row_of, decode, noise_var)
+    congested = delivery.congested
+    if delivery.analytic_utilization_pct > 100.0:
+        congested = True
+        log.warning("offered message load is %.1f%% of capacity; expect "
+                    "unbounded latency growth",
+                    delivery.analytic_utilization_pct)
 
     ordinary_by_cell = {c: [u for u in ordinary_tracked
                             if int(pop.drop_cell[u]) == c]
-                        for c in sorted(mbsfn_cells)}
+                        for c in area_cells}
     ordinary_bits = {u: 0.0 for u in ordinary_tracked}
-    rr_offset = {c: 0 for c in sorted(mbsfn_cells)}
-
-    multicast_rb = np.zeros(cfg.n_tti, dtype=np.int64)
-    cam_rb = np.zeros(cfg.n_tti, dtype=np.int64)
-
-    delay = cfg.cqi_feedback_delay_tti
-    report_cache: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=delay + 1)
-
-    decode_ok = decoder(cfg.bler_slope_db_per_decade, cfg.perfect_decode,
-                        rng_decode)
-
-    def price_copy(copy: _CopyJob, cell: int) -> float:
-        """Set the copy's CQI from this TTI's channel report towards
-        `cell`; returns its efficiency."""
-        if cfg.cqi_policy == POLICY_FIXED:
-            copy.cqi = cfg.cqi_value
-        else:
-            rep = link.sinr_vs_cell(pw_rep, tot_rep, [row_of[copy.receiver]],
-                                    [cell], noise_var)
-            copy.cqi = max(int(link.cqi_from_sinr_rows(rep)[0]),
-                           max(cfg.cqi_value, 1))
-        return link.cqi_efficiency(copy.cqi)
-
-    area_now = in_area_sources()
+    rr_offset = {c: 0 for c in area_cells}
+    report_cache: deque[LinkState] = deque(
+        maxlen=cfg.cqi_feedback_delay_tti + 1)
+    # Cars in the area, i.e. served by an area cell: only they are obliged
+    # to receive (and report CQI for) messages.  Every car starts in its
+    # drop cell.
+    area_now = set(sources)
 
     for tti in range(cfg.n_tti):
         pop = topology.advance_mobility(pop, TTI_SECONDS, reselect_gain_db)
-        snap = model.snapshot(tti, pop.positions[tracked])
-        h = snap.h
+        h = model.snapshot(tti, pop.positions[tracked]).h
 
         # Membership follows the serving cell: a car that left the area stops
         # blocking open entries and is excluded from new recipient sets.
-        area_prev, area_now = area_now, in_area_sources()
+        area_prev = area_now
+        area_now = {s for s in sources
+                    if int(pop.serving_cell[s]) in mbsfn_cells}
         for gone in sorted(area_prev - area_now):
             recorder.on_receiver_exit(gone, tti)
 
         mc_sinr = link.multicast_sinr_grid(h[:n_sources], mbsfn_mask,
-                                           noise_var) if n_sources else \
-            np.empty((0, cfg.n_rb))
+                                           noise_var)
         power, total_power = link.power_components(h)
-        all_rows = np.arange(len(tracked))
-        uc_sinr = link.sinr_vs_cell(power, total_power, all_rows,
-                                    pop.serving_cell[tracked], noise_var)
-        report_cache.append((mc_sinr, uc_sinr, power, total_power))
-        mc_rep, uc_rep, pw_rep, tot_rep = report_cache[0]
-        area_rows = np.array([row_of[s] for s in sorted(area_now)], dtype=int)
-        car_cqi = (link.cqi_from_sinr_rows(mc_rep[area_rows])
-                   if area_rows.size else np.array([], int))
+        now = LinkState(mc_sinr, link.sinr_vs_cell(
+            power, total_power, np.arange(len(tracked)),
+            pop.serving_cell[tracked], noise_var), power, total_power)
+        report_cache.append(now)
+        report = report_cache[0]
 
-        # --- generation (replacing any undelivered predecessor) ---
-        for k, src in enumerate(sources):
+        # Generation replaces any undelivered predecessor.
+        for src in sources:
             pkt = traffic.maybe_generate(buffers[src], tti)
-            if pkt is None:
-                continue
-            receivers = area_now - {src}
-            recorder.on_generation(src, pkt.sequence, tti, receivers)
-            if cfg.mode == MODE_MULTICAST:
-                old = current_job.get(src)
-                if old is not None and old.alive:
-                    old.alive = False
-                job = _McastJob(src, pkt.sequence, tti, receivers)
-                current_job[src] = job
-                mcast_queue.append(job)
-            else:
-                # Each recipient is subscribed at the cell it was dropped in,
-                # keeping every area cell's copy load at the same
-                # recipients-per-cell multiplier.
-                for recv in sorted(receivers):
-                    old = current_copies.get((src, recv))
-                    if old is not None and old.alive:
-                        old.alive = False
-                    copy = _CopyJob(src, pkt.sequence, recv, pkt.size_bits)
-                    current_copies[(src, recv)] = copy
-                    cell_queues[int(pop.drop_cell[recv])].append(copy)
+            if pkt is not None:
+                receivers = area_now - {src}
+                recorder.on_generation(src, pkt.sequence, tti, receivers)
+                delivery.add(pkt, receivers)
 
-        # --- scheduling, decoding, buffer update ---
-        area_ordinary_rb = plan.n_rb_per_subframe  # RBs per area cell this TTI
-
-        if cfg.mode == MODE_MULTICAST and plan.is_reserved(tti):
-            pending = [j for j in mcast_queue
-                       if j.alive and buffers[j.source].residual_bits > 0]
-            if pending:
-                if cfg.cqi_policy == POLICY_ADAPTIVE and len(car_cqi):
-                    state = scheduler.CqiState(
-                        mode=POLICY_ADAPTIVE, cqi_bound=cfg.cqi_value,
-                        cqi_reports=car_cqi)
-                    tx_cqi = scheduler.select_mbsfn_cqi(state)
-                elif cfg.cqi_policy == POLICY_ADAPTIVE:
-                    tx_cqi = cfg.sizing_cqi  # nobody left in the area to report
-                else:
-                    tx_cqi = scheduler.select_mbsfn_cqi(scheduler.CqiState(
-                        mode=POLICY_FIXED, fixed_cqi=cfg.cqi_value))
-                eff = link.cqi_efficiency(tx_cqi)
-                allocations, used, _ = scheduler.schedule_multicast(
-                    [(j, buffers[j.source].residual_bits) for j in pending],
-                    plan.n_rb_per_subframe, plan.n_re_per_rb, eff)
-                multicast_rb[tti] = used
-                for alloc in allocations:
-                    job: _McastJob = alloc.key
-                    rbs = slice(alloc.rb_start, alloc.rb_start + alloc.rb_count)
-                    recv_rows = np.array(
-                        [row_of[r] for r in sorted(job.receivers)], dtype=int)
-                    if recv_rows.size:
-                        eff_db = link.effective_sinr_db_rows(
-                            mc_sinr[recv_rows][:, rbs])
-                        ok = decode_ok(eff_db, tx_cqi)
-                        for r_row, r_ok in zip(recv_rows, ok):
-                            if not r_ok:
-                                job.failed.add(tracked[r_row])
-                    buf = buffers[job.source]
-                    traffic.consume(buf, alloc.capacity_bits, decode_ok=True)
-                    if buf.residual_bits <= 0:
-                        job.alive = False
-                        satisfied = job.receivers - job.failed
-                        recorder.on_delivery(job.source, job.sequence,
-                                             tti + 1, satisfied)
-                while mcast_queue and not mcast_queue[0].alive:
-                    mcast_queue.popleft()
-                area_ordinary_rb = 0
-            else:
-                # Fully unused reserved subframe: hand it back, if allowed.
-                area_ordinary_rb = (plan.n_rb_per_subframe
-                                    if cfg.reassign_unused_subframes else 0)
-
-        if cfg.mode == MODE_UNICAST_BASELINE:
-            cam_used_now = 0
-            ordinary_left: dict[int, int] = {}
-            for cell in sorted(mbsfn_cells):
-                q = cell_queues[cell]
-                while q and (not q[0].alive or q[0].residual <= 0):
-                    q.popleft()
-                # Only the copies that fit are priced; a copy's CQI is
-                # read only after it is granted RBs in this subframe.
-                items = scheduler.price_until_full(
-                    ((c, c.residual) for c in q if c.alive),
-                    functools.partial(price_copy, cell=cell),
-                    plan.n_rb_per_subframe, plan.n_re_per_rb)
-                allocations, used = scheduler.schedule_unicast_cam_baseline(
-                    items, plan.n_rb_per_subframe, plan.n_re_per_rb)
-                cam_used_now += used
-                for alloc in allocations:
-                    copy: _CopyJob = alloc.key
-                    rbs = slice(alloc.rb_start, alloc.rb_start + alloc.rb_count)
-                    cur = link.sinr_vs_cell(power, total_power,
-                                            [row_of[copy.receiver]], [cell],
-                                            noise_var)
-                    eff_db = link.effective_sinr_db_rows(cur[:, rbs])
-                    ok = bool(decode_ok(eff_db, copy.cqi)[0])
-                    if ok:
-                        copy.residual = max(copy.residual - alloc.capacity_bits,
-                                            0.0)
-                    if copy.residual <= 0:
-                        copy.alive = False
-                        recorder.on_delivery(copy.source, copy.sequence,
-                                             tti + 1, {copy.receiver})
-                ordinary_left[cell] = plan.n_rb_per_subframe - used
-            cam_rb[tti] = cam_used_now
-
-        # --- ordinary full-buffer users on whatever is left ---
+        # Messages first, then the ordinary users on what is left.
+        left = delivery.serve(tti, area_now, now, report)
         slots, slot_users = [], []
-        for cell in sorted(mbsfn_cells):
-            users = ordinary_by_cell[cell]
-            if not users:
-                continue
-            avail = (ordinary_left[cell]
-                     if cfg.mode == MODE_UNICAST_BASELINE else area_ordinary_rb)
-            if avail <= 0:
+        for cell, users in ordinary_by_cell.items():
+            if not users or left[cell] <= 0:
                 continue
             for user, rb_start, rb_count in scheduler.schedule_unicast_ordinary(
-                    users, avail, rr_offset[cell]):
+                    users, left[cell], rr_offset[cell]):
                 if rb_count > 0:
                     slots.append((row_of[user], rb_start, rb_count))
                     slot_users.append(user)
             rr_offset[cell] += 1
         if slots:
             # Rate adaptation on the assigned slice, not the whole band.
-            bits, ok = ordinary_stage(slots, uc_rep, uc_sinr,
-                                      plan.n_re_per_rb, decode_ok)
+            bits, ok = ordinary_stage(slots, report.uc_sinr, now.uc_sinr,
+                                      cfg.usable_re_per_rb, decode, table)
             for user, b, success in zip(slot_users, bits.tolist(),
                                         ok.tolist()):
                 if success:
                     ordinary_bits[user] += b
 
-    # --- post-processing ---
     duration_s = cfg.n_tti * TTI_SECONDS
     throughput = {u: (ordinary_bits[u] / duration_s / 1e6 if duration_s else 0.0)
                   for u in ordinary_tracked}
-    grid_rb = cfg.n_rb * max(cfg.n_tti, 1)
-    if cfg.mode == MODE_MULTICAST:
-        measured_util = 100.0 * float(multicast_rb.sum()) / grid_rb
-    else:
-        measured_util = (100.0 * float(cam_rb.sum())
-                         / (grid_rb * max(len(mbsfn_cells), 1)))
-
     return RunRecord(
         config_dict=cfg.to_dict(),
         seed=seed,
         config_hash=cfg.content_hash(),
         sources=sources,
         n_mbms_users=n_sources,
-        reserved_per_frame=reserved_per_frame,
+        reserved_per_frame=delivery.reserved_per_frame,
         congested=congested,
         entries=recorder.entries,
         n_open_entries=recorder.n_open,
         latency_matrix=recorder.latency_matrix(),
         ordinary_throughput_mbps=throughput,
-        multicast_rb_per_tti=multicast_rb,
-        cam_rb_per_tti=cam_rb,
-        analytic_utilization_pct=analytic_util,
-        measured_utilization_pct=measured_util,
+        multicast_rb_per_tti=delivery.multicast_rb_per_tti,
+        cam_rb_per_tti=delivery.cam_rb_per_tti,
+        analytic_utilization_pct=delivery.analytic_utilization_pct,
+        measured_utilization_pct=delivery.measured_utilization_pct(),
     )
 
 

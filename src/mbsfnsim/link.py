@@ -10,7 +10,7 @@ calibrated to 10% error at each CQI's switching threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,31 @@ class CqiEntry:
     sinr_threshold_db: float
 
 
-CQI_TABLE = (
+@dataclass(frozen=True, eq=False)
+class CqiTable:
+    """A validated CQI table: its 15 entries plus read-only arrays of their
+    SINR thresholds (dB) and efficiencies, indexed by CQI - 1.
+
+    A table is a value passed to the functions that read it, so runs with
+    different tables can share a process.
+    """
+    entries: tuple[CqiEntry, ...]
+    thresholds_db: np.ndarray = field(init=False, repr=False)
+    efficiencies: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if [e.index for e in self.entries] != list(range(1, 16)):
+            raise ValueError("CQI table must cover indices 1..15 in order")
+        for name, attr in (("thresholds_db", "sinr_threshold_db"),
+                           ("efficiencies", "efficiency")):
+            values = np.array([getattr(e, attr) for e in self.entries])
+            if np.any(np.diff(values) <= 0):
+                raise ValueError(f"CQI {name} must be strictly increasing")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+
+CQI_TABLE = CqiTable((
     CqiEntry(1, "QPSK", 0.1523, -6.7),
     CqiEntry(2, "QPSK", 0.2344, -4.7),
     CqiEntry(3, "QPSK", 0.3770, -2.3),
@@ -46,13 +70,10 @@ CQI_TABLE = (
     CqiEntry(13, "64QAM", 4.5234, 18.7),
     CqiEntry(14, "64QAM", 5.1152, 21.0),
     CqiEntry(15, "64QAM", 5.5547, 22.7),
-)
-
-THRESHOLDS_DB = np.array([e.sinr_threshold_db for e in CQI_TABLE])
-EFFICIENCIES = np.array([e.efficiency for e in CQI_TABLE])
+))
 
 
-def load_cqi_table(path) -> tuple[CqiEntry, ...]:
+def load_cqi_table(path) -> CqiTable:
     """Read a replacement CQI table (CSV: index,modulation,efficiency,
     sinr_threshold_db) for sensitivity studies."""
     import csv
@@ -65,30 +86,7 @@ def load_cqi_table(path) -> tuple[CqiEntry, ...]:
                 efficiency=float(row["efficiency"]),
                 sinr_threshold_db=float(row["sinr_threshold_db"]),
             ))
-    validate_cqi_table(entries)
-    return tuple(entries)
-
-
-def validate_cqi_table(entries) -> None:
-    if [e.index for e in entries] != list(range(1, 16)):
-        raise ValueError("CQI table must cover indices 1..15 in order")
-    eff = [e.efficiency for e in entries]
-    thr = [e.sinr_threshold_db for e in entries]
-    if any(b <= a for a, b in zip(eff, eff[1:])):
-        raise ValueError("CQI efficiencies must be strictly increasing")
-    if any(b <= a for a, b in zip(thr, thr[1:])):
-        raise ValueError("CQI thresholds must be strictly increasing")
-
-
-def apply_cqi_table(entries) -> tuple[CqiEntry, ...]:
-    """Install a replacement table; returns the previous one for restoring."""
-    global CQI_TABLE, THRESHOLDS_DB, EFFICIENCIES
-    validate_cqi_table(entries)
-    previous = CQI_TABLE
-    CQI_TABLE = tuple(entries)
-    THRESHOLDS_DB = np.array([e.sinr_threshold_db for e in CQI_TABLE])
-    EFFICIENCIES = np.array([e.efficiency for e in CQI_TABLE])
-    return previous
+    return CqiTable(tuple(entries))
 
 # Logistic BLER steepness: one decade of error probability per dB around
 # the 10%-BLER anchor point.
@@ -96,16 +94,16 @@ BLER_TARGET = 0.1
 BLER_SLOPE_DB_PER_DECADE = 1.0
 
 
-def cqi_efficiency(cqi_index: int) -> float:
+def cqi_efficiency(cqi_index: int, table: CqiTable = CQI_TABLE) -> float:
     if not 1 <= cqi_index <= 15:
         raise CqiRangeError(f"CQI index {cqi_index} outside 1..15")
-    return float(EFFICIENCIES[cqi_index - 1])
+    return float(table.efficiencies[cqi_index - 1])
 
 
-def cqi_threshold_db(cqi_index: int) -> float:
+def cqi_threshold_db(cqi_index: int, table: CqiTable = CQI_TABLE) -> float:
     if not 1 <= cqi_index <= 15:
         raise CqiRangeError(f"CQI index {cqi_index} outside 1..15")
-    return float(THRESHOLDS_DB[cqi_index - 1])
+    return float(table.thresholds_db[cqi_index - 1])
 
 
 def sinr_multicast(snapshot, mbsfn_cells, user: int, subcarrier: int) -> float:
@@ -171,11 +169,17 @@ def effective_sinr(sinr_per_rb) -> float:
     return float(2.0 ** mi - 1.0)
 
 
-def sinr_to_cqi(sinr_per_rb) -> int:
+def cqi_from_sinr_db(eff_db, table: CqiTable = CQI_TABLE):
+    """`sinr_to_cqi` of effective SINRs already in dB: one value or an
+    array."""
+    idx = np.searchsorted(table.thresholds_db, eff_db + 1e-12, side="right")
+    return np.maximum(idx, 1)
+
+
+def sinr_to_cqi(sinr_per_rb, table: CqiTable = CQI_TABLE) -> int:
     """Largest CQI whose threshold the effective SINR meets; at least 1."""
     eff_db = 10.0 * math.log10(max(effective_sinr(sinr_per_rb), 1e-30))
-    idx = int(np.searchsorted(THRESHOLDS_DB, eff_db + 1e-12, side="right"))
-    return max(idx, 1)
+    return int(cqi_from_sinr_db(eff_db, table))
 
 
 def effective_sinr_db_rows(sinr_rows: np.ndarray) -> np.ndarray:
@@ -189,15 +193,32 @@ def effective_sinr_db_rows(sinr_rows: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(2.0 ** mi - 1.0, 1e-30))
 
 
-def cqi_from_sinr_rows(sinr_rows: np.ndarray) -> np.ndarray:
-    """Row-wise `sinr_to_cqi` against the CQI table installed now."""
-    idx = np.searchsorted(THRESHOLDS_DB, effective_sinr_db_rows(sinr_rows)
-                          + 1e-12, side="right")
-    return np.maximum(idx, 1)
+def effective_sinr_db_slices(sinrs, rows, starts,
+                             counts) -> list[np.ndarray]:
+    """Effective SINR in dB of RB slice `starts[k]:starts[k] + counts[k]`
+    of row `rows[k]`, for every k, in each (row, rb) array of `sinrs`.
+
+    Slices of equal length are evaluated as one (n, length) array; by
+    `effective_sinr_db_rows` each value is the one its slice alone gives.
+    """
+    out = [np.empty(len(counts)) for _ in sinrs]
+    for length in np.unique(counts):
+        group = np.flatnonzero(counts == length)
+        index = rows[group, None], starts[group, None] + np.arange(length)
+        for values, sinr in zip(out, sinrs):
+            values[group] = effective_sinr_db_rows(sinr[index])
+    return out
+
+
+def cqi_from_sinr_rows(sinr_rows: np.ndarray,
+                       table: CqiTable = CQI_TABLE) -> np.ndarray:
+    """Row-wise `sinr_to_cqi`."""
+    return cqi_from_sinr_db(effective_sinr_db_rows(sinr_rows), table)
 
 
 def bler(effective_sinr_db, cqi_index,
-         slope_db_per_decade: float = BLER_SLOPE_DB_PER_DECADE):
+         slope_db_per_decade: float = BLER_SLOPE_DB_PER_DECADE,
+         table: CqiTable = CQI_TABLE):
     """Block error probability of a transport block sent with `cqi_index`.
 
     Logistic in dB, anchored so that error probability is BLER_TARGET at the
@@ -208,7 +229,7 @@ def bler(effective_sinr_db, cqi_index,
     cqi = np.asarray(cqi_index)
     if cqi.size and not (1 <= cqi.min() and cqi.max() <= 15):
         raise CqiRangeError(f"CQI index {cqi_index} outside 1..15")
-    thr = THRESHOLDS_DB[cqi - 1]
+    thr = table.thresholds_db[cqi - 1]
     k = slope_db_per_decade * math.log(10.0) / (1.0 - BLER_TARGET)
     midpoint = thr - math.log(1.0 / BLER_TARGET - 1.0) / k
     x = np.asarray(effective_sinr_db, dtype=float)

@@ -11,7 +11,7 @@ recipient's own serving cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,21 +55,12 @@ def build_frame_plan(n_reserved_per_frame: int, n_rb_per_subframe: int,
     )
 
 
-@dataclass
-class CqiState:
-    mode: str                            # "fixed" | "adaptive"
-    fixed_cqi: int = 0
-    cqi_bound: int = 0
-    cqi_reports: np.ndarray = field(default_factory=lambda: np.array([], int))
-
-
-def select_mbsfn_cqi(state: CqiState) -> int:
-    """Transmission CQI: the worst report, clamped below by the bound."""
-    if state.mode == "fixed":
-        return state.fixed_cqi
-    if len(state.cqi_reports) == 0:
+def select_mbsfn_cqi(reports, bound: int) -> int:
+    """Adaptive transmission CQI: the worst report, clamped below by the
+    bound."""
+    if len(reports) == 0:
         raise SchedulingError("adaptive CQI selection without reports")
-    return max(int(np.min(state.cqi_reports)), state.cqi_bound)
+    return max(int(np.min(reports)), bound)
 
 
 def required_subframes(packet_bits: float, n_mbms_users: int,
@@ -152,16 +143,14 @@ def price_until_full(pending, efficiency_of, n_rb: int,
 
 
 def schedule_multicast(pending, n_rb: int, n_re_per_rb: int,
-                       efficiency: float) -> tuple[list[Allocation], int, bool]:
+                       efficiency: float) -> tuple[list[Allocation], int]:
     """Allocate one reserved subframe to pending messages, oldest first.
 
     `pending` is an ordered sequence of (key, residual_bits).  Returns the
-    allocations, the RB count used, and whether the subframe was left fully
-    unused (and may be reassigned to ordinary traffic).
+    allocations and the RB count used.
     """
     items = [(key, residual, efficiency) for key, residual in pending]
-    allocations, used = allocate_fifo(items, n_rb, n_re_per_rb)
-    return allocations, used, used == 0
+    return allocate_fifo(items, n_rb, n_re_per_rb)
 
 
 def schedule_unicast_cam_baseline(pending, n_rb: int,

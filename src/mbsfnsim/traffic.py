@@ -31,12 +31,7 @@ class UserBuffer:
     period: int = DEFAULT_PERIOD_TTIS
     packet_bits: int = DEFAULT_PACKET_BITS
     residual_bits: float = 0.0
-    active_packet: CamPacket | None = None
     next_sequence: int = 0
-
-    @property
-    def empty(self) -> bool:
-        return self.active_packet is None or self.residual_bits <= 0
 
 
 def draw_offsets(n_sources: int, period: int, seed) -> np.ndarray:
@@ -62,19 +57,13 @@ def maybe_generate(buffer: UserBuffer, tti: int) -> CamPacket | None:
         generation_tti=tti,
         size_bits=buffer.packet_bits,
     )
-    buffer.active_packet = packet
     buffer.residual_bits = float(buffer.packet_bits)
     buffer.next_sequence += 1
     return packet
 
 
-def consume(buffer: UserBuffer, transmitted_bits: float, decode_ok: bool) -> None:
-    """Drain the buffer by a successfully carried transport block.
-
-    Failed blocks leave the residual untouched: there is no retransmission
-    credit, the same bits simply remain to be sent later.
-    """
+def consume(buffer: UserBuffer, transmitted_bits: float) -> None:
+    """Drain the buffer by a transmitted transport block."""
     if transmitted_bits < 0:
         raise ValueError("transmitted bits must be >= 0")
-    if decode_ok:
-        buffer.residual_bits = max(buffer.residual_bits - transmitted_bits, 0.0)
+    buffer.residual_bits = max(buffer.residual_bits - transmitted_bits, 0.0)

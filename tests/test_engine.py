@@ -1,4 +1,6 @@
 import logging
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +44,13 @@ class TestConfig:
         ("users_per_cell", -2, {}),
         ("car_speed_kmh", -30.0, {}),
         ("usable_re_per_rb", 0, {}),
+        ("carrier_ghz", 0.0, {}),
+        ("carrier_ghz", -2.14, {}),
+        ("shadowing_std_db", -1.0, {}),
+        ("cars_per_cell", -1, {}),
+        ("seed", -1, {}),
+        ("mbsfn_rings", -1, {}),
+        ("interference_rings", 0, {}),
     ])
     def test_validation_names_field(self, field, value, others):
         cfg = ScenarioConfig(**{field: value, **others})
@@ -208,7 +217,7 @@ def _per_slot_oracle(slots, report_sinr, sinr, n_re_per_rb, slope,
     for row, rb_start, rb_count in slots:
         rbs = slice(rb_start, rb_start + rb_count)
         eff_rep = _mi_rows(report_sinr[row][None, rbs])
-        idx = np.searchsorted(link.THRESHOLDS_DB, eff_rep + 1e-12,
+        idx = np.searchsorted(link.CQI_TABLE.thresholds_db, eff_rep + 1e-12,
                               side="right")
         cq = max(int(np.maximum(idx, 1)[0]), 1)
         eff_db = _mi_rows(sinr[row][None, rbs])
@@ -282,19 +291,47 @@ class TestOrdinaryStage:
         assert rng.bit_generator.state == state
 
 
-def test_cqi_table_file_changes_ordinary_rates_and_is_restored(tmp_path):
-    """A replacement table reaches the ordinary users' rate adaptation
-    and is uninstalled when the run ends."""
+def _shifted_table_file(tmp_path):
+    """The built-in CQI table with every threshold 3 dB higher."""
     path = tmp_path / "shifted.csv"
     with open(path, "w") as fh:
         fh.write("index,modulation,efficiency,sinr_threshold_db\n")
-        for e in link.CQI_TABLE:
+        for e in link.CQI_TABLE.entries:
             fh.write(f"{e.index},{e.modulation},{e.efficiency},"
                      f"{e.sinr_threshold_db + 3.0}\n")
+    return str(path)
+
+
+def test_cqi_table_file_changes_ordinary_rates_and_is_restored(tmp_path):
+    """A replacement table reaches the ordinary users' rate adaptation
+    and leaves the built-in table as it was."""
     table = link.CQI_TABLE
     cfg = small_config(n_tti=200)
     default = run(cfg).mean_throughput_mbps()
-    shifted = run(replace(cfg, cqi_table_file=str(path))).mean_throughput_mbps()
+    shifted = run(replace(cfg, cqi_table_file=_shifted_table_file(tmp_path))
+                  ).mean_throughput_mbps()
     assert link.CQI_TABLE is table
     assert shifted != default
     assert run(cfg).mean_throughput_mbps() == default
+
+
+def test_runs_with_different_tables_share_a_process(tmp_path):
+    """A default run and a replacement-table run made at the same time in
+    two threads each give the record of their sequential run."""
+    base = small_config(n_tti=200)
+    cfgs = [base, replace(base, cqi_table_file=_shifted_table_file(tmp_path))]
+    sequential = [run(cfg) for cfg in cfgs]
+    assert sequential[0].summary() != sequential[1].summary()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run, cfg) for cfg in cfgs]
+            concurrent = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(concurrent, sequential):
+        assert got.summary() == want.summary()
+        np.testing.assert_array_equal(got.multicast_rb_per_tti,
+                                      want.multicast_rb_per_tti)
+        np.testing.assert_array_equal(got.cam_rb_per_tti, want.cam_rb_per_tti)

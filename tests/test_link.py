@@ -108,7 +108,7 @@ class TestCqiMapping:
         mi = np.mean([math.log2(1 + s) for s in sinrs])
         eff_db = 10 * math.log10(2 ** mi - 1)
         expected = 1
-        for entry in link.CQI_TABLE:
+        for entry in link.CQI_TABLE.entries:
             if entry.sinr_threshold_db <= eff_db:
                 expected = entry.index
         assert got == expected
@@ -150,26 +150,25 @@ class TestEfficiencyTable:
         path = tmp_path / "table.csv"
         with open(path, "w") as fh:
             fh.write("index,modulation,efficiency,sinr_threshold_db\n")
-            for e in link.CQI_TABLE:
+            for e in link.CQI_TABLE.entries:
                 fh.write(f"{e.index},{e.modulation},{e.efficiency * 2},"
                          f"{e.sinr_threshold_db + 1.0}\n")
-        entries = link.load_cqi_table(path)
-        previous = link.apply_cqi_table(entries)
-        try:
-            assert cqi_efficiency(3) == pytest.approx(0.754, abs=1e-4)
-            assert cqi_threshold_db(3) == pytest.approx(-1.3)
-        finally:
-            link.apply_cqi_table(previous)
+        table = link.load_cqi_table(path)
+        assert cqi_efficiency(3, table) == pytest.approx(0.754, abs=1e-4)
+        assert cqi_threshold_db(3, table) == pytest.approx(-1.3)
         assert cqi_efficiency(3) == pytest.approx(0.377, abs=1e-4)
+        assert not any(t.flags.writeable for t in (
+            link.CQI_TABLE.thresholds_db, link.CQI_TABLE.efficiencies,
+            table.thresholds_db, table.efficiencies))
 
     def test_invalid_replacement_rejected(self):
-        entries = list(link.CQI_TABLE)
+        entries = list(link.CQI_TABLE.entries)
         entries[5] = link.CqiEntry(6, "QPSK", entries[4].efficiency,
                                    entries[5].sinr_threshold_db)
         with pytest.raises(ValueError):
-            link.validate_cqi_table(entries)
+            link.CqiTable(tuple(entries))
         with pytest.raises(ValueError):
-            link.validate_cqi_table(entries[:-1])
+            link.CqiTable(tuple(entries[:-1]))
 
 
 class TestDecoding:

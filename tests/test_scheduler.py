@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mbsfnsim import scheduler
 from mbsfnsim.link import cqi_efficiency
-from mbsfnsim.scheduler import (CongestionInfeasibleError, CqiState,
-                                FramePlan, SchedulingError, build_frame_plan,
+from mbsfnsim.scheduler import (CongestionInfeasibleError, FramePlan,
+                                SchedulingError, build_frame_plan,
                                 required_subframes, schedule_multicast,
                                 schedule_unicast_cam_baseline,
                                 schedule_unicast_ordinary, select_mbsfn_cqi)
@@ -16,26 +16,17 @@ from mbsfnsim.scheduler import (CongestionInfeasibleError, CqiState,
 
 class TestCqiSelection:
     def test_min_above_bound(self):
-        state = CqiState(mode="adaptive", cqi_bound=3,
-                         cqi_reports=np.array([5, 7, 9]))
-        assert select_mbsfn_cqi(state) == 5
+        assert select_mbsfn_cqi(np.array([5, 7, 9]), 3) == 5
 
     def test_bound_clamps(self):
-        state = CqiState(mode="adaptive", cqi_bound=3,
-                         cqi_reports=np.array([1, 2, 4]))
-        assert select_mbsfn_cqi(state) == 3
+        assert select_mbsfn_cqi(np.array([1, 2, 4]), 3) == 3
 
     def test_disabled_bound_takes_minimum(self):
-        state = CqiState(mode="adaptive", cqi_bound=0,
-                         cqi_reports=np.array([1, 2, 4]))
-        assert select_mbsfn_cqi(state) == 1
-
-    def test_fixed_mode(self):
-        assert select_mbsfn_cqi(CqiState(mode="fixed", fixed_cqi=9)) == 9
+        assert select_mbsfn_cqi(np.array([1, 2, 4]), 0) == 1
 
     def test_empty_reports_error(self):
         with pytest.raises(SchedulingError):
-            select_mbsfn_cqi(CqiState(mode="adaptive", cqi_bound=3))
+            select_mbsfn_cqi(np.array([], int), 3)
 
 
 class TestRequiredSubframes:
@@ -96,20 +87,19 @@ class TestFramePlan:
 
 class TestScheduleMulticast:
     def test_rb_count_arithmetic(self):
-        allocations, used, unused = schedule_multicast(
+        allocations, used = schedule_multicast(
             [("cam", 2400.0)], n_rb=60, n_re_per_rb=120, efficiency=0.377)
         assert used == 54  # independent check: ceil(2400 / (120 * 0.377))
         assert used == math.ceil(2400 / (120 * 0.377))
         assert allocations[0].rb_count == 54
-        assert not unused
 
     def test_empty_queue_reassignable(self):
-        allocations, used, unused = schedule_multicast(
+        allocations, used = schedule_multicast(
             [], n_rb=25, n_re_per_rb=100, efficiency=0.377)
-        assert allocations == [] and used == 0 and unused
+        assert allocations == [] and used == 0
 
     def test_fifo_with_partial_tail(self):
-        allocations, used, _ = schedule_multicast(
+        allocations, used = schedule_multicast(
             [("a", 2400.0), ("b", 2400.0)], n_rb=96, n_re_per_rb=100,
             efficiency=0.377)
         # first fully served (64 RBs), second gets the 32 leftover RBs
@@ -119,7 +109,7 @@ class TestScheduleMulticast:
         assert used == 96
 
     def test_no_double_allocation(self):
-        allocations, used, _ = schedule_multicast(
+        allocations, used = schedule_multicast(
             [(k, 500.0) for k in range(10)], n_rb=25, n_re_per_rb=100,
             efficiency=1.4766)
         spans = [(a.rb_start, a.rb_start + a.rb_count) for a in allocations]
@@ -136,8 +126,8 @@ class TestScheduleMulticast:
         bound_eff = cqi_efficiency(3)
         high_eff = cqi_efficiency(cqi)
         items = list(enumerate(residuals))
-        _, used_bound, _ = schedule_multicast(items, 25, 100, bound_eff)
-        _, used_high, _ = schedule_multicast(items, 25, 100, high_eff)
+        _, used_bound = schedule_multicast(items, 25, 100, bound_eff)
+        _, used_high = schedule_multicast(items, 25, 100, high_eff)
         assert used_high <= used_bound
 
 

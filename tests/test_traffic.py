@@ -32,7 +32,7 @@ class TestGeneration:
     def test_replacement_discards_partial_progress(self):
         buf = _buffer()
         maybe_generate(buf, 7)
-        consume(buf, 1440, decode_ok=True)   # 60% delivered
+        consume(buf, 1440)   # 60% delivered
         assert buf.residual_bits == 960
         pkt = maybe_generate(buf, 107)
         assert pkt.sequence == 1
@@ -60,25 +60,18 @@ class TestConsume:
     def test_partial_drain(self):
         buf = _buffer()
         maybe_generate(buf, 7)
-        consume(buf, 1000, decode_ok=True)
+        consume(buf, 1000)
         assert buf.residual_bits == 1400
 
     def test_clamp_at_zero(self):
         buf = _buffer()
         maybe_generate(buf, 7)
-        consume(buf, 3000, decode_ok=True)
+        consume(buf, 3000)
         assert buf.residual_bits == 0
-        assert buf.empty
-
-    def test_failed_block_gives_no_credit(self):
-        buf = _buffer()
-        maybe_generate(buf, 7)
-        consume(buf, 1000, decode_ok=False)
-        assert buf.residual_bits == 2400
 
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
-            consume(_buffer(), -1.0, decode_ok=True)
+            consume(_buffer(), -1.0)
 
     def test_non_increasing_between_generations(self):
         rng = np.random.default_rng(4)
@@ -86,8 +79,7 @@ class TestConsume:
         maybe_generate(buf, 0)
         history = [buf.residual_bits]
         for _ in range(40):
-            consume(buf, float(rng.integers(0, 200)),
-                    decode_ok=bool(rng.random() < 0.7))
+            consume(buf, float(rng.integers(0, 200)))
             history.append(buf.residual_bits)
         assert all(b >= a for a, b in zip(history[1:], history))
 
