@@ -202,20 +202,12 @@ class FadingProcess:
         return complex(out[0, 0, 0])
 
 
-def fading_coefficient(proc: FadingProcess, t: float,
-                       subcarrier_freq_offset_hz: float = 0.0) -> complex:
-    return proc.coefficient(t, subcarrier_freq_offset_hz)
-
-
 @dataclass(frozen=True)
 class ChannelSnapshot:
     """Complex coefficients h[user, cell, rb] for one TTI."""
     h: np.ndarray
     tti: int
     noise_variance: float
-
-    def power(self) -> np.ndarray:
-        return np.abs(self.h) ** 2
 
 
 class ChannelModel:

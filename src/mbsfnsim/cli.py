@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -44,51 +44,25 @@ def _parse_policy(s: str) -> tuple[str, int]:
     return kind, int(value)
 
 
-# section -> key -> (config field, parse, serialize)
-_SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
-    "scenario": {
-        "mode": ("mode", str, str),
-        "cqi_policy": ("__policy__", _parse_policy,
-                       lambda cfg: cfg.cqi_policy_label()),
-        "bandwidth_mhz": ("bandwidth_mhz", int, str),
-    },
-    "layout": {
-        "mbsfn_rings": ("mbsfn_rings", int, str),
-        "interference_rings": ("interference_rings", int, str),
-        "inter_site_distance_m": ("inter_site_distance_m", float, repr),
-    },
-    "users": {
-        "users_per_cell": ("users_per_cell", int, str),
-        "cars_per_cell": ("cars_per_cell", int, str),
-        "car_speed_kmh": ("car_speed_kmh", float, repr),
-    },
-    "traffic": {
-        "cam_size_bytes": ("cam_size_bytes", int, str),
-        "cam_period_ms": ("cam_period_ms", int, str),
-    },
-    "radio": {
-        "carrier_ghz": ("carrier_ghz", float, repr),
-        "usable_re_per_rb": ("usable_re_per_rb", int, str),
-        "tx_power_dbm": ("tx_power_dbm", float, repr),
-        "noise_figure_db": ("noise_figure_db", float, repr),
-        "shadowing_std_db": ("shadowing_std_db", float, repr),
-        "cqi_feedback_delay_tti": ("cqi_feedback_delay_tti", int, str),
-        "reassign_unused_subframes": ("reassign_unused_subframes", _parse_bool,
-                                      lambda v: "true" if v else "false"),
-        "bler_slope_db_per_decade": ("bler_slope_db_per_decade", float, repr),
-        "perfect_decode": ("perfect_decode", _parse_bool,
-                           lambda v: "true" if v else "false"),
-        "reservation_cqi": ("reservation_cqi", int, str),
-        "cqi_table_file": ("cqi_table_file", str, str),
-    },
-    "run": {
-        "n_tti": ("n_tti", int, str),
-        "seed": ("seed", int, str),
-    },
-}
+# Parser and printer of each declared config field type.
+_CODECS = {int: (int, str), float: (float, repr), str: (str, str),
+           bool: (_parse_bool, lambda v: str(v).lower())}
+# The one key that sets two fields: `cqi_policy = fixed:3` carries
+# cqi_value, which has no key of its own.
+_POLICY_KEY = "cqi_policy"
+
+
+def _scenario_keys() -> dict[str, dict[str, type]]:
+    """section -> key -> declared type, in ScenarioConfig field order."""
+    sections: dict[str, dict[str, type]] = {}
+    for f in fields(engine.ScenarioConfig):
+        if f.name != "cqi_value":
+            sections.setdefault(f.metadata["section"], {})[f.name] = f.type
+    return sections
 
 
 def parse_scenario_text(text: str) -> engine.ScenarioConfig:
+    schema = _scenario_keys()
     values: dict[str, object] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,7 +71,7 @@ def parse_scenario_text(text: str) -> engine.ScenarioConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in schema:
                 raise ScenarioParseError(
                     f"line {lineno}: unknown section [{section}]")
             continue
@@ -107,19 +81,22 @@ def parse_scenario_text(text: str) -> engine.ScenarioConfig:
             raise ScenarioParseError(f"line {lineno}: key outside any section")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _SCHEMA[section]:
+        if key not in schema[section]:
             raise ScenarioParseError(
                 f"line {lineno}: unknown key {key!r} in section [{section}]")
-        field, parse, _ = _SCHEMA[section][key]
+        if key in values:
+            raise ScenarioParseError(f"line {lineno}: {key!r} given twice")
+        parse = (_parse_policy if key == _POLICY_KEY
+                 else _CODECS[schema[section][key]][0])
         try:
             parsed = parse(val)
         except ValueError as exc:
             raise ScenarioParseError(f"line {lineno}: bad value for "
                                      f"{key!r}: {exc}") from exc
-        if field == "__policy__":
+        if key == _POLICY_KEY:
             values["cqi_policy"], values["cqi_value"] = parsed
         else:
-            values[field] = parsed
+            values[key] = parsed
     cfg = engine.ScenarioConfig(**values)
     cfg.validate()
     return cfg
@@ -127,13 +104,12 @@ def parse_scenario_text(text: str) -> engine.ScenarioConfig:
 
 def serialize_scenario(cfg: engine.ScenarioConfig) -> str:
     lines = []
-    for section, keys in _SCHEMA.items():
+    for section, keys in _scenario_keys().items():
         lines.append(f"[{section}]")
-        for key, (field, _, dump) in keys.items():
-            if field == "__policy__":
-                lines.append(f"{key} = {dump(cfg)}")
-            else:
-                lines.append(f"{key} = {dump(getattr(cfg, field))}")
+        for key, typ in keys.items():
+            text = (cfg.cqi_policy_label() if key == _POLICY_KEY
+                    else _CODECS[typ][1](getattr(cfg, key)))
+            lines.append(f"{key} = {text}")
         lines.append("")
     return "\n".join(lines)
 
@@ -161,11 +137,16 @@ def cmd_run(scenario_path: str, out_dir: str, seed_override=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ScenarioParseError as exc:
+    except ValueError as exc:
         print(f"error: {scenario_path}: {exc}", file=sys.stderr)
         return 2
     if seed_override is not None:
         cfg = replace(cfg, seed=int(seed_override))
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            print(f"error: --seed: {exc}", file=sys.stderr)
+            return 2
     record = engine.run(cfg)
     metrics.write_run_outputs(out_dir, record)
     print(f"wrote {out_dir} (mode={cfg.mode}, bandwidth={cfg.bandwidth_mhz} MHz,"
@@ -176,10 +157,6 @@ def cmd_run(scenario_path: str, out_dir: str, seed_override=None) -> int:
 def _cell_name(cfg: engine.ScenarioConfig) -> str:
     return (f"{cfg.mode}_{cfg.bandwidth_mhz}mhz_"
             f"{cfg.cqi_policy}{cfg.cqi_value}")
-
-
-def _run_cell(cfg: engine.ScenarioConfig) -> engine.RunRecord:
-    return engine.run(cfg)
 
 
 def _aligned_overlay(curves: dict[str, metrics.EcdfCurve]) -> tuple:
@@ -213,13 +190,17 @@ def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
         print("error: compare needs at least two matrix cells",
               file=sys.stderr)
         return 2
-    for cfg in cells:
-        cfg.validate()
+    try:
+        for cfg in cells:
+            cfg.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_cell, cells))
+            records = list(pool.map(engine.run, cells))
     else:
         records = [engine.run(cfg) for cfg in cells]
 
@@ -322,7 +303,7 @@ def main(argv=None) -> int:
     if args.base is not None:
         try:
             base = load_scenario(args.base)
-        except (FileNotFoundError, ScenarioParseError) as exc:
+        except (FileNotFoundError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
@@ -337,7 +318,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    bandwidths = [int(b) for b in args.bandwidths.split(",") if b.strip()]
+    try:
+        bandwidths = [int(b) for b in args.bandwidths.split(",") if b.strip()]
+    except ValueError:
+        print(f"error: --bandwidths: bandwidth_mhz must be integers, got "
+              f"{args.bandwidths!r}", file=sys.stderr)
+        return 2
     return cmd_compare(base, modes, bandwidths, policies, args.out)
 
 

@@ -8,14 +8,15 @@ logs are appended.  All randomness derives from the master seed through
 purpose-keyed streams, so a (config, seed) pair reproduces bit-identical
 results.
 """
-from __future__ import annotations
-
+# No `from __future__ import annotations`: the scenario parser and
+# `validate` read ScenarioConfig's field types as classes at run time.
 import functools
 import hashlib
 import json
 import logging
+import math
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,43 +34,46 @@ BANDWIDTH_TO_RB = {5: 25, 20: 100}
 TTI_SECONDS = 1e-3
 
 
-# Lower bounds of the numeric config fields, checked by `validate`.
-_AT_LEAST = (("mbsfn_rings", 0), ("interference_rings", 1),
-             ("users_per_cell", 1), ("cars_per_cell", 0), ("car_speed_kmh", 0),
-             ("usable_re_per_rb", 1), ("shadowing_std_db", 0),
-             ("cqi_feedback_delay_tti", 0), ("n_tti", 0), ("seed", 0))
-_POSITIVE = ("inter_site_distance_m", "cam_size_bytes", "cam_period_ms",
-             "carrier_ghz", "bler_slope_db_per_decade")
+def _spec(default, section: str, *, at_least=None, above=None):
+    """A config field with its scenario-file section and lower bound
+    (`at_least` inclusive, `above` exclusive), checked by `validate`."""
+    return field(default=default, metadata={
+        "section": section, "at_least": at_least, "above": above})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete declarative description of one run."""
-    mode: str = MODE_MULTICAST
-    cqi_policy: str = POLICY_FIXED
-    cqi_value: int = 3                  # fixed CQI, or bound when adaptive
-    bandwidth_mhz: int = 5
-    mbsfn_rings: int = 1
-    interference_rings: int = 1
-    inter_site_distance_m: float = 500.0
-    users_per_cell: int = 6
-    cars_per_cell: int = 3
-    car_speed_kmh: float = 100.0
-    cam_size_bytes: int = 300
-    cam_period_ms: int = 100
-    carrier_ghz: float = 2.14
-    usable_re_per_rb: int = 100
-    tx_power_dbm: float = 43.0
-    noise_figure_db: float = 9.0
-    shadowing_std_db: float = 0.0
-    cqi_feedback_delay_tti: int = 0
-    reassign_unused_subframes: bool = True
-    bler_slope_db_per_decade: float = 1.0
-    perfect_decode: bool = False
-    reservation_cqi: int = 3            # sizing CQI when the bound is 0
-    cqi_table_file: str = ""            # optional replacement CQI table
-    n_tti: int = 10000
-    seed: int = 1
+    """Complete declarative description of one run.
+
+    Each field's annotation (int, float, bool or str), default, scenario
+    file section and lower bound are the whole schema: the scenario parser
+    and serializer and the per-field checks of `validate` derive from them.
+    """
+    mode: str = _spec(MODE_MULTICAST, "scenario")
+    cqi_policy: str = _spec(POLICY_FIXED, "scenario")
+    cqi_value: int = _spec(3, "scenario")  # fixed CQI, or bound when adaptive
+    bandwidth_mhz: int = _spec(5, "scenario")
+    mbsfn_rings: int = _spec(1, "layout", at_least=0)
+    interference_rings: int = _spec(1, "layout", at_least=1)
+    inter_site_distance_m: float = _spec(500.0, "layout", above=0)
+    users_per_cell: int = _spec(6, "users", at_least=1)
+    cars_per_cell: int = _spec(3, "users", at_least=0)
+    car_speed_kmh: float = _spec(100.0, "users", at_least=0)
+    cam_size_bytes: int = _spec(300, "traffic", at_least=1)
+    cam_period_ms: int = _spec(100, "traffic", at_least=1)
+    carrier_ghz: float = _spec(2.14, "radio", above=0)
+    usable_re_per_rb: int = _spec(100, "radio", at_least=1)
+    tx_power_dbm: float = _spec(43.0, "radio")
+    noise_figure_db: float = _spec(9.0, "radio")
+    shadowing_std_db: float = _spec(0.0, "radio", at_least=0)
+    cqi_feedback_delay_tti: int = _spec(0, "radio", at_least=0)
+    reassign_unused_subframes: bool = _spec(True, "radio")
+    bler_slope_db_per_decade: float = _spec(1.0, "radio", above=0)
+    perfect_decode: bool = _spec(False, "radio")
+    reservation_cqi: int = _spec(3, "radio")  # sizing CQI when the bound is 0
+    cqi_table_file: str = _spec("", "radio")  # optional replacement CQI table
+    n_tti: int = _spec(10000, "run", at_least=0)
+    seed: int = _spec(1, "run", at_least=0)
 
     def validate(self) -> None:
         if self.mode not in (MODE_MULTICAST, MODE_UNICAST_BASELINE):
@@ -84,12 +88,15 @@ class ScenarioConfig:
             raise ValueError("adaptive CQI bound must be in 0..15")
         if not 1 <= self.reservation_cqi <= 15:
             raise ValueError("reservation_cqi must be in 1..15")
-        for name, low in _AT_LEAST:
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-        for name in _POSITIVE:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value, low, above = (getattr(self, f.name), f.metadata["at_least"],
+                                 f.metadata["above"])
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if low is not None and value < low:
+                raise ValueError(f"{f.name} must be >= {low}")
+            if above is not None and value <= above:
+                raise ValueError(f"{f.name} must be > {above}")
         if self.cars_per_cell > self.users_per_cell:
             raise ValueError("cars_per_cell exceeds users_per_cell")
 

@@ -148,14 +148,6 @@ def sinr_vs_cell(power: np.ndarray, total_power: np.ndarray, rows,
     return signal / (noise_variance + total_power[rows] - signal)
 
 
-def unicast_sinr_grid(h: np.ndarray, serving_cell: np.ndarray,
-                      noise_variance: float) -> np.ndarray:
-    """Vectorized unicast SINR over (user, rb) given per-user serving cells."""
-    power, total = power_components(h)
-    rows = np.arange(h.shape[0])
-    return sinr_vs_cell(power, total, rows, serving_cell, noise_variance)
-
-
 def effective_sinr(sinr_per_rb) -> float:
     """Mutual-information average of per-RB SINRs, inverted back to linear SINR.
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+from dataclasses import fields
 
 import pytest
 
@@ -47,6 +49,51 @@ class TestScenarioFormat:
             bandwidth_mhz=20, usable_re_per_rb=110, perfect_decode=True,
             car_speed_kmh=43.2, n_tti=7, seed=99)
         assert parse_scenario_text(serialize_scenario(cfg)) == cfg
+
+    def test_roundtrip_every_field_changed(self):
+        # every field of the spec gets a valid non-default value, so a field
+        # added to ScenarioConfig is covered (or fails here) automatically
+        enumerated = {"mode": "unicast_baseline", "cqi_policy": "adaptive",
+                      "bandwidth_mhz": 20, "cqi_table_file": "alt_table.csv"}
+        bump = {int: lambda v: v + 1, float: lambda v: v + 0.1,
+                bool: lambda v: not v}
+        cfg = engine.ScenarioConfig(**{
+            f.name: (enumerated[f.name] if f.name in enumerated
+                     else bump[f.type](f.default))
+            for f in fields(engine.ScenarioConfig)})
+        for f in fields(cfg):
+            assert getattr(cfg, f.name) != f.default, f.name
+        assert parse_scenario_text(serialize_scenario(cfg)) == cfg
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("[run]\nn_tti = 5\nn_tti = 7\n", 3, "n_tti"),
+        ("[run]\nseed = 2\n[users]\ncars_per_cell = 1\n[run]\nseed = 3\n",
+         6, "seed"),
+        ("[scenario]\ncqi_policy = fixed:3\n\ncqi_policy = adaptive:2\n", 4,
+         "cqi_policy"),
+    ])
+    def test_repeated_key_rejected_with_line(self, text, line, key):
+        with pytest.raises(ScenarioParseError, match=f"line {line}.*{key}"):
+            parse_scenario_text(text)
+
+    def test_readme_block_is_the_default_schema(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = re.search(r"### Scenario files\n.*?```\n(.*?)```", text,
+                          re.S).group(1)
+        assert parse_scenario_text(block) == engine.ScenarioConfig()
+        comments = {line.split("=", 1)[0].strip(): line.partition("#")[2]
+                    for line in block.splitlines() if "=" in line}
+        assert list(comments) == [
+            line.split(" = ", 1)[0] for line in
+            serialize_scenario(engine.ScenarioConfig()).splitlines()
+            if " = " in line]
+        # each stated lower bound is the spec's
+        for f in fields(engine.ScenarioConfig):
+            for kind, op in (("at_least", ">="), ("above", ">")):
+                if f.metadata.get(kind) is not None:
+                    assert f"{op} {f.metadata[kind]}" in comments[f.name], f.name
 
     def test_unknown_key_rejected_with_line(self):
         bad = "[scenario]\nmode = multicast\nwibble = 3\n"
@@ -116,6 +163,22 @@ class TestCmdRun:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_invalid_value_diagnostic(self, tmp_path, capsys):
+        scen = tmp_path / "wide.scenario"
+        scen.write_text("[scenario]\nbandwidth_mhz = 10\n")
+        rc = main(["run", str(scen), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bandwidth_mhz" in capsys.readouterr().err
+
+    def test_invalid_seed_override_diagnostic(self, tmp_path, capsys):
+        scen = tmp_path / "small.scenario"
+        scen.write_text(SMALL_SCENARIO)
+        rc = main(["run", str(scen), "--out", str(tmp_path / "o"),
+                   "--seed", "-1"])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_repeats(self, tmp_path):
         scen = tmp_path / "small.scenario"
         scen.write_text(SMALL_SCENARIO)
@@ -169,6 +232,20 @@ class TestCmdCompare:
                    "--n-tti", "100"])
         assert rc == 2
         assert "two" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--bandwidths", "5,10", "bandwidth_mhz"),
+        ("--bandwidths", "5,x", "bandwidth_mhz"),
+        ("--modes", "multicast,broadcast", "mode"),
+    ])
+    def test_invalid_matrix_diagnostic(self, tmp_path, capsys, option, value,
+                                       field):
+        rc = main(["compare", option, value, "--out", str(tmp_path / "x"),
+                   "--n-tti", "10"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "x").exists()
 
     def test_overlay_columns_aligned(self, tmp_path):
         out = tmp_path / "cmp"

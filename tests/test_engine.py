@@ -51,6 +51,12 @@ class TestConfig:
         ("seed", -1, {}),
         ("mbsfn_rings", -1, {}),
         ("interference_rings", 0, {}),
+        ("car_speed_kmh", float("nan"), {}),
+        ("bler_slope_db_per_decade", float("nan"), {}),
+        ("tx_power_dbm", float("inf"), {}),
+        ("noise_figure_db", float("-inf"), {}),
+        ("inter_site_distance_m", float("inf"), {}),
+        ("inter_site_distance_m", float("nan"), {}),
     ])
     def test_validation_names_field(self, field, value, others):
         cfg = ScenarioConfig(**{field: value, **others})

@@ -82,7 +82,9 @@ class TestSinrFormulas:
         mask[:7] = True
         snap = ChannelSnapshot(h=h, tti=0, noise_variance=noise)
         mc = link.multicast_sinr_grid(h, mask, noise)
-        uc = link.unicast_sinr_grid(h, np.array([0, 3, 12]), noise)
+        power, total = link.power_components(h)
+        uc = link.sinr_vs_cell(power, total, np.arange(3),
+                               np.array([0, 3, 12]), noise)
         for u in range(3):
             for n in range(4):
                 assert mc[u, n] == pytest.approx(
