@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,9 @@ MIN_DISTANCE_M = 35.0
 
 N_OSCILLATORS = 16
 RB_BANDWIDTH_HZ = 180e3
+TTI_S = 1e-3
+# TTIs of moving-pair tap gains evaluated per FadingBank.block_tap_gains call.
+BLOCK_LEN = 64
 
 
 class ChannelStateError(RuntimeError):
@@ -46,34 +48,11 @@ def doppler_frequency(speed_ms: float, carrier_hz: float) -> float:
     return speed_ms * carrier_hz / SPEED_OF_LIGHT
 
 
-def pathloss_db(distance_m, min_distance_m: float = MIN_DISTANCE_M,
-                intercept_db: float = PATHLOSS_INTERCEPT_DB,
-                slope_db: float = PATHLOSS_SLOPE_DB):
-    """Distance-dependent loss in dB; distances below the minimum are clamped."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), min_distance_m)
-    return intercept_db + slope_db * np.log10(d / 1000.0)
-
-
-@dataclass(frozen=True)
-class MacroscopicGain:
-    gamma: float                # linear amplitude gain
-    pathloss_db: float
-    shadowing_db: float
-
-
-def macroscopic_gain(distance_m: float, shadowing_db: float,
-                     min_distance_m: float = MIN_DISTANCE_M,
-                     intercept_db: float = PATHLOSS_INTERCEPT_DB,
-                     slope_db: float = PATHLOSS_SLOPE_DB) -> MacroscopicGain:
-    """Pathloss plus shadowing as a linear amplitude factor."""
-    if distance_m <= min_distance_m:
-        log.warning("distance %.3f m clamped to minimum %.1f m",
-                    distance_m, min_distance_m)
-        distance_m = min_distance_m
-    pl = intercept_db + slope_db * math.log10(distance_m / 1000.0)
-    gain_db = -pl + shadowing_db
-    return MacroscopicGain(gamma=10.0 ** (gain_db / 20.0),
-                           pathloss_db=pl, shadowing_db=shadowing_db)
+def pathloss_db(distance_m):
+    """Distance-dependent loss in dB; distances below MIN_DISTANCE_M are
+    clamped."""
+    d = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M)
+    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE_DB * np.log10(d / 1000.0)
 
 
 def draw_shadowing(n_users: int, n_cells: int, std_db: float,
@@ -93,13 +72,13 @@ class FadingBank:
     """
 
     def __init__(self, doppler_hz: np.ndarray, tap_delays, tap_powers_db,
-                 seed, stream: int = 0):
+                 seed):
         self.n_pairs = len(doppler_hz)
         self.tap_delays = np.asarray(tap_delays, dtype=float)
         self.tap_powers = normalized_tap_powers(tap_powers_db)
         self.n_taps = len(self.tap_delays)
         rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), 0xFAD, int(stream)]))
+            np.random.SeedSequence([int(seed), 0xFAD, 0]))
         shape = (self.n_pairs, self.n_taps, N_OSCILLATORS)
         m = np.arange(1, N_OSCILLATORS + 1, dtype=float)
         theta = rng.uniform(-math.pi, math.pi, size=shape[:2])
@@ -110,8 +89,6 @@ class FadingBank:
         self._w_im = wd[:, None, None] * np.sin(alpha)
         self._phi = rng.uniform(-math.pi, math.pi, size=shape)
         self._psi = rng.uniform(-math.pi, math.pi, size=shape)
-        self._pow_key = None
-        self._pow_re = self._pow_im = None
 
     def subset(self, pairs: slice) -> "FadingBank":
         """The same processes restricted to `pairs` (views, no new draws)."""
@@ -119,8 +96,6 @@ class FadingBank:
         sub._w_re, sub._w_im = self._w_re[pairs], self._w_im[pairs]
         sub._phi, sub._psi = self._phi[pairs], self._psi[pairs]
         sub.n_pairs = len(sub._phi)
-        sub._pow_key = None
-        sub._pow_re = sub._pow_im = None
         return sub
 
     def tap_gains(self, t) -> np.ndarray:
@@ -133,27 +108,24 @@ class FadingBank:
         return scale * (re + 1j * im)
 
     def block_tap_gains(self, t0: float, n: int, dt: float) -> np.ndarray:
-        """tap_gains at t0 + i*dt for i in 0..n-1, via phasor rotation.
+        """tap_gains at t0 + i*dt for i in 0..n-1, via a phasor recurrence.
 
-        One trig evaluation anchors the block; successive samples multiply by
-        precomputed per-oscillator rotation powers, which is much cheaper than
-        per-sample trig and drifts only at float rounding level within a block.
-        The two rotation tables are kept between calls with the same (n, dt);
-        each holds n * n_pairs * n_taps * N_OSCILLATORS complex values, so
-        ChannelModel passes only its moving pairs here block after block.
+        Each oscillator's phasor exp(1j*(w*t0 + phase)) is evaluated once at
+        t0 and then advanced one sample by multiplying it with exp(1j*w*dt);
+        a sample is the sum of the phasors' real parts.  This replaces n
+        trig evaluations by one and drifts only at float rounding level
+        within a block.
         """
-        key = (n, dt)
-        if self._pow_key != key:
-            steps = np.arange(n, dtype=float)[:, None, None, None]
-            self._pow_re = _rotations(self._w_re, dt, steps)
-            self._pow_im = _rotations(self._w_im, dt, steps)
-            self._pow_key = key
-        z_re0 = np.exp(1j * (self._w_re * t0 + self._phi))
-        z_im0 = np.exp(1j * (self._w_im * t0 + self._psi))
-        scale = 1.0 / math.sqrt(N_OSCILLATORS)
-        re = np.einsum("ipkm,pkm->ipk", self._pow_re, z_re0).real
-        im = np.einsum("ipkm,pkm->ipk", self._pow_im, z_im0).real
-        return scale * (re + 1j * im)
+        out = np.empty((n, self.n_pairs, self.n_taps), dtype=complex)
+        for w, phase, part in ((self._w_re, self._phi, out.real),
+                               (self._w_im, self._psi, out.imag)):
+            z = np.exp(1j * (w * t0 + phase))
+            r = np.exp(1j * (w * dt))
+            for i in range(n):
+                part[i] = z.real.sum(axis=2)
+                z *= r
+        out *= 1.0 / math.sqrt(N_OSCILLATORS)
+        return out
 
     def steering(self, freq_offsets_hz) -> np.ndarray:
         """Tap-to-frequency mixing matrix (n_taps, n_freqs), powers included."""
@@ -166,76 +138,28 @@ class FadingBank:
         return self.tap_gains(t) @ self.steering(freq_offsets_hz)
 
 
-def _rotations(w: np.ndarray, dt: float, steps: np.ndarray) -> np.ndarray:
-    """exp(1j * (w*dt) * steps) to the bit, built in its output buffer
-    instead of through two table-sized temporaries."""
-    out = np.zeros(steps.shape[:1] + w.shape, dtype=complex)
-    np.multiply(w * dt, steps, out=out.imag)
-    return np.exp(out, out=out)
-
-
-class FadingProcess:
-    """Single-pair view of the tapped-delay-line fading model."""
-
-    def __init__(self, doppler_hz: float, tap_delays=VEHA_TAP_DELAYS,
-                 tap_powers_db=VEHA_TAP_POWERS_DB, seed=0, stream: int = 0):
-        self.doppler_hz = float(doppler_hz)
-        self._bank = FadingBank(np.array([doppler_hz]), tap_delays,
-                                tap_powers_db, seed, stream)
-
-    @property
-    def tap_delays(self) -> np.ndarray:
-        return self._bank.tap_delays
-
-    @property
-    def tap_powers(self) -> np.ndarray:
-        return self._bank.tap_powers
-
-    def tap_gains(self, t) -> np.ndarray:
-        """Complex per-tap gains at time t, shape (n_taps,)."""
-        return self._bank.tap_gains(float(t))[0, 0]
-
-    def coefficient(self, t: float, subcarrier_freq_offset_hz: float = 0.0) -> complex:
-        """Channel coefficient at time t and baseband frequency offset."""
-        out = self._bank.coefficients(float(t),
-                                      np.array([subcarrier_freq_offset_hz]))
-        return complex(out[0, 0, 0])
-
-
-@dataclass(frozen=True)
-class ChannelSnapshot:
-    """Complex coefficients h[user, cell, rb] for one TTI."""
-    h: np.ndarray
-    tti: int
-    noise_variance: float
-
-
 class ChannelModel:
     """Produces per-TTI snapshots for a set of users against all cells.
 
     Shadowing is frozen per (user, cell) for the whole run; the macroscopic
     amplitude is recomputed from current positions each snapshot so moving
     users see the correct distance-dependent gain.  Fading evolves with the
-    TTI clock (1 ms).
+    TTI clock (TTI_S).
 
     Users with zero Doppler have constant fading and must not move: their
     pairs are evaluated once here, and at the first snapshot their
     coefficients (amplitude times fading) are fixed as (n_static, n_cells,
-    n_rb) complex values.  Only the moving pairs' tap gains are evaluated
-    per block of `block_len` consecutive TTIs, which holds (block_len,
-    n_moving * n_cells, n_taps) complex values plus the bank's two rotation
-    tables of block_len * n_moving * n_cells * n_taps * N_OSCILLATORS each;
-    each snapshot steers one TTI of taps to the RB frequencies.  Moving
-    users must come first in the user order; both groups draw from one
-    FadingBank over all pairs, so the split leaves every value unchanged.
+    n_rb) complex values.  Only the moving pairs' tap gains are evaluated,
+    by the bank's phasor recurrence over blocks of BLOCK_LEN consecutive
+    TTIs; each snapshot steers one TTI of taps to the RB frequencies.
+    Moving users must come first in the user order; both groups draw from
+    one FadingBank over all pairs, so the split leaves every value
+    unchanged.
     """
 
     def __init__(self, cell_positions: np.ndarray, user_speeds_ms: np.ndarray,
                  shadowing_db: np.ndarray, carrier_hz: float, n_rb: int,
-                 noise_variance: float, seed,
-                 tap_delays=VEHA_TAP_DELAYS, tap_powers_db=VEHA_TAP_POWERS_DB,
-                 tti_s: float = 1e-3, block_len: int = 64,
-                 min_distance_m: float = MIN_DISTANCE_M):
+                 noise_variance: float, seed):
         self.cell_positions = np.asarray(cell_positions, dtype=float)
         self.n_cells = len(self.cell_positions)
         self.n_users = len(user_speeds_ms)
@@ -243,9 +167,6 @@ class ChannelModel:
             raise ChannelStateError("shadowing map does not match users x cells")
         self.shadowing_db = shadowing_db
         self.noise_variance = float(noise_variance)
-        self.tti_s = tti_s
-        self.block_len = block_len
-        self.min_distance_m = min_distance_m
         self.n_rb = n_rb
         self.rb_freqs = (np.arange(n_rb) - (n_rb - 1) / 2.0) * RB_BANDWIDTH_HZ
         user_doppler = np.array([doppler_frequency(s, carrier_hz)
@@ -254,13 +175,13 @@ class ChannelModel:
         self.n_moving = int(moving.sum())
         if moving[self.n_moving:].any():
             raise ChannelStateError("moving users must precede static ones")
-        bank = FadingBank(np.repeat(user_doppler, self.n_cells), tap_delays,
-                          tap_powers_db, seed)
+        bank = FadingBank(np.repeat(user_doppler, self.n_cells),
+                          VEHA_TAP_DELAYS, VEHA_TAP_POWERS_DB, seed)
         split = self.n_moving * self.n_cells
         self.bank = bank.subset(slice(0, split))
         self._steer = bank.steering(self.rb_freqs)
         static = bank.subset(slice(split, None)).block_tap_gains(
-            0.0, 1, tti_s)[0] @ self._steer
+            0.0, 1, TTI_S)[0] @ self._steer
         self._static_fading = static.reshape(-1, self.n_cells, n_rb)
         self._static_positions = None
         self._static_h = None
@@ -274,23 +195,22 @@ class ChannelModel:
         `rows` selects the users (and shadowing rows) they belong to."""
         d = np.linalg.norm(positions[:, None, :]
                            - self.cell_positions[None, :, :], axis=2)
-        clamped = d < self.min_distance_m
+        clamped = d < MIN_DISTANCE_M
         if np.any(clamped) and not self._clamp_warned:
             log.warning("%d user-cell distance(s) below %.1f m clamped",
-                        int(clamped.sum()), self.min_distance_m)
+                        int(clamped.sum()), MIN_DISTANCE_M)
             self._clamp_warned = True
-        gain_db = (-pathloss_db(d, self.min_distance_m)
-                   + self.shadowing_db[rows])
+        gain_db = -pathloss_db(d) + self.shadowing_db[rows]
         return 10.0 ** (gain_db / 20.0)
 
     def _tap_gains_at(self, tti: int) -> np.ndarray:
         """Moving pairs' tap gains at `tti`: (n_moving * n_cells, n_taps)."""
         if self._block_start is None or not \
-                (self._block_start <= tti < self._block_start + self.block_len):
+                (self._block_start <= tti < self._block_start + BLOCK_LEN):
             self._gains = None
-            start = (tti // self.block_len) * self.block_len
-            self._gains = self.bank.block_tap_gains(start * self.tti_s,
-                                                    self.block_len, self.tti_s)
+            start = (tti // BLOCK_LEN) * BLOCK_LEN
+            self._gains = self.bank.block_tap_gains(start * TTI_S, BLOCK_LEN,
+                                                    TTI_S)
             self._block_start = start
         return self._gains[tti - self._block_start]
 
@@ -308,7 +228,8 @@ class ChannelModel:
             raise ChannelStateError("a zero-Doppler user changed position")
         return self.amplitude_gain(positions[:m], slice(0, m))[:, :, None]
 
-    def snapshot(self, tti: int, positions: np.ndarray) -> ChannelSnapshot:
+    def snapshot(self, tti: int, positions: np.ndarray) -> np.ndarray:
+        """Complex coefficients h[user, cell, rb] at `tti`."""
         if len(positions) != self.n_users:
             raise ChannelStateError("positions do not match the user set")
         gamma = self._moving_gamma(positions)
@@ -318,7 +239,7 @@ class ChannelModel:
                   out=h[:m].reshape(-1, self.n_rb))
         np.multiply(gamma, h[:m], out=h[:m])
         h[m:] = self._static_h
-        return ChannelSnapshot(h=h, tti=tti, noise_variance=self.noise_variance)
+        return h
 
 
 def noise_variance_normalized(bandwidth_rb: int, tx_power_dbm: float,

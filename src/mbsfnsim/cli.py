@@ -39,9 +39,12 @@ def _parse_bool(s: str) -> bool:
 
 def _parse_policy(s: str) -> tuple[str, int]:
     kind, _, value = s.partition(":")
-    if kind not in (engine.POLICY_FIXED, engine.POLICY_ADAPTIVE) or not value:
-        raise ValueError(f"expected fixed:<cqi> or adaptive:<bound>, got {s!r}")
-    return kind, int(value)
+    try:
+        if kind in (engine.POLICY_FIXED, engine.POLICY_ADAPTIVE):
+            return kind, int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"expected fixed:<cqi> or adaptive:<bound>, got {s!r}")
 
 
 # Parser and printer of each declared config field type.
@@ -147,6 +150,11 @@ def cmd_run(scenario_path: str, out_dir: str, seed_override=None) -> int:
         except ValueError as exc:
             print(f"error: --seed: {exc}", file=sys.stderr)
             return 2
+    try:
+        cfg.cqi_table()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     record = engine.run(cfg)
     metrics.write_run_outputs(out_dir, record)
     print(f"wrote {out_dir} (mode={cfg.mode}, bandwidth={cfg.bandwidth_mhz} MHz,"
@@ -193,6 +201,7 @@ def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
     try:
         for cfg in cells:
             cfg.validate()
+        base_cfg.cqi_table()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -315,7 +324,7 @@ def main(argv=None) -> int:
     try:
         policies = [_parse_policy(p) for p in args.cqi.split(",") if p]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: --cqi: {exc}", file=sys.stderr)
         return 2
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     try:

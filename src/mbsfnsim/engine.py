@@ -31,7 +31,6 @@ POLICY_FIXED = "fixed"
 POLICY_ADAPTIVE = "adaptive"
 
 BANDWIDTH_TO_RB = {5: 25, 20: 100}
-TTI_SECONDS = 1e-3
 
 
 def _spec(default, section: str, *, at_least=None, above=None):
@@ -122,6 +121,18 @@ class ScenarioConfig:
         if self.cqi_policy == POLICY_FIXED:
             return self.cqi_value
         return self.cqi_value if self.cqi_value >= 1 else self.reservation_cqi
+
+    def cqi_table(self) -> link.CqiTable:
+        """The standard CQI table, or the one in `cqi_table_file`; a file
+        that cannot be read as a table raises ValueError naming the field."""
+        if not self.cqi_table_file:
+            return link.CQI_TABLE
+        try:
+            return link.load_cqi_table(self.cqi_table_file)
+        except (OSError, ValueError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValueError(f"cqi_table_file: {self.cqi_table_file!r}: "
+                             f"{reason}") from exc
 
     def cqi_policy_label(self) -> str:
         return f"{self.cqi_policy}:{self.cqi_value}"
@@ -453,8 +464,7 @@ def run(config: ScenarioConfig) -> RunRecord:
     config.validate()
     cfg = config
     seed = cfg.seed
-    table = (link.load_cqi_table(cfg.cqi_table_file) if cfg.cqi_table_file
-             else link.CQI_TABLE)
+    table = cfg.cqi_table()
     rng_decode = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC]))
 
     layout = topology.build_layout(cfg.mbsfn_rings, cfg.interference_rings,
@@ -531,8 +541,8 @@ def run(config: ScenarioConfig) -> RunRecord:
     area_now = set(sources)
 
     for tti in range(cfg.n_tti):
-        pop = topology.advance_mobility(pop, TTI_SECONDS, reselect_gain_db)
-        h = model.snapshot(tti, pop.positions[tracked]).h
+        pop = topology.advance_mobility(pop, channel.TTI_S, reselect_gain_db)
+        h = model.snapshot(tti, pop.positions[tracked])
 
         # Membership follows the serving cell: a car that left the area stops
         # blocking open entries and is excluded from new recipient sets.
@@ -580,7 +590,7 @@ def run(config: ScenarioConfig) -> RunRecord:
                 if success:
                     ordinary_bits[user] += b
 
-    duration_s = cfg.n_tti * TTI_SECONDS
+    duration_s = cfg.n_tti * channel.TTI_S
     throughput = {u: (ordinary_bits[u] / duration_s / 1e6 if duration_s else 0.0)
                   for u in ordinary_tracked}
     return RunRecord(

@@ -75,17 +75,24 @@ CQI_TABLE = CqiTable((
 
 def load_cqi_table(path) -> CqiTable:
     """Read a replacement CQI table (CSV: index,modulation,efficiency,
-    sinr_threshold_db) for sensitivity studies."""
+    sinr_threshold_db) for sensitivity studies; content that is not such a
+    table raises ValueError."""
     import csv
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            entries.append(CqiEntry(
-                index=int(row["index"]),
-                modulation=row["modulation"],
-                efficiency=float(row["efficiency"]),
-                sinr_threshold_db=float(row["sinr_threshold_db"]),
-            ))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                entries.append(CqiEntry(
+                    index=int(row["index"]),
+                    modulation=row["modulation"],
+                    efficiency=float(row["efficiency"]),
+                    sinr_threshold_db=float(row["sinr_threshold_db"]),
+                ))
+            except KeyError as exc:
+                raise ValueError(f"missing column {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
     return CqiTable(tuple(entries))
 
 # Logistic BLER steepness: one decade of error probability per dB around
@@ -104,27 +111,6 @@ def cqi_threshold_db(cqi_index: int, table: CqiTable = CQI_TABLE) -> float:
     if not 1 <= cqi_index <= 15:
         raise CqiRangeError(f"CQI index {cqi_index} outside 1..15")
     return float(table.thresholds_db[cqi_index - 1])
-
-
-def sinr_multicast(snapshot, mbsfn_cells, user: int, subcarrier: int) -> float:
-    """Coherent-combining SINR for one user and RB: the area cells add in
-    amplitude, everything outside adds in power."""
-    if not mbsfn_cells:
-        raise ValueError("multicast SINR needs a non-empty cell set")
-    h = snapshot.h[user, :, subcarrier]
-    mask = np.zeros(h.shape[0], dtype=bool)
-    mask[list(mbsfn_cells)] = True
-    signal = abs(h[mask].sum()) ** 2
-    interference = float(np.sum(np.abs(h[~mask]) ** 2))
-    return signal / (snapshot.noise_variance + interference)
-
-
-def sinr_unicast(snapshot, serving_cell: int, user: int, subcarrier: int) -> float:
-    """Single-cell SINR: all non-serving cells interfere."""
-    h = snapshot.h[user, :, subcarrier]
-    signal = abs(h[serving_cell]) ** 2
-    interference = float(np.sum(np.abs(h) ** 2)) - signal
-    return signal / (snapshot.noise_variance + interference)
 
 
 def multicast_sinr_grid(h: np.ndarray, mbsfn_mask: np.ndarray,
@@ -228,10 +214,3 @@ def bler(effective_sinr_db, cqi_index,
     out = 1.0 / (1.0 + np.exp(np.clip(k * (x - midpoint), -700.0, 700.0)))
     return float(out) if np.isscalar(effective_sinr_db) else out
 
-
-def decode_success(effective_sinr_db: float, cqi_index: int,
-                   rng: np.random.Generator,
-                   slope_db_per_decade: float = BLER_SLOPE_DB_PER_DECADE) -> bool:
-    """Bernoulli decode outcome for one transport block."""
-    return bool(rng.random() >= bler(effective_sinr_db, cqi_index,
-                                     slope_db_per_decade))

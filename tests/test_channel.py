@@ -6,35 +6,41 @@ import pytest
 from scipy.special import j0
 
 from mbsfnsim import channel
-from mbsfnsim.channel import (ChannelModel, FadingBank, FadingProcess,
-                              draw_shadowing, macroscopic_gain,
+from mbsfnsim.channel import (ChannelModel, FadingBank, draw_shadowing,
                               noise_variance_normalized, normalized_tap_powers)
+
+
+def _amplitude(distances_m, shadowing_db):
+    """ChannelModel.amplitude_gain of users at `distances_m` from one cell."""
+    n = len(distances_m)
+    model = ChannelModel(np.zeros((1, 2)), np.zeros(n),
+                         np.asarray(shadowing_db, dtype=float).reshape(n, 1),
+                         2.14e9, 1, 1e-14, seed=0)
+    pos = np.column_stack([distances_m, np.zeros(n)])
+    return model.amplitude_gain(pos)[:, 0]
 
 
 class TestMacroscopicGain:
     def test_reference_distance(self):
-        g = macroscopic_gain(1000.0, 0.0)
-        assert g.pathloss_db == pytest.approx(128.1)
-        assert g.gamma == pytest.approx(10.0 ** (-128.1 / 20.0))
+        assert channel.pathloss_db(1000.0) == pytest.approx(128.1)
+        assert _amplitude([1000.0], [0.0])[0] == pytest.approx(
+            10.0 ** (-128.1 / 20.0))
 
     def test_shadowing_is_additive_db_offset(self):
-        base = macroscopic_gain(1000.0, 0.0)
-        shifted = macroscopic_gain(1000.0, 6.0)
-        assert shifted.gamma / base.gamma == pytest.approx(10.0 ** (6.0 / 20.0))
+        base, shifted = _amplitude([1000.0, 1000.0], [0.0, 6.0])
+        assert shifted / base == pytest.approx(10.0 ** (6.0 / 20.0))
 
     def test_distance_doubling_slope(self):
-        near = macroscopic_gain(700.0, 0.0)
-        far = macroscopic_gain(1400.0, 0.0)
-        assert far.pathloss_db - near.pathloss_db == pytest.approx(
-            37.6 * math.log10(2.0))
+        near, far = channel.pathloss_db([700.0, 1400.0])
+        assert far - near == pytest.approx(37.6 * math.log10(2.0))
 
     def test_clamp_and_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
-            g = macroscopic_gain(0.0, 0.0)
+            g = _amplitude([0.0], [0.0])[0]
         assert "clamped" in caplog.text
-        assert g.pathloss_db == pytest.approx(
+        assert channel.pathloss_db(0.0) == pytest.approx(
             128.1 + 37.6 * math.log10(35.0 / 1000.0))
-        assert macroscopic_gain(10.0, 0.0).gamma == pytest.approx(g.gamma)
+        assert _amplitude([10.0], [0.0])[0] == pytest.approx(g)
 
     def test_monotone_in_distance(self):
         d = np.linspace(50, 3000, 40)
@@ -49,8 +55,10 @@ class TestFading:
         assert len(p) == 6
 
     def test_zero_doppler_is_static(self):
-        proc = FadingProcess(0.0, seed=3)
-        values = [proc.coefficient(t, 0.0) for t in (0.0, 0.5, 2.0)]
+        bank = FadingBank(np.array([0.0]), channel.VEHA_TAP_DELAYS,
+                          channel.VEHA_TAP_POWERS_DB, seed=3)
+        values = bank.coefficients(np.array([0.0, 0.5, 2.0]),
+                                   np.array([0.0]))[:, 0, 0]
         assert values[0] == pytest.approx(values[1])
         assert values[0] == pytest.approx(values[2])
 
@@ -99,13 +107,22 @@ class TestFading:
         assert corr(h[:, 0], h[:, 1]) > 0.9
         assert corr(h[:, 0], h[:, 2]) < 0.3
 
-    def test_block_path_matches_direct_evaluation(self):
-        bank = FadingBank(np.array([120.0, 80.0]), channel.VEHA_TAP_DELAYS,
+    @pytest.mark.parametrize("doppler, t0_tti, n, tol", [
+        pytest.param((120.0, 80.0), 0, 32, {"atol": 1e-9}, id="t0_zero"),
+        # A full block anchored late, at the default 100 km/h and 2.14 GHz:
+        # the recurrence's drift stays at rounding level.
+        pytest.param((channel.doppler_frequency(100.0 / 3.6, 2.14e9),) * 2,
+                     10_000, channel.BLOCK_LEN, {"rtol": 1e-9},
+                     id="t0_late_full_block"),
+    ])
+    def test_block_path_matches_direct_evaluation(self, doppler, t0_tti, n,
+                                                  tol):
+        bank = FadingBank(np.array(doppler), channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed=13)
-        t = np.arange(32) * 1e-3
-        direct = bank.tap_gains(t)
-        block = bank.block_tap_gains(0.0, 32, 1e-3)
-        np.testing.assert_allclose(block, direct, atol=1e-9)
+        dt = channel.TTI_S
+        direct = bank.tap_gains((t0_tti + np.arange(n)) * dt)
+        block = bank.block_tap_gains(t0_tti * dt, n, dt)
+        np.testing.assert_allclose(block, direct, **tol)
 
 
 def _small_model(n_users=2, n_rb=4, doppler=(100.0, 0.0), shadow_std=0.0,
@@ -122,7 +139,7 @@ class TestChannelModel:
         pos = np.array([[100.0, 50.0], [300.0, 10.0]])
         a = model.snapshot(0, pos)
         b = model.snapshot(5, pos)
-        np.testing.assert_allclose(a.h, b.h, atol=1e-9)
+        np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_composition_identity(self):
         """One user, one cell: h equals macroscopic gain times fading."""
@@ -131,18 +148,20 @@ class TestChannelModel:
         model = ChannelModel(cells, np.array([20.0]), shadow, 2.14e9, 1,
                              1e-14, seed=21)
         pos = np.array([[840.0, 0.0]])
-        snap = model.snapshot(3, pos)
-        proc = FadingProcess(channel.doppler_frequency(20.0, 2.14e9), seed=21)
-        fading = proc.coefficient(3e-3, model.rb_freqs[0])
-        gamma = macroscopic_gain(840.0, 4.0).gamma
-        assert snap.h[0, 0, 0] == pytest.approx(gamma * fading, rel=1e-6)
+        h = model.snapshot(3, pos)
+        bank = FadingBank(np.array([channel.doppler_frequency(20.0, 2.14e9)]),
+                          channel.VEHA_TAP_DELAYS, channel.VEHA_TAP_POWERS_DB,
+                          seed=21)
+        fading = bank.coefficients(3e-3, model.rb_freqs[:1])[0, 0, 0]
+        gamma = 10.0 ** ((-channel.pathloss_db(840.0) + 4.0) / 20.0)
+        assert h[0, 0, 0] == pytest.approx(gamma * fading, rel=1e-6)
 
     def test_mean_power_tracks_macroscopic_gain(self):
         model, _ = _small_model(n_users=1, n_rb=2, doppler=(150.0,))
         pos = np.array([[120.0, 40.0]])
         powers = []
         for tti in range(4000):
-            powers.append(np.abs(model.snapshot(tti, pos).h[0, :, 0]) ** 2)
+            powers.append(np.abs(model.snapshot(tti, pos)[0, :, 0]) ** 2)
         mean_power = np.mean(powers, axis=0)
         gamma_sq = model.amplitude_gain(pos)[0] ** 2
         np.testing.assert_allclose(mean_power, gamma_sq, rtol=0.05)
@@ -152,8 +171,8 @@ class TestChannelModel:
         m2, _ = _small_model(seed=33)
         pos = np.array([[100.0, 50.0], [300.0, 10.0]])
         for tti in (0, 17, 64):
-            np.testing.assert_array_equal(m1.snapshot(tti, pos).h,
-                                          m2.snapshot(tti, pos).h)
+            np.testing.assert_array_equal(m1.snapshot(tti, pos),
+                                          m2.snapshot(tti, pos))
 
     def test_shadowing_shapes_checked(self):
         cells = np.array([[0.0, 0.0]])
@@ -173,9 +192,9 @@ class TestStaticMovingSplit:
                              for s in speeds], len(self.CELLS))
         full = FadingBank(doppler, channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed)
-        start = (tti // model.block_len) * model.block_len
-        gains = full.block_tap_gains(start * model.tti_s, model.block_len,
-                                     model.tti_s)[tti - start]
+        start = (tti // channel.BLOCK_LEN) * channel.BLOCK_LEN
+        gains = full.block_tap_gains(start * channel.TTI_S, channel.BLOCK_LEN,
+                                     channel.TTI_S)[tti - start]
         fading = (gains @ full.steering(model.rb_freqs)).reshape(
             len(speeds), len(self.CELLS), model.n_rb)
         return model.amplitude_gain(pos)[:, :, None] * fading
@@ -196,7 +215,7 @@ class TestStaticMovingSplit:
                                np.linspace(-40.0, 300.0, n)])
         for tti in (0, 63, 64, 130):
             np.testing.assert_array_equal(
-                model.snapshot(tti, pos).h,
+                model.snapshot(tti, pos),
                 self._oracle(model, speeds, pos, tti, seed))
 
     def test_static_user_that_moves_rejected(self):

@@ -108,6 +108,9 @@ class TestScenarioFormat:
         bad = "[run]\nn_tti = soon\n"
         with pytest.raises(ScenarioParseError, match="line 2.*n_tti"):
             parse_scenario_text(bad)
+        with pytest.raises(ScenarioParseError,
+                           match="line 2.*cqi_policy.*'fixed:x'"):
+            parse_scenario_text("[scenario]\ncqi_policy = fixed:x\n")
 
     def test_key_outside_section(self):
         with pytest.raises(ScenarioParseError, match="line 1"):
@@ -169,6 +172,29 @@ class TestCmdRun:
         rc = main(["run", str(scen), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "bandwidth_mhz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table_text, reason", [
+        pytest.param(None, "No such file", id="missing"),
+        pytest.param("index,modulation\n1,QPSK\n", "missing column",
+                     id="no_column"),
+        pytest.param("index,modulation,efficiency,sinr_threshold_db\n"
+                     "1,QPSK,x,0\n", "line 2", id="bad_value"),
+    ])
+    def test_cqi_table_file_diagnostic(self, tmp_path, capsys, table_text,
+                                       reason):
+        table = tmp_path / "table.csv"
+        if table_text is not None:
+            table.write_text(table_text)
+        scen = tmp_path / "table.scenario"
+        scen.write_text(SMALL_SCENARIO
+                        + f"\n[radio]\ncqi_table_file = {table}\n")
+        for argv in (["run", str(scen)],
+                     ["compare", "--base", str(scen),
+                      "--cqi", "fixed:3,fixed:4"]):
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cqi_table_file: ") and reason in err
+            assert not (tmp_path / "o").exists()
 
     def test_invalid_seed_override_diagnostic(self, tmp_path, capsys):
         scen = tmp_path / "small.scenario"
@@ -237,6 +263,9 @@ class TestCmdCompare:
         ("--bandwidths", "5,10", "bandwidth_mhz"),
         ("--bandwidths", "5,x", "bandwidth_mhz"),
         ("--modes", "multicast,broadcast", "mode"),
+        pytest.param("--cqi", "fixed:x,fixed:3",
+                     "--cqi: expected fixed:<cqi> or adaptive:<bound>, "
+                     "got 'fixed:x'", id="--cqi-fixed:x"),
     ])
     def test_invalid_matrix_diagnostic(self, tmp_path, capsys, option, value,
                                        field):

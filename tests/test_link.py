@@ -5,47 +5,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsfnsim import link
-from mbsfnsim.channel import ChannelSnapshot
+from mbsfnsim import engine, link
 from mbsfnsim.link import (CqiRangeError, bler, cqi_efficiency,
-                           cqi_threshold_db, decode_success, effective_sinr,
-                           sinr_multicast, sinr_to_cqi, sinr_unicast)
+                           cqi_threshold_db, effective_sinr, sinr_to_cqi)
 
 
-def _snapshot(h_per_cell, noise_variance):
-    h = np.asarray(h_per_cell, dtype=complex).reshape(1, -1, 1)
-    return ChannelSnapshot(h=h, tti=0, noise_variance=noise_variance)
+def _h(h_per_cell):
+    """One user and one RB: h of shape (1, cells, 1)."""
+    return np.asarray(h_per_cell, dtype=complex).reshape(1, -1, 1)
+
+
+def _mc_sinr(h, area, noise_variance) -> np.ndarray:
+    """Multicast SINR (user, rb) of h (user, cell, rb) with cells `area`."""
+    mask = np.isin(np.arange(h.shape[1]), list(area))
+    return link.multicast_sinr_grid(h, mask, noise_variance)
+
+
+def _uc_sinr(h, serving, noise_variance) -> np.ndarray:
+    """Unicast SINR (user, rb) of h (user, cell, rb) from per-user cells
+    `serving`."""
+    power, total = link.power_components(h)
+    return link.sinr_vs_cell(power, total, np.arange(len(h)),
+                             np.asarray(serving), noise_variance)
 
 
 class TestSinrFormulas:
     def test_multicast_unit_case(self):
-        snap = _snapshot([1.0], noise_variance=1.0)
-        assert sinr_multicast(snap, {0}, 0, 0) == pytest.approx(1.0)
+        assert _mc_sinr(_h([1.0]), {0}, 1.0)[0, 0] == pytest.approx(1.0)
 
     def test_multicast_destructive_sum(self):
-        snap = _snapshot([1.0, -1.0], noise_variance=1.0)
-        assert sinr_multicast(snap, {0, 1}, 0, 0) == pytest.approx(0.0)
+        assert _mc_sinr(_h([1.0, -1.0]), {0, 1}, 1.0)[0, 0] == \
+            pytest.approx(0.0)
 
     def test_multicast_against_brute_force(self):
         rng = np.random.default_rng(5)
         h = rng.normal(size=19) + 1j * rng.normal(size=19)
         noise = 0.37
         area = set(range(7))
-        snap = _snapshot(h, noise)
-        got = sinr_multicast(snap, area, 0, 0)
+        got = _mc_sinr(_h(h), area, noise)[0, 0]
         # independent term-by-term evaluation
         sig = abs(sum(h[j] for j in range(19) if j in area)) ** 2
         intf = sum(abs(h[l]) ** 2 for l in range(19) if l not in area)
         assert got == pytest.approx(sig / (noise + intf))
 
     def test_unicast_direct_substitution(self):
-        snap = _snapshot([1.0], noise_variance=0.5)
-        assert sinr_unicast(snap, 0, 0, 0) == pytest.approx(2.0)
+        assert _uc_sinr(_h([1.0]), [0], 0.5)[0, 0] == pytest.approx(2.0)
 
     def test_unicast_symmetric_interference(self):
         g = 0.8
-        snap = _snapshot([g] * 19, noise_variance=0.0)
-        assert sinr_unicast(snap, 4, 0, 0) == pytest.approx(1.0 / 18.0)
+        assert _uc_sinr(_h([g] * 19), [4], 0.0)[0, 0] == \
+            pytest.approx(1.0 / 18.0)
 
     def test_interference_shrinks_under_multicast(self):
         # For a user served by an area cell the multicast denominator can
@@ -66,12 +75,9 @@ class TestSinrFormulas:
         # weaker outer ring, as geometry would give
         h[:, 7:] *= 0.6
         noise = 1e-3
-        area = set(range(7))
-        mc, uc = [], []
-        for k in range(n):
-            snap = _snapshot(h[k], noise)
-            mc.append(sinr_multicast(snap, area, 0, 0))
-            uc.append(sinr_unicast(snap, 0, 0, 0))
+        h = h[:, :, None]
+        mc = _mc_sinr(h, set(range(7)), noise)[:, 0]
+        uc = _uc_sinr(h, np.zeros(n, dtype=int), noise)[:, 0]
         assert np.median(mc) > np.median(uc)
 
     def test_grid_helpers_match_scalar_ops(self):
@@ -80,19 +86,23 @@ class TestSinrFormulas:
         noise = 0.21
         mask = np.zeros(19, dtype=bool)
         mask[:7] = True
-        snap = ChannelSnapshot(h=h, tti=0, noise_variance=noise)
         mc = link.multicast_sinr_grid(h, mask, noise)
         power, total = link.power_components(h)
         uc = link.sinr_vs_cell(power, total, np.arange(3),
                                np.array([0, 3, 12]), noise)
+        # term-by-term oracles: area cells add in amplitude, every other
+        # cell in power
         for u in range(3):
             for n in range(4):
-                assert mc[u, n] == pytest.approx(
-                    sinr_multicast(snap, set(range(7)), u, n))
+                sig = abs(sum(h[u, j, n] for j in range(7))) ** 2
+                intf = sum(abs(h[u, l, n]) ** 2 for l in range(7, 19))
+                assert mc[u, n] == pytest.approx(sig / (noise + intf))
         for u, cell in enumerate((0, 3, 12)):
             for n in range(4):
-                assert uc[u, n] == pytest.approx(
-                    sinr_unicast(snap, cell, u, n))
+                sig = abs(h[u, cell, n]) ** 2
+                intf = sum(abs(h[u, l, n]) ** 2 for l in range(19)
+                           if l != cell)
+                assert uc[u, n] == pytest.approx(sig / (noise + intf))
 
 
 class TestCqiMapping:
@@ -173,24 +183,27 @@ class TestEfficiencyTable:
             link.CqiTable(tuple(entries[:-1]))
 
 
+def _decode(seed):
+    """The engine's decode path at the default BLER slope."""
+    return engine.decoder(link.BLER_SLOPE_DB_PER_DECADE, False,
+                          np.random.default_rng(seed))
+
+
 class TestDecoding:
     def test_far_above_threshold(self):
         thr = cqi_threshold_db(5)
         assert bler(thr + 30.0, 5) < 1e-3
-        rng = np.random.default_rng(1)
-        assert all(decode_success(thr + 30.0, 5, rng) for _ in range(1000))
+        assert _decode(1)(np.full(1000, thr + 30.0), 5).all()
 
     def test_far_below_threshold(self):
         thr = cqi_threshold_db(5)
         assert bler(thr - 20.0, 5) > 0.999
-        rng = np.random.default_rng(2)
-        assert not any(decode_success(thr - 20.0, 5, rng) for _ in range(1000))
+        assert not _decode(2)(np.full(1000, thr - 20.0), 5).any()
 
     def test_error_rate_at_threshold(self):
         thr = cqi_threshold_db(8)
-        rng = np.random.default_rng(3)
         n = 10_000
-        errors = sum(not decode_success(thr, 8, rng) for _ in range(n))
+        errors = int((~_decode(3)(np.full(n, thr), 8)).sum())
         assert errors / n == pytest.approx(0.1, abs=0.02)
 
     def test_bler_monotone_decreasing(self):
