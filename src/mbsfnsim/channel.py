@@ -139,22 +139,22 @@ class FadingBank:
 
 
 class ChannelModel:
-    """Produces per-TTI snapshots for a set of users against all cells.
+    """Per-TTI channel coefficients of a set of users against all cells.
 
     Shadowing is frozen per (user, cell) for the whole run; the macroscopic
     amplitude is recomputed from current positions each snapshot so moving
     users see the correct distance-dependent gain.  Fading evolves with the
     TTI clock (TTI_S).
 
-    Users with zero Doppler have constant fading and must not move: their
-    pairs are evaluated once here, and at the first snapshot their
-    coefficients (amplitude times fading) are fixed as (n_static, n_cells,
-    n_rb) complex values.  Only the moving pairs' tap gains are evaluated,
-    by the bank's phasor recurrence over blocks of BLOCK_LEN consecutive
-    TTIs; each snapshot steers one TTI of taps to the RB frequencies.
-    Moving users must come first in the user order; both groups draw from
-    one FadingBank over all pairs, so the split leaves every value
-    unchanged.
+    Moving users must come first in the user order.  A snapshot holds the
+    moving users' rows only.  Users with zero Doppler have constant fading
+    and must not move: their pairs are evaluated once here, and the first
+    snapshot fixes their coefficients (amplitude times fading) as
+    `static_h`, (n_static, n_cells, n_rb), for the whole run.  The moving
+    pairs' tap gains are evaluated by the bank's phasor recurrence over
+    blocks of BLOCK_LEN consecutive TTIs; each snapshot steers one TTI of
+    taps to the RB frequencies.  Both groups draw from one FadingBank over
+    all pairs, so the split leaves every value unchanged.
     """
 
     def __init__(self, cell_positions: np.ndarray, user_speeds_ms: np.ndarray,
@@ -184,7 +184,7 @@ class ChannelModel:
             0.0, 1, TTI_S)[0] @ self._steer
         self._static_fading = static.reshape(-1, self.n_cells, n_rb)
         self._static_positions = None
-        self._static_h = None
+        self.static_h = None
         self._block_start = None
         self._gains = None
         self._clamp_warned = False
@@ -218,10 +218,10 @@ class ChannelModel:
         """Moving users' amplitude (n_moving, n_cells, 1); the first call
         also fixes the static users' coefficients at their positions."""
         m = self.n_moving
-        if self._static_h is None:
+        if self.static_h is None:
             gamma = self.amplitude_gain(positions)[:, :, None]
             self._static_positions = positions[m:].copy()
-            self._static_h = gamma[m:] * self._static_fading
+            self.static_h = gamma[m:] * self._static_fading
             self._static_fading = None
             return gamma[:m]
         if not np.array_equal(positions[m:], self._static_positions):
@@ -229,16 +229,15 @@ class ChannelModel:
         return self.amplitude_gain(positions[:m], slice(0, m))[:, :, None]
 
     def snapshot(self, tti: int, positions: np.ndarray) -> np.ndarray:
-        """Complex coefficients h[user, cell, rb] at `tti`."""
+        """The moving users' complex coefficients h[user, cell, rb] at `tti`,
+        in a new (n_moving, n_cells, n_rb) array; `positions` covers every
+        user."""
         if len(positions) != self.n_users:
             raise ChannelStateError("positions do not match the user set")
         gamma = self._moving_gamma(positions)
-        h = np.empty((self.n_users, self.n_cells, self.n_rb), dtype=complex)
-        m = self.n_moving
-        np.matmul(self._tap_gains_at(tti), self._steer,
-                  out=h[:m].reshape(-1, self.n_rb))
-        np.multiply(gamma, h[:m], out=h[:m])
-        h[m:] = self._static_h
+        h = np.matmul(self._tap_gains_at(tti), self._steer).reshape(
+            self.n_moving, self.n_cells, self.n_rb)
+        np.multiply(gamma, h, out=h)
         return h
 
 

@@ -7,6 +7,11 @@ is decoded per recipient, buffers drain, and the latency/throughput
 logs are appended.  All randomness derives from the master seed through
 purpose-keyed streams, so a (config, seed) pair reproduces bit-identical
 results.
+
+The loop computes only what changes: only the tracked cars move, the
+static ordinary users' SINR comes once from the channel's static rows,
+and each TTI the delivery derives the link state it reads from the
+sources' rows alone; the feedback-delay cache keeps that state.
 """
 # No `from __future__ import annotations`: the scenario parser and
 # `validate` read ScenarioConfig's field types as classes at run time.
@@ -17,7 +22,6 @@ import logging
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -213,14 +217,6 @@ class RunRecord:
         }
 
 
-class LinkState(NamedTuple):
-    """One TTI's link quantities of the tracked rows."""
-    mc_sinr: np.ndarray         # (sources, rb) multicast SINR
-    uc_sinr: np.ndarray         # (tracked, rb) SINR from the serving cell
-    power: np.ndarray           # (tracked, cell, rb) received power
-    total_power: np.ndarray     # (tracked, rb) power summed over cells
-
-
 def decoder(slope_db_per_decade: float, perfect_decode: bool,
             rng: np.random.Generator, table: link.CqiTable = link.CQI_TABLE):
     """`decode(eff_db, cqi)`: success flags for a batch of transport blocks.
@@ -265,10 +261,12 @@ class MulticastDelivery:
     """
 
     def __init__(self, cfg: ScenarioConfig, table: link.CqiTable, area_cells,
-                 buffers, recorder, row_of, decode):
+                 buffers, recorder, row_of, decode, mbsfn_mask: np.ndarray,
+                 noise_variance: float):
         self.cfg, self.table, self.area_cells = cfg, table, area_cells
         self.buffers, self.recorder = buffers, recorder
         self.row_of, self.decode = row_of, decode
+        self.mbsfn_mask, self.noise_variance = mbsfn_mask, noise_variance
         sizing_eff = link.cqi_efficiency(cfg.sizing_cqi, table)
         self.congested = False
         try:
@@ -302,10 +300,16 @@ class MulticastDelivery:
         self.current[job.source] = job
         self.queue.append(job)
 
-    def serve(self, tti: int, area_sources, now: LinkState,
-              report: LinkState) -> dict[int, int]:
-        """Send and decode this TTI's messages; returns the RBs each area
-        cell leaves to ordinary users."""
+    def link_state(self, h: np.ndarray) -> np.ndarray:
+        """The sources' (source, rb) multicast SINR, from their rows of h."""
+        return link.multicast_sinr_grid(h, self.mbsfn_mask,
+                                        self.noise_variance)
+
+    def serve(self, tti: int, area_sources, now: np.ndarray,
+              report: np.ndarray) -> dict[int, int]:
+        """Send and decode this TTI's messages, with `link_state` of this
+        TTI and of the report; returns the RBs each area cell leaves to
+        ordinary users."""
         plan, buffers = self.plan, self.buffers
         if not plan.is_reserved(tti):
             return dict.fromkeys(self.area_cells, plan.n_rb_per_subframe)
@@ -328,7 +332,7 @@ class MulticastDelivery:
             if receivers:
                 rows = np.array([self.row_of[r] for r in receivers], dtype=int)
                 ok = self.decode(link.effective_sinr_db_rows(
-                    now.mc_sinr[rows][:, rbs]), tx_cqi)
+                    now[rows][:, rbs]), tx_cqi)
                 job.failed.update(r for r, r_ok in zip(receivers, ok)
                                   if not r_ok)
             buf = buffers[job.source]
@@ -341,7 +345,7 @@ class MulticastDelivery:
             self.queue.popleft()
         return dict.fromkeys(self.area_cells, 0)
 
-    def _tx_cqi(self, area_sources, report: LinkState) -> int:
+    def _tx_cqi(self, area_sources, report: np.ndarray) -> int:
         cfg = self.cfg
         if cfg.cqi_policy == POLICY_FIXED:
             return cfg.cqi_value
@@ -349,7 +353,7 @@ class MulticastDelivery:
             return cfg.sizing_cqi  # nobody left in the area to report
         rows = np.array([self.row_of[s] for s in sorted(area_sources)])
         return scheduler.select_mbsfn_cqi(
-            link.cqi_from_sinr_rows(report.mc_sinr[rows], self.table),
+            link.cqi_from_sinr_rows(report[rows], self.table),
             cfg.cqi_value)
 
     def measured_utilization_pct(self) -> float:
@@ -397,11 +401,15 @@ class UnicastDelivery:
             self.current[(src, recv)] = copy
             self.queues[self.drop_cell[recv]].append(copy)
 
-    def serve(self, tti: int, area_sources, now: LinkState,
-              report: LinkState) -> dict[int, int]:
+    def link_state(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sources' received power per (source, cell, rb) and its total
+        over cells, from their rows of h; every copy receiver is a source."""
+        return link.power_components(h)
+
+    def serve(self, tti: int, area_sources, now, report) -> dict[int, int]:
         """Schedule every area cell's copies, then decode the granted ones
-        as one batch; returns the RBs each area cell leaves to ordinary
-        users."""
+        as one batch, with `link_state` of this TTI and of the report;
+        returns the RBs each area cell leaves to ordinary users."""
         n_rb, n_re = self.cfg.n_rb, self.cfg.usable_re_per_rb
         price = functools.partial(self._price, report=report)
         left, granted = {}, []
@@ -421,7 +429,7 @@ class UnicastDelivery:
             return left
         # One draw per copy, in cell-then-allocation order.
         copies = [alloc.key for alloc in granted]
-        sinr = link.sinr_vs_cell(now.power, now.total_power,
+        sinr = link.sinr_vs_cell(*now,
                                  [self.row_of[c.receiver] for c in copies],
                                  [self.drop_cell[c.receiver] for c in copies],
                                  self.noise_variance)
@@ -439,15 +447,14 @@ class UnicastDelivery:
                                           tti + 1, {copy.receiver})
         return left
 
-    def _price(self, copy: _CopyJob, report: LinkState) -> float:
+    def _price(self, copy: _CopyJob, report) -> float:
         """Set the copy's CQI from the report towards its queue cell;
         returns its efficiency."""
         cfg = self.cfg
         if cfg.cqi_policy == POLICY_FIXED:
             copy.cqi = cfg.cqi_value
         else:
-            rep = link.sinr_vs_cell(report.power, report.total_power,
-                                    [self.row_of[copy.receiver]],
+            rep = link.sinr_vs_cell(*report, [self.row_of[copy.receiver]],
                                     [self.drop_cell[copy.receiver]],
                                     self.noise_variance)
             copy.cqi = max(int(link.cqi_from_sinr_rows(rep, self.table)[0]),
@@ -484,7 +491,7 @@ def run(config: ScenarioConfig) -> RunRecord:
     ordinary_tracked = [int(u) for u in pop.ordinary_ids()
                         if int(pop.drop_cell[u]) in mbsfn_cells]
     tracked = sources + ordinary_tracked
-    row_of = {u: i for i, u in enumerate(tracked)}
+    row_of = {u: i for i, u in enumerate(sources)}
     n_sources = len(sources)
 
     speeds = [float(np.hypot(*pop.velocities[u])) for u in tracked]
@@ -515,7 +522,8 @@ def run(config: ScenarioConfig) -> RunRecord:
                      rng_decode, table)
     if cfg.mode == MODE_MULTICAST:
         delivery = MulticastDelivery(cfg, table, area_cells, buffers,
-                                     recorder, row_of, decode)
+                                     recorder, row_of, decode, mbsfn_mask,
+                                     noise_var)
     else:
         delivery = UnicastDelivery(
             cfg, table, area_cells,
@@ -531,18 +539,28 @@ def run(config: ScenarioConfig) -> RunRecord:
     ordinary_by_cell = {c: [u for u in ordinary_tracked
                             if int(pop.drop_cell[u]) == c]
                         for c in area_cells}
+    ordinary_row = {u: i for i, u in enumerate(ordinary_tracked)}
     ordinary_bits = {u: 0.0 for u in ordinary_tracked}
+    ordinary_sinr = None
     rr_offset = {c: 0 for c in area_cells}
-    report_cache: deque[LinkState] = deque(
-        maxlen=cfg.cqi_feedback_delay_tti + 1)
+    report_cache = deque(maxlen=cfg.cqi_feedback_delay_tti + 1)
     # Cars in the area, i.e. served by an area cell: only they are obliged
     # to receive (and report CQI for) messages.  Every car starts in its
     # drop cell.
     area_now = set(sources)
 
     for tti in range(cfg.n_tti):
-        pop = topology.advance_mobility(pop, channel.TTI_S, reselect_gain_db)
+        topology.advance_mobility(pop, channel.TTI_S, reselect_gain_db,
+                                  sources)
         h = model.snapshot(tti, pop.positions[tracked])
+        if ordinary_sinr is None:
+            # The first snapshot fixes the static rows; a static user's
+            # SINR, reported or current, never changes.
+            ordinary_sinr = link.sinr_vs_cell(
+                *link.power_components(
+                    model.static_h[n_sources - model.n_moving:]),
+                np.arange(len(ordinary_tracked)),
+                pop.serving_cell[ordinary_tracked], noise_var)
 
         # Membership follows the serving cell: a car that left the area stops
         # blocking open entries and is excluded from new recipient sets.
@@ -552,12 +570,9 @@ def run(config: ScenarioConfig) -> RunRecord:
         for gone in sorted(area_prev - area_now):
             recorder.on_receiver_exit(gone, tti)
 
-        mc_sinr = link.multicast_sinr_grid(h[:n_sources], mbsfn_mask,
-                                           noise_var)
-        power, total_power = link.power_components(h)
-        now = LinkState(mc_sinr, link.sinr_vs_cell(
-            power, total_power, np.arange(len(tracked)),
-            pop.serving_cell[tracked], noise_var), power, total_power)
+        # The sources are the moving rows, or static ones when cars stand.
+        now = delivery.link_state(
+            h if model.n_moving else model.static_h[:n_sources])
         report_cache.append(now)
         report = report_cache[0]
 
@@ -578,12 +593,12 @@ def run(config: ScenarioConfig) -> RunRecord:
             for user, rb_start, rb_count in scheduler.schedule_unicast_ordinary(
                     users, left[cell], rr_offset[cell]):
                 if rb_count > 0:
-                    slots.append((row_of[user], rb_start, rb_count))
+                    slots.append((ordinary_row[user], rb_start, rb_count))
                     slot_users.append(user)
             rr_offset[cell] += 1
         if slots:
             # Rate adaptation on the assigned slice, not the whole band.
-            bits, ok = ordinary_stage(slots, report.uc_sinr, now.uc_sinr,
+            bits, ok = ordinary_stage(slots, ordinary_sinr, ordinary_sinr,
                                       cfg.usable_re_per_rb, decode, table)
             for user, b, success in zip(slot_users, bits.tolist(),
                                         ok.tolist()):

@@ -8,6 +8,7 @@ wrap around the layout boundary.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +37,7 @@ class CellLayout:
     def interference_cells(self) -> frozenset[int]:
         return frozenset(range(self.n_cells)) - self.mbsfn_cells
 
-    @property
+    @functools.cached_property
     def boundary_radius(self) -> float:
         """Radius of the disc that contains every cell hexagon."""
         centre_dist = float(np.max(np.hypot(*self.cell_positions.T)))
@@ -47,7 +48,7 @@ class CellLayout:
 class UserPopulation:
     """Flat arrays indexed by user id; cars come first within each cell."""
     layout: CellLayout
-    kinds: np.ndarray                   # (n_users,) "car" / "ordinary"
+    is_car: np.ndarray                  # (n_users,) bool
     serving_cell: np.ndarray            # (n_users,) int
     positions: np.ndarray               # (n_users, 2) metres
     velocities: np.ndarray              # (n_users, 2) m/s
@@ -59,23 +60,13 @@ class UserPopulation:
 
     @property
     def n_users(self) -> int:
-        return len(self.kinds)
+        return len(self.is_car)
 
     def car_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.kinds == "car")
+        return np.flatnonzero(self.is_car)
 
     def ordinary_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.kinds == "ordinary")
-
-    def copy(self) -> "UserPopulation":
-        return UserPopulation(
-            layout=self.layout,
-            kinds=self.kinds.copy(),
-            serving_cell=self.serving_cell.copy(),
-            positions=self.positions.copy(),
-            velocities=self.velocities.copy(),
-            drop_cell=self.drop_cell.copy(),
-        )
+        return np.flatnonzero(~self.is_car)
 
 
 def hex_ring_offsets(ring: int) -> list[tuple[int, int]]:
@@ -154,7 +145,7 @@ def drop_users(layout: CellLayout, n_users_per_cell: int, n_cars_per_cell: int,
     if n_cars_per_cell > n_users_per_cell:
         raise ConfigurationError("car count exceeds user count per cell")
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), 0x0D0]))
-    kinds, serving, pos, vel = [], [], [], []
+    is_car, serving, pos, vel = [], [], [], []
     for cell_id in range(layout.n_cells):
         centre = layout.cell_positions[cell_id]
         for k in range(n_users_per_cell):
@@ -162,16 +153,15 @@ def drop_users(layout: CellLayout, n_users_per_cell: int, n_cars_per_cell: int,
             if k < n_cars_per_cell:
                 heading = rng.uniform(0.0, 2.0 * math.pi)
                 v = car_speed * np.array([math.cos(heading), math.sin(heading)])
-                kinds.append("car")
             else:
                 v = np.zeros(2)
-                kinds.append("ordinary")
+            is_car.append(k < n_cars_per_cell)
             serving.append(cell_id)
             pos.append(p)
             vel.append(v)
     return UserPopulation(
         layout=layout,
-        kinds=np.asarray(kinds, dtype=object),
+        is_car=np.asarray(is_car, dtype=bool),
         serving_cell=np.asarray(serving, dtype=np.int64),
         positions=np.asarray(pos, dtype=float),
         velocities=np.asarray(vel, dtype=float),
@@ -185,36 +175,40 @@ def _distance_gain_db(positions: np.ndarray, layout: CellLayout) -> np.ndarray:
     return -d
 
 
-def advance_mobility(pop: UserPopulation, dt: float,
-                     gain_db_fn=None) -> UserPopulation:
-    """Move cars by velocity*dt, wrap at the layout boundary and re-select
-    each car's serving cell as the strongest-gain cell.
+def advance_mobility(pop: UserPopulation, dt: float, gain_db_fn=None,
+                     users=None) -> None:
+    """In place: move the users among `users` (default: all) that have a
+    velocity by velocity*dt, wrap them at the layout boundary and re-select
+    each one's serving cell as the strongest-gain cell.
 
+    A car moves by its own position and velocity alone, so moving a subset
+    gives those cars the values that moving every car would.
     `gain_db_fn(user_ids, positions) -> (n, n_cells)` supplies the macroscopic
     gain used for cell reselection; the default is distance-based (pathloss
     only).  Handover is instantaneous and cost-free.
     """
     if dt < 0:
         raise ConfigurationError("dt must be >= 0")
-    out = pop.copy()
     if dt == 0:
-        return out
-    moving = np.flatnonzero(np.any(out.velocities != 0.0, axis=1))
+        return
+    if users is None:
+        users = np.arange(pop.n_users)
+    users = np.asarray(users, dtype=np.intp)
+    moving = users[np.any(pop.velocities[users] != 0.0, axis=1)]
     if moving.size == 0:
-        return out
-    out.positions[moving] += out.velocities[moving] * dt
+        return
+    pop.positions[moving] += pop.velocities[moving] * dt
 
     # Wrap-around: a car crossing the boundary disc re-enters on the
     # antipodal side, keeping its heading.
-    radius = out.layout.boundary_radius
-    dist = np.hypot(*out.positions[moving].T)
+    radius = pop.layout.boundary_radius
+    dist = np.hypot(*pop.positions[moving].T)
     outside = dist > radius
     if np.any(outside):
         idx = moving[outside]
-        unit = out.positions[idx] / dist[outside, None]
-        out.positions[idx] -= 2.0 * radius * unit
+        unit = pop.positions[idx] / dist[outside, None]
+        pop.positions[idx] -= 2.0 * radius * unit
 
-    gains = (gain_db_fn(moving, out.positions[moving]) if gain_db_fn is not None
-             else _distance_gain_db(out.positions[moving], out.layout))
-    out.serving_cell[moving] = np.argmax(gains, axis=1)
-    return out
+    gains = (gain_db_fn(moving, pop.positions[moving]) if gain_db_fn is not None
+             else _distance_gain_db(pop.positions[moving], pop.layout))
+    pop.serving_cell[moving] = np.argmax(gains, axis=1)

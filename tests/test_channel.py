@@ -135,11 +135,19 @@ def _small_model(n_users=2, n_rb=4, doppler=(100.0, 0.0), shadow_std=0.0,
 
 class TestChannelModel:
     def test_static_channel_repeats(self):
-        model, _ = _small_model(doppler=(0.0, 0.0))
+        """An all-static model has no snapshot rows; its fixed `static_h`
+        equals the channel evaluated afresh at a later TTI."""
+        model, cells = _small_model(doppler=(0.0, 0.0))
         pos = np.array([[100.0, 50.0], [300.0, 10.0]])
-        a = model.snapshot(0, pos)
-        b = model.snapshot(5, pos)
-        np.testing.assert_allclose(a, b, atol=1e-9)
+        assert model.snapshot(0, pos).shape == (0, len(cells), model.n_rb)
+        assert model.snapshot(5, pos).shape == (0, len(cells), model.n_rb)
+        bank = FadingBank(np.zeros(2 * len(cells)), channel.VEHA_TAP_DELAYS,
+                          channel.VEHA_TAP_POWERS_DB, seed=1)
+        fading_t5 = bank.coefficients(5e-3, model.rb_freqs)[0].reshape(
+            2, len(cells), model.n_rb)
+        np.testing.assert_allclose(
+            model.static_h, model.amplitude_gain(pos)[:, :, None] * fading_t5,
+            atol=1e-9)
 
     def test_composition_identity(self):
         """One user, one cell: h equals macroscopic gain times fading."""
@@ -173,6 +181,7 @@ class TestChannelModel:
         for tti in (0, 17, 64):
             np.testing.assert_array_equal(m1.snapshot(tti, pos),
                                           m2.snapshot(tti, pos))
+            np.testing.assert_array_equal(m1.static_h, m2.static_h)
 
     def test_shadowing_shapes_checked(self):
         cells = np.array([[0.0, 0.0]])
@@ -214,9 +223,26 @@ class TestStaticMovingSplit:
         pos = np.column_stack([np.linspace(60.0, 700.0, n),
                                np.linspace(-40.0, 300.0, n)])
         for tti in (0, 63, 64, 130):
+            moving = model.snapshot(tti, pos)
+            assert moving.shape == (model.n_moving, len(self.CELLS), 6)
             np.testing.assert_array_equal(
-                model.snapshot(tti, pos),
+                np.concatenate((moving, model.static_h)),
                 self._oracle(model, speeds, pos, tti, seed))
+
+    def test_snapshots_do_not_share_memory(self):
+        """A kept snapshot (e.g. a delayed report's) is not overwritten by
+        a later one, even within one block of tap gains."""
+        model = ChannelModel(self.CELLS, np.array([27.8, 13.9, 0.0]),
+                             np.zeros((3, len(self.CELLS))), 2.14e9, 6, 1e-14,
+                             seed=1)
+        pos = np.array([[100.0, 50.0], [300.0, 10.0], [-80.0, 200.0]])
+        a = model.snapshot(0, pos)
+        kept = a.copy()
+        b = model.snapshot(1, pos)
+        assert not np.shares_memory(a, b)
+        assert not np.shares_memory(a, model.static_h)
+        np.testing.assert_array_equal(a, kept)
+        assert not np.array_equal(a, b)
 
     def test_static_user_that_moves_rejected(self):
         model = ChannelModel(self.CELLS, np.array([27.8, 0.0]),

@@ -1,12 +1,14 @@
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbsfnsim import engine, link, scheduler
+from mbsfnsim import engine, link, scheduler, topology
 from mbsfnsim.engine import ScenarioConfig, derived_seeds, replicate, run
 
 
@@ -110,6 +112,41 @@ class TestRunBasics:
         rec = run(small_config())
         assert rec.entries
         assert all(e.latency_ttis >= 1 for e in rec.entries)
+
+
+short_configs = st.builds(
+    ScenarioConfig,
+    mode=st.sampled_from([engine.MODE_MULTICAST,
+                          engine.MODE_UNICAST_BASELINE]),
+    cqi_policy=st.sampled_from([engine.POLICY_FIXED, engine.POLICY_ADAPTIVE]),
+    cqi_value=st.integers(1, 15),
+    car_speed_kmh=st.sampled_from([0.0, 100.0]),
+    cars_per_cell=st.integers(0, 3),
+    cqi_feedback_delay_tti=st.integers(0, 2),
+    mbsfn_rings=st.integers(0, 1),
+    n_tti=st.integers(0, 48),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=short_configs)
+def test_short_run_properties(cfg):
+    """Invariants of any short run, over the paths the TTI loop branches
+    on: mode, policy, standing or moving cars, no cars, report delay."""
+    rec = run(cfg)
+    assert all(e.latency_ttis >= 1 for e in rec.entries)
+    n_area = len(topology.build_layout(
+        cfg.mbsfn_rings, cfg.interference_rings,
+        cfg.inter_site_distance_m).mbsfn_cells)
+    assert np.all(rec.multicast_rb_per_tti <= cfg.n_rb)
+    assert np.all(rec.cam_rb_per_tti <= cfg.n_rb * n_area)
+    other = (rec.cam_rb_per_tti if cfg.mode == engine.MODE_MULTICAST
+             else rec.multicast_rb_per_tti)
+    assert not other.any()
+    again = run(cfg)
+    for f in fields(rec):
+        np.testing.assert_equal(getattr(again, f.name), getattr(rec, f.name))
 
 
 class TestHandTracedSchedule:

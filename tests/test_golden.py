@@ -1,5 +1,6 @@
 """Golden digests: short runs of the four acceptance-battery configs,
-plus adaptive unicast.
+plus adaptive unicast and three configs that take the channel's and the
+engine's edge paths (static cars, a delayed unicast report, no cars).
 
 Each run's artifact files (name and bytes, as `metrics.write_run_outputs`
 emits them) and its per-TTI RB arrays are hashed with SHA-256 and compared
@@ -28,6 +29,14 @@ CONFIGS = {
     # The one path that prices each unicast copy through sinr_vs_cell.
     "uc_adaptive_5": replace(BASE, mode="unicast_baseline",
                              cqi_policy="adaptive"),
+    # No moving rows: the multicast sources are zero-Doppler rows.
+    "mc_static_cars": replace(BASE, car_speed_kmh=0.0),
+    # Unicast copies priced from a report two TTIs old.
+    "uc_adaptive_delay2": replace(BASE, mode="unicast_baseline",
+                                  cqi_policy="adaptive",
+                                  cqi_feedback_delay_tti=2),
+    # No sources at all: only the ordinary users are served.
+    "mc_no_cars": replace(BASE, cars_per_cell=0),
 }
 
 GOLDEN = {
@@ -41,6 +50,12 @@ GOLDEN = {
                     "4c24a6655d331c4ad8e03ef18c5fb5d0"),
     "uc_adaptive_5": ("c67e427dc089149e90b75b0e2acddf56"
                       "1eb984885039411e0b569ec84cbfb918"),
+    "mc_static_cars": ("8cc28968f59fbf7f374f3a8961bcc082"
+                       "53bdc76df4b298307c88a2e36bb44318"),
+    "uc_adaptive_delay2": ("b4f642c7e1581c3a3dbb2e41c7c93dff"
+                           "9f6e9fca67da090f3f601108c0be7dd1"),
+    "mc_no_cars": ("bc4d3500961d9883ea39c7aecd5fcf7e"
+                   "04585a1f5b4814aea5f69c3097c81dbb"),
 }
 
 

@@ -118,7 +118,7 @@ class TestDropUsers:
 def _single_car_population(layout, position, velocity):
     return topology.UserPopulation(
         layout=layout,
-        kinds=np.asarray(["car"], dtype=object),
+        is_car=np.array([True]),
         serving_cell=np.array([0], dtype=np.int64),
         positions=np.asarray([position], dtype=float),
         velocities=np.asarray([velocity], dtype=float),
@@ -129,15 +129,16 @@ class TestAdvanceMobility:
     def test_kinematics(self):
         layout = build_layout(1, 1, 500.0)
         pop = _single_car_population(layout, (0.0, 0.0), (27.78, 0.0))
-        out = advance_mobility(pop, 1.0)
-        np.testing.assert_allclose(out.positions[0], (27.78, 0.0))
+        advance_mobility(pop, 1.0)
+        np.testing.assert_allclose(pop.positions[0], (27.78, 0.0))
 
     def test_zero_dt_identity(self):
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 6, 3, 27.78, rng_seed=1)
-        out = advance_mobility(pop, 0.0)
-        np.testing.assert_array_equal(out.positions, pop.positions)
-        np.testing.assert_array_equal(out.serving_cell, pop.serving_cell)
+        positions, serving = pop.positions.copy(), pop.serving_cell.copy()
+        advance_mobility(pop, 0.0)
+        np.testing.assert_array_equal(pop.positions, positions)
+        np.testing.assert_array_equal(pop.serving_cell, serving)
 
     def test_negative_dt_rejected(self):
         layout = build_layout(1, 1, 500.0)
@@ -149,9 +150,9 @@ class TestAdvanceMobility:
         layout = build_layout(1, 1, 500.0)
         radius = layout.boundary_radius
         pop = _single_car_population(layout, (radius - 1.0, 0.0), (100.0, 0.0))
-        out = advance_mobility(pop, 1.0)
-        assert np.hypot(*out.positions[0]) <= radius + 1e-9
-        assert out.positions[0][0] < 0  # re-entered on the opposite side
+        advance_mobility(pop, 1.0)
+        assert np.hypot(*pop.positions[0]) <= radius + 1e-9
+        assert pop.positions[0][0] < 0  # re-entered on the opposite side
 
         # Serving cell must match an exhaustive strongest-gain scan.
         rng = np.random.default_rng(0)
@@ -163,25 +164,59 @@ class TestAdvanceMobility:
             return -(128.1 + 37.6 * np.log10(np.maximum(d, 35.0) / 1000.0)) \
                 + shadow[user_ids]
 
-        out2 = advance_mobility(pop, 1.0, gain_db_fn=gain_db)
+        advance_mobility(pop, 1.0, gain_db_fn=gain_db)
         expected = []
         for cell in range(layout.n_cells):
-            d = max(np.hypot(*(out2.positions[0]
+            d = max(np.hypot(*(pop.positions[0]
                                - layout.cell_positions[cell])), 35.0)
             expected.append(-(128.1 + 37.6 * math.log10(d / 1000.0))
                             + shadow[0, cell])
-        assert int(out2.serving_cell[0]) == int(np.argmax(expected))
+        assert int(pop.serving_cell[0]) == int(np.argmax(expected))
 
     def test_preserves_counts_and_kinds(self):
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 6, 3, 27.78, rng_seed=4)
-        out = pop
+        n_users, is_car = pop.n_users, pop.is_car.copy()
+        positions = pop.positions.copy()
         for _ in range(50):
-            out = advance_mobility(out, 5.0)
-        assert out.n_users == pop.n_users
-        np.testing.assert_array_equal(out.kinds, pop.kinds)
+            advance_mobility(pop, 5.0)
+        assert pop.n_users == n_users
+        np.testing.assert_array_equal(pop.is_car, is_car)
         radius = layout.boundary_radius
-        assert np.all(np.hypot(*out.positions.T) <= radius + 1e-9)
-        # static users never move
-        np.testing.assert_array_equal(out.positions[pop.ordinary_ids()],
-                                      pop.positions[pop.ordinary_ids()])
+        assert np.all(np.hypot(*pop.positions.T) <= radius + 1e-9)
+        # static users never move; cars do
+        np.testing.assert_array_equal(pop.positions[~is_car],
+                                      positions[~is_car])
+        assert np.all(pop.positions[is_car] != positions[is_car])
+
+    def test_only_given_users_move_as_in_a_full_move(self):
+        layout = build_layout(1, 1, 500.0)
+        subset_pop = drop_users(layout, 6, 3, 27.78, rng_seed=6)
+        full_pop = drop_users(layout, 6, 3, 27.78, rng_seed=6)
+        positions = subset_pop.positions.copy()
+        serving = subset_pop.serving_cell.copy()
+        cars = subset_pop.car_ids()
+        # Some cars and one static user; only the cars among them move.
+        given = np.concatenate((cars[::3], subset_pop.ordinary_ids()[:1]))
+        rest = np.setdiff1d(np.arange(subset_pop.n_users), given)
+        shadow = np.random.default_rng(2).normal(
+            0.0, 8.0, size=(subset_pop.n_users, layout.n_cells))
+
+        def gain_db(user_ids, pos):
+            d = np.linalg.norm(pos[:, None, :] - layout.cell_positions[None],
+                               axis=2)
+            return -d + shadow[user_ids]
+
+        for _ in range(40):  # long enough for wraps and handovers
+            advance_mobility(subset_pop, 1.0, gain_db, users=given)
+            advance_mobility(full_pop, 1.0, gain_db)
+        np.testing.assert_array_equal(subset_pop.positions[given],
+                                      full_pop.positions[given])
+        np.testing.assert_array_equal(subset_pop.serving_cell[given],
+                                      full_pop.serving_cell[given])
+        np.testing.assert_array_equal(subset_pop.positions[rest],
+                                      positions[rest])
+        np.testing.assert_array_equal(subset_pop.serving_cell[rest],
+                                      serving[rest])
+        assert not np.array_equal(subset_pop.serving_cell[given],
+                                  serving[given])
