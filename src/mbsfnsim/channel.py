@@ -141,56 +141,58 @@ class FadingBank:
 class ChannelModel:
     """Per-TTI channel coefficients of a set of users against all cells.
 
-    Shadowing is frozen per (user, cell) for the whole run; the macroscopic
-    amplitude is recomputed from current positions each snapshot so moving
-    users see the correct distance-dependent gain.  Fading evolves with the
-    TTI clock (TTI_S).
+    Shadowing is frozen per (user, cell) for the whole run; `amplitude_gain`
+    turns positions into the macroscopic amplitude (pathloss plus
+    shadowing).  Fading evolves with the TTI clock (TTI_S).
 
-    Moving users must come first in the user order.  A snapshot holds the
-    moving users' rows only.  Users with zero Doppler have constant fading
-    and must not move: their pairs are evaluated once here, and the first
-    snapshot fixes their coefficients (amplitude times fading) as
-    `static_h`, (n_static, n_cells, n_rb), for the whole run.  The moving
-    pairs' tap gains are evaluated by the bank's phasor recurrence over
-    blocks of BLOCK_LEN consecutive TTIs; each snapshot steers one TTI of
-    taps to the RB frequencies.  Both groups draw from one FadingBank over
-    all pairs, so the split leaves every value unchanged.
+    Moving users must come first in the user order, and the split between
+    them and the zero-Doppler users is fixed here.  A zero-Doppler user
+    neither moves nor fades, so its coefficients (amplitude at its given
+    position times fading) are evaluated once, at construction, as
+    `static_h`, (n_static, n_cells, n_rb).  A snapshot holds the moving
+    users' rows only; the caller evaluates their amplitude once per TTI
+    and passes it in, so the same gain can also drive handover.  The
+    moving pairs' tap gains are evaluated by the bank's phasor recurrence
+    over blocks of BLOCK_LEN consecutive TTIs; each snapshot steers one TTI
+    of taps to the RB frequencies.  Both groups draw from one FadingBank
+    over all pairs, so the split leaves every value unchanged.
     """
 
-    def __init__(self, cell_positions: np.ndarray, user_speeds_ms: np.ndarray,
-                 shadowing_db: np.ndarray, carrier_hz: float, n_rb: int,
-                 noise_variance: float, seed):
+    def __init__(self, cell_positions: np.ndarray, positions: np.ndarray,
+                 user_speeds_ms: np.ndarray, shadowing_db: np.ndarray,
+                 carrier_hz: float, n_rb: int, seed):
         self.cell_positions = np.asarray(cell_positions, dtype=float)
         self.n_cells = len(self.cell_positions)
-        self.n_users = len(user_speeds_ms)
-        if shadowing_db.shape != (self.n_users, self.n_cells):
-            raise ChannelStateError("shadowing map does not match users x cells")
+        n_users = len(user_speeds_ms)
+        if shadowing_db.shape != (n_users, self.n_cells) \
+                or len(positions) != n_users:
+            raise ChannelStateError("positions or shadowing map do not match "
+                                    "users x cells")
         self.shadowing_db = shadowing_db
-        self.noise_variance = float(noise_variance)
         self.n_rb = n_rb
         self.rb_freqs = (np.arange(n_rb) - (n_rb - 1) / 2.0) * RB_BANDWIDTH_HZ
         user_doppler = np.array([doppler_frequency(s, carrier_hz)
                                  for s in user_speeds_ms], dtype=float)
         moving = user_doppler != 0.0
-        self.n_moving = int(moving.sum())
-        if moving[self.n_moving:].any():
+        m = self.n_moving = int(moving.sum())
+        if moving[m:].any():
             raise ChannelStateError("moving users must precede static ones")
         bank = FadingBank(np.repeat(user_doppler, self.n_cells),
                           VEHA_TAP_DELAYS, VEHA_TAP_POWERS_DB, seed)
-        split = self.n_moving * self.n_cells
+        split = m * self.n_cells
         self.bank = bank.subset(slice(0, split))
         self._steer = bank.steering(self.rb_freqs)
-        static = bank.subset(slice(split, None)).block_tap_gains(
-            0.0, 1, TTI_S)[0] @ self._steer
-        self._static_fading = static.reshape(-1, self.n_cells, n_rb)
-        self._static_positions = None
-        self.static_h = None
         self._block_start = None
         self._gains = None
         self._clamp_warned = False
+        fading = bank.subset(slice(split, None)).block_tap_gains(
+            0.0, 1, TTI_S)[0] @ self._steer
+        gamma = self.amplitude_gain(np.asarray(positions)[m:],
+                                    slice(m, None))
+        self.static_h = gamma[:, :, None] * fading.reshape(
+            -1, self.n_cells, n_rb)
 
-    def amplitude_gain(self, positions: np.ndarray,
-                       rows=slice(None)) -> np.ndarray:
+    def amplitude_gain(self, positions: np.ndarray, rows) -> np.ndarray:
         """Linear macroscopic amplitude per (user, cell) at given positions;
         `rows` selects the users (and shadowing rows) they belong to."""
         d = np.linalg.norm(positions[:, None, :]
@@ -214,30 +216,15 @@ class ChannelModel:
             self._block_start = start
         return self._gains[tti - self._block_start]
 
-    def _moving_gamma(self, positions: np.ndarray) -> np.ndarray:
-        """Moving users' amplitude (n_moving, n_cells, 1); the first call
-        also fixes the static users' coefficients at their positions."""
-        m = self.n_moving
-        if self.static_h is None:
-            gamma = self.amplitude_gain(positions)[:, :, None]
-            self._static_positions = positions[m:].copy()
-            self.static_h = gamma[m:] * self._static_fading
-            self._static_fading = None
-            return gamma[:m]
-        if not np.array_equal(positions[m:], self._static_positions):
-            raise ChannelStateError("a zero-Doppler user changed position")
-        return self.amplitude_gain(positions[:m], slice(0, m))[:, :, None]
-
-    def snapshot(self, tti: int, positions: np.ndarray) -> np.ndarray:
+    def snapshot(self, tti: int, gamma: np.ndarray) -> np.ndarray:
         """The moving users' complex coefficients h[user, cell, rb] at `tti`,
-        in a new (n_moving, n_cells, n_rb) array; `positions` covers every
-        user."""
-        if len(positions) != self.n_users:
-            raise ChannelStateError("positions do not match the user set")
-        gamma = self._moving_gamma(positions)
+        in a new (n_moving, n_cells, n_rb) array; `gamma` is their
+        `amplitude_gain` at this TTI's positions, (n_moving, n_cells)."""
+        if gamma.shape != (self.n_moving, self.n_cells):
+            raise ChannelStateError("amplitude does not match moving users")
         h = np.matmul(self._tap_gains_at(tti), self._steer).reshape(
             self.n_moving, self.n_cells, self.n_rb)
-        np.multiply(gamma, h, out=h)
+        np.multiply(gamma[:, :, None], h, out=h)
         return h
 
 

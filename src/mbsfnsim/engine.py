@@ -8,10 +8,13 @@ logs are appended.  All randomness derives from the master seed through
 purpose-keyed streams, so a (config, seed) pair reproduces bit-identical
 results.
 
-The loop computes only what changes: only the tracked cars move, the
-static ordinary users' SINR comes once from the channel's static rows,
-and each TTI the delivery derives the link state it reads from the
-sources' rows alone; the feedback-delay cache keeps that state.
+The loop computes only what changes.  The channel model fixes the static
+users' rows at construction, so the ordinary users' SINR is computed once,
+before the loop.  Each TTI only the tracked cars move, and their
+macroscopic gain is evaluated once: mobility hands each car over to its
+strongest cell with it, and the snapshot scales the cars' fading by it.
+The delivery then derives the link state it reads from the sources' rows
+alone; the feedback-delay cache keeps that state.
 """
 # No `from __future__ import annotations`: the scenario parser and
 # `validate` read ScenarioConfig's field types as classes at run time.
@@ -233,20 +236,19 @@ def decoder(slope_db_per_decade: float, perfect_decode: bool,
     return decode
 
 
-def ordinary_stage(slots, report_sinr: np.ndarray, sinr: np.ndarray,
-                   n_re_per_rb: int, decode,
+def ordinary_stage(slots, sinr: np.ndarray, n_re_per_rb: int, decode,
                    table: link.CqiTable = link.CQI_TABLE):
     """Link stage of the ordinary full-buffer users' round-robin slots.
 
     `slots` lists (row, rb_start, rb_count) with rb_count > 0.  Each slot's
-    CQI comes from `report_sinr` (the possibly delayed report) over its RB
-    slice and its decode from `sinr` (this TTI's channel).  Returns per-slot
-    transport-block bits and decode flags, in slot order.
+    CQI and decode come from its effective SINR over its RB slice of
+    `sinr`: an ordinary user is static, so its reported channel is its
+    current one.  Returns per-slot transport-block bits and decode flags,
+    in slot order.
     """
     rows, starts, counts = np.array(slots, dtype=np.intp).reshape(-1, 3).T
-    report_db, eff_db = link.effective_sinr_db_slices(
-        (report_sinr, sinr), rows, starts, counts)
-    cqi = link.cqi_from_sinr_db(report_db, table)
+    eff_db = link.effective_sinr_db_slices(sinr, rows, starts, counts)
+    cqi = link.cqi_from_sinr_db(eff_db, table)
     bits = counts * n_re_per_rb * table.efficiencies[cqi - 1]
     return bits, decode(eff_db, cqi)
 
@@ -433,8 +435,8 @@ class UnicastDelivery:
                                  [self.row_of[c.receiver] for c in copies],
                                  [self.drop_cell[c.receiver] for c in copies],
                                  self.noise_variance)
-        eff_db, = link.effective_sinr_db_slices(
-            (sinr,), np.arange(len(granted)),
+        eff_db = link.effective_sinr_db_slices(
+            sinr, np.arange(len(granted)),
             np.array([a.rb_start for a in granted]),
             np.array([a.rb_count for a in granted]))
         ok = self.decode(eff_db, np.array([c.cqi for c in copies]))
@@ -499,19 +501,17 @@ def run(config: ScenarioConfig) -> RunRecord:
                                                   cfg.noise_figure_db)
     model = channel.ChannelModel(
         cell_positions=layout.cell_positions,
+        positions=pop.positions[tracked],
         user_speeds_ms=np.asarray(speeds),
         shadowing_db=shadow_full[tracked],
         carrier_hz=cfg.carrier_ghz * 1e9,
         n_rb=cfg.n_rb,
-        noise_variance=noise_var,
         seed=seed,
     )
+    # When the cars move, the sources are the model's rows 0..n_moving-1.
+    moving_gain = functools.partial(model.amplitude_gain,
+                                    rows=slice(0, model.n_moving))
     mbsfn_mask = np.isin(np.arange(layout.n_cells), area_cells)
-
-    def reselect_gain_db(user_ids, positions):
-        d = np.linalg.norm(positions[:, None, :]
-                           - layout.cell_positions[None, :, :], axis=2)
-        return -channel.pathloss_db(d) + shadow_full[user_ids]
 
     offsets = traffic.draw_offsets(n_sources, cfg.cam_period_ttis, seed)
     buffers = {src: traffic.UserBuffer(
@@ -541,7 +541,11 @@ def run(config: ScenarioConfig) -> RunRecord:
                         for c in area_cells}
     ordinary_row = {u: i for i, u in enumerate(ordinary_tracked)}
     ordinary_bits = {u: 0.0 for u in ordinary_tracked}
-    ordinary_sinr = None
+    # A static user's SINR, reported or current, never changes.
+    ordinary_sinr = link.sinr_vs_cell(
+        *link.power_components(model.static_h[n_sources - model.n_moving:]),
+        np.arange(len(ordinary_tracked)), pop.serving_cell[ordinary_tracked],
+        noise_var)
     rr_offset = {c: 0 for c in area_cells}
     report_cache = deque(maxlen=cfg.cqi_feedback_delay_tti + 1)
     # Cars in the area, i.e. served by an area cell: only they are obliged
@@ -550,17 +554,9 @@ def run(config: ScenarioConfig) -> RunRecord:
     area_now = set(sources)
 
     for tti in range(cfg.n_tti):
-        topology.advance_mobility(pop, channel.TTI_S, reselect_gain_db,
-                                  sources)
-        h = model.snapshot(tti, pop.positions[tracked])
-        if ordinary_sinr is None:
-            # The first snapshot fixes the static rows; a static user's
-            # SINR, reported or current, never changes.
-            ordinary_sinr = link.sinr_vs_cell(
-                *link.power_components(
-                    model.static_h[n_sources - model.n_moving:]),
-                np.arange(len(ordinary_tracked)),
-                pop.serving_cell[ordinary_tracked], noise_var)
+        gamma = topology.advance_mobility(pop, channel.TTI_S, moving_gain,
+                                          sources)
+        h = model.snapshot(tti, gamma)
 
         # Membership follows the serving cell: a car that left the area stops
         # blocking open entries and is excluded from new recipient sets.
@@ -598,7 +594,7 @@ def run(config: ScenarioConfig) -> RunRecord:
             rr_offset[cell] += 1
         if slots:
             # Rate adaptation on the assigned slice, not the whole band.
-            bits, ok = ordinary_stage(slots, ordinary_sinr, ordinary_sinr,
+            bits, ok = ordinary_stage(slots, ordinary_sinr,
                                       cfg.usable_re_per_rb, decode, table)
             for user, b, success in zip(slot_users, bits.tolist(),
                                         ok.tolist()):

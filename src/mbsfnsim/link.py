@@ -107,12 +107,6 @@ def cqi_efficiency(cqi_index: int, table: CqiTable = CQI_TABLE) -> float:
     return float(table.efficiencies[cqi_index - 1])
 
 
-def cqi_threshold_db(cqi_index: int, table: CqiTable = CQI_TABLE) -> float:
-    if not 1 <= cqi_index <= 15:
-        raise CqiRangeError(f"CQI index {cqi_index} outside 1..15")
-    return float(table.thresholds_db[cqi_index - 1])
-
-
 def multicast_sinr_grid(h: np.ndarray, mbsfn_mask: np.ndarray,
                         noise_variance: float) -> np.ndarray:
     """Vectorized multicast SINR over (user, rb) from h (user, cell, rb)."""
@@ -134,63 +128,45 @@ def sinr_vs_cell(power: np.ndarray, total_power: np.ndarray, rows,
     return signal / (noise_variance + total_power[rows] - signal)
 
 
-def effective_sinr(sinr_per_rb) -> float:
-    """Mutual-information average of per-RB SINRs, inverted back to linear SINR.
-
-    Uses the Gaussian-capacity information measure; strictly monotone in any
-    per-RB SINR, equal to the common value when all RBs agree.
-    """
-    s = np.asarray(sinr_per_rb, dtype=float)
-    if s.size == 0:
-        raise ValueError("effective SINR of an empty RB set")
-    mi = np.log2(1.0 + s).mean()
-    return float(2.0 ** mi - 1.0)
-
-
 def cqi_from_sinr_db(eff_db, table: CqiTable = CQI_TABLE):
-    """`sinr_to_cqi` of effective SINRs already in dB: one value or an
-    array."""
+    """Largest CQI whose threshold an effective SINR in dB meets, at least
+    1: one value or an array."""
     idx = np.searchsorted(table.thresholds_db, eff_db + 1e-12, side="right")
     return np.maximum(idx, 1)
-
-
-def sinr_to_cqi(sinr_per_rb, table: CqiTable = CQI_TABLE) -> int:
-    """Largest CQI whose threshold the effective SINR meets; at least 1."""
-    eff_db = 10.0 * math.log10(max(effective_sinr(sinr_per_rb), 1e-30))
-    return int(cqi_from_sinr_db(eff_db, table))
 
 
 def effective_sinr_db_rows(sinr_rows: np.ndarray) -> np.ndarray:
     """Effective SINR in dB of each row of a (rows, rb) SINR array.
 
-    Row-wise counterpart of `effective_sinr`; each row reduces with the
-    same pairwise sum whatever the number of rows, so a row's value does
-    not depend on which other rows are evaluated with it.
+    The mutual-information average of the row's per-RB SINRs (Gaussian
+    capacity), inverted back to SINR: strictly monotone in any per-RB SINR
+    and equal to the common value when all RBs agree.  Each row reduces
+    with the same pairwise sum whatever the number of rows, so a row's
+    value does not depend on which other rows are evaluated with it.
     """
     mi = np.log2(1.0 + sinr_rows).mean(axis=1)
     return 10.0 * np.log10(np.maximum(2.0 ** mi - 1.0, 1e-30))
 
 
-def effective_sinr_db_slices(sinrs, rows, starts,
-                             counts) -> list[np.ndarray]:
+def effective_sinr_db_slices(sinr: np.ndarray, rows, starts,
+                             counts) -> np.ndarray:
     """Effective SINR in dB of RB slice `starts[k]:starts[k] + counts[k]`
-    of row `rows[k]`, for every k, in each (row, rb) array of `sinrs`.
+    of row `rows[k]` of a (row, rb) SINR array, for every k.
 
     Slices of equal length are evaluated as one (n, length) array; by
     `effective_sinr_db_rows` each value is the one its slice alone gives.
     """
-    out = [np.empty(len(counts)) for _ in sinrs]
+    out = np.empty(len(counts))
     for length in np.unique(counts):
         group = np.flatnonzero(counts == length)
-        index = rows[group, None], starts[group, None] + np.arange(length)
-        for values, sinr in zip(out, sinrs):
-            values[group] = effective_sinr_db_rows(sinr[index])
+        out[group] = effective_sinr_db_rows(
+            sinr[rows[group, None], starts[group, None] + np.arange(length)])
     return out
 
 
 def cqi_from_sinr_rows(sinr_rows: np.ndarray,
                        table: CqiTable = CQI_TABLE) -> np.ndarray:
-    """Row-wise `sinr_to_cqi`."""
+    """CQI of each row's effective SINR, from a (rows, rb) SINR array."""
     return cqi_from_sinr_db(effective_sinr_db_rows(sinr_rows), table)
 
 

@@ -19,8 +19,6 @@ import numpy as np
 MBSFN_LEGAL_SUBFRAMES = (1, 2, 3, 6, 7, 8)
 SUBFRAMES_PER_FRAME = 10
 
-DEFAULT_N_RE_PER_RB = 100   # usable resource elements per RB, see README
-
 
 class SchedulingError(RuntimeError):
     """Invalid scheduling state (e.g. no CQI reports in adaptive mode)."""
@@ -47,7 +45,7 @@ class FramePlan:
 
 
 def build_frame_plan(n_reserved_per_frame: int, n_rb_per_subframe: int,
-                     n_re_per_rb: int = DEFAULT_N_RE_PER_RB) -> FramePlan:
+                     n_re_per_rb: int) -> FramePlan:
     return FramePlan(
         reserved_subframes=MBSFN_LEGAL_SUBFRAMES[:n_reserved_per_frame],
         n_rb_per_subframe=n_rb_per_subframe,

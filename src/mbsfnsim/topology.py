@@ -168,35 +168,23 @@ def drop_users(layout: CellLayout, n_users_per_cell: int, n_cars_per_cell: int,
     )
 
 
-def _distance_gain_db(positions: np.ndarray, layout: CellLayout) -> np.ndarray:
-    """Default serving-cell metric: pure distance pathloss (monotone)."""
-    d = np.linalg.norm(positions[:, None, :] - layout.cell_positions[None, :, :],
-                       axis=2)
-    return -d
+def advance_mobility(pop: UserPopulation, dt: float, gain_fn,
+                     users) -> np.ndarray:
+    """In place: move the users among `users` that have a velocity by
+    velocity*dt, wrap them at the layout boundary and hand each one over to
+    its strongest cell.
 
-
-def advance_mobility(pop: UserPopulation, dt: float, gain_db_fn=None,
-                     users=None) -> None:
-    """In place: move the users among `users` (default: all) that have a
-    velocity by velocity*dt, wrap them at the layout boundary and re-select
-    each one's serving cell as the strongest-gain cell.
-
-    A car moves by its own position and velocity alone, so moving a subset
-    gives those cars the values that moving every car would.
-    `gain_db_fn(user_ids, positions) -> (n, n_cells)` supplies the macroscopic
-    gain used for cell reselection; the default is distance-based (pathloss
-    only).  Handover is instantaneous and cost-free.
+    `gain_fn(positions) -> (n, n_cells)` gives the macroscopic gain of the
+    moved users, in `users` order, at their new positions; the serving cell
+    is its argmax, and the gains are returned for the caller to reuse.  A
+    car moves by its own position and velocity alone, so moving a subset
+    gives those cars the values that moving every car would.  Handover is
+    instantaneous and cost-free.
     """
     if dt < 0:
         raise ConfigurationError("dt must be >= 0")
-    if dt == 0:
-        return
-    if users is None:
-        users = np.arange(pop.n_users)
     users = np.asarray(users, dtype=np.intp)
     moving = users[np.any(pop.velocities[users] != 0.0, axis=1)]
-    if moving.size == 0:
-        return
     pop.positions[moving] += pop.velocities[moving] * dt
 
     # Wrap-around: a car crossing the boundary disc re-enters on the
@@ -209,6 +197,6 @@ def advance_mobility(pop: UserPopulation, dt: float, gain_db_fn=None,
         unit = pop.positions[idx] / dist[outside, None]
         pop.positions[idx] -= 2.0 * radius * unit
 
-    gains = (gain_db_fn(moving, pop.positions[moving]) if gain_db_fn is not None
-             else _distance_gain_db(pop.positions[moving], pop.layout))
+    gains = gain_fn(pop.positions[moving])
     pop.serving_cell[moving] = np.argmax(gains, axis=1)
+    return gains

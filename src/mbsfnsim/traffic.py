@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_PACKET_BITS = 2400      # 300-byte awareness message
-DEFAULT_PERIOD_TTIS = 100       # 10 Hz generation at 1 ms TTIs
-
 
 @dataclass(frozen=True)
 class CamPacket:
@@ -28,8 +25,8 @@ class CamPacket:
 class UserBuffer:
     user_id: int
     offset: int                         # generation phase in [0, period)
-    period: int = DEFAULT_PERIOD_TTIS
-    packet_bits: int = DEFAULT_PACKET_BITS
+    period: int
+    packet_bits: int
     residual_bits: float = 0.0
     next_sequence: int = 0
 

@@ -13,11 +13,11 @@ from mbsfnsim.channel import (ChannelModel, FadingBank, draw_shadowing,
 def _amplitude(distances_m, shadowing_db):
     """ChannelModel.amplitude_gain of users at `distances_m` from one cell."""
     n = len(distances_m)
-    model = ChannelModel(np.zeros((1, 2)), np.zeros(n),
-                         np.asarray(shadowing_db, dtype=float).reshape(n, 1),
-                         2.14e9, 1, 1e-14, seed=0)
     pos = np.column_stack([distances_m, np.zeros(n)])
-    return model.amplitude_gain(pos)[:, 0]
+    model = ChannelModel(np.zeros((1, 2)), pos, np.zeros(n),
+                         np.asarray(shadowing_db, dtype=float).reshape(n, 1),
+                         2.14e9, 1, seed=0)
+    return model.amplitude_gain(pos, slice(None))[:, 0]
 
 
 class TestMacroscopicGain:
@@ -125,38 +125,49 @@ class TestFading:
         np.testing.assert_allclose(block, direct, **tol)
 
 
-def _small_model(n_users=2, n_rb=4, doppler=(100.0, 0.0), shadow_std=0.0,
-                 seed=1, noise=1e-14):
+def _small_model(pos, doppler=(100.0, 0.0), n_rb=4, shadow_std=0.0,
+                 seed=1):
+    """Users at `pos` with the given Doppler shifts against three cells."""
     cells = np.array([[0.0, 0.0], [500.0, 0.0], [250.0, 433.0]])
-    shadow = draw_shadowing(n_users, len(cells), shadow_std, seed)
-    return ChannelModel(cells, np.asarray(doppler[:n_users]) * 3e8 / 2.14e9,
-                        shadow, 2.14e9, n_rb, noise, seed), cells
+    shadow = draw_shadowing(len(pos), len(cells), shadow_std, seed)
+    return ChannelModel(cells, pos, np.asarray(doppler) * 3e8 / 2.14e9,
+                        shadow, 2.14e9, n_rb, seed), cells
+
+
+def _moving_gamma(model, pos):
+    """The moving users' amplitude, as the engine passes it to snapshot."""
+    m = model.n_moving
+    return model.amplitude_gain(pos[:m], slice(0, m))
 
 
 class TestChannelModel:
     def test_static_channel_repeats(self):
-        """An all-static model has no snapshot rows; its fixed `static_h`
-        equals the channel evaluated afresh at a later TTI."""
-        model, cells = _small_model(doppler=(0.0, 0.0))
+        """An all-static model has no snapshot rows; its `static_h`, fixed
+        at construction, equals the channel evaluated afresh at a later
+        TTI."""
         pos = np.array([[100.0, 50.0], [300.0, 10.0]])
-        assert model.snapshot(0, pos).shape == (0, len(cells), model.n_rb)
-        assert model.snapshot(5, pos).shape == (0, len(cells), model.n_rb)
+        model, cells = _small_model(pos, doppler=(0.0, 0.0))
+        gamma = _moving_gamma(model, pos)
+        assert gamma.shape == (0, len(cells))
+        assert model.snapshot(0, gamma).shape == (0, len(cells), model.n_rb)
+        assert model.snapshot(5, gamma).shape == (0, len(cells), model.n_rb)
         bank = FadingBank(np.zeros(2 * len(cells)), channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed=1)
         fading_t5 = bank.coefficients(5e-3, model.rb_freqs)[0].reshape(
             2, len(cells), model.n_rb)
         np.testing.assert_allclose(
-            model.static_h, model.amplitude_gain(pos)[:, :, None] * fading_t5,
+            model.static_h,
+            model.amplitude_gain(pos, slice(None))[:, :, None] * fading_t5,
             atol=1e-9)
 
     def test_composition_identity(self):
         """One user, one cell: h equals macroscopic gain times fading."""
         cells = np.array([[0.0, 0.0]])
         shadow = np.array([[4.0]])
-        model = ChannelModel(cells, np.array([20.0]), shadow, 2.14e9, 1,
-                             1e-14, seed=21)
         pos = np.array([[840.0, 0.0]])
-        h = model.snapshot(3, pos)
+        model = ChannelModel(cells, pos, np.array([20.0]), shadow, 2.14e9, 1,
+                             seed=21)
+        h = model.snapshot(3, _moving_gamma(model, pos))
         bank = FadingBank(np.array([channel.doppler_frequency(20.0, 2.14e9)]),
                           channel.VEHA_TAP_DELAYS, channel.VEHA_TAP_POWERS_DB,
                           seed=21)
@@ -165,29 +176,34 @@ class TestChannelModel:
         assert h[0, 0, 0] == pytest.approx(gamma * fading, rel=1e-6)
 
     def test_mean_power_tracks_macroscopic_gain(self):
-        model, _ = _small_model(n_users=1, n_rb=2, doppler=(150.0,))
         pos = np.array([[120.0, 40.0]])
+        model, _ = _small_model(pos, n_rb=2, doppler=(150.0,))
+        gamma = _moving_gamma(model, pos)
         powers = []
         for tti in range(4000):
-            powers.append(np.abs(model.snapshot(tti, pos)[0, :, 0]) ** 2)
+            powers.append(np.abs(model.snapshot(tti, gamma)[0, :, 0]) ** 2)
         mean_power = np.mean(powers, axis=0)
-        gamma_sq = model.amplitude_gain(pos)[0] ** 2
+        gamma_sq = gamma[0] ** 2
         np.testing.assert_allclose(mean_power, gamma_sq, rtol=0.05)
 
     def test_same_seed_same_sequence(self):
-        m1, _ = _small_model(seed=33)
-        m2, _ = _small_model(seed=33)
         pos = np.array([[100.0, 50.0], [300.0, 10.0]])
+        m1, _ = _small_model(pos, seed=33)
+        m2, _ = _small_model(pos, seed=33)
+        np.testing.assert_array_equal(m1.static_h, m2.static_h)
         for tti in (0, 17, 64):
-            np.testing.assert_array_equal(m1.snapshot(tti, pos),
-                                          m2.snapshot(tti, pos))
-            np.testing.assert_array_equal(m1.static_h, m2.static_h)
+            np.testing.assert_array_equal(
+                m1.snapshot(tti, _moving_gamma(m1, pos)),
+                m2.snapshot(tti, _moving_gamma(m2, pos)))
 
     def test_shadowing_shapes_checked(self):
         cells = np.array([[0.0, 0.0]])
         with pytest.raises(channel.ChannelStateError):
-            ChannelModel(cells, np.array([0.0]), np.zeros((2, 2)), 2.14e9, 1,
-                         1e-14, seed=1)
+            ChannelModel(cells, np.zeros((1, 2)), np.array([0.0]),
+                         np.zeros((2, 2)), 2.14e9, 1, seed=1)
+        with pytest.raises(channel.ChannelStateError):
+            ChannelModel(cells, np.zeros((2, 2)), np.array([0.0]),
+                         np.zeros((1, 1)), 2.14e9, 1, seed=1)
 
 
 class TestStaticMovingSplit:
@@ -206,7 +222,7 @@ class TestStaticMovingSplit:
                                      channel.TTI_S)[tti - start]
         fading = (gains @ full.steering(model.rb_freqs)).reshape(
             len(speeds), len(self.CELLS), model.n_rb)
-        return model.amplitude_gain(pos)[:, :, None] * fading
+        return model.amplitude_gain(pos, slice(None))[:, :, None] * fading
 
     @pytest.mark.parametrize("speeds", [
         (27.8, 13.9, 0.0, 0.0, 0.0),   # moving sources, static ordinary
@@ -217,13 +233,13 @@ class TestStaticMovingSplit:
         seed = 17
         n = len(speeds)
         shadow = draw_shadowing(n, len(self.CELLS), 8.0, seed)
-        model = ChannelModel(self.CELLS, np.array(speeds), shadow, 2.14e9, 6,
-                             1e-14, seed)
-        assert model.n_moving == sum(s > 0 for s in speeds)
         pos = np.column_stack([np.linspace(60.0, 700.0, n),
                                np.linspace(-40.0, 300.0, n)])
+        model = ChannelModel(self.CELLS, pos, np.array(speeds), shadow,
+                             2.14e9, 6, seed)
+        assert model.n_moving == sum(s > 0 for s in speeds)
         for tti in (0, 63, 64, 130):
-            moving = model.snapshot(tti, pos)
+            moving = model.snapshot(tti, _moving_gamma(model, pos))
             assert moving.shape == (model.n_moving, len(self.CELLS), 6)
             np.testing.assert_array_equal(
                 np.concatenate((moving, model.static_h)),
@@ -232,45 +248,42 @@ class TestStaticMovingSplit:
     def test_snapshots_do_not_share_memory(self):
         """A kept snapshot (e.g. a delayed report's) is not overwritten by
         a later one, even within one block of tap gains."""
-        model = ChannelModel(self.CELLS, np.array([27.8, 13.9, 0.0]),
-                             np.zeros((3, len(self.CELLS))), 2.14e9, 6, 1e-14,
-                             seed=1)
         pos = np.array([[100.0, 50.0], [300.0, 10.0], [-80.0, 200.0]])
-        a = model.snapshot(0, pos)
+        model = ChannelModel(self.CELLS, pos, np.array([27.8, 13.9, 0.0]),
+                             np.zeros((3, len(self.CELLS))), 2.14e9, 6,
+                             seed=1)
+        gamma = _moving_gamma(model, pos)
+        a = model.snapshot(0, gamma)
         kept = a.copy()
-        b = model.snapshot(1, pos)
+        b = model.snapshot(1, gamma)
         assert not np.shares_memory(a, b)
         assert not np.shares_memory(a, model.static_h)
         np.testing.assert_array_equal(a, kept)
         assert not np.array_equal(a, b)
 
-    def test_static_user_that_moves_rejected(self):
-        model = ChannelModel(self.CELLS, np.array([27.8, 0.0]),
-                             np.zeros((2, len(self.CELLS))), 2.14e9, 6, 1e-14,
+    def test_amplitude_of_other_users_rejected(self):
+        """A one-row amplitude would broadcast over every moving row."""
+        pos = np.array([[100.0, 50.0], [300.0, 10.0], [-80.0, 200.0]])
+        model = ChannelModel(self.CELLS, pos, np.array([27.8, 13.9, 0.0]),
+                             np.zeros((3, len(self.CELLS))), 2.14e9, 6,
                              seed=1)
-        pos = np.array([[100.0, 50.0], [300.0, 10.0]])
-        model.snapshot(0, pos)
-        pos[0] += 1.0  # the moving user may move
-        model.snapshot(1, pos)
-        pos[1, 0] += 1e-9
-        with pytest.raises(channel.ChannelStateError, match="position"):
-            model.snapshot(2, pos)
+        with pytest.raises(channel.ChannelStateError, match="moving"):
+            model.snapshot(0, _moving_gamma(model, pos)[:1])
 
     def test_amplitude_rows_match_all_users(self):
         shadow = draw_shadowing(5, len(self.CELLS), 8.0, 3)
-        model = ChannelModel(self.CELLS, np.zeros(5), shadow, 2.14e9, 6,
-                             1e-14, seed=3)
         pos = np.column_stack([np.linspace(10.0, 900.0, 5),
                                np.linspace(-300.0, 40.0, 5)])
-        full = model.amplitude_gain(pos)
+        model = ChannelModel(self.CELLS, pos, np.zeros(5), shadow, 2.14e9, 6,
+                             seed=3)
+        full = model.amplitude_gain(pos, slice(None))
         np.testing.assert_array_equal(
             model.amplitude_gain(pos[1:4], slice(1, 4)), full[1:4])
 
     def test_static_user_before_moving_one_rejected(self):
         with pytest.raises(channel.ChannelStateError, match="precede"):
-            ChannelModel(self.CELLS, np.array([0.0, 27.8]),
-                         np.zeros((2, len(self.CELLS))), 2.14e9, 6, 1e-14,
-                         seed=1)
+            ChannelModel(self.CELLS, np.zeros((2, 2)), np.array([0.0, 27.8]),
+                         np.zeros((2, len(self.CELLS))), 2.14e9, 6, seed=1)
 
 
 def test_noise_variance_arithmetic():

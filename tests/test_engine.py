@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsfnsim import engine, link, scheduler, topology
+from mbsfnsim import channel, engine, link, scheduler, topology
 from mbsfnsim.engine import ScenarioConfig, derived_seeds, replicate, run
 
 
@@ -112,6 +112,23 @@ class TestRunBasics:
         rec = run(small_config())
         assert rec.entries
         assert all(e.latency_ttis >= 1 for e in rec.entries)
+
+
+def test_one_pathloss_evaluation_per_tti(monkeypatch):
+    """Handover and the channel snapshot share each TTI's macroscopic gain:
+    one `pathloss_db` call per TTI, plus one for the static rows at set-up."""
+    calls = []
+    original = channel.pathloss_db
+
+    def counted(distance_m):
+        calls.append(np.shape(distance_m))
+        return original(distance_m)
+
+    monkeypatch.setattr(channel, "pathloss_db", counted)
+    cfg = small_config(n_tti=64, shadowing_std_db=8.0)
+    rec = run(cfg)
+    assert cfg.car_speed_kmh > 0 and rec.sources
+    assert len(calls) <= cfg.n_tti + 1, calls[:4]
 
 
 short_configs = st.builds(
@@ -252,18 +269,16 @@ def _mi_rows(sinr_rows):
     return 10.0 * np.log10(np.maximum(2.0 ** mi - 1.0, 1e-30))
 
 
-def _per_slot_oracle(slots, report_sinr, sinr, n_re_per_rb, slope,
-                     perfect_decode, rng):
+def _per_slot_oracle(slots, sinr, n_re_per_rb, slope, perfect_decode, rng):
     """The ordinary stage as one (1, rb_count) evaluation, one BLER call
     and one size-1 draw per slot."""
     cqi, bits, ok = [], [], []
     for row, rb_start, rb_count in slots:
         rbs = slice(rb_start, rb_start + rb_count)
-        eff_rep = _mi_rows(report_sinr[row][None, rbs])
-        idx = np.searchsorted(link.CQI_TABLE.thresholds_db, eff_rep + 1e-12,
+        eff_db = _mi_rows(sinr[row][None, rbs])
+        idx = np.searchsorted(link.CQI_TABLE.thresholds_db, eff_db + 1e-12,
                               side="right")
         cq = max(int(np.maximum(idx, 1)[0]), 1)
-        eff_db = _mi_rows(sinr[row][None, rbs])
         if perfect_decode:
             success = True
         else:
@@ -284,8 +299,9 @@ class TestOrdinaryStage:
         gen = np.random.default_rng(n_rb + perfect_decode)
         n_rows = 9
         for trial in range(5):
-            report = 10.0 ** (gen.uniform(-15.0, 30.0, (n_rows, n_rb)) / 10.0)
-            current = 10.0 ** (gen.uniform(-15.0, 30.0, (n_rows, n_rb)) / 10.0)
+            # Down to far below CQI 1's threshold, so that some blocks fail
+            # although CQI and decode read the same SINR.
+            sinr = 10.0 ** (gen.uniform(-25.0, 30.0, (n_rows, n_rb)) / 10.0)
             # Several slots of every length, so each length group is
             # evaluated as a multi-row array.
             slots = []
@@ -297,10 +313,9 @@ class TestOrdinaryStage:
             rng_a = np.random.default_rng(trial)
             rng_b = np.random.default_rng(trial)
             bits, ok = engine.ordinary_stage(
-                slots, report, current, 100,
-                engine.decoder(1.0, perfect_decode, rng_a))
+                slots, sinr, 100, engine.decoder(1.0, perfect_decode, rng_a))
             _, want_bits, want_ok = _per_slot_oracle(
-                slots, report, current, 100, 1.0, perfect_decode, rng_b)
+                slots, sinr, 100, 1.0, perfect_decode, rng_b)
             np.testing.assert_array_equal(bits, want_bits)
             assert bits.tolist() == want_bits
             np.testing.assert_array_equal(ok, want_ok)
@@ -311,16 +326,16 @@ class TestOrdinaryStage:
     def test_round_robin_slots(self):
         """Two lengths per cell, as round robin hands them out."""
         gen = np.random.default_rng(3)
-        report = 10.0 ** (gen.uniform(-5.0, 20.0, (6, 25)) / 10.0)
+        sinr = 10.0 ** (gen.uniform(-5.0, 20.0, (6, 25)) / 10.0)
         slots = [(row, start, count) for row, (_, start, count) in
                  enumerate(scheduler.schedule_unicast_ordinary(
                      range(6), 25, rr_offset=4))]
         assert {c for _, _, c in slots} == {4, 5}
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         bits, ok = engine.ordinary_stage(
-            slots, report, report, 100, engine.decoder(1.0, False, rng_a))
+            slots, sinr, 100, engine.decoder(1.0, False, rng_a))
         _, want_bits, want_ok = _per_slot_oracle(
-            slots, report, report, 100, 1.0, False, rng_b)
+            slots, sinr, 100, 1.0, False, rng_b)
         assert (bits.tolist(), ok.tolist()) == (want_bits, want_ok)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -328,8 +343,7 @@ class TestOrdinaryStage:
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         bits, ok = engine.ordinary_stage(
-            [], np.ones((2, 25)), np.ones((2, 25)), 100,
-            engine.decoder(1.0, False, rng))
+            [], np.ones((2, 25)), 100, engine.decoder(1.0, False, rng))
         assert len(bits) == len(ok) == 0
         assert rng.bit_generator.state == state
 

@@ -1,6 +1,7 @@
 """Golden digests: short runs of the four acceptance-battery configs,
-plus adaptive unicast and three configs that take the channel's and the
-engine's edge paths (static cars, a delayed unicast report, no cars).
+plus adaptive unicast, three configs that take the channel's and the
+engine's edge paths (static cars, a delayed unicast report, no cars) and
+two with shadowing, where handover follows the gain, not the distance.
 
 Each run's artifact files (name and bytes, as `metrics.write_run_outputs`
 emits them) and its per-TTI RB arrays are hashed with SHA-256 and compared
@@ -37,6 +38,11 @@ CONFIGS = {
                                   cqi_feedback_delay_tti=2),
     # No sources at all: only the ordinary users are served.
     "mc_no_cars": replace(BASE, cars_per_cell=0),
+    # With shadowing the strongest cell need not be the nearest one.
+    "mc_shadow8": replace(BASE, shadowing_std_db=8.0),
+    "uc_adaptive_shadow8": replace(BASE, mode="unicast_baseline",
+                                   cqi_policy="adaptive",
+                                   shadowing_std_db=8.0),
 }
 
 GOLDEN = {
@@ -56,6 +62,10 @@ GOLDEN = {
                            "9f6e9fca67da090f3f601108c0be7dd1"),
     "mc_no_cars": ("bc4d3500961d9883ea39c7aecd5fcf7e"
                    "04585a1f5b4814aea5f69c3097c81dbb"),
+    "mc_shadow8": ("d52af182cffd712b507b500236b08f39"
+                   "8bbd5ef1e5cceafb75616f914d0eff9a"),
+    "uc_adaptive_shadow8": ("809abf89f6632b6b5ae3eced41dcdb7f"
+                            "e9cf4c8f8ff608b94eb1f6ccc3a946d6"),
 }
 
 

@@ -6,8 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbsfnsim import engine, link
-from mbsfnsim.link import (CqiRangeError, bler, cqi_efficiency,
-                           cqi_threshold_db, effective_sinr, sinr_to_cqi)
+from mbsfnsim.link import CqiRangeError, bler, cqi_efficiency
+
+
+def cqi_threshold_db(cqi_index, table=link.CQI_TABLE) -> float:
+    return float(table.thresholds_db[cqi_index - 1])
+
+
+def _cqi(sinr_per_rb) -> int:
+    """CQI of one RB set through the production row path."""
+    rows = np.array([sinr_per_rb], dtype=float)
+    return int(link.cqi_from_sinr_rows(rows)[0])
+
+
+def _oracle_cqi(sinr_per_rb) -> int:
+    """Explicit mutual-information average, then a linear table scan."""
+    mi = np.mean([math.log2(1 + s) for s in sinr_per_rb])
+    eff_db = 10 * math.log10(2 ** mi - 1)
+    expected = 1
+    for entry in link.CQI_TABLE.entries:
+        if entry.sinr_threshold_db <= eff_db:
+            expected = entry.index
+    return expected
 
 
 def _h(h_per_cell):
@@ -107,38 +127,27 @@ class TestSinrFormulas:
 
 class TestCqiMapping:
     def test_floor_of_table(self):
-        assert sinr_to_cqi([10 ** (-1.0)] * 4) == 1
+        assert _cqi([10 ** (-1.0)] * 4) == 1
 
     def test_boundary_inclusive(self):
         thr = cqi_threshold_db(7)
-        assert sinr_to_cqi([10 ** (thr / 10.0)] * 6) == 7
+        assert _cqi([10 ** (thr / 10.0)] * 6) == 7
 
     def test_mixed_rbs_against_oracle(self):
         sinrs = [10 ** 0.0, 10 ** 1.0]  # 0 dB and 10 dB
-        got = sinr_to_cqi(sinrs)
-        # explicit mutual-information average, then a linear table scan
-        mi = np.mean([math.log2(1 + s) for s in sinrs])
-        eff_db = 10 * math.log10(2 ** mi - 1)
-        expected = 1
-        for entry in link.CQI_TABLE.entries:
-            if entry.sinr_threshold_db <= eff_db:
-                expected = entry.index
-        assert got == expected
+        assert _cqi(sinrs) == _oracle_cqi(sinrs) == 6
 
     @given(st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=8),
            st.floats(1.0, 100.0))
     @settings(max_examples=60, deadline=None)
     def test_monotone_under_uniform_scaling(self, sinrs, scale):
-        base = sinr_to_cqi(sinrs)
-        scaled = sinr_to_cqi([s * scale for s in sinrs])
+        base = _cqi(sinrs)
+        scaled = _cqi([s * scale for s in sinrs])
         assert scaled >= base
 
     def test_effective_sinr_of_equal_rbs(self):
-        assert effective_sinr([2.5, 2.5, 2.5]) == pytest.approx(2.5)
-
-    def test_effective_sinr_empty_error(self):
-        with pytest.raises(ValueError):
-            effective_sinr([])
+        assert link.effective_sinr_db_rows(np.full((1, 3), 2.5))[0] == \
+            pytest.approx(10.0 * math.log10(2.5))
 
 
 class TestEfficiencyTable:
@@ -242,4 +251,4 @@ class TestRowHelpers:
         for k in range(len(rows)):
             assert link.effective_sinr_db_rows(rows[k:k + 1])[0] == eff_db[k]
             assert link.cqi_from_sinr_rows(rows[k:k + 1])[0] == cqi[k]
-            assert cqi[k] == sinr_to_cqi(rows[k])
+            assert cqi[k] == _oracle_cqi(rows[k])

@@ -68,12 +68,12 @@ class TestRequiredSubframes:
 
 class TestFramePlan:
     def test_reserved_pattern(self):
-        plan = build_frame_plan(6, 25)
+        plan = build_frame_plan(6, 25, 100)
         reserved = [t for t in range(20) if plan.is_reserved(t)]
         assert reserved == [1, 2, 3, 6, 7, 8, 11, 12, 13, 16, 17, 18]
 
     def test_no_reservation(self):
-        plan = build_frame_plan(0, 25)
+        plan = build_frame_plan(0, 25, 100)
         assert not any(plan.is_reserved(t) for t in range(30))
 
     def test_legal_set_enforced(self):

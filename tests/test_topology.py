@@ -115,6 +115,18 @@ class TestDropUsers:
             drop_users(layout, 2, 3, 27.78, rng_seed=1)
 
 
+def _distance_gain(layout):
+    """A gain that falls with distance alone: handover to the nearest cell."""
+    def gain(positions):
+        return -np.linalg.norm(positions[:, None, :]
+                               - layout.cell_positions[None], axis=2)
+    return gain
+
+
+def _everyone(pop):
+    return np.arange(pop.n_users)
+
+
 def _single_car_population(layout, position, velocity):
     return topology.UserPopulation(
         layout=layout,
@@ -129,28 +141,31 @@ class TestAdvanceMobility:
     def test_kinematics(self):
         layout = build_layout(1, 1, 500.0)
         pop = _single_car_population(layout, (0.0, 0.0), (27.78, 0.0))
-        advance_mobility(pop, 1.0)
+        advance_mobility(pop, 1.0, _distance_gain(layout), [0])
         np.testing.assert_allclose(pop.positions[0], (27.78, 0.0))
 
     def test_zero_dt_identity(self):
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 6, 3, 27.78, rng_seed=1)
         positions, serving = pop.positions.copy(), pop.serving_cell.copy()
-        advance_mobility(pop, 0.0)
+        # A drop cell is its user's nearest cell, so nobody hands over.
+        gains = advance_mobility(pop, 0.0, _distance_gain(layout),
+                                 _everyone(pop))
         np.testing.assert_array_equal(pop.positions, positions)
         np.testing.assert_array_equal(pop.serving_cell, serving)
+        assert gains.shape == (len(pop.car_ids()), layout.n_cells)
 
     def test_negative_dt_rejected(self):
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 1, 1, 10.0, rng_seed=1)
         with pytest.raises(ConfigurationError):
-            advance_mobility(pop, -1.0)
+            advance_mobility(pop, -1.0, _distance_gain(layout), [0])
 
     def test_wrap_and_reselection_against_gain_scan(self):
         layout = build_layout(1, 1, 500.0)
         radius = layout.boundary_radius
         pop = _single_car_population(layout, (radius - 1.0, 0.0), (100.0, 0.0))
-        advance_mobility(pop, 1.0)
+        advance_mobility(pop, 1.0, _distance_gain(layout), [0])
         assert np.hypot(*pop.positions[0]) <= radius + 1e-9
         assert pop.positions[0][0] < 0  # re-entered on the opposite side
 
@@ -158,13 +173,13 @@ class TestAdvanceMobility:
         rng = np.random.default_rng(0)
         shadow = rng.normal(0.0, 8.0, size=(1, layout.n_cells))
 
-        def gain_db(user_ids, positions):
+        def gain_db(positions):
             d = np.hypot(*(positions[:, None, :]
                            - layout.cell_positions[None, :, :]).T).T
             return -(128.1 + 37.6 * np.log10(np.maximum(d, 35.0) / 1000.0)) \
-                + shadow[user_ids]
+                + shadow
 
-        advance_mobility(pop, 1.0, gain_db_fn=gain_db)
+        gains = advance_mobility(pop, 1.0, gain_db, [0])
         expected = []
         for cell in range(layout.n_cells):
             d = max(np.hypot(*(pop.positions[0]
@@ -172,6 +187,8 @@ class TestAdvanceMobility:
             expected.append(-(128.1 + 37.6 * math.log10(d / 1000.0))
                             + shadow[0, cell])
         assert int(pop.serving_cell[0]) == int(np.argmax(expected))
+        # The gains used for the handover are returned, for reuse.
+        np.testing.assert_allclose(gains[0], expected)
 
     def test_preserves_counts_and_kinds(self):
         layout = build_layout(1, 1, 500.0)
@@ -179,7 +196,7 @@ class TestAdvanceMobility:
         n_users, is_car = pop.n_users, pop.is_car.copy()
         positions = pop.positions.copy()
         for _ in range(50):
-            advance_mobility(pop, 5.0)
+            advance_mobility(pop, 5.0, _distance_gain(layout), _everyone(pop))
         assert pop.n_users == n_users
         np.testing.assert_array_equal(pop.is_car, is_car)
         radius = layout.boundary_radius
@@ -202,14 +219,18 @@ class TestAdvanceMobility:
         shadow = np.random.default_rng(2).normal(
             0.0, 8.0, size=(subset_pop.n_users, layout.n_cells))
 
-        def gain_db(user_ids, pos):
-            d = np.linalg.norm(pos[:, None, :] - layout.cell_positions[None],
-                               axis=2)
-            return -d + shadow[user_ids]
+        def gain_db(movers):
+            """The gain of `movers`, the users that move, in user order."""
+            def gain(pos):
+                d = np.linalg.norm(pos[:, None, :]
+                                   - layout.cell_positions[None], axis=2)
+                return -d + shadow[movers]
+            return gain
 
         for _ in range(40):  # long enough for wraps and handovers
-            advance_mobility(subset_pop, 1.0, gain_db, users=given)
-            advance_mobility(full_pop, 1.0, gain_db)
+            advance_mobility(subset_pop, 1.0, gain_db(cars[::3]), given)
+            advance_mobility(full_pop, 1.0, gain_db(cars),
+                             _everyone(full_pop))
         np.testing.assert_array_equal(subset_pop.positions[given],
                                       full_pop.positions[given])
         np.testing.assert_array_equal(subset_pop.serving_cell[given],
