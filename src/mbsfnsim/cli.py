@@ -194,6 +194,12 @@ def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
             for policy, value in policies:
                 cells.append(replace(base_cfg, mode=mode, bandwidth_mhz=bw,
                                      cqi_policy=policy, cqi_value=value))
+    try:
+        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    except ValueError:
+        print(f"error: {WORKERS_ENV}: must be an integer, got "
+              f"{os.environ[WORKERS_ENV]!r}", file=sys.stderr)
+        return 2
     if len(cells) < 2:
         print("error: compare needs at least two matrix cells",
               file=sys.stderr)
@@ -206,7 +212,6 @@ def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(engine.run, cells))

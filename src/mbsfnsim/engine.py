@@ -13,8 +13,10 @@ users' rows at construction, so the ordinary users' SINR is computed once,
 before the loop.  Each TTI only the tracked cars move, and their
 macroscopic gain is evaluated once: mobility hands each car over to its
 strongest cell with it, and the snapshot scales the cars' fading by it.
-The delivery then derives the link state it reads from the sources' rows
-alone; the feedback-delay cache keeps that state.
+The delivery then derives one (source, rb) SINR grid from the sources'
+rows alone: the MBSFN SINR in multicast mode, the SINR against the drop
+cell in unicast mode.  The feedback-delay cache keeps that grid; CQI
+reports read the cached one and decoding reads this TTI's.
 """
 # No `from __future__ import annotations`: the scenario parser and
 # `validate` read ScenarioConfig's field types as classes at run time.
@@ -82,6 +84,21 @@ class ScenarioConfig:
     seed: int = _spec(1, "run", at_least=0)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, low, above = (getattr(self, f.name), f.metadata["at_least"],
+                                 f.metadata["above"])
+            # An int is a float here; a bool is neither an int nor a float.
+            accepted = (int, float) if f.type is float else f.type
+            if (not isinstance(value, accepted)
+                    or isinstance(value, bool) and f.type is not bool):
+                raise ValueError(f"{f.name} must be {f.type.__name__}, "
+                                 f"got {value!r}")
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if low is not None and value < low:
+                raise ValueError(f"{f.name} must be >= {low}")
+            if above is not None and value <= above:
+                raise ValueError(f"{f.name} must be > {above}")
         if self.mode not in (MODE_MULTICAST, MODE_UNICAST_BASELINE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.cqi_policy not in (POLICY_FIXED, POLICY_ADAPTIVE):
@@ -94,15 +111,6 @@ class ScenarioConfig:
             raise ValueError("adaptive CQI bound must be in 0..15")
         if not 1 <= self.reservation_cqi <= 15:
             raise ValueError("reservation_cqi must be in 1..15")
-        for f in fields(self):
-            value, low, above = (getattr(self, f.name), f.metadata["at_least"],
-                                 f.metadata["above"])
-            if f.type is float and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if low is not None and value < low:
-                raise ValueError(f"{f.name} must be >= {low}")
-            if above is not None and value <= above:
-                raise ValueError(f"{f.name} must be > {above}")
         if self.cars_per_cell > self.users_per_cell:
             raise ValueError("cars_per_cell exceeds users_per_cell")
 
@@ -147,12 +155,6 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
-
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -164,7 +166,6 @@ class _McastJob:
     sequence: int
     receivers: frozenset[int]
     failed: set[int] = field(default_factory=set)
-    alive: bool = True
 
 
 @dataclass(slots=True, eq=False)
@@ -174,7 +175,6 @@ class _CopyJob:
     receiver: int
     residual: float
     cqi: int = 1
-    alive: bool = True
 
 
 @dataclass
@@ -260,6 +260,7 @@ class MulticastDelivery:
     The reservation is sized once from the sizing CQI, whatever the rate
     adaptation.  A reserved subframe carries no ordinary traffic unless it
     has nothing to send and `reassign_unused_subframes` hands it back.
+    `pending` holds each source's undelivered message, oldest first.
     """
 
     def __init__(self, cfg: ScenarioConfig, table: link.CqiTable, area_cells,
@@ -281,26 +282,22 @@ class MulticastDelivery:
                         "%d subframes per frame", exc, reserved)
             self.congested = True
         self.reserved_per_frame = reserved
-        self.plan = scheduler.build_frame_plan(reserved, cfg.n_rb,
-                                               cfg.usable_re_per_rb)
+        self.reserved = scheduler.reserved_subframes(reserved)
         # One generation period's messages over the RB grid.
         self.analytic_utilization_pct = metrics.utilization(
             cfg.cam_size_bits, len(buffers), cfg.n_rb * cfg.cam_period_ttis,
             cfg.usable_re_per_rb, sizing_eff)
         self.multicast_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
         self.cam_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
-        self.queue: deque[_McastJob] = deque()
-        self.current: dict[int, _McastJob] = {}
+        self.pending: dict[int, _McastJob] = {}
 
     def add(self, packet: traffic.CamPacket, receivers) -> None:
-        """Queue a generated message, replacing its source's undelivered
-        predecessor."""
-        if (old := self.current.get(packet.source_user_id)) is not None:
-            old.alive = False
-        job = _McastJob(packet.source_user_id, packet.sequence,
-                        frozenset(receivers))
-        self.current[job.source] = job
-        self.queue.append(job)
+        """Queue a generated message at the back, replacing its source's
+        undelivered predecessor."""
+        src = packet.source_user_id
+        self.pending.pop(src, None)
+        self.pending[src] = _McastJob(src, packet.sequence,
+                                      frozenset(receivers))
 
     def link_state(self, h: np.ndarray) -> np.ndarray:
         """The sources' (source, rb) multicast SINR, from their rows of h."""
@@ -312,19 +309,18 @@ class MulticastDelivery:
         """Send and decode this TTI's messages, with `link_state` of this
         TTI and of the report; returns the RBs each area cell leaves to
         ordinary users."""
-        plan, buffers = self.plan, self.buffers
-        if not plan.is_reserved(tti):
-            return dict.fromkeys(self.area_cells, plan.n_rb_per_subframe)
-        pending = [j for j in self.queue
-                   if j.alive and buffers[j.source].residual_bits > 0]
-        if not pending:
+        cfg, buffers = self.cfg, self.buffers
+        if tti % scheduler.SUBFRAMES_PER_FRAME not in self.reserved:
+            return dict.fromkeys(self.area_cells, cfg.n_rb)
+        if not self.pending:
             # A fully unused reserved subframe goes back, if allowed.
-            return dict.fromkeys(self.area_cells, plan.n_rb_per_subframe
-                                 if self.cfg.reassign_unused_subframes else 0)
+            return dict.fromkeys(self.area_cells, cfg.n_rb
+                                 if cfg.reassign_unused_subframes else 0)
         tx_cqi = self._tx_cqi(area_sources, report)
         allocations, used = scheduler.schedule_multicast(
-            [(j, buffers[j.source].residual_bits) for j in pending],
-            plan.n_rb_per_subframe, plan.n_re_per_rb,
+            [(j, buffers[j.source].residual_bits)
+             for j in self.pending.values()],
+            cfg.n_rb, cfg.usable_re_per_rb,
             link.cqi_efficiency(tx_cqi, self.table))
         self.multicast_rb_per_tti[tti] = used
         for alloc in allocations:
@@ -340,11 +336,9 @@ class MulticastDelivery:
             buf = buffers[job.source]
             traffic.consume(buf, alloc.capacity_bits)
             if buf.residual_bits <= 0:
-                job.alive = False
+                del self.pending[job.source]
                 self.recorder.on_delivery(job.source, job.sequence, tti + 1,
                                           job.receivers - job.failed)
-        while self.queue and not self.queue[0].alive:
-            self.queue.popleft()
         return dict.fromkeys(self.area_cells, 0)
 
     def _tx_cqi(self, area_sources, report: np.ndarray) -> int:
@@ -370,6 +364,8 @@ class UnicastDelivery:
 
     Recipients stay subscribed at their drop cell, so ring cells never carry
     copies and every area cell carries the same recipients-per-cell load.
+    `pending[cell]` holds the cell's undelivered copies, oldest first, keyed
+    by (source, receiver).
     """
     reserved_per_frame = 0
     congested = False
@@ -380,6 +376,7 @@ class UnicastDelivery:
         self.drop_cell, self.recorder = drop_cell, recorder
         self.row_of, self.decode = row_of, decode
         self.noise_variance = noise_variance
+        self.source_cells = np.array(list(drop_cell.values()), dtype=int)
         # One generation period's copies over the area cells' RB grids.
         n_sources = len(drop_cell)
         self.analytic_utilization_pct = metrics.utilization(
@@ -388,25 +385,26 @@ class UnicastDelivery:
             cfg.usable_re_per_rb, link.cqi_efficiency(cfg.sizing_cqi, table))
         self.multicast_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
         self.cam_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
-        self.queues = {c: deque() for c in area_cells}
-        self.current: dict[tuple[int, int], _CopyJob] = {}
+        self.pending: dict[int, dict[tuple[int, int], _CopyJob]] = {
+            c: {} for c in area_cells}
 
     def add(self, packet: traffic.CamPacket, receivers) -> None:
-        """Queue one copy per receiver, replacing the undelivered copy of
-        the source's predecessor to that receiver."""
+        """Queue one copy per receiver at the back of its drop cell's
+        queue, replacing the undelivered copy of the source's predecessor
+        to that receiver."""
         src = packet.source_user_id
         for recv in sorted(receivers):
-            if (old := self.current.get((src, recv))) is not None:
-                old.alive = False
-            copy = _CopyJob(src, packet.sequence, recv,
-                            float(packet.size_bits))
-            self.current[(src, recv)] = copy
-            self.queues[self.drop_cell[recv]].append(copy)
+            queue = self.pending[self.drop_cell[recv]]
+            queue.pop((src, recv), None)
+            queue[(src, recv)] = _CopyJob(src, packet.sequence, recv,
+                                          float(packet.size_bits))
 
-    def link_state(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The sources' received power per (source, cell, rb) and its total
-        over cells, from their rows of h; every copy receiver is a source."""
-        return link.power_components(h)
+    def link_state(self, h: np.ndarray) -> np.ndarray:
+        """The sources' (source, rb) SINR against their drop cells, from
+        their rows of h; every copy receiver is a source."""
+        return link.sinr_vs_cell(*link.power_components(h),
+                                 np.arange(len(self.source_cells)),
+                                 self.source_cells, self.noise_variance)
 
     def serve(self, tti: int, area_sources, now, report) -> dict[int, int]:
         """Schedule every area cell's copies, then decode the granted ones
@@ -415,13 +413,11 @@ class UnicastDelivery:
         n_rb, n_re = self.cfg.n_rb, self.cfg.usable_re_per_rb
         price = functools.partial(self._price, report=report)
         left, granted = {}, []
-        for cell, q in self.queues.items():
-            while q and (not q[0].alive or q[0].residual <= 0):
-                q.popleft()
+        for cell, queue in self.pending.items():
             # Only the copies that fit are priced; a copy's CQI is read
             # only after it is granted RBs in this subframe.
             items = scheduler.price_until_full(
-                ((c, c.residual) for c in q if c.alive), price, n_rb, n_re)
+                ((c, c.residual) for c in queue.values()), price, n_rb, n_re)
             allocations, used = scheduler.schedule_unicast_cam_baseline(
                 items, n_rb, n_re)
             self.cam_rb_per_tti[tti] += used
@@ -431,12 +427,8 @@ class UnicastDelivery:
             return left
         # One draw per copy, in cell-then-allocation order.
         copies = [alloc.key for alloc in granted]
-        sinr = link.sinr_vs_cell(*now,
-                                 [self.row_of[c.receiver] for c in copies],
-                                 [self.drop_cell[c.receiver] for c in copies],
-                                 self.noise_variance)
         eff_db = link.effective_sinr_db_slices(
-            sinr, np.arange(len(granted)),
+            now, np.array([self.row_of[c.receiver] for c in copies]),
             np.array([a.rb_start for a in granted]),
             np.array([a.rb_count for a in granted]))
         ok = self.decode(eff_db, np.array([c.cqi for c in copies]))
@@ -444,23 +436,22 @@ class UnicastDelivery:
             if success:
                 copy.residual = max(copy.residual - alloc.capacity_bits, 0.0)
             if copy.residual <= 0:
-                copy.alive = False
+                del self.pending[self.drop_cell[copy.receiver]][
+                    copy.source, copy.receiver]
                 self.recorder.on_delivery(copy.source, copy.sequence,
                                           tti + 1, {copy.receiver})
         return left
 
     def _price(self, copy: _CopyJob, report) -> float:
-        """Set the copy's CQI from the report towards its queue cell;
-        returns its efficiency."""
+        """Set the copy's CQI from its receiver's reported SINR towards
+        the drop cell; returns its efficiency."""
         cfg = self.cfg
         if cfg.cqi_policy == POLICY_FIXED:
             copy.cqi = cfg.cqi_value
         else:
-            rep = link.sinr_vs_cell(*report, [self.row_of[copy.receiver]],
-                                    [self.drop_cell[copy.receiver]],
-                                    self.noise_variance)
-            copy.cqi = max(int(link.cqi_from_sinr_rows(rep, self.table)[0]),
-                           max(cfg.cqi_value, 1))
+            row = self.row_of[copy.receiver]
+            copy.cqi = max(int(link.cqi_from_sinr_rows(
+                report[row, None], self.table)[0]), max(cfg.cqi_value, 1))
         return link.cqi_efficiency(copy.cqi, self.table)
 
     def measured_utilization_pct(self) -> float:
@@ -536,11 +527,11 @@ def run(config: ScenarioConfig) -> RunRecord:
                     "unbounded latency growth",
                     delivery.analytic_utilization_pct)
 
-    ordinary_by_cell = {c: [u for u in ordinary_tracked
+    # Ordinary users go by their row of ordinary_sinr and ordinary_bits.
+    ordinary_by_cell = {c: [row for row, u in enumerate(ordinary_tracked)
                             if int(pop.drop_cell[u]) == c]
                         for c in area_cells}
-    ordinary_row = {u: i for i, u in enumerate(ordinary_tracked)}
-    ordinary_bits = {u: 0.0 for u in ordinary_tracked}
+    ordinary_bits = np.zeros(len(ordinary_tracked))
     # A static user's SINR, reported or current, never changes.
     ordinary_sinr = link.sinr_vs_cell(
         *link.power_components(model.static_h[n_sources - model.n_moving:]),
@@ -582,28 +573,23 @@ def run(config: ScenarioConfig) -> RunRecord:
 
         # Messages first, then the ordinary users on what is left.
         left = delivery.serve(tti, area_now, now, report)
-        slots, slot_users = [], []
-        for cell, users in ordinary_by_cell.items():
-            if not users or left[cell] <= 0:
+        slots = []
+        for cell, rows in ordinary_by_cell.items():
+            if not rows or left[cell] <= 0:
                 continue
-            for user, rb_start, rb_count in scheduler.schedule_unicast_ordinary(
-                    users, left[cell], rr_offset[cell]):
-                if rb_count > 0:
-                    slots.append((ordinary_row[user], rb_start, rb_count))
-                    slot_users.append(user)
+            slots += [slot for slot in scheduler.schedule_unicast_ordinary(
+                rows, left[cell], rr_offset[cell]) if slot[2] > 0]
             rr_offset[cell] += 1
         if slots:
             # Rate adaptation on the assigned slice, not the whole band.
             bits, ok = ordinary_stage(slots, ordinary_sinr,
                                       cfg.usable_re_per_rb, decode, table)
-            for user, b, success in zip(slot_users, bits.tolist(),
-                                        ok.tolist()):
-                if success:
-                    ordinary_bits[user] += b
+            # A user has at most one slot per TTI, so no row repeats.
+            ordinary_bits[np.array([s[0] for s in slots])[ok]] += bits[ok]
 
     duration_s = cfg.n_tti * channel.TTI_S
-    throughput = {u: (ordinary_bits[u] / duration_s / 1e6 if duration_s else 0.0)
-                  for u in ordinary_tracked}
+    throughput = {u: (b / duration_s / 1e6 if duration_s else 0.0)
+                  for u, b in zip(ordinary_tracked, ordinary_bits.tolist())}
     return RunRecord(
         config_dict=cfg.to_dict(),
         seed=seed,

@@ -28,29 +28,13 @@ class CongestionInfeasibleError(ValueError):
     """The offered multicast load cannot fit the legal reservation."""
 
 
-@dataclass(frozen=True)
-class FramePlan:
-    reserved_subframes: tuple[int, ...]
-    n_rb_per_subframe: int
-    n_re_per_rb: int
-
-    def __post_init__(self):
-        if len(self.reserved_subframes) > len(MBSFN_LEGAL_SUBFRAMES):
-            raise SchedulingError("more than six reserved subframes per frame")
-        if not set(self.reserved_subframes) <= set(MBSFN_LEGAL_SUBFRAMES):
-            raise SchedulingError("reserved subframes outside the legal set")
-
-    def is_reserved(self, tti: int) -> bool:
-        return (tti % SUBFRAMES_PER_FRAME) in self.reserved_subframes
-
-
-def build_frame_plan(n_reserved_per_frame: int, n_rb_per_subframe: int,
-                     n_re_per_rb: int) -> FramePlan:
-    return FramePlan(
-        reserved_subframes=MBSFN_LEGAL_SUBFRAMES[:n_reserved_per_frame],
-        n_rb_per_subframe=n_rb_per_subframe,
-        n_re_per_rb=n_re_per_rb,
-    )
+def reserved_subframes(n_reserved_per_frame: int) -> frozenset[int]:
+    """The subframe numbers (tti % 10) reserved for multicast: the first
+    `n_reserved_per_frame` legal ones."""
+    if not 0 <= n_reserved_per_frame <= len(MBSFN_LEGAL_SUBFRAMES):
+        raise SchedulingError(f"{n_reserved_per_frame} reserved subframes "
+                              "per frame: more than six, or negative")
+    return frozenset(MBSFN_LEGAL_SUBFRAMES[:n_reserved_per_frame])
 
 
 def select_mbsfn_cqi(reports, bound: int) -> int:

@@ -33,10 +33,6 @@ class CellLayout:
     def n_cells(self) -> int:
         return self.cell_positions.shape[0]
 
-    @property
-    def interference_cells(self) -> frozenset[int]:
-        return frozenset(range(self.n_cells)) - self.mbsfn_cells
-
     @functools.cached_property
     def boundary_radius(self) -> float:
         """Radius of the disc that contains every cell hexagon."""

@@ -308,6 +308,20 @@ class TestCmdCompare:
         with open(out / "summary.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 2
 
+    def test_bad_worker_env_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+
+        def no_run(cfg):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(engine, "run", no_run)
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--cqi", "fixed:3,fixed:4", "--out", str(out),
+                   "--n-tti", "10"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cli.WORKERS_ENV}: ") and "abc" in err
+        assert not out.exists()
+
 
 class TestCqiTableOverride:
     def test_scenario_field_roundtrip_and_effect(self, tmp_path):

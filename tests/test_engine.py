@@ -38,6 +38,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(cars_per_cell=7).validate()
         ScenarioConfig(cqi_policy="adaptive", cqi_value=0).validate()
+        # A float field takes an int.
+        ScenarioConfig(car_speed_kmh=100, tx_power_dbm=43).validate()
 
     @pytest.mark.parametrize("field, value, others", [
         ("bler_slope_db_per_decade", 0.0, {}),
@@ -59,13 +61,24 @@ class TestConfig:
         ("noise_figure_db", float("-inf"), {}),
         ("inter_site_distance_m", float("inf"), {}),
         ("inter_site_distance_m", float("nan"), {}),
+        # Declared types: a bool is neither an int nor a float.
+        ("perfect_decode", "no", {}),
+        ("cars_per_cell", 2.5, {}),
+        ("n_tti", 10.5, {}),
+        ("cqi_value", 3.7, {}),
+        ("seed", True, {}),
+        ("car_speed_kmh", False, {}),
+        ("reassign_unused_subframes", 1, {}),
+        ("mode", 1, {}),
+        ("cqi_table_file", None, {}),
     ])
     def test_validation_names_field(self, field, value, others):
         cfg = ScenarioConfig(**{field: value, **others})
         with pytest.raises(ValueError, match=field):
             cfg.validate()
+        short = {} if field == "n_tti" else {"n_tti": 1}
         with pytest.raises(ValueError, match=field):
-            run(replace(cfg, n_tti=1))
+            run(replace(cfg, **short))
 
     def test_hash_tracks_content(self):
         a = ScenarioConfig()
@@ -76,7 +89,9 @@ class TestConfig:
     def test_roundtrip_dict(self):
         cfg = ScenarioConfig(mode="unicast_baseline", cqi_policy="adaptive",
                              cqi_value=5, n_tti=123)
-        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        again = ScenarioConfig(**cfg.to_dict())
+        again.validate()
+        assert again == cfg
 
 
 class TestRunBasics:
@@ -128,6 +143,25 @@ def test_one_pathloss_evaluation_per_tti(monkeypatch):
     cfg = small_config(n_tti=64, shadowing_std_db=8.0)
     rec = run(cfg)
     assert cfg.car_speed_kmh > 0 and rec.sources
+    assert len(calls) <= cfg.n_tti + 1, calls[:4]
+
+
+def test_one_unicast_sinr_grid_per_tti(monkeypatch):
+    """Unicast CQI pricing and decoding both read the TTI's one (source, rb)
+    SINR grid: one `sinr_vs_cell` call per TTI, plus one for the ordinary
+    users at set-up."""
+    calls = []
+    original = link.sinr_vs_cell
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return original(*args)
+
+    monkeypatch.setattr(link, "sinr_vs_cell", counted)
+    cfg = ScenarioConfig(mode="unicast_baseline", cqi_policy="adaptive",
+                         n_tti=256, seed=1)
+    rec = run(cfg)
+    assert rec.cam_rb_per_tti.any()
     assert len(calls) <= cfg.n_tti + 1, calls[:4]
 
 

@@ -1,16 +1,22 @@
 """Golden digests: short runs of the four acceptance-battery configs,
 plus adaptive unicast, three configs that take the channel's and the
-engine's edge paths (static cars, a delayed unicast report, no cars) and
-two with shadowing, where handover follows the gain, not the distance.
+engine's edge paths (static cars, a delayed unicast report, no cars), two
+with shadowing, where handover follows the gain, not the distance, and
+three multicast variants (a delayed report, no subframe hand-back, an
+adaptive CQI without a bound).
 
 Each run's artifact files (name and bytes, as `metrics.write_run_outputs`
 emits them) and its per-TTI RB arrays are hashed with SHA-256 and compared
 with a committed digest.  A refactor or speed-up must leave every digest
 unchanged; a change that moves simulated results must re-bless the digest
 here and say why.
+
+`PYTHONPATH=src python tests/test_golden.py` prints every config's digest.
 """
 import hashlib
 import os
+import pathlib
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +49,13 @@ CONFIGS = {
     "uc_adaptive_shadow8": replace(BASE, mode="unicast_baseline",
                                    cqi_policy="adaptive",
                                    shadowing_std_db=8.0),
+    # The multicast CQI chosen from a report two TTIs old.
+    "mc_adaptive_delay2": replace(BASE, cqi_policy="adaptive",
+                                  cqi_feedback_delay_tti=2),
+    # Reserved subframes with nothing to send stay empty.
+    "mc_no_reassign": replace(BASE, reassign_unused_subframes=False),
+    # Adaptive CQI with bound 0: the reservation is sized at reservation_cqi.
+    "mc_adaptive_bound0": replace(BASE, cqi_policy="adaptive", cqi_value=0),
 }
 
 GOLDEN = {
@@ -66,6 +79,12 @@ GOLDEN = {
                    "8bbd5ef1e5cceafb75616f914d0eff9a"),
     "uc_adaptive_shadow8": ("809abf89f6632b6b5ae3eced41dcdb7f"
                             "e9cf4c8f8ff608b94eb1f6ccc3a946d6"),
+    "mc_adaptive_delay2": ("8b1adc3e29c1036a6ef14d0b6169f00a"
+                           "2500015dcb755feefdd4c99c24eb2099"),
+    "mc_no_reassign": ("723075a0335f541dde67264a829bf4ca"
+                       "5fa752e351ca31a2b3ee7eb596172915"),
+    "mc_adaptive_bound0": ("a0a4c6d17928cf02f436062d3c560cff"
+                           "f615188c22c8dec6fe8762ef35ede308"),
 }
 
 
@@ -87,3 +106,9 @@ def run_digest(cfg, out_dir) -> str:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digest(name, tmp_path):
     assert run_digest(CONFIGS[name], tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(CONFIGS):
+        with tempfile.TemporaryDirectory() as out:
+            print(name, run_digest(CONFIGS[name], pathlib.Path(out)))

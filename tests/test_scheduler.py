@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from mbsfnsim import scheduler
 from mbsfnsim.link import cqi_efficiency
-from mbsfnsim.scheduler import (CongestionInfeasibleError, FramePlan,
-                                SchedulingError, build_frame_plan,
-                                required_subframes, schedule_multicast,
+from mbsfnsim.scheduler import (CongestionInfeasibleError, SchedulingError,
+                                required_subframes, reserved_subframes,
+                                schedule_multicast,
                                 schedule_unicast_cam_baseline,
                                 schedule_unicast_ordinary, select_mbsfn_cqi)
 
@@ -68,21 +68,18 @@ class TestRequiredSubframes:
 
 class TestFramePlan:
     def test_reserved_pattern(self):
-        plan = build_frame_plan(6, 25, 100)
-        reserved = [t for t in range(20) if plan.is_reserved(t)]
-        assert reserved == [1, 2, 3, 6, 7, 8, 11, 12, 13, 16, 17, 18]
+        reserved = reserved_subframes(6)
+        assert [t for t in range(20) if t % 10 in reserved] == [
+            1, 2, 3, 6, 7, 8, 11, 12, 13, 16, 17, 18]
 
     def test_no_reservation(self):
-        plan = build_frame_plan(0, 25, 100)
-        assert not any(plan.is_reserved(t) for t in range(30))
+        assert reserved_subframes(0) == frozenset()
 
     def test_legal_set_enforced(self):
+        with pytest.raises(SchedulingError, match="more than six"):
+            reserved_subframes(7)
         with pytest.raises(SchedulingError):
-            FramePlan(reserved_subframes=(0, 1), n_rb_per_subframe=25,
-                      n_re_per_rb=100)
-        with pytest.raises(SchedulingError):
-            FramePlan(reserved_subframes=(1, 2, 3, 4, 6, 7, 8),
-                      n_rb_per_subframe=25, n_re_per_rb=100)
+            reserved_subframes(-1)
 
 
 class TestScheduleMulticast:

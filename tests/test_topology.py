@@ -24,19 +24,19 @@ class TestBuildLayout:
     def test_one_mbsfn_ring_one_interference_ring(self):
         layout = build_layout(1, 1, 500.0)
         assert len(layout.mbsfn_cells) == 7
-        assert len(layout.interference_cells) == 12
+        assert layout.n_cells - len(layout.mbsfn_cells) == 12
         assert layout.n_cells == 19
 
     def test_single_cell_area(self):
         layout = build_layout(0, 1, 500.0)
         assert len(layout.mbsfn_cells) == 1
-        assert len(layout.interference_cells) == 6
+        assert layout.n_cells - len(layout.mbsfn_cells) == 6
         assert layout.n_cells == 7
 
     def test_two_mbsfn_rings(self):
         layout = build_layout(2, 1, 500.0)
         assert len(layout.mbsfn_cells) == brute_force_ring_count(2) == 19
-        assert len(layout.interference_cells) == 18
+        assert layout.n_cells - len(layout.mbsfn_cells) == 18
         assert layout.n_cells == brute_force_ring_count(3) == 37
 
     @given(st.integers(0, 3), st.integers(1, 3))
