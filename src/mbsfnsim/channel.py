@@ -107,23 +107,30 @@ class FadingBank:
         im = np.cos(self._w_im[None] * t4 + self._psi[None]).sum(axis=3)
         return scale * (re + 1j * im)
 
-    def block_tap_gains(self, t0: float, n: int, dt: float) -> np.ndarray:
-        """tap_gains at t0 + i*dt for i in 0..n-1, via a phasor recurrence.
+    def block_tap_gains(self, t0: float, steps, dt: float) -> np.ndarray:
+        """tap_gains at t0 + i*dt for each i in the ascending `steps`, via a
+        phasor recurrence: shape (len(steps), n_pairs, n_taps).
 
         Each oscillator's phasor exp(1j*(w*t0 + phase)) is evaluated once at
-        t0 and then advanced one sample by multiplying it with exp(1j*w*dt);
-        a sample is the sum of the phasors' real parts.  This replaces n
-        trig evaluations by one and drifts only at float rounding level
-        within a block.
+        t0 and then advanced one sample at a time, up to the last step, by
+        multiplying it with exp(1j*w*dt); a requested sample is the sum of
+        the phasors' real parts.  Every phasor still advances through each
+        sample, so a row is bitwise the same whichever other steps are
+        requested, while the sum is taken only at the requested ones.  This
+        replaces all trig evaluations but the first and drifts only at
+        float rounding level within a block.
         """
-        out = np.empty((n, self.n_pairs, self.n_taps), dtype=complex)
+        out = np.empty((len(steps), self.n_pairs, self.n_taps), dtype=complex)
         for w, phase, part in ((self._w_re, self._phi, out.real),
                                (self._w_im, self._psi, out.imag)):
             z = np.exp(1j * (w * t0 + phase))
             r = np.exp(1j * (w * dt))
-            for i in range(n):
-                part[i] = z.real.sum(axis=2)
-                z *= r
+            at = 0
+            for k, step in enumerate(steps):
+                for _ in range(step - at):
+                    z *= r
+                at = step
+                part[k] = z.real.sum(axis=2)
         out *= 1.0 / math.sqrt(N_OSCILLATORS)
         return out
 
@@ -156,11 +163,19 @@ class ChannelModel:
     over blocks of BLOCK_LEN consecutive TTIs; each snapshot steers one TTI
     of taps to the RB frequencies.  Both groups draw from one FadingBank
     over all pairs, so the split leaves every value unchanged.
+
+    `evaluated_ttis`, a boolean mask over TTIs 0..len-1, names the only
+    TTIs a caller reads (by default, every TTI): a block sums the taps
+    only at those, and `snapshot` at any other TTI raises.  The phasors
+    still step through every TTI of a block up to its last read one, so
+    each snapshot is bitwise the one an unrestricted model gives at the
+    same TTI.
     """
 
     def __init__(self, cell_positions: np.ndarray, positions: np.ndarray,
                  user_speeds_ms: np.ndarray, shadowing_db: np.ndarray,
-                 carrier_hz: float, n_rb: int, seed):
+                 carrier_hz: float, n_rb: int, seed,
+                 evaluated_ttis: np.ndarray | None = None):
         self.cell_positions = np.asarray(cell_positions, dtype=float)
         self.n_cells = len(self.cell_positions)
         n_users = len(user_speeds_ms)
@@ -182,11 +197,13 @@ class ChannelModel:
         split = m * self.n_cells
         self.bank = bank.subset(slice(0, split))
         self._steer = bank.steering(self.rb_freqs)
-        self._block_start = None
+        self.evaluated_ttis = evaluated_ttis
+        # The current block's tap gains and the row of each TTI in it.
         self._gains = None
+        self._rows = {}
         self._clamp_warned = False
         fading = bank.subset(slice(split, None)).block_tap_gains(
-            0.0, 1, TTI_S)[0] @ self._steer
+            0.0, (0,), TTI_S)[0] @ self._steer
         gamma = self.amplitude_gain(np.asarray(positions)[m:],
                                     slice(m, None))
         self.static_h = gamma[:, :, None] * fading.reshape(
@@ -207,14 +224,18 @@ class ChannelModel:
 
     def _tap_gains_at(self, tti: int) -> np.ndarray:
         """Moving pairs' tap gains at `tti`: (n_moving * n_cells, n_taps)."""
-        if self._block_start is None or not \
-                (self._block_start <= tti < self._block_start + BLOCK_LEN):
-            self._gains = None
+        mask = self.evaluated_ttis
+        if mask is not None and not (0 <= tti < len(mask) and mask[tti]):
+            raise ChannelStateError(f"TTI {tti} is not an evaluated TTI")
+        if tti not in self._rows:
             start = (tti // BLOCK_LEN) * BLOCK_LEN
-            self._gains = self.bank.block_tap_gains(start * TTI_S, BLOCK_LEN,
+            steps = (range(BLOCK_LEN) if mask is None else
+                     np.flatnonzero(mask[start:start + BLOCK_LEN]).tolist())
+            self._gains = None
+            self._gains = self.bank.block_tap_gains(start * TTI_S, steps,
                                                     TTI_S)
-            self._block_start = start
-        return self._gains[tti - self._block_start]
+            self._rows = {start + step: k for k, step in enumerate(steps)}
+        return self._gains[self._rows[tti]]
 
     def snapshot(self, tti: int, gamma: np.ndarray) -> np.ndarray:
         """The moving users' complex coefficients h[user, cell, rb] at `tti`,

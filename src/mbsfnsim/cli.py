@@ -194,11 +194,16 @@ def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
             for policy, value in policies:
                 cells.append(replace(base_cfg, mode=mode, bandwidth_mhz=bw,
                                      cqi_policy=policy, cqi_value=value))
+    raw_workers = os.environ.get(WORKERS_ENV, "1")
     try:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        workers = int(raw_workers)
     except ValueError:
         print(f"error: {WORKERS_ENV}: must be an integer, got "
-              f"{os.environ[WORKERS_ENV]!r}", file=sys.stderr)
+              f"{raw_workers!r}", file=sys.stderr)
+        return 2
+    if workers < 1:
+        print(f"error: {WORKERS_ENV}: must be >= 1, got {raw_workers!r}",
+              file=sys.stderr)
         return 2
     if len(cells) < 2:
         print("error: compare needs at least two matrix cells",
@@ -212,6 +217,8 @@ def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # No more processes than matrix cells.
+    workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(engine.run, cells))

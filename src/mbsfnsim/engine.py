@@ -8,15 +8,22 @@ logs are appended.  All randomness derives from the master seed through
 purpose-keyed streams, so a (config, seed) pair reproduces bit-identical
 results.
 
-The loop computes only what changes.  The channel model fixes the static
-users' rows at construction, so the ordinary users' SINR is computed once,
-before the loop.  Each TTI only the tracked cars move, and their
-macroscopic gain is evaluated once: mobility hands each car over to its
-strongest cell with it, and the snapshot scales the cars' fading by it.
-The delivery then derives one (source, rb) SINR grid from the sources'
-rows alone: the MBSFN SINR in multicast mode, the SINR against the drop
-cell in unicast mode.  The feedback-delay cache keeps that grid; CQI
-reports read the cached one and decoding reads this TTI's.
+The loop computes only what changes, and only where it is read.  The
+channel model fixes the static users' rows at construction, so the
+ordinary users' SINR is computed once, before the loop, and so is the
+sources' link state when the cars stand.  Each TTI only the tracked cars
+move, and their macroscopic gain is evaluated once: mobility hands each
+car over to its strongest cell with it, and the snapshot scales the cars'
+fading by it.  The delivery then derives one (source, rb) SINR grid from
+the sources' rows alone: the MBSFN SINR in multicast mode, the SINR
+against the drop cell in unicast mode.  The feedback-delay cache keeps
+that grid; CQI reports read the cached one and decoding reads this TTI's.
+
+A delivery reads link state only in its `read_subframes` (multicast: the
+reserved ones; unicast: all ten), and the report it reads at TTI t is the
+state of TTI max(t - delay, 0).  The snapshot and the grid are evaluated
+at those TTIs alone; elsewhere the cache holds None.  Mobility and
+handover still run every TTI.
 """
 # No `from __future__ import annotations`: the scenario parser and
 # `validate` read ScenarioConfig's field types as classes at run time.
@@ -291,6 +298,11 @@ class MulticastDelivery:
         self.cam_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
         self.pending: dict[int, _McastJob] = {}
 
+    @property
+    def read_subframes(self) -> frozenset[int]:
+        """`serve` reads link state in reserved subframes only."""
+        return self.reserved
+
     def add(self, packet: traffic.CamPacket, receivers) -> None:
         """Queue a generated message at the back, replacing its source's
         undelivered predecessor."""
@@ -369,6 +381,8 @@ class UnicastDelivery:
     """
     reserved_per_frame = 0
     congested = False
+    # Copies are sent, so link state read, in every subframe.
+    read_subframes = frozenset(range(scheduler.SUBFRAMES_PER_FRAME))
 
     def __init__(self, cfg: ScenarioConfig, table: link.CqiTable, area_cells,
                  drop_cell, recorder, row_of, decode, noise_variance: float):
@@ -487,21 +501,8 @@ def run(config: ScenarioConfig) -> RunRecord:
     row_of = {u: i for i, u in enumerate(sources)}
     n_sources = len(sources)
 
-    speeds = [float(np.hypot(*pop.velocities[u])) for u in tracked]
     noise_var = channel.noise_variance_normalized(cfg.n_rb, cfg.tx_power_dbm,
                                                   cfg.noise_figure_db)
-    model = channel.ChannelModel(
-        cell_positions=layout.cell_positions,
-        positions=pop.positions[tracked],
-        user_speeds_ms=np.asarray(speeds),
-        shadowing_db=shadow_full[tracked],
-        carrier_hz=cfg.carrier_ghz * 1e9,
-        n_rb=cfg.n_rb,
-        seed=seed,
-    )
-    # When the cars move, the sources are the model's rows 0..n_moving-1.
-    moving_gain = functools.partial(model.amplitude_gain,
-                                    rows=slice(0, model.n_moving))
     mbsfn_mask = np.isin(np.arange(layout.n_cells), area_cells)
 
     offsets = traffic.draw_offsets(n_sources, cfg.cam_period_ttis, seed)
@@ -520,6 +521,29 @@ def run(config: ScenarioConfig) -> RunRecord:
             cfg, table, area_cells,
             {src: int(pop.drop_cell[src]) for src in sources}, recorder,
             row_of, decode, noise_var)
+
+    # The TTIs whose link state is read: this TTI's in the delivery's
+    # subframes, and the report's, from TTI max(t - delay, 0).
+    reads = np.isin(np.arange(cfg.n_tti) % scheduler.SUBFRAMES_PER_FRAME,
+                    sorted(delivery.read_subframes))
+    evaluated = reads.copy()
+    evaluated[np.maximum(np.flatnonzero(reads)
+                         - cfg.cqi_feedback_delay_tti, 0)] = True
+    speeds = [float(np.hypot(*pop.velocities[u])) for u in tracked]
+    model = channel.ChannelModel(
+        cell_positions=layout.cell_positions,
+        positions=pop.positions[tracked],
+        user_speeds_ms=np.asarray(speeds),
+        shadowing_db=shadow_full[tracked],
+        carrier_hz=cfg.carrier_ghz * 1e9,
+        n_rb=cfg.n_rb,
+        seed=seed,
+        evaluated_ttis=evaluated,
+    )
+    # When the cars move, the sources are the model's rows 0..n_moving-1.
+    moving_gain = functools.partial(model.amplitude_gain,
+                                    rows=slice(0, model.n_moving))
+
     congested = delivery.congested
     if delivery.analytic_utilization_pct > 100.0:
         congested = True
@@ -537,6 +561,9 @@ def run(config: ScenarioConfig) -> RunRecord:
         *link.power_components(model.static_h[n_sources - model.n_moving:]),
         np.arange(len(ordinary_tracked)), pop.serving_cell[ordinary_tracked],
         noise_var)
+    # Standing cars are static rows, so their link state never changes.
+    static_now = (None if model.n_moving
+                  else delivery.link_state(model.static_h[:n_sources]))
     rr_offset = {c: 0 for c in area_cells}
     report_cache = deque(maxlen=cfg.cqi_feedback_delay_tti + 1)
     # Cars in the area, i.e. served by an area cell: only they are obliged
@@ -547,7 +574,6 @@ def run(config: ScenarioConfig) -> RunRecord:
     for tti in range(cfg.n_tti):
         gamma = topology.advance_mobility(pop, channel.TTI_S, moving_gain,
                                           sources)
-        h = model.snapshot(tti, gamma)
 
         # Membership follows the serving cell: a car that left the area stops
         # blocking open entries and is excluded from new recipient sets.
@@ -557,9 +583,12 @@ def run(config: ScenarioConfig) -> RunRecord:
         for gone in sorted(area_prev - area_now):
             recorder.on_receiver_exit(gone, tti)
 
-        # The sources are the moving rows, or static ones when cars stand.
-        now = delivery.link_state(
-            h if model.n_moving else model.static_h[:n_sources])
+        if static_now is not None:
+            now = static_now
+        elif evaluated[tti]:
+            now = delivery.link_state(model.snapshot(tti, gamma))
+        else:
+            now = None
         report_cache.append(now)
         report = report_cache[0]
 

@@ -121,8 +121,23 @@ class TestFading:
                           channel.VEHA_TAP_POWERS_DB, seed=13)
         dt = channel.TTI_S
         direct = bank.tap_gains((t0_tti + np.arange(n)) * dt)
-        block = bank.block_tap_gains(t0_tti * dt, n, dt)
+        block = bank.block_tap_gains(t0_tti * dt, range(n), dt)
         np.testing.assert_allclose(block, direct, **tol)
+
+    @pytest.mark.parametrize("steps", [
+        [0], [channel.BLOCK_LEN - 1], [0, channel.BLOCK_LEN - 1],
+        [1, 2, 6, 7, 11, 12, 16, 17, 61, 62], [5, 6, 40], [],
+    ])
+    def test_sparse_block_rows_equal_dense_rows(self, steps):
+        """Rows at irregular steps are bitwise the dense block's rows."""
+        bank = FadingBank(np.array([150.0, 0.0, 60.0]),
+                          channel.VEHA_TAP_DELAYS,
+                          channel.VEHA_TAP_POWERS_DB, seed=4)
+        t0, dt = 128 * channel.TTI_S, channel.TTI_S
+        dense = bank.block_tap_gains(t0, range(channel.BLOCK_LEN), dt)
+        sparse = bank.block_tap_gains(t0, steps, dt)
+        assert sparse.shape == (len(steps), 3, bank.n_taps)
+        np.testing.assert_array_equal(sparse, dense[steps])
 
 
 def _small_model(pos, doppler=(100.0, 0.0), n_rb=4, shadow_std=0.0,
@@ -218,7 +233,8 @@ class TestStaticMovingSplit:
         full = FadingBank(doppler, channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed)
         start = (tti // channel.BLOCK_LEN) * channel.BLOCK_LEN
-        gains = full.block_tap_gains(start * channel.TTI_S, channel.BLOCK_LEN,
+        gains = full.block_tap_gains(start * channel.TTI_S,
+                                     range(channel.BLOCK_LEN),
                                      channel.TTI_S)[tti - start]
         fading = (gains @ full.steering(model.rb_freqs)).reshape(
             len(speeds), len(self.CELLS), model.n_rb)
@@ -279,6 +295,35 @@ class TestStaticMovingSplit:
         full = model.amplitude_gain(pos, slice(None))
         np.testing.assert_array_equal(
             model.amplitude_gain(pos[1:4], slice(1, 4)), full[1:4])
+
+    def test_evaluated_ttis_bitwise_equal_unrestricted(self):
+        """A model restricted to some subframes gives, at every TTI it
+        reads, the unrestricted model's snapshot, over several blocks."""
+        pos = np.array([[100.0, 50.0], [300.0, 10.0], [-80.0, 200.0]])
+        speeds = np.array([27.8, 13.9, 0.0])
+        shadow = draw_shadowing(3, len(self.CELLS), 8.0, 5)
+        n_tti = 3 * channel.BLOCK_LEN + 10
+        evaluated = np.isin(np.arange(n_tti) % 10, [1, 2, 6, 7, 9])
+        full = ChannelModel(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5)
+        part = ChannelModel(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5,
+                            evaluated_ttis=evaluated)
+        np.testing.assert_array_equal(part.static_h, full.static_h)
+        gamma = _moving_gamma(full, pos)
+        for tti in np.flatnonzero(evaluated).tolist():
+            np.testing.assert_array_equal(part.snapshot(tti, gamma),
+                                          full.snapshot(tti, gamma))
+
+    @pytest.mark.parametrize("tti", [0, 3, 64, 200])
+    def test_snapshot_at_unread_tti_rejected(self, tti):
+        pos = np.array([[100.0, 50.0], [300.0, 10.0]])
+        evaluated = np.isin(np.arange(100) % 10, [1, 2, 6])
+        model = ChannelModel(self.CELLS, pos, np.array([27.8, 0.0]),
+                             np.zeros((2, len(self.CELLS))), 2.14e9, 6,
+                             seed=1, evaluated_ttis=evaluated)
+        gamma = _moving_gamma(model, pos)
+        model.snapshot(1, gamma)
+        with pytest.raises(channel.ChannelStateError, match="evaluated"):
+            model.snapshot(tti, gamma)
 
     def test_static_user_before_moving_one_rejected(self):
         with pytest.raises(channel.ChannelStateError, match="precede"):

@@ -322,6 +322,47 @@ class TestCmdCompare:
         assert err.startswith(f"error: {cli.WORKERS_ENV}: ") and "abc" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_worker_count_below_one_rejected(self, value, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+
+        def no_run(cfg):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(engine, "run", no_run)
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--cqi", "fixed:3,fixed:4", "--out", str(out),
+                   "--n-tti", "10"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {cli.WORKERS_ENV}: must be >= 1, got '{value}'\n")
+        assert not out.exists()
+
+    def test_worker_count_capped_at_cells(self, tmp_path, monkeypatch):
+        """A pool never gets more workers than there are matrix cells."""
+        monkeypatch.setenv(cli.WORKERS_ENV, "64")
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        rc = main(["compare", "--modes", "multicast", "--bandwidths", "5",
+                   "--cqi", "fixed:3,fixed:4", "--out",
+                   str(tmp_path / "cmp"), "--n-tti", "20"])
+        assert rc == 0
+        assert sizes == [2]
+
 
 class TestCqiTableOverride:
     def test_scenario_field_roundtrip_and_effect(self, tmp_path):

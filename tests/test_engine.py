@@ -165,6 +165,33 @@ def test_one_unicast_sinr_grid_per_tti(monkeypatch):
     assert len(calls) <= cfg.n_tti + 1, calls[:4]
 
 
+def test_multicast_grid_only_in_reserved_subframes(monkeypatch):
+    """A fixed-CQI multicast run with no report delay reads link state only
+    in reserved subframes: one snapshot and one `multicast_sinr_grid` call
+    in each of those TTIs and none in any other."""
+    grid_calls, snapshot_ttis = [], []
+    grid, snapshot = link.multicast_sinr_grid, channel.ChannelModel.snapshot
+
+    def counted_grid(*args):
+        grid_calls.append(args[0].shape)
+        return grid(*args)
+
+    def recorded_snapshot(model, tti, gamma):
+        snapshot_ttis.append(tti)
+        return snapshot(model, tti, gamma)
+
+    monkeypatch.setattr(link, "multicast_sinr_grid", counted_grid)
+    monkeypatch.setattr(channel.ChannelModel, "snapshot", recorded_snapshot)
+    cfg = ScenarioConfig(n_tti=256, seed=1)
+    rec = run(cfg)
+    assert cfg.cqi_policy == engine.POLICY_FIXED and rec.sources
+    reserved = scheduler.reserved_subframes(rec.reserved_per_frame)
+    assert 0 < len(reserved) < scheduler.SUBFRAMES_PER_FRAME
+    assert snapshot_ttis == [t for t in range(cfg.n_tti)
+                             if t % scheduler.SUBFRAMES_PER_FRAME in reserved]
+    assert len(grid_calls) == len(snapshot_ttis)
+
+
 short_configs = st.builds(
     ScenarioConfig,
     mode=st.sampled_from([engine.MODE_MULTICAST,
@@ -173,9 +200,11 @@ short_configs = st.builds(
     cqi_value=st.integers(1, 15),
     car_speed_kmh=st.sampled_from([0.0, 100.0]),
     cars_per_cell=st.integers(0, 3),
-    cqi_feedback_delay_tti=st.integers(0, 2),
+    # Delays up to 11 and runs up to 72 TTIs: some reports come from an
+    # unreserved subframe or cross a 64-TTI fading block.
+    cqi_feedback_delay_tti=st.integers(0, 11),
     mbsfn_rings=st.integers(0, 1),
-    n_tti=st.integers(0, 48),
+    n_tti=st.integers(0, 72),
     seed=st.integers(0, 2**16),
 )
 

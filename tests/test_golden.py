@@ -1,9 +1,12 @@
 """Golden digests: short runs of the four acceptance-battery configs,
 plus adaptive unicast, three configs that take the channel's and the
 engine's edge paths (static cars, a delayed unicast report, no cars), two
-with shadowing, where handover follows the gain, not the distance, and
+with shadowing, where handover follows the gain, not the distance,
 three multicast variants (a delayed report, no subframe hand-back, an
-adaptive CQI without a bound).
+adaptive CQI without a bound), and three delayed multicast reports whose
+subframes differ from the reserved ones (a fixed CQI that reads none, a
+report from an unreserved subframe, a report from the previous fading
+block).
 
 Each run's artifact files (name and bytes, as `metrics.write_run_outputs`
 emits them) and its per-TTI RB arrays are hashed with SHA-256 and compared
@@ -56,6 +59,16 @@ CONFIGS = {
     "mc_no_reassign": replace(BASE, reassign_unused_subframes=False),
     # Adaptive CQI with bound 0: the reservation is sized at reservation_cqi.
     "mc_adaptive_bound0": replace(BASE, cqi_policy="adaptive", cqi_value=0),
+    # A fixed CQI with a delayed report: the report's subframes
+    # (reserved - 3) include some that nothing reads.
+    "mc_fixed_delay3": replace(BASE, cqi_feedback_delay_tti=3),
+    # The adaptive CQI chosen from a report of a subframe that is not
+    # reserved (reserved - 4 includes 4 and 9).
+    "mc_adaptive_delay4": replace(BASE, cqi_policy="adaptive",
+                                  cqi_feedback_delay_tti=4),
+    # The report comes from the previous 64-TTI fading block.
+    "mc_adaptive_delay70": replace(BASE, cqi_policy="adaptive",
+                                   cqi_feedback_delay_tti=70),
 }
 
 GOLDEN = {
@@ -85,6 +98,12 @@ GOLDEN = {
                        "5fa752e351ca31a2b3ee7eb596172915"),
     "mc_adaptive_bound0": ("a0a4c6d17928cf02f436062d3c560cff"
                            "f615188c22c8dec6fe8762ef35ede308"),
+    "mc_fixed_delay3": ("b9bccc35047d44c4a6e652b23e7032ac"
+                        "7d611ce3879e1170965b8fe33cc79cb0"),
+    "mc_adaptive_delay4": ("39838e64c0117924aa5628efad66fb30"
+                           "8417d3318693eae96b863ca10af53aea"),
+    "mc_adaptive_delay70": ("f47dfb11cabcb4dfa4a240933190ac8b"
+                            "bf60874ce4451473bccd7f8f523875b9"),
 }
 
 
