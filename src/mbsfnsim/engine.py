@@ -11,17 +11,20 @@ results.
 The loop computes only what changes, and only where it is read.  The
 channel model fixes the static users' rows at construction, so the
 ordinary users' SINR is computed once, before the loop, and so is the
-sources' link state when the cars stand.  Each TTI only the tracked cars
-move, and their macroscopic gain is evaluated once: mobility hands each
-car over to its strongest cell with it, and the snapshot scales the cars'
-fading by it.  The delivery then derives one (source, rb) SINR grid from
-the sources' rows alone: the MBSFN SINR in multicast mode, the SINR
-against the drop cell in unicast mode.  The feedback-delay cache keeps
-that grid; CQI reports read the cached one and decoding reads this TTI's.
+sources' link state when the cars stand.  A cell's ordinary slots, with
+their bits and error probabilities, are priced once per cell state (RBs
+left, round-robin offset); each TTI only draws their decodes.  Only the
+tracked cars move, and their macroscopic gain is evaluated once per TTI:
+mobility hands each car over to its strongest cell with it, and the
+snapshot scales the cars' fading by it.  The delivery then derives one
+(source, rb) SINR grid from the sources' rows alone: the MBSFN SINR in
+multicast mode, the SINR against the drop cell in unicast mode.  The
+feedback-delay cache keeps that grid; CQI reports read the cached one and
+decoding reads this TTI's.
 
 A delivery reads link state only in its `read_subframes` (multicast: the
-reserved ones; unicast: all ten), and the report it reads at TTI t is the
-state of TTI max(t - delay, 0).  The snapshot and the grid are evaluated
+reserved ones; unicast: all ten); an adaptive CQI at TTI t also reads the
+report of TTI max(t - delay, 0).  The snapshot and the grid are evaluated
 at those TTIs alone; elsewhere the cache holds None.  Mobility and
 handover still run every TTI.
 """
@@ -29,6 +32,7 @@ handover still run every TTI.
 # `validate` read ScenarioConfig's field types as classes at run time.
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -227,37 +231,40 @@ class RunRecord:
         }
 
 
+def draw_success(p: np.ndarray, perfect_decode: bool,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Success flags of transport blocks with error probabilities `p`: one
+    uniform draw from `rng` per block in batch order, so one batch of n
+    leaves `rng` where n batches of one would; with `perfect_decode` every
+    block succeeds and nothing is drawn."""
+    if perfect_decode:
+        return np.ones(len(p), dtype=bool)
+    return rng.random(len(p)) >= p
+
+
 def decoder(slope_db_per_decade: float, perfect_decode: bool,
             rng: np.random.Generator, table: link.CqiTable = link.CQI_TABLE):
-    """`decode(eff_db, cqi)`: success flags for a batch of transport blocks.
-
-    Each block takes one uniform draw from `rng` in batch order, so one
-    batch of n blocks leaves `rng` where n batches of one would; with
-    `perfect_decode` every block succeeds and nothing is drawn.
-    """
-    def decode(eff_db: np.ndarray, cqi) -> np.ndarray:
-        if perfect_decode:
-            return np.ones(len(eff_db), dtype=bool)
-        p = link.bler(eff_db, cqi, slope_db_per_decade, table)
-        return rng.random(len(eff_db)) >= p
-    return decode
+    """`decode(eff_db, cqi)`: `draw_success` at the blocks' BLER."""
+    return lambda eff_db, cqi: draw_success(
+        link.bler(eff_db, cqi, slope_db_per_decade, table), perfect_decode,
+        rng)
 
 
-def ordinary_stage(slots, sinr: np.ndarray, n_re_per_rb: int, decode,
+def ordinary_stage(slots, sinr, n_re_per_rb: int, slope_db_per_decade: float,
                    table: link.CqiTable = link.CQI_TABLE):
     """Link stage of the ordinary full-buffer users' round-robin slots.
 
     `slots` lists (row, rb_start, rb_count) with rb_count > 0.  Each slot's
-    CQI and decode come from its effective SINR over its RB slice of
-    `sinr`: an ordinary user is static, so its reported channel is its
-    current one.  Returns per-slot transport-block bits and decode flags,
-    in slot order.
+    CQI and block error probability come from its effective SINR over its
+    RB slice of `sinr`: an ordinary user is static, so its reported channel
+    is its current one.  Returns per-slot transport-block bits and block
+    error probabilities, in slot order.
     """
     rows, starts, counts = np.array(slots, dtype=np.intp).reshape(-1, 3).T
     eff_db = link.effective_sinr_db_slices(sinr, rows, starts, counts)
     cqi = link.cqi_from_sinr_db(eff_db, table)
     bits = counts * n_re_per_rb * table.efficiencies[cqi - 1]
-    return bits, decode(eff_db, cqi)
+    return bits, link.bler(eff_db, cqi, slope_db_per_decade, table)
 
 
 class MulticastDelivery:
@@ -523,12 +530,13 @@ def run(config: ScenarioConfig) -> RunRecord:
             row_of, decode, noise_var)
 
     # The TTIs whose link state is read: this TTI's in the delivery's
-    # subframes, and the report's, from TTI max(t - delay, 0).
+    # subframes, and an adaptive CQI's report, from TTI max(t - delay, 0).
     reads = np.isin(np.arange(cfg.n_tti) % scheduler.SUBFRAMES_PER_FRAME,
                     sorted(delivery.read_subframes))
     evaluated = reads.copy()
-    evaluated[np.maximum(np.flatnonzero(reads)
-                         - cfg.cqi_feedback_delay_tti, 0)] = True
+    if cfg.cqi_policy == POLICY_ADAPTIVE:
+        evaluated[np.maximum(np.flatnonzero(reads)
+                             - cfg.cqi_feedback_delay_tti, 0)] = True
     speeds = [float(np.hypot(*pop.velocities[u])) for u in tracked]
     model = channel.ChannelModel(
         cell_positions=layout.cell_positions,
@@ -564,12 +572,20 @@ def run(config: ScenarioConfig) -> RunRecord:
     # Standing cars are static rows, so their link state never changes.
     static_now = (None if model.n_moving
                   else delivery.link_state(model.static_h[:n_sources]))
+    # A cell's ordinary slots, bits and error probabilities depend only on
+    # its state (cell, RBs left, round-robin offset): each is priced once.
+    ordinary_cache = {}
     rr_offset = {c: 0 for c in area_cells}
     report_cache = deque(maxlen=cfg.cqi_feedback_delay_tti + 1)
     # Cars in the area, i.e. served by an area cell: only they are obliged
     # to receive (and report CQI for) messages.  Every car starts in its
     # drop cell.
     area_now = set(sources)
+    source_arr = np.array(sources, dtype=np.intp)
+    # The sources that generate at each phase of the period, in order.
+    generating = {}
+    for src in sources:
+        generating.setdefault(buffers[src].offset, []).append(src)
 
     for tti in range(cfg.n_tti):
         gamma = topology.advance_mobility(pop, channel.TTI_S, moving_gain,
@@ -578,8 +594,8 @@ def run(config: ScenarioConfig) -> RunRecord:
         # Membership follows the serving cell: a car that left the area stops
         # blocking open entries and is excluded from new recipient sets.
         area_prev = area_now
-        area_now = {s for s in sources
-                    if int(pop.serving_cell[s]) in mbsfn_cells}
+        area_now = set(source_arr[
+            mbsfn_mask[pop.serving_cell[source_arr]]].tolist())
         for gone in sorted(area_prev - area_now):
             recorder.on_receiver_exit(gone, tti)
 
@@ -593,28 +609,36 @@ def run(config: ScenarioConfig) -> RunRecord:
         report = report_cache[0]
 
         # Generation replaces any undelivered predecessor.
-        for src in sources:
+        for src in generating.get(tti % cfg.cam_period_ttis, ()):
             pkt = traffic.maybe_generate(buffers[src], tti)
-            if pkt is not None:
-                receivers = area_now - {src}
-                recorder.on_generation(src, pkt.sequence, tti, receivers)
-                delivery.add(pkt, receivers)
+            receivers = area_now - {src}
+            recorder.on_generation(src, pkt.sequence, tti, receivers)
+            delivery.add(pkt, receivers)
 
         # Messages first, then the ordinary users on what is left.
         left = delivery.serve(tti, area_now, now, report)
-        slots = []
-        for cell, rows in ordinary_by_cell.items():
-            if not rows or left[cell] <= 0:
-                continue
-            slots += [slot for slot in scheduler.schedule_unicast_ordinary(
-                rows, left[cell], rr_offset[cell]) if slot[2] > 0]
-            rr_offset[cell] += 1
-        if slots:
-            # Rate adaptation on the assigned slice, not the whole band.
-            bits, ok = ordinary_stage(slots, ordinary_sinr,
-                                      cfg.usable_re_per_rb, decode, table)
-            # A user has at most one slot per TTI, so no row repeats.
-            ordinary_bits[np.array([s[0] for s in slots])[ok]] += bits[ok]
+        states = []
+        for cell, users in ordinary_by_cell.items():
+            if users and left[cell] > 0:
+                states.append((cell, left[cell], rr_offset[cell]))
+                rr_offset[cell] = (rr_offset[cell] + 1) % len(users)
+        if not states:
+            continue
+        if new := [state for state in states if state not in ordinary_cache]:
+            # The TTI's new states in one batch, split per state.
+            slots = [[s for s in scheduler.schedule_unicast_ordinary(
+                ordinary_by_cell[c], n, k) if s[2] > 0] for c, n, k in new]
+            flat = np.array(list(itertools.chain(*slots)), dtype=np.intp)
+            bits, p = ordinary_stage(flat, ordinary_sinr, cfg.usable_re_per_rb,
+                                     cfg.bler_slope_db_per_decade, table)
+            ends = list(itertools.accumulate(map(len, slots), initial=0))
+            for state, a, b in zip(new, ends, ends[1:]):
+                ordinary_cache[state] = flat[a:b, 0], bits[a:b], p[a:b]
+        rows, bits, p = (np.concatenate(parts) for parts in zip(
+            *[ordinary_cache[state] for state in states]))
+        ok = draw_success(p, cfg.perfect_decode, rng_decode)
+        # A user has at most one slot per TTI, so no row repeats.
+        ordinary_bits[rows[ok]] += bits[ok]
 
     duration_s = cfg.n_tti * channel.TTI_S
     throughput = {u: (b / duration_s / 1e6 if duration_s else 0.0)
@@ -652,23 +676,13 @@ def replicate(config: ScenarioConfig, n_seeds: int) -> dict:
     """Independent replicates with derived seeds; mean and spread per metric."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    records = []
-    for s in derived_seeds(config.seed, n_seeds):
-        records.append(run(replace(config, seed=s)))
-    keys = ("mean_latency_tti", "mean_throughput_mbps", "utilization_pct",
-            "measured_utilization_pct")
-    table = {k: np.array([r.summary()[k] for r in records], dtype=float)
-             for k in keys}
+    seeds = derived_seeds(config.seed, n_seeds)
+    records = [run(replace(config, seed=s)) for s in seeds]
     aggregate = {}
-    for k, vals in table.items():
-        aggregate[k] = {
-            "mean": float(np.nanmean(vals)) if len(vals) else float("nan"),
-            "min": float(np.nanmin(vals)),
-            "max": float(np.nanmax(vals)),
-            "std": float(np.nanstd(vals)),
-        }
-    return {
-        "seeds": derived_seeds(config.seed, n_seeds),
-        "records": records,
-        "aggregate": aggregate,
-    }
+    for k in ("mean_latency_tti", "mean_throughput_mbps", "utilization_pct",
+              "measured_utilization_pct"):
+        vals = np.array([r.summary()[k] for r in records], dtype=float)
+        aggregate[k] = {stat: float(f(vals)) for stat, f in (
+            ("mean", np.nanmean), ("min", np.nanmin), ("max", np.nanmax),
+            ("std", np.nanstd))}
+    return {"seeds": seeds, "records": records, "aggregate": aggregate}

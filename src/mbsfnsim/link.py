@@ -142,9 +142,10 @@ def effective_sinr_db_rows(sinr_rows: np.ndarray) -> np.ndarray:
     capacity), inverted back to SINR: strictly monotone in any per-RB SINR
     and equal to the common value when all RBs agree.  Each row reduces
     with the same pairwise sum whatever the number of rows, so a row's
-    value does not depend on which other rows are evaluated with it.
+    value does not depend on which other rows are evaluated with it; the
+    sum and divide are `.mean(axis=1)` without its dispatch.
     """
-    mi = np.log2(1.0 + sinr_rows).mean(axis=1)
+    mi = np.log2(1.0 + sinr_rows).sum(axis=1) / sinr_rows.shape[1]
     return 10.0 * np.log10(np.maximum(2.0 ** mi - 1.0, 1e-30))
 
 

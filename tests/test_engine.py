@@ -192,6 +192,51 @@ def test_multicast_grid_only_in_reserved_subframes(monkeypatch):
     assert len(grid_calls) == len(snapshot_ttis)
 
 
+def test_ordinary_stage_once_per_cell_state(monkeypatch):
+    """Ordinary users are static, so a cell's slots, bits and error
+    probabilities depend only on its state (cell, RBs left, round-robin
+    offset): `ordinary_stage` runs only in TTIs with a state not seen
+    before.  A multicast subframe leaves each area cell either all RBs or
+    none, so the states that reach the stage number at most the area
+    cells times their ordinary users per cell."""
+    calls = []
+    original = engine.ordinary_stage
+
+    def counted(slots, *args):
+        calls.append(len(slots))
+        return original(slots, *args)
+
+    monkeypatch.setattr(engine, "ordinary_stage", counted)
+    cfg = ScenarioConfig(n_tti=256, seed=1)
+    rec = run(cfg)
+    n_area = len(topology.build_layout(
+        cfg.mbsfn_rings, cfg.interference_rings,
+        cfg.inter_site_distance_m).mbsfn_cells)
+    n_states = n_area * (cfg.users_per_cell - cfg.cars_per_cell)
+    assert rec.ordinary_throughput_mbps and calls
+    assert len(calls) <= n_states, calls
+
+
+def test_fixed_cqi_reads_no_delayed_report(monkeypatch):
+    """A fixed CQI reads no report, so a report delay adds no snapshot:
+    a fixed-CQI multicast run with a delay of 3 evaluates the channel in
+    its reserved subframes only."""
+    snapshot_ttis = []
+    snapshot = channel.ChannelModel.snapshot
+
+    def recorded_snapshot(model, tti, gamma):
+        snapshot_ttis.append(tti)
+        return snapshot(model, tti, gamma)
+
+    monkeypatch.setattr(channel.ChannelModel, "snapshot", recorded_snapshot)
+    cfg = ScenarioConfig(n_tti=256, seed=1, cqi_feedback_delay_tti=3)
+    rec = run(cfg)
+    reserved = scheduler.reserved_subframes(rec.reserved_per_frame)
+    assert snapshot_ttis == [t for t in range(cfg.n_tti)
+                             if t % scheduler.SUBFRAMES_PER_FRAME in reserved]
+    assert len(snapshot_ttis) == 153
+
+
 short_configs = st.builds(
     ScenarioConfig,
     mode=st.sampled_from([engine.MODE_MULTICAST,
@@ -354,7 +399,8 @@ def _per_slot_oracle(slots, sinr, n_re_per_rb, slope, perfect_decode, rng):
 
 
 class TestOrdinaryStage:
-    """The batched stage against the per-slot loop, bit for bit."""
+    """The batched stage and one `draw_success` call against the per-slot
+    loop, bit for bit."""
 
     @pytest.mark.parametrize("n_rb", [25, 100])
     @pytest.mark.parametrize("perfect_decode", [False, True])
@@ -375,8 +421,8 @@ class TestOrdinaryStage:
             slots = [slots[k] for k in gen.permutation(len(slots))]
             rng_a = np.random.default_rng(trial)
             rng_b = np.random.default_rng(trial)
-            bits, ok = engine.ordinary_stage(
-                slots, sinr, 100, engine.decoder(1.0, perfect_decode, rng_a))
+            bits, p = engine.ordinary_stage(slots, sinr, 100, 1.0)
+            ok = engine.draw_success(p, perfect_decode, rng_a)
             _, want_bits, want_ok = _per_slot_oracle(
                 slots, sinr, 100, 1.0, perfect_decode, rng_b)
             np.testing.assert_array_equal(bits, want_bits)
@@ -395,8 +441,8 @@ class TestOrdinaryStage:
                      range(6), 25, rr_offset=4))]
         assert {c for _, _, c in slots} == {4, 5}
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-        bits, ok = engine.ordinary_stage(
-            slots, sinr, 100, engine.decoder(1.0, False, rng_a))
+        bits, p = engine.ordinary_stage(slots, sinr, 100, 1.0)
+        ok = engine.draw_success(p, False, rng_a)
         _, want_bits, want_ok = _per_slot_oracle(
             slots, sinr, 100, 1.0, False, rng_b)
         assert (bits.tolist(), ok.tolist()) == (want_bits, want_ok)
@@ -405,9 +451,9 @@ class TestOrdinaryStage:
     def test_no_slots(self):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        bits, ok = engine.ordinary_stage(
-            [], np.ones((2, 25)), 100, engine.decoder(1.0, False, rng))
-        assert len(bits) == len(ok) == 0
+        bits, p = engine.ordinary_stage([], np.ones((2, 25)), 100, 1.0)
+        ok = engine.draw_success(p, False, rng)
+        assert len(bits) == len(p) == len(ok) == 0
         assert rng.bit_generator.state == state
 
 

@@ -6,7 +6,8 @@ three multicast variants (a delayed report, no subframe hand-back, an
 adaptive CQI without a bound), and three delayed multicast reports whose
 subframes differ from the reserved ones (a fixed CQI that reads none, a
 report from an unreserved subframe, a report from the previous fading
-block).
+block), error-free decoding, which draws nothing, and unicast at 20 MHz,
+where the RBs the copies leave to ordinary users take many values.
 
 Each run's artifact files (name and bytes, as `metrics.write_run_outputs`
 emits them) and its per-TTI RB arrays are hashed with SHA-256 and compared
@@ -69,6 +70,10 @@ CONFIGS = {
     # The report comes from the previous 64-TTI fading block.
     "mc_adaptive_delay70": replace(BASE, cqi_policy="adaptive",
                                    cqi_feedback_delay_tti=70),
+    # Every block decodes: no decode draw is taken.
+    "mc_perfect_decode": replace(BASE, perfect_decode=True),
+    # The copies leave each cell's ordinary users many different RB counts.
+    "uc_fixed_20": replace(BASE, mode="unicast_baseline", bandwidth_mhz=20),
 }
 
 GOLDEN = {
@@ -104,6 +109,10 @@ GOLDEN = {
                            "8417d3318693eae96b863ca10af53aea"),
     "mc_adaptive_delay70": ("f47dfb11cabcb4dfa4a240933190ac8b"
                             "bf60874ce4451473bccd7f8f523875b9"),
+    "mc_perfect_decode": ("bdb709594bdd1b506f16c0aafc2bffd9"
+                          "704734253b626267da94a5ea83d1484b"),
+    "uc_fixed_20": ("7f33a9eed1a62b4c5401e4a268beda21"
+                    "9c0a51a564fa752b6353fef794ebe315"),
 }
 
 
