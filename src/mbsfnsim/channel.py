@@ -33,6 +33,8 @@ RB_BANDWIDTH_HZ = 180e3
 TTI_S = 1e-3
 # TTIs of moving-pair tap gains evaluated per FadingBank.block_tap_gains call.
 BLOCK_LEN = 64
+# Pairs per block_tap_gains chunk: 1.2 MB of phasors and rotations at 6 taps.
+CHUNK_PAIRS = 200
 
 
 class ChannelStateError(RuntimeError):
@@ -69,6 +71,7 @@ class FadingBank:
     parts are separate sums of N_OSCILLATORS cosines whose frequencies
     stratify the Jakes spectrum, so the ensemble autocorrelation is
     J0(2*pi*fd*tau) and E|g|^2 = 1 per tap.  Evaluation is stateless in t.
+    Both quadratures are held oscillator axis first: (16, 2, pairs, taps).
     """
 
     def __init__(self, doppler_hz: np.ndarray, tap_delays, tap_powers_db,
@@ -85,27 +88,28 @@ class FadingBank:
         alpha = (2.0 * math.pi * m - math.pi + theta[..., None]) \
             / (4.0 * N_OSCILLATORS)
         wd = 2.0 * math.pi * np.asarray(doppler_hz, dtype=float)
-        self._w_re = wd[:, None, None] * np.cos(alpha)
-        self._w_im = wd[:, None, None] * np.sin(alpha)
-        self._phi = rng.uniform(-math.pi, math.pi, size=shape)
-        self._psi = rng.uniform(-math.pi, math.pi, size=shape)
+        self._w = np.empty((N_OSCILLATORS, 2) + shape[:2])
+        self._phase = np.empty_like(self._w)
+        for q, trig in enumerate((np.cos, np.sin)):
+            self._w[:, q] = np.moveaxis(wd[:, None, None] * trig(alpha), -1, 0)
+            self._phase[:, q] = np.moveaxis(
+                rng.uniform(-math.pi, math.pi, size=shape), -1, 0)
+        # exp(1j*w*dt) per chunk of CHUNK_PAIRS pairs, by dt.
+        self._rotations = {}
 
     def subset(self, pairs: slice) -> "FadingBank":
         """The same processes restricted to `pairs` (views, no new draws)."""
         sub = copy.copy(self)
-        sub._w_re, sub._w_im = self._w_re[pairs], self._w_im[pairs]
-        sub._phi, sub._psi = self._phi[pairs], self._psi[pairs]
-        sub.n_pairs = len(sub._phi)
+        sub._w, sub._phase = self._w[:, :, pairs], self._phase[:, :, pairs]
+        sub.n_pairs = sub._w.shape[2]
+        sub._rotations = {}
         return sub
 
     def tap_gains(self, t) -> np.ndarray:
-        """Per-tap complex gains at time(s) t: shape (len(t), n_pairs, n_taps)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        t4 = t[:, None, None, None]
-        scale = 1.0 / math.sqrt(N_OSCILLATORS)
-        re = np.cos(self._w_re[None] * t4 + self._phi[None]).sum(axis=3)
-        im = np.cos(self._w_im[None] * t4 + self._psi[None]).sum(axis=3)
-        return scale * (re + 1j * im)
+        """Per-tap complex gains at time(s) t: shape (len(t), n_pairs, n_taps),
+        each the unstepped phasors' sum at that time."""
+        return np.concatenate([self.block_tap_gains(s, [0], TTI_S) for s in
+                               np.atleast_1d(np.asarray(t, dtype=float))])
 
     def block_tap_gains(self, t0: float, steps, dt: float) -> np.ndarray:
         """tap_gains at t0 + i*dt for each i in the ascending `steps`, via a
@@ -113,24 +117,40 @@ class FadingBank:
 
         Each oscillator's phasor exp(1j*(w*t0 + phase)) is evaluated once at
         t0 and then advanced one sample at a time, up to the last step, by
-        multiplying it with exp(1j*w*dt); a requested sample is the sum of
-        the phasors' real parts.  Every phasor still advances through each
-        sample, so a row is bitwise the same whichever other steps are
-        requested, while the sum is taken only at the requested ones.  This
-        replaces all trig evaluations but the first and drifts only at
-        float rounding level within a block.
+        multiplying it with the rotation exp(1j*w*dt); a requested sample is
+        the sum of the phasors' real parts.  Every phasor still advances
+        through each sample, so a row is bitwise the same whichever other
+        steps are requested, while the sum is taken only at the requested
+        ones.  This replaces all trig evaluations but the first and drifts
+        only at float rounding level within a block.  Each chunk of
+        CHUNK_PAIRS pairs runs through all steps while it stays in cache, and
+        the first block that steps builds the rotations for the bank and dt.
         """
         out = np.empty((len(steps), self.n_pairs, self.n_taps), dtype=complex)
-        for w, phase, part in ((self._w_re, self._phi, out.real),
-                               (self._w_im, self._psi, out.imag)):
-            z = np.exp(1j * (w * t0 + phase))
-            r = np.exp(1j * (w * dt))
+        chunks = range(0, self.n_pairs, CHUNK_PAIRS)
+        if len(steps) and steps[-1] > 0 and dt not in self._rotations:
+            # Every chunk's rotations in one buffer, each a contiguous slice.
+            flat = np.empty((self.n_pairs, 2 * N_OSCILLATORS * self.n_taps),
+                            dtype=complex)
+            self._rotations[dt] = [np.exp(
+                1j * (self._w[:, :, start:start + CHUNK_PAIRS] * dt),
+                out=flat[start:start + CHUNK_PAIRS].reshape(
+                    N_OSCILLATORS, 2, -1, self.n_taps)) for start in chunks]
+        for c, start in enumerate(chunks):
+            pairs = slice(start, start + CHUNK_PAIRS)
+            z = np.exp(1j * (self._w[:, :, pairs] * t0
+                             + self._phase[:, :, pairs]))
             at = 0
             for k, step in enumerate(steps):
                 for _ in range(step - at):
-                    z *= r
+                    z *= self._rotations[dt][c]
                 at = step
-                part[k] = z.real.sum(axis=2)
+                # numpy's pairwise order: a[j] + a[j+8], then adjacent pairs.
+                r = z.real[:8] + z.real[8:]
+                r = r[0::2] + r[1::2]
+                r = r[0::2] + r[1::2]
+                np.add(r[0, 0], r[1, 0], out=out.real[k, pairs])
+                np.add(r[0, 1], r[1, 1], out=out.imag[k, pairs])
         out *= 1.0 / math.sqrt(N_OSCILLATORS)
         return out
 
@@ -160,9 +180,10 @@ class ChannelModel:
     users' rows only; the caller evaluates their amplitude once per TTI
     and passes it in, so the same gain can also drive handover.  The
     moving pairs' tap gains are evaluated by the bank's phasor recurrence
-    over blocks of BLOCK_LEN consecutive TTIs; each snapshot steers one TTI
-    of taps to the RB frequencies.  Both groups draw from one FadingBank
-    over all pairs, so the split leaves every value unchanged.
+    over blocks of BLOCK_LEN consecutive TTIs and chunks of CHUNK_PAIRS
+    pairs; each snapshot steers one TTI of taps to the RB frequencies.
+    Both groups draw from one FadingBank over all pairs, so the split
+    leaves every value unchanged.
 
     `evaluated_ttis`, a boolean mask over TTIs 0..len-1, names the only
     TTIs a caller reads (by default, every TTI): a block sums the taps

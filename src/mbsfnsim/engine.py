@@ -25,7 +25,8 @@ decoding reads this TTI's.
 A delivery reads link state only in its `read_subframes` (multicast: the
 reserved ones; unicast: all ten); an adaptive CQI at TTI t also reads the
 report of TTI max(t - delay, 0).  The snapshot and the grid are evaluated
-at those TTIs alone; elsewhere the cache holds None.  Mobility and
+at a report TTI or, after generation, where `reads_now` (multicast: a
+message is pending); elsewhere the cache holds None.  Mobility and
 handover still run every TTI.
 """
 # No `from __future__ import annotations`: the scenario parser and
@@ -310,6 +311,11 @@ class MulticastDelivery:
         """`serve` reads link state in reserved subframes only."""
         return self.reserved
 
+    def reads_now(self, tti: int) -> bool:
+        """`serve` reads link state in reserved subframes with a message."""
+        return (tti % scheduler.SUBFRAMES_PER_FRAME in self.reserved
+                and bool(self.pending))
+
     def add(self, packet: traffic.CamPacket, receivers) -> None:
         """Queue a generated message at the back, replacing its source's
         undelivered predecessor."""
@@ -390,6 +396,9 @@ class UnicastDelivery:
     congested = False
     # Copies are sent, so link state read, in every subframe.
     read_subframes = frozenset(range(scheduler.SUBFRAMES_PER_FRAME))
+
+    def reads_now(self, tti: int) -> bool:
+        return True
 
     def __init__(self, cfg: ScenarioConfig, table: link.CqiTable, area_cells,
                  drop_cell, recorder, row_of, decode, noise_variance: float):
@@ -533,10 +542,10 @@ def run(config: ScenarioConfig) -> RunRecord:
     # subframes, and an adaptive CQI's report, from TTI max(t - delay, 0).
     reads = np.isin(np.arange(cfg.n_tti) % scheduler.SUBFRAMES_PER_FRAME,
                     sorted(delivery.read_subframes))
-    evaluated = reads.copy()
+    reported = np.zeros_like(reads)
     if cfg.cqi_policy == POLICY_ADAPTIVE:
-        evaluated[np.maximum(np.flatnonzero(reads)
-                             - cfg.cqi_feedback_delay_tti, 0)] = True
+        reported[np.maximum(np.flatnonzero(reads)
+                            - cfg.cqi_feedback_delay_tti, 0)] = True
     speeds = [float(np.hypot(*pop.velocities[u])) for u in tracked]
     model = channel.ChannelModel(
         cell_positions=layout.cell_positions,
@@ -546,7 +555,7 @@ def run(config: ScenarioConfig) -> RunRecord:
         carrier_hz=cfg.carrier_ghz * 1e9,
         n_rb=cfg.n_rb,
         seed=seed,
-        evaluated_ttis=evaluated,
+        evaluated_ttis=reads | reported,
     )
     # When the cars move, the sources are the model's rows 0..n_moving-1.
     moving_gain = functools.partial(model.amplitude_gain,
@@ -599,21 +608,21 @@ def run(config: ScenarioConfig) -> RunRecord:
         for gone in sorted(area_prev - area_now):
             recorder.on_receiver_exit(gone, tti)
 
-        if static_now is not None:
-            now = static_now
-        elif evaluated[tti]:
-            now = delivery.link_state(model.snapshot(tti, gamma))
-        else:
-            now = None
-        report_cache.append(now)
-        report = report_cache[0]
-
         # Generation replaces any undelivered predecessor.
         for src in generating.get(tti % cfg.cam_period_ttis, ()):
             pkt = traffic.maybe_generate(buffers[src], tti)
             receivers = area_now - {src}
             recorder.on_generation(src, pkt.sequence, tti, receivers)
             delivery.add(pkt, receivers)
+
+        if static_now is not None:
+            now = static_now
+        elif reported[tti] or delivery.reads_now(tti):
+            now = delivery.link_state(model.snapshot(tti, gamma))
+        else:
+            now = None
+        report_cache.append(now)
+        report = report_cache[0]
 
         # Messages first, then the ordinary users on what is left.
         left = delivery.serve(tti, area_now, now, report)

@@ -140,6 +140,88 @@ class TestFading:
         np.testing.assert_array_equal(sparse, dense[steps])
 
 
+def _two_pass_recurrence(bank, t0, steps, dt):
+    """The phasor recurrence as one pass per quadrature over all pairs,
+    oscillator axis last: `z *= r` per step, `z.real.sum(axis=2)` per
+    requested step."""
+    out = np.empty((len(steps), bank.n_pairs, bank.n_taps), dtype=complex)
+    for q, part in enumerate((out.real, out.imag)):
+        w = np.ascontiguousarray(np.moveaxis(bank._w[:, q], 0, -1))
+        phase = np.ascontiguousarray(np.moveaxis(bank._phase[:, q], 0, -1))
+        z = np.exp(1j * (w * t0 + phase))
+        r = np.exp(1j * (w * dt))
+        at = 0
+        for k, step in enumerate(steps):
+            for _ in range(step - at):
+                z *= r
+            at = step
+            part[k] = z.real.sum(axis=2)
+    out *= 1.0 / math.sqrt(channel.N_OSCILLATORS)
+    return out
+
+
+class TestChunkedRecurrence:
+    """block_tap_gains steps the pairs in chunks of CHUNK_PAIRS; a bank of
+    2 * CHUNK_PAIRS + 7 pairs ends in a ragged chunk."""
+
+    N_PAIRS = 2 * channel.CHUNK_PAIRS + 7
+    SPARSE = [1, 2, 6, 7, 61, 62]
+
+    def _bank(self, seed=9):
+        doppler = np.linspace(0.0, 240.0, self.N_PAIRS)
+        doppler[::11] = 0.0
+        return FadingBank(doppler, channel.VEHA_TAP_DELAYS,
+                          channel.VEHA_TAP_POWERS_DB, seed)
+
+    @pytest.mark.parametrize("t0_tti", [0, 10_000])
+    @pytest.mark.parametrize("steps", [range(channel.BLOCK_LEN), SPARSE, [0]],
+                             ids=["dense", "sparse", "first"])
+    def test_bitwise_equal_two_pass_recurrence(self, steps, t0_tti):
+        bank = self._bank()
+        dt = channel.TTI_S
+        np.testing.assert_array_equal(
+            bank.block_tap_gains(t0_tti * dt, steps, dt),
+            _two_pass_recurrence(bank, t0_tti * dt, steps, dt))
+
+    @pytest.mark.parametrize("chunk", [1, 7, N_PAIRS + 1])
+    def test_rows_independent_of_chunk_size(self, chunk, monkeypatch):
+        t0, dt = 128 * channel.TTI_S, channel.TTI_S
+        expected = self._bank().block_tap_gains(t0, self.SPARSE, dt)
+        monkeypatch.setattr(channel, "CHUNK_PAIRS", chunk)
+        np.testing.assert_array_equal(
+            self._bank().block_tap_gains(t0, self.SPARSE, dt), expected)
+
+    def test_rotation_built_once_and_never_for_static_rows(self,
+                                                           monkeypatch):
+        """Each chunk takes one complex exp pass for its phasors per block,
+        and one for its rotation only in the first block that steps; a
+        subset builds its own rotations."""
+        passes = []
+        exp = np.exp
+
+        def counted_exp(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                passes.append(x.shape)
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted_exp)
+        bank, dt = self._bank(), channel.TTI_S
+        n_chunks = -(-bank.n_pairs // channel.CHUNK_PAIRS)
+        assert n_chunks == 3
+
+        def block_passes(bank, t0, steps):
+            passes.clear()
+            bank.block_tap_gains(t0, steps, dt)
+            return len(passes)
+
+        assert block_passes(bank, 0.0, [0]) == n_chunks
+        assert block_passes(bank, 0.0, self.SPARSE) == 2 * n_chunks
+        assert block_passes(bank, 64 * dt, self.SPARSE) == n_chunks
+        assert block_passes(bank, 128 * dt, [0]) == n_chunks
+        assert block_passes(bank.subset(slice(0, 5)), 0.0, [0, 1]) == 2
+        assert block_passes(self._bank(), 0.0, [0]) == n_chunks
+
+
 def _small_model(pos, doppler=(100.0, 0.0), n_rb=4, shadow_std=0.0,
                  seed=1):
     """Users at `pos` with the given Doppler shifts against three cells."""

@@ -167,8 +167,9 @@ def test_one_unicast_sinr_grid_per_tti(monkeypatch):
 
 def test_multicast_grid_only_in_reserved_subframes(monkeypatch):
     """A fixed-CQI multicast run with no report delay reads link state only
-    in reserved subframes: one snapshot and one `multicast_sinr_grid` call
-    in each of those TTIs and none in any other."""
+    in reserved subframes with a message pending: one snapshot and one
+    `multicast_sinr_grid` call in each TTI that sends and none in any
+    other."""
     grid_calls, snapshot_ttis = [], []
     grid, snapshot = link.multicast_sinr_grid, channel.ChannelModel.snapshot
 
@@ -187,8 +188,10 @@ def test_multicast_grid_only_in_reserved_subframes(monkeypatch):
     assert cfg.cqi_policy == engine.POLICY_FIXED and rec.sources
     reserved = scheduler.reserved_subframes(rec.reserved_per_frame)
     assert 0 < len(reserved) < scheduler.SUBFRAMES_PER_FRAME
-    assert snapshot_ttis == [t for t in range(cfg.n_tti)
-                             if t % scheduler.SUBFRAMES_PER_FRAME in reserved]
+    assert snapshot_ttis == np.flatnonzero(rec.multicast_rb_per_tti).tolist()
+    assert all(t % scheduler.SUBFRAMES_PER_FRAME in reserved
+               for t in snapshot_ttis)
+    assert len(snapshot_ttis) == 133
     assert len(grid_calls) == len(snapshot_ttis)
 
 
@@ -219,8 +222,8 @@ def test_ordinary_stage_once_per_cell_state(monkeypatch):
 
 def test_fixed_cqi_reads_no_delayed_report(monkeypatch):
     """A fixed CQI reads no report, so a report delay adds no snapshot:
-    a fixed-CQI multicast run with a delay of 3 evaluates the channel in
-    its reserved subframes only."""
+    a fixed-CQI multicast run with a delay of 3 evaluates the channel only
+    in the reserved subframes that send."""
     snapshot_ttis = []
     snapshot = channel.ChannelModel.snapshot
 
@@ -231,10 +234,8 @@ def test_fixed_cqi_reads_no_delayed_report(monkeypatch):
     monkeypatch.setattr(channel.ChannelModel, "snapshot", recorded_snapshot)
     cfg = ScenarioConfig(n_tti=256, seed=1, cqi_feedback_delay_tti=3)
     rec = run(cfg)
-    reserved = scheduler.reserved_subframes(rec.reserved_per_frame)
-    assert snapshot_ttis == [t for t in range(cfg.n_tti)
-                             if t % scheduler.SUBFRAMES_PER_FRAME in reserved]
-    assert len(snapshot_ttis) == 153
+    assert snapshot_ttis == np.flatnonzero(rec.multicast_rb_per_tti).tolist()
+    assert len(snapshot_ttis) == 133
 
 
 short_configs = st.builds(
