@@ -94,46 +94,50 @@ class FadingBank:
             self._w[:, q] = np.moveaxis(wd[:, None, None] * trig(alpha), -1, 0)
             self._phase[:, q] = np.moveaxis(
                 rng.uniform(-math.pi, math.pi, size=shape), -1, 0)
-        # exp(1j*w*dt) per chunk of CHUNK_PAIRS pairs, by dt.
-        self._rotations = {}
+        # exp(1j*w*TTI_S) per chunk of CHUNK_PAIRS pairs, once built.
+        self._rotations = None
 
     def subset(self, pairs: slice) -> "FadingBank":
         """The same processes restricted to `pairs` (views, no new draws)."""
         sub = copy.copy(self)
         sub._w, sub._phase = self._w[:, :, pairs], self._phase[:, :, pairs]
         sub.n_pairs = sub._w.shape[2]
-        sub._rotations = {}
+        sub._rotations = None
         return sub
 
     def tap_gains(self, t) -> np.ndarray:
-        """Per-tap complex gains at time(s) t: shape (len(t), n_pairs, n_taps),
-        each the unstepped phasors' sum at that time."""
-        return np.concatenate([self.block_tap_gains(s, [0], TTI_S) for s in
-                               np.atleast_1d(np.asarray(t, dtype=float))])
+        """Per-tap complex gains at time(s) t: shape (len(t), n_pairs, n_taps)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        # Oscillator axis last, so each sum runs over contiguous cosines.
+        w, phase = (np.ascontiguousarray(np.moveaxis(a, 0, -1))
+                    for a in (self._w, self._phase))
+        g = np.cos(w[None] * t[:, None, None, None, None]
+                   + phase[None]).sum(axis=-1)
+        return 1.0 / math.sqrt(N_OSCILLATORS) * (g[:, 0] + 1j * g[:, 1])
 
-    def block_tap_gains(self, t0: float, steps, dt: float) -> np.ndarray:
-        """tap_gains at t0 + i*dt for each i in the ascending `steps`, via a
+    def block_tap_gains(self, t0: float, steps) -> np.ndarray:
+        """tap_gains at t0 + i*TTI_S for each i in the ascending `steps`, via a
         phasor recurrence: shape (len(steps), n_pairs, n_taps).
 
         Each oscillator's phasor exp(1j*(w*t0 + phase)) is evaluated once at
-        t0 and then advanced one sample at a time, up to the last step, by
-        multiplying it with the rotation exp(1j*w*dt); a requested sample is
-        the sum of the phasors' real parts.  Every phasor still advances
-        through each sample, so a row is bitwise the same whichever other
-        steps are requested, while the sum is taken only at the requested
-        ones.  This replaces all trig evaluations but the first and drifts
-        only at float rounding level within a block.  Each chunk of
-        CHUNK_PAIRS pairs runs through all steps while it stays in cache, and
-        the first block that steps builds the rotations for the bank and dt.
+        t0 and then advanced one TTI at a time, up to the last step, by
+        multiplying it with the rotation exp(1j*w*TTI_S); a requested sample
+        is the sum of the phasors' real parts, in numpy's pairwise order.
+        Every phasor still advances through each sample, so a row is bitwise
+        the same whichever other steps are requested, while the sum is taken
+        only at the requested ones.  This replaces all trig evaluations but
+        the first and drifts only at float rounding level within a block.
+        Each chunk of CHUNK_PAIRS pairs runs through all steps while it stays
+        in cache; the bank's first block that steps builds the rotations.
         """
         out = np.empty((len(steps), self.n_pairs, self.n_taps), dtype=complex)
         chunks = range(0, self.n_pairs, CHUNK_PAIRS)
-        if len(steps) and steps[-1] > 0 and dt not in self._rotations:
+        if len(steps) and steps[-1] > 0 and self._rotations is None:
             # Every chunk's rotations in one buffer, each a contiguous slice.
             flat = np.empty((self.n_pairs, 2 * N_OSCILLATORS * self.n_taps),
                             dtype=complex)
-            self._rotations[dt] = [np.exp(
-                1j * (self._w[:, :, start:start + CHUNK_PAIRS] * dt),
+            self._rotations = [np.exp(
+                1j * (self._w[:, :, start:start + CHUNK_PAIRS] * TTI_S),
                 out=flat[start:start + CHUNK_PAIRS].reshape(
                     N_OSCILLATORS, 2, -1, self.n_taps)) for start in chunks]
         for c, start in enumerate(chunks):
@@ -143,7 +147,7 @@ class FadingBank:
             at = 0
             for k, step in enumerate(steps):
                 for _ in range(step - at):
-                    z *= self._rotations[dt][c]
+                    z *= self._rotations[c]
                 at = step
                 # numpy's pairwise order: a[j] + a[j+8], then adjacent pairs.
                 r = z.real[:8] + z.real[8:]
@@ -224,7 +228,7 @@ class ChannelModel:
         self._rows = {}
         self._clamp_warned = False
         fading = bank.subset(slice(split, None)).block_tap_gains(
-            0.0, (0,), TTI_S)[0] @ self._steer
+            0.0, (0,))[0] @ self._steer
         gamma = self.amplitude_gain(np.asarray(positions)[m:],
                                     slice(m, None))
         self.static_h = gamma[:, :, None] * fading.reshape(
@@ -253,8 +257,7 @@ class ChannelModel:
             steps = (range(BLOCK_LEN) if mask is None else
                      np.flatnonzero(mask[start:start + BLOCK_LEN]).tolist())
             self._gains = None
-            self._gains = self.bank.block_tap_gains(start * TTI_S, steps,
-                                                    TTI_S)
+            self._gains = self.bank.block_tap_gains(start * TTI_S, steps)
             self._rows = {start + step: k for k, step in enumerate(steps)}
         return self._gains[self._rows[tti]]
 

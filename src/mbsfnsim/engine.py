@@ -25,9 +25,9 @@ decoding reads this TTI's.
 A delivery reads link state only in its `read_subframes` (multicast: the
 reserved ones; unicast: all ten); an adaptive CQI at TTI t also reads the
 report of TTI max(t - delay, 0).  The snapshot and the grid are evaluated
-at a report TTI or, after generation, where `reads_now` (multicast: a
-message is pending); elsewhere the cache holds None.  Mobility and
-handover still run every TTI.
+at a report TTI or where `serve` reads them (multicast: a message is
+pending; unicast: a copy is granted RBs); elsewhere the cache holds None.
+Mobility and handover still run every TTI.
 """
 # No `from __future__ import annotations`: the scenario parser and
 # `validate` read ScenarioConfig's field types as classes at run time.
@@ -311,11 +311,6 @@ class MulticastDelivery:
         """`serve` reads link state in reserved subframes only."""
         return self.reserved
 
-    def reads_now(self, tti: int) -> bool:
-        """`serve` reads link state in reserved subframes with a message."""
-        return (tti % scheduler.SUBFRAMES_PER_FRAME in self.reserved
-                and bool(self.pending))
-
     def add(self, packet: traffic.CamPacket, receivers) -> None:
         """Queue a generated message at the back, replacing its source's
         undelivered predecessor."""
@@ -329,11 +324,11 @@ class MulticastDelivery:
         return link.multicast_sinr_grid(h, self.mbsfn_mask,
                                         self.noise_variance)
 
-    def serve(self, tti: int, area_sources, now: np.ndarray,
+    def serve(self, tti: int, area_sources, read_now,
               report: np.ndarray) -> dict[int, int]:
-        """Send and decode this TTI's messages, with `link_state` of this
-        TTI and of the report; returns the RBs each area cell leaves to
-        ordinary users."""
+        """Send and decode this TTI's messages with `read_now()`, this
+        TTI's `link_state`, and the report's; returns the RBs each area
+        cell leaves to ordinary users."""
         cfg, buffers = self.cfg, self.buffers
         if tti % scheduler.SUBFRAMES_PER_FRAME not in self.reserved:
             return dict.fromkeys(self.area_cells, cfg.n_rb)
@@ -341,6 +336,7 @@ class MulticastDelivery:
             # A fully unused reserved subframe goes back, if allowed.
             return dict.fromkeys(self.area_cells, cfg.n_rb
                                  if cfg.reassign_unused_subframes else 0)
+        now = read_now()
         tx_cqi = self._tx_cqi(area_sources, report)
         allocations, used = scheduler.schedule_multicast(
             [(j, buffers[j.source].residual_bits)
@@ -397,9 +393,6 @@ class UnicastDelivery:
     # Copies are sent, so link state read, in every subframe.
     read_subframes = frozenset(range(scheduler.SUBFRAMES_PER_FRAME))
 
-    def reads_now(self, tti: int) -> bool:
-        return True
-
     def __init__(self, cfg: ScenarioConfig, table: link.CqiTable, area_cells,
                  drop_cell, recorder, row_of, decode, noise_variance: float):
         self.cfg, self.table, self.area_cells = cfg, table, area_cells
@@ -436,10 +429,11 @@ class UnicastDelivery:
                                  np.arange(len(self.source_cells)),
                                  self.source_cells, self.noise_variance)
 
-    def serve(self, tti: int, area_sources, now, report) -> dict[int, int]:
+    def serve(self, tti: int, area_sources, read_now,
+              report) -> dict[int, int]:
         """Schedule every area cell's copies, then decode the granted ones
-        as one batch, with `link_state` of this TTI and of the report;
-        returns the RBs each area cell leaves to ordinary users."""
+        as one batch with `read_now()`, this TTI's `link_state`, and the
+        report's; returns the RBs each area cell leaves to ordinary users."""
         n_rb, n_re = self.cfg.n_rb, self.cfg.usable_re_per_rb
         price = functools.partial(self._price, report=report)
         left, granted = {}, []
@@ -458,7 +452,7 @@ class UnicastDelivery:
         # One draw per copy, in cell-then-allocation order.
         copies = [alloc.key for alloc in granted]
         eff_db = link.effective_sinr_db_slices(
-            now, np.array([self.row_of[c.receiver] for c in copies]),
+            read_now(), np.array([self.row_of[c.receiver] for c in copies]),
             np.array([a.rb_start for a in granted]),
             np.array([a.rb_count for a in granted]))
         ok = self.decode(eff_db, np.array([c.cqi for c in copies]))
@@ -608,6 +602,15 @@ def run(config: ScenarioConfig) -> RunRecord:
         for gone in sorted(area_prev - area_now):
             recorder.on_receiver_exit(gone, tti)
 
+        if static_now is not None:
+            now = static_now
+        elif reported[tti]:
+            now = delivery.link_state(model.snapshot(tti, gamma))
+        else:
+            now = None
+        report_cache.append(now)
+        report = report_cache[0]
+
         # Generation replaces any undelivered predecessor.
         for src in generating.get(tti % cfg.cam_period_ttis, ()):
             pkt = traffic.maybe_generate(buffers[src], tti)
@@ -615,17 +618,10 @@ def run(config: ScenarioConfig) -> RunRecord:
             recorder.on_generation(src, pkt.sequence, tti, receivers)
             delivery.add(pkt, receivers)
 
-        if static_now is not None:
-            now = static_now
-        elif reported[tti] or delivery.reads_now(tti):
-            now = delivery.link_state(model.snapshot(tti, gamma))
-        else:
-            now = None
-        report_cache.append(now)
-        report = report_cache[0]
-
         # Messages first, then the ordinary users on what is left.
-        left = delivery.serve(tti, area_now, now, report)
+        left = delivery.serve(tti, area_now, lambda: (
+            delivery.link_state(model.snapshot(tti, gamma))
+            if now is None else now), report)
         states = []
         for cell, users in ordinary_by_cell.items():
             if users and left[cell] > 0:

@@ -121,7 +121,7 @@ class TestFading:
                           channel.VEHA_TAP_POWERS_DB, seed=13)
         dt = channel.TTI_S
         direct = bank.tap_gains((t0_tti + np.arange(n)) * dt)
-        block = bank.block_tap_gains(t0_tti * dt, range(n), dt)
+        block = bank.block_tap_gains(t0_tti * dt, range(n))
         np.testing.assert_allclose(block, direct, **tol)
 
     @pytest.mark.parametrize("steps", [
@@ -133,14 +133,14 @@ class TestFading:
         bank = FadingBank(np.array([150.0, 0.0, 60.0]),
                           channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed=4)
-        t0, dt = 128 * channel.TTI_S, channel.TTI_S
-        dense = bank.block_tap_gains(t0, range(channel.BLOCK_LEN), dt)
-        sparse = bank.block_tap_gains(t0, steps, dt)
+        t0 = 128 * channel.TTI_S
+        dense = bank.block_tap_gains(t0, range(channel.BLOCK_LEN))
+        sparse = bank.block_tap_gains(t0, steps)
         assert sparse.shape == (len(steps), 3, bank.n_taps)
         np.testing.assert_array_equal(sparse, dense[steps])
 
 
-def _two_pass_recurrence(bank, t0, steps, dt):
+def _two_pass_recurrence(bank, t0, steps):
     """The phasor recurrence as one pass per quadrature over all pairs,
     oscillator axis last: `z *= r` per step, `z.real.sum(axis=2)` per
     requested step."""
@@ -149,7 +149,7 @@ def _two_pass_recurrence(bank, t0, steps, dt):
         w = np.ascontiguousarray(np.moveaxis(bank._w[:, q], 0, -1))
         phase = np.ascontiguousarray(np.moveaxis(bank._phase[:, q], 0, -1))
         z = np.exp(1j * (w * t0 + phase))
-        r = np.exp(1j * (w * dt))
+        r = np.exp(1j * (w * channel.TTI_S))
         at = 0
         for k, step in enumerate(steps):
             for _ in range(step - at):
@@ -178,18 +178,17 @@ class TestChunkedRecurrence:
                              ids=["dense", "sparse", "first"])
     def test_bitwise_equal_two_pass_recurrence(self, steps, t0_tti):
         bank = self._bank()
-        dt = channel.TTI_S
-        np.testing.assert_array_equal(
-            bank.block_tap_gains(t0_tti * dt, steps, dt),
-            _two_pass_recurrence(bank, t0_tti * dt, steps, dt))
+        t0 = t0_tti * channel.TTI_S
+        np.testing.assert_array_equal(bank.block_tap_gains(t0, steps),
+                                      _two_pass_recurrence(bank, t0, steps))
 
     @pytest.mark.parametrize("chunk", [1, 7, N_PAIRS + 1])
     def test_rows_independent_of_chunk_size(self, chunk, monkeypatch):
-        t0, dt = 128 * channel.TTI_S, channel.TTI_S
-        expected = self._bank().block_tap_gains(t0, self.SPARSE, dt)
+        t0 = 128 * channel.TTI_S
+        expected = self._bank().block_tap_gains(t0, self.SPARSE)
         monkeypatch.setattr(channel, "CHUNK_PAIRS", chunk)
         np.testing.assert_array_equal(
-            self._bank().block_tap_gains(t0, self.SPARSE, dt), expected)
+            self._bank().block_tap_gains(t0, self.SPARSE), expected)
 
     def test_rotation_built_once_and_never_for_static_rows(self,
                                                            monkeypatch):
@@ -211,7 +210,7 @@ class TestChunkedRecurrence:
 
         def block_passes(bank, t0, steps):
             passes.clear()
-            bank.block_tap_gains(t0, steps, dt)
+            bank.block_tap_gains(t0, steps)
             return len(passes)
 
         assert block_passes(bank, 0.0, [0]) == n_chunks
@@ -316,8 +315,7 @@ class TestStaticMovingSplit:
                           channel.VEHA_TAP_POWERS_DB, seed)
         start = (tti // channel.BLOCK_LEN) * channel.BLOCK_LEN
         gains = full.block_tap_gains(start * channel.TTI_S,
-                                     range(channel.BLOCK_LEN),
-                                     channel.TTI_S)[tti - start]
+                                     range(channel.BLOCK_LEN))[tti - start]
         fading = (gains @ full.steering(model.rb_freqs)).reshape(
             len(speeds), len(self.CELLS), model.n_rb)
         return model.amplitude_gain(pos, slice(None))[:, :, None] * fading

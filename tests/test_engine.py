@@ -238,6 +238,22 @@ def test_fixed_cqi_reads_no_delayed_report(monkeypatch):
     assert len(snapshot_ttis) == 133
 
 
+def test_unicast_reads_link_state_only_where_copies_are_sent(monkeypatch):
+    """A fixed-CQI unicast run evaluates the channel only in the TTIs in
+    which some copy is granted RBs."""
+    snapshot_ttis = []
+    snapshot = channel.ChannelModel.snapshot
+
+    def recorded_snapshot(model, tti, gamma):
+        snapshot_ttis.append(tti)
+        return snapshot(model, tti, gamma)
+
+    monkeypatch.setattr(channel.ChannelModel, "snapshot", recorded_snapshot)
+    rec = run(ScenarioConfig(mode="unicast_baseline", n_tti=256, seed=1))
+    assert snapshot_ttis == np.flatnonzero(rec.cam_rb_per_tti).tolist()
+    assert len(snapshot_ttis) == 253
+
+
 short_configs = st.builds(
     ScenarioConfig,
     mode=st.sampled_from([engine.MODE_MULTICAST,
