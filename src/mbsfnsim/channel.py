@@ -1,11 +1,16 @@
 """Radio channel: macroscopic gain, multipath fading, per-TTI snapshots.
 
-Every user-cell pair carries a complex coefficient per resource-block
-centre: the product of a static macroscopic amplitude (pathloss plus
-log-normal shadowing, frozen per run) and a time-varying microscopic
+Every user-cell pair carries a static macroscopic amplitude (pathloss
+plus log-normal shadowing, frozen per run) and a time-varying microscopic
 fading term.  Fading is a tapped delay line whose taps are independent
 Rayleigh processes with a Jakes Doppler spectrum, generated by a
 sum-of-sinusoids so any time instant can be evaluated statelessly.
+
+The channel is held in the tap domain: a snapshot is each pair's tap
+gains scaled by its amplitude, x[user, cell, tap].  The complex
+coefficient at resource block r is x @ steer[:, r], where the steering
+matrix carries the taps' powers and delays; the link layer forms SINRs
+from x and the steering without building the per-RB coefficients.
 """
 from __future__ import annotations
 
@@ -169,25 +174,38 @@ class FadingBank:
         return self.tap_gains(t) @ self.steering(freq_offsets_hz)
 
 
+def steering_products(steer: np.ndarray) -> np.ndarray:
+    """[Re M; -Im M], (2 * n_taps**2, n_rb), of a steering matrix S
+    (n_taps, n_rb), with M[k * n_taps + l, r] = S[k, r] * conj(S[l, r]):
+    the real matrix through which `link.power_components` turns tap
+    covariances into per-RB powers."""
+    m = (steer[:, None] * steer[None].conj()).reshape(-1, steer.shape[1])
+    return np.concatenate((m.real, -m.imag))
+
+
 class ChannelModel:
-    """Per-TTI channel coefficients of a set of users against all cells.
+    """Per-TTI tap gains of a set of users against all cells.
 
     Shadowing is frozen per (user, cell) for the whole run; `amplitude_gain`
     turns positions into the macroscopic amplitude (pathloss plus
-    shadowing).  Fading evolves with the TTI clock (TTI_S).
+    shadowing).  Fading evolves with the TTI clock (TTI_S).  Every array
+    the model hands out is x[user, cell, tap]: a pair's tap gains times
+    its amplitude.  `steer`, (n_taps, n_rb), maps taps to the RB centres,
+    so a pair's coefficient at RB r is x @ steer[:, r]; `steer_products`
+    is its `steering_products`.
 
     Moving users must come first in the user order, and the split between
     them and the zero-Doppler users is fixed here.  A zero-Doppler user
-    neither moves nor fades, so its coefficients (amplitude at its given
+    neither moves nor fades, so its scaled taps (amplitude at its given
     position times fading) are evaluated once, at construction, as
-    `static_h`, (n_static, n_cells, n_rb).  A snapshot holds the moving
+    `static`, (n_static, n_cells, n_taps).  A snapshot holds the moving
     users' rows only; the caller evaluates their amplitude once per TTI
     and passes it in, so the same gain can also drive handover.  The
     moving pairs' tap gains are evaluated by the bank's phasor recurrence
     over blocks of BLOCK_LEN consecutive TTIs and chunks of CHUNK_PAIRS
-    pairs; each snapshot steers one TTI of taps to the RB frequencies.
-    Both groups draw from one FadingBank over all pairs, so the split
-    leaves every value unchanged.
+    pairs; each snapshot scales one TTI of them.  Both groups draw from
+    one FadingBank over all pairs, so the split leaves every value
+    unchanged.
 
     `evaluated_ttis`, a boolean mask over TTIs 0..len-1, names the only
     TTIs a caller reads (by default, every TTI): a block sums the taps
@@ -221,18 +239,18 @@ class ChannelModel:
                           VEHA_TAP_DELAYS, VEHA_TAP_POWERS_DB, seed)
         split = m * self.n_cells
         self.bank = bank.subset(slice(0, split))
-        self._steer = bank.steering(self.rb_freqs)
+        self.steer = bank.steering(self.rb_freqs)
+        self.steer_products = steering_products(self.steer)
         self.evaluated_ttis = evaluated_ttis
         # The current block's tap gains and the row of each TTI in it.
         self._gains = None
         self._rows = {}
         self._clamp_warned = False
-        fading = bank.subset(slice(split, None)).block_tap_gains(
-            0.0, (0,))[0] @ self._steer
         gamma = self.amplitude_gain(np.asarray(positions)[m:],
                                     slice(m, None))
-        self.static_h = gamma[:, :, None] * fading.reshape(
-            -1, self.n_cells, n_rb)
+        gains = bank.subset(slice(split, None)).block_tap_gains(0.0, (0,))[0]
+        self.static = gamma[:, :, None] * gains.reshape(-1, self.n_cells,
+                                                        bank.n_taps)
 
     def amplitude_gain(self, positions: np.ndarray, rows) -> np.ndarray:
         """Linear macroscopic amplitude per (user, cell) at given positions;
@@ -262,15 +280,13 @@ class ChannelModel:
         return self._gains[self._rows[tti]]
 
     def snapshot(self, tti: int, gamma: np.ndarray) -> np.ndarray:
-        """The moving users' complex coefficients h[user, cell, rb] at `tti`,
-        in a new (n_moving, n_cells, n_rb) array; `gamma` is their
+        """The moving users' scaled tap gains x[user, cell, tap] at `tti`,
+        in a new (n_moving, n_cells, n_taps) array; `gamma` is their
         `amplitude_gain` at this TTI's positions, (n_moving, n_cells)."""
         if gamma.shape != (self.n_moving, self.n_cells):
             raise ChannelStateError("amplitude does not match moving users")
-        h = np.matmul(self._tap_gains_at(tti), self._steer).reshape(
-            self.n_moving, self.n_cells, self.n_rb)
-        np.multiply(gamma[:, :, None], h, out=h)
-        return h
+        return gamma[:, :, None] * self._tap_gains_at(tti).reshape(
+            self.n_moving, self.n_cells, self.bank.n_taps)
 
 
 def noise_variance_normalized(bandwidth_rb: int, tx_power_dbm: float,

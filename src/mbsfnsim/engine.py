@@ -9,18 +9,19 @@ purpose-keyed streams, so a (config, seed) pair reproduces bit-identical
 results.
 
 The loop computes only what changes, and only where it is read.  The
-channel model fixes the static users' rows at construction, so the
-ordinary users' SINR is computed once, before the loop, and so is the
-sources' link state when the cars stand.  A cell's ordinary slots, with
-their bits and error probabilities, are priced once per cell state (RBs
-left, round-robin offset); each TTI only draws their decodes.  Only the
-tracked cars move, and their macroscopic gain is evaluated once per TTI:
-mobility hands each car over to its strongest cell with it, and the
-snapshot scales the cars' fading by it.  The delivery then derives one
-(source, rb) SINR grid from the sources' rows alone: the MBSFN SINR in
-multicast mode, the SINR against the drop cell in unicast mode.  The
-feedback-delay cache keeps that grid; CQI reports read the cached one and
-decoding reads this TTI's.
+channel model fixes the static users' scaled taps at construction, so
+the ordinary users' SINR is computed once, before the loop, and so is
+the sources' link state when the cars stand.  A cell's ordinary slots,
+with their bits and error probabilities, are priced once per cell state
+(RBs left, round-robin offset); each TTI only draws their decodes.  Only
+the tracked cars move, and their macroscopic gain is evaluated once per
+TTI: mobility hands each car over to its strongest cell with it, and the
+snapshot scales the cars' tap gains by it.  The delivery then derives
+one (source, rb) SINR grid from the sources' taps alone, through the
+model's steering (see `link`): the MBSFN SINR in multicast mode, the
+SINR against the drop cell in unicast mode.  No (user, cell, rb) channel
+is formed.  The feedback-delay cache keeps that grid; CQI reports read
+the cached one and decoding reads this TTI's.
 
 A delivery reads link state only in its `read_subframes` (multicast: the
 reserved ones; unicast: all ten); an adaptive CQI at TTI t also reads the
@@ -200,7 +201,6 @@ class RunRecord:
     congested: bool
     entries: list[metrics.LatencyEntry]
     n_open_entries: int
-    latency_matrix: np.ndarray
     ordinary_throughput_mbps: dict[int, float]
     multicast_rb_per_tti: np.ndarray
     cam_rb_per_tti: np.ndarray
@@ -319,10 +319,12 @@ class MulticastDelivery:
         self.pending[src] = _McastJob(src, packet.sequence,
                                       frozenset(receivers))
 
-    def link_state(self, h: np.ndarray) -> np.ndarray:
-        """The sources' (source, rb) multicast SINR, from their rows of h."""
-        return link.multicast_sinr_grid(h, self.mbsfn_mask,
-                                        self.noise_variance)
+    def link_state(self, x: np.ndarray, steer: np.ndarray,
+                   steer_products: np.ndarray) -> np.ndarray:
+        """The sources' (source, rb) multicast SINR, from their scaled taps
+        x and the channel's steering."""
+        return link.multicast_sinr_grid(x, self.mbsfn_mask, steer,
+                                        steer_products, self.noise_variance)
 
     def serve(self, tti: int, area_sources, read_now,
               report: np.ndarray) -> dict[int, int]:
@@ -422,12 +424,13 @@ class UnicastDelivery:
             queue[(src, recv)] = _CopyJob(src, packet.sequence, recv,
                                           float(packet.size_bits))
 
-    def link_state(self, h: np.ndarray) -> np.ndarray:
+    def link_state(self, x: np.ndarray, steer: np.ndarray,
+                   steer_products: np.ndarray) -> np.ndarray:
         """The sources' (source, rb) SINR against their drop cells, from
-        their rows of h; every copy receiver is a source."""
-        return link.sinr_vs_cell(*link.power_components(h),
-                                 np.arange(len(self.source_cells)),
-                                 self.source_cells, self.noise_variance)
+        their scaled taps x and the channel's steering; every copy
+        receiver is a source."""
+        return link.sinr_vs_cell(x, self.source_cells, steer, steer_products,
+                                 self.noise_variance)
 
     def serve(self, tti: int, area_sources, read_now,
               report) -> dict[int, int]:
@@ -554,6 +557,8 @@ def run(config: ScenarioConfig) -> RunRecord:
     # When the cars move, the sources are the model's rows 0..n_moving-1.
     moving_gain = functools.partial(model.amplitude_gain,
                                     rows=slice(0, model.n_moving))
+    link_state = functools.partial(delivery.link_state, steer=model.steer,
+                                   steer_products=model.steer_products)
 
     congested = delivery.congested
     if delivery.analytic_utilization_pct > 100.0:
@@ -569,12 +574,12 @@ def run(config: ScenarioConfig) -> RunRecord:
     ordinary_bits = np.zeros(len(ordinary_tracked))
     # A static user's SINR, reported or current, never changes.
     ordinary_sinr = link.sinr_vs_cell(
-        *link.power_components(model.static_h[n_sources - model.n_moving:]),
-        np.arange(len(ordinary_tracked)), pop.serving_cell[ordinary_tracked],
-        noise_var)
+        model.static[n_sources - model.n_moving:],
+        pop.serving_cell[ordinary_tracked], model.steer,
+        model.steer_products, noise_var)
     # Standing cars are static rows, so their link state never changes.
     static_now = (None if model.n_moving
-                  else delivery.link_state(model.static_h[:n_sources]))
+                  else link_state(model.static[:n_sources]))
     # A cell's ordinary slots, bits and error probabilities depend only on
     # its state (cell, RBs left, round-robin offset): each is priced once.
     ordinary_cache = {}
@@ -605,7 +610,7 @@ def run(config: ScenarioConfig) -> RunRecord:
         if static_now is not None:
             now = static_now
         elif reported[tti]:
-            now = delivery.link_state(model.snapshot(tti, gamma))
+            now = link_state(model.snapshot(tti, gamma))
         else:
             now = None
         report_cache.append(now)
@@ -620,7 +625,7 @@ def run(config: ScenarioConfig) -> RunRecord:
 
         # Messages first, then the ordinary users on what is left.
         left = delivery.serve(tti, area_now, lambda: (
-            delivery.link_state(model.snapshot(tti, gamma))
+            link_state(model.snapshot(tti, gamma))
             if now is None else now), report)
         states = []
         for cell, users in ordinary_by_cell.items():
@@ -658,7 +663,6 @@ def run(config: ScenarioConfig) -> RunRecord:
         congested=congested,
         entries=recorder.entries,
         n_open_entries=recorder.n_open,
-        latency_matrix=recorder.latency_matrix(),
         ordinary_throughput_mbps=throughput,
         multicast_rb_per_tti=delivery.multicast_rb_per_tti,
         cam_rb_per_tti=delivery.cam_rb_per_tti,

@@ -6,6 +6,15 @@ receivers see a single serving cell against everything else.  A
 mutual-information average condenses per-RB SINRs into one effective
 value, which drives both CQI selection and a logistic block-error model
 calibrated to 10% error at each CQI's switching threshold.
+
+SINRs are formed in the tap domain, from the channel's scaled tap gains
+x[user, cell, tap] and its steering matrix S (tap, rb).  A signal is a
+sum of x over its cells, steered: |(sum_c x_c) @ S|^2.  Power added over
+cells is a quadratic form in each user's tap covariance
+R = sum_c x_c x_c^H: sum_c |x_c @ S[:, r]|^2 = sum_kl R[k, l] S[k, r]
+conj(S[l, r]), which is real, so stacking [Re R, Im R] against the
+channel's steering products [Re M; -Im M] prices every RB with one real
+matrix product and never forms the per-(user, cell, rb) coefficients.
 """
 from __future__ import annotations
 
@@ -107,25 +116,37 @@ def cqi_efficiency(cqi_index: int, table: CqiTable = CQI_TABLE) -> float:
     return float(table.efficiencies[cqi_index - 1])
 
 
-def multicast_sinr_grid(h: np.ndarray, mbsfn_mask: np.ndarray,
+def multicast_sinr_grid(x: np.ndarray, mbsfn_mask: np.ndarray,
+                        steer: np.ndarray, steer_products: np.ndarray,
                         noise_variance: float) -> np.ndarray:
-    """Vectorized multicast SINR over (user, rb) from h (user, cell, rb)."""
-    signal = np.abs(h[:, mbsfn_mask, :].sum(axis=1)) ** 2
-    interference = (np.abs(h[:, ~mbsfn_mask, :]) ** 2).sum(axis=1)
-    return signal / (noise_variance + interference)
+    """Multicast SINR over (user, rb) from scaled taps x (user, cell, tap):
+    the `mbsfn_mask` cells add in amplitude, every other cell in power."""
+    signal = np.abs(x[:, mbsfn_mask].sum(axis=1) @ steer) ** 2
+    return signal / (noise_variance
+                     + power_components(x[:, ~mbsfn_mask], steer_products))
 
 
-def power_components(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(user, cell, rb) power and its per-user total over cells."""
-    power = np.abs(h) ** 2
-    return power, power.sum(axis=1)
+def power_components(x: np.ndarray,
+                     steer_products: np.ndarray) -> np.ndarray:
+    """Per-(user, rb) power received from all of x's cells together, as the
+    quadratic form of each user's tap covariance (see the module
+    docstring)."""
+    n_taps = x.shape[2]
+    cov = (x.transpose(0, 2, 1) @ x.conj()).reshape(len(x), n_taps * n_taps)
+    return np.concatenate((cov.real, cov.imag), axis=1) @ steer_products
 
 
-def sinr_vs_cell(power: np.ndarray, total_power: np.ndarray, rows,
-                 cells, noise_variance: float) -> np.ndarray:
-    """Unicast SINR of `rows` against per-row signal `cells`: (rows, rb)."""
-    signal = power[rows, cells, :]
-    return signal / (noise_variance + total_power[rows] - signal)
+def sinr_vs_cell(x: np.ndarray, cells, steer: np.ndarray,
+                 steer_products: np.ndarray,
+                 noise_variance: float) -> np.ndarray:
+    """Unicast SINR over (user, rb) from scaled taps x (user, cell, tap):
+    user u's signal cell `cells[u]` against the power of all others."""
+    rows = np.arange(len(x))
+    signal = np.abs(x[rows, cells] @ steer) ** 2
+    others = x.copy()
+    others[rows, cells] = 0.0
+    return signal / (noise_variance
+                     + power_components(others, steer_products))
 
 
 def cqi_from_sinr_db(eff_db, table: CqiTable = CQI_TABLE):

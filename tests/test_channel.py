@@ -238,32 +238,34 @@ def _moving_gamma(model, pos):
 
 class TestChannelModel:
     def test_static_channel_repeats(self):
-        """An all-static model has no snapshot rows; its `static_h`, fixed
-        at construction, equals the channel evaluated afresh at a later
+        """An all-static model has no snapshot rows; its `static` taps,
+        fixed at construction, give the channel evaluated afresh at a later
         TTI."""
         pos = np.array([[100.0, 50.0], [300.0, 10.0]])
         model, cells = _small_model(pos, doppler=(0.0, 0.0))
         gamma = _moving_gamma(model, pos)
+        n_taps = len(channel.VEHA_TAP_DELAYS)
         assert gamma.shape == (0, len(cells))
-        assert model.snapshot(0, gamma).shape == (0, len(cells), model.n_rb)
-        assert model.snapshot(5, gamma).shape == (0, len(cells), model.n_rb)
+        assert model.snapshot(0, gamma).shape == (0, len(cells), n_taps)
+        assert model.snapshot(5, gamma).shape == (0, len(cells), n_taps)
         bank = FadingBank(np.zeros(2 * len(cells)), channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed=1)
         fading_t5 = bank.coefficients(5e-3, model.rb_freqs)[0].reshape(
             2, len(cells), model.n_rb)
         np.testing.assert_allclose(
-            model.static_h,
+            model.static @ model.steer,
             model.amplitude_gain(pos, slice(None))[:, :, None] * fading_t5,
             atol=1e-9)
 
     def test_composition_identity(self):
-        """One user, one cell: h equals macroscopic gain times fading."""
+        """One user, one cell: the steered snapshot equals macroscopic gain
+        times fading."""
         cells = np.array([[0.0, 0.0]])
         shadow = np.array([[4.0]])
         pos = np.array([[840.0, 0.0]])
         model = ChannelModel(cells, pos, np.array([20.0]), shadow, 2.14e9, 1,
                              seed=21)
-        h = model.snapshot(3, _moving_gamma(model, pos))
+        h = model.snapshot(3, _moving_gamma(model, pos)) @ model.steer
         bank = FadingBank(np.array([channel.doppler_frequency(20.0, 2.14e9)]),
                           channel.VEHA_TAP_DELAYS, channel.VEHA_TAP_POWERS_DB,
                           seed=21)
@@ -277,7 +279,8 @@ class TestChannelModel:
         gamma = _moving_gamma(model, pos)
         powers = []
         for tti in range(4000):
-            powers.append(np.abs(model.snapshot(tti, gamma)[0, :, 0]) ** 2)
+            h = model.snapshot(tti, gamma) @ model.steer
+            powers.append(np.abs(h[0, :, 0]) ** 2)
         mean_power = np.mean(powers, axis=0)
         gamma_sq = gamma[0] ** 2
         np.testing.assert_allclose(mean_power, gamma_sq, rtol=0.05)
@@ -286,7 +289,7 @@ class TestChannelModel:
         pos = np.array([[100.0, 50.0], [300.0, 10.0]])
         m1, _ = _small_model(pos, seed=33)
         m2, _ = _small_model(pos, seed=33)
-        np.testing.assert_array_equal(m1.static_h, m2.static_h)
+        np.testing.assert_array_equal(m1.static, m2.static)
         for tti in (0, 17, 64):
             np.testing.assert_array_equal(
                 m1.snapshot(tti, _moving_gamma(m1, pos)),
@@ -316,9 +319,10 @@ class TestStaticMovingSplit:
         start = (tti // channel.BLOCK_LEN) * channel.BLOCK_LEN
         gains = full.block_tap_gains(start * channel.TTI_S,
                                      range(channel.BLOCK_LEN))[tti - start]
-        fading = (gains @ full.steering(model.rb_freqs)).reshape(
-            len(speeds), len(self.CELLS), model.n_rb)
-        return model.amplitude_gain(pos, slice(None))[:, :, None] * fading
+        np.testing.assert_array_equal(model.steer,
+                                      full.steering(model.rb_freqs))
+        return (model.amplitude_gain(pos, slice(None))[:, :, None]
+                * gains.reshape(len(speeds), len(self.CELLS), full.n_taps))
 
     @pytest.mark.parametrize("speeds", [
         (27.8, 13.9, 0.0, 0.0, 0.0),   # moving sources, static ordinary
@@ -336,9 +340,10 @@ class TestStaticMovingSplit:
         assert model.n_moving == sum(s > 0 for s in speeds)
         for tti in (0, 63, 64, 130):
             moving = model.snapshot(tti, _moving_gamma(model, pos))
-            assert moving.shape == (model.n_moving, len(self.CELLS), 6)
+            assert moving.shape == (model.n_moving, len(self.CELLS),
+                                    len(channel.VEHA_TAP_DELAYS))
             np.testing.assert_array_equal(
-                np.concatenate((moving, model.static_h)),
+                np.concatenate((moving, model.static)),
                 self._oracle(model, speeds, pos, tti, seed))
 
     def test_snapshots_do_not_share_memory(self):
@@ -353,7 +358,7 @@ class TestStaticMovingSplit:
         kept = a.copy()
         b = model.snapshot(1, gamma)
         assert not np.shares_memory(a, b)
-        assert not np.shares_memory(a, model.static_h)
+        assert not np.shares_memory(a, model.static)
         np.testing.assert_array_equal(a, kept)
         assert not np.array_equal(a, b)
 
@@ -387,7 +392,7 @@ class TestStaticMovingSplit:
         full = ChannelModel(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5)
         part = ChannelModel(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5,
                             evaluated_ttis=evaluated)
-        np.testing.assert_array_equal(part.static_h, full.static_h)
+        np.testing.assert_array_equal(part.static, full.static)
         gamma = _moving_gamma(full, pos)
         for tti in np.flatnonzero(evaluated).tolist():
             np.testing.assert_array_equal(part.snapshot(tti, gamma),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsfnsim import engine, link
+from mbsfnsim import channel, engine, link
+from mbsfnsim.channel import steering_products
 from mbsfnsim.link import CqiRangeError, bler, cqi_efficiency
 
 
@@ -35,18 +36,25 @@ def _h(h_per_cell):
     return np.asarray(h_per_cell, dtype=complex).reshape(1, -1, 1)
 
 
+def _identity_steering(n_rb):
+    """Steering under which taps are RBs: x @ steer is x itself, so a
+    channel h (user, cell, rb) passes as scaled taps unchanged."""
+    steer = np.eye(n_rb, dtype=complex)
+    return steer, steering_products(steer)
+
+
 def _mc_sinr(h, area, noise_variance) -> np.ndarray:
     """Multicast SINR (user, rb) of h (user, cell, rb) with cells `area`."""
     mask = np.isin(np.arange(h.shape[1]), list(area))
-    return link.multicast_sinr_grid(h, mask, noise_variance)
+    return link.multicast_sinr_grid(h, mask, *_identity_steering(h.shape[2]),
+                                    noise_variance)
 
 
 def _uc_sinr(h, serving, noise_variance) -> np.ndarray:
     """Unicast SINR (user, rb) of h (user, cell, rb) from per-user cells
     `serving`."""
-    power, total = link.power_components(h)
-    return link.sinr_vs_cell(power, total, np.arange(len(h)),
-                             np.asarray(serving), noise_variance)
+    return link.sinr_vs_cell(h, np.asarray(serving),
+                             *_identity_steering(h.shape[2]), noise_variance)
 
 
 class TestSinrFormulas:
@@ -104,12 +112,8 @@ class TestSinrFormulas:
         rng = np.random.default_rng(23)
         h = rng.normal(size=(3, 19, 4)) + 1j * rng.normal(size=(3, 19, 4))
         noise = 0.21
-        mask = np.zeros(19, dtype=bool)
-        mask[:7] = True
-        mc = link.multicast_sinr_grid(h, mask, noise)
-        power, total = link.power_components(h)
-        uc = link.sinr_vs_cell(power, total, np.arange(3),
-                               np.array([0, 3, 12]), noise)
+        mc = _mc_sinr(h, range(7), noise)
+        uc = _uc_sinr(h, [0, 3, 12], noise)
         # term-by-term oracles: area cells add in amplitude, every other
         # cell in power
         for u in range(3):
@@ -123,6 +127,83 @@ class TestSinrFormulas:
                 intf = sum(abs(h[u, l, n]) ** 2 for l in range(19)
                            if l != cell)
                 assert uc[u, n] == pytest.approx(sig / (noise + intf))
+
+
+def _h_domain_grids(x, mask, cells, steer, noise):
+    """The multicast and unicast SINR grids from the per-RB channel
+    h = x @ steer (user, cell, rb), term by term over cells."""
+    h = x @ steer
+    mc = np.abs(h[:, mask].sum(axis=1)) ** 2 / (
+        noise + (np.abs(h[:, ~mask]) ** 2).sum(axis=1))
+    uc = np.empty((len(x), steer.shape[1]))
+    for u, cell in enumerate(cells):
+        rest = np.delete(h[u], cell, axis=0)
+        uc[u] = np.abs(h[u, cell]) ** 2 / (
+            noise + (np.abs(rest) ** 2).sum(axis=0))
+    return mc, uc
+
+
+def _check_tap_domain(rng, n_users, n_cells, n_area, n_taps, n_rb,
+                      amplitude, noise, steer=None):
+    if steer is None:
+        steer = rng.normal(size=(n_taps, n_rb)) \
+            + 1j * rng.normal(size=(n_taps, n_rb))
+    x = amplitude[:, :, None] * (
+        rng.normal(size=(n_users, n_cells, n_taps))
+        + 1j * rng.normal(size=(n_users, n_cells, n_taps)))
+    mask = np.zeros(n_cells, dtype=bool)
+    mask[rng.permutation(n_cells)[:n_area]] = True
+    cells = rng.integers(0, n_cells, size=n_users)
+    products = steering_products(steer)
+    mc = link.multicast_sinr_grid(x, mask, steer, products, noise)
+    uc = link.sinr_vs_cell(x, cells, steer, products, noise)
+    want_mc, want_uc = _h_domain_grids(x, mask, cells, steer, noise)
+    for got, want in ((mc, want_mc), (uc, want_uc)):
+        assert got.shape == (n_users, n_rb)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _veha_steering(n_rb):
+    rb_freqs = (np.arange(n_rb) - (n_rb - 1) / 2.0) * channel.RB_BANDWIDTH_HZ
+    bank = channel.FadingBank(np.zeros(1), channel.VEHA_TAP_DELAYS,
+                              channel.VEHA_TAP_POWERS_DB, seed=1)
+    return bank.steering(rb_freqs)
+
+
+class TestTapDomainSinr:
+    """SINR grids from scaled taps against the per-RB channel h = x @ steer
+    they stand for."""
+
+    @pytest.mark.parametrize("n_users, n_cells, n_area, n_taps, n_rb", [
+        (0, 19, 7, 6, 25),     # no users (cars_per_cell = 0)
+        (4, 19, 7, 1, 25),     # one tap
+        (21, 19, 7, 6, 25),    # mc5 / uc5 sources
+        (57, 37, 19, 6, 100),  # mc20_rings2 sources
+    ])
+    def test_benchmark_shapes(self, n_users, n_cells, n_area, n_taps, n_rb):
+        rng = np.random.default_rng(n_users * 1000 + n_cells + n_taps)
+        steer = _veha_steering(n_rb) if n_taps == 6 else None
+        _check_tap_domain(rng, n_users, n_cells, n_area, n_taps, n_rb,
+                          np.ones((n_users, n_cells)), 0.3, steer)
+
+    def test_deep_fade(self):
+        """Path gains spread over 80 dB around the 20 MHz noise level, so
+        most interferers sit far below it and some far above."""
+        rng = np.random.default_rng(99)
+        amplitude = 10.0 ** -rng.uniform(4.0, 8.0, size=(57, 37))
+        noise = channel.noise_variance_normalized(100, 46.0)
+        _check_tap_domain(rng, 57, 37, 19, 6, 100, amplitude, noise,
+                          _veha_steering(100))
+
+    @given(st.integers(0, 6), st.integers(1, 8), st.integers(1, 6),
+           st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_shapes(self, n_users, n_cells, n_taps, n_rb, seed):
+        rng = np.random.default_rng(seed)
+        _check_tap_domain(rng, n_users, n_cells,
+                          int(rng.integers(0, n_cells + 1)), n_taps, n_rb,
+                          np.ones((n_users, n_cells)), 0.05)
 
 
 class TestCqiMapping:
