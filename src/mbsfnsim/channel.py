@@ -11,12 +11,23 @@ gains scaled by its amplitude, x[user, cell, tap].  The complex
 coefficient at resource block r is x @ steer[:, r], where the steering
 matrix carries the taps' powers and delays; the link layer forms SINRs
 from x and the steering without building the per-RB coefficients.
+
+Fading is stepped in chunks of pairs.  A bank with more than one chunk,
+in a process that may use more than one CPU, steps them on a thread
+pool of its own, started by its first block that steps and ended by
+its `close` (`ChannelModel.close`, which `engine.run` calls on every
+exit path).  The chunks write disjoint pairs with the same operations
+on either path, so the tap gains do not depend on the number of
+workers.
 """
 from __future__ import annotations
 
 import copy
+import functools
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -62,6 +73,26 @@ def pathloss_db(distance_m):
     return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE_DB * np.log10(d / 1000.0)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: a fading bank's pool has at most
+    this many workers."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _unit_phasors(w, t, out, phase=None):
+    """exp(1j * (w * t + phase)) written into the complex array `out`,
+    allocating nothing.  The angle goes to the imaginary part and the real
+    part is zeroed; exp(+-0 + ix) is exactly cos x + i sin x, so this is
+    bitwise np.exp(1j * angle)."""
+    np.multiply(w, t, out=out.imag)
+    if phase is not None:
+        out.imag += phase
+    out.real = 0.0
+    np.exp(out, out=out)
+
+
 def draw_shadowing(n_users: int, n_cells: int, std_db: float,
                    seed) -> np.ndarray:
     """Independent log-normal shadowing per (user, cell), frozen per run."""
@@ -77,6 +108,14 @@ class FadingBank:
     stratify the Jakes spectrum, so the ensemble autocorrelation is
     J0(2*pi*fd*tau) and E|g|^2 = 1 per tap.  Evaluation is stateless in t.
     Both quadratures are held oscillator axis first: (16, 2, pairs, taps).
+
+    The bank owns the thread pool on which `block_tap_gains` steps its
+    chunks of CHUNK_PAIRS pairs.  The pool exists only from the bank's
+    first block that steps until `close`, and only when the bank has more
+    than one chunk and `usable_cpus()` is above one; it has one worker per
+    chunk, up to that many CPUs.  Otherwise the chunks run inline, one
+    after another.  A row is bitwise the same on either path, whatever
+    the number of workers.
     """
 
     def __init__(self, doppler_hz: np.ndarray, tap_delays, tap_powers_db,
@@ -87,28 +126,45 @@ class FadingBank:
         self.n_taps = len(self.tap_delays)
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), 0xFAD, 0]))
-        shape = (self.n_pairs, self.n_taps, N_OSCILLATORS)
+        shape = (N_OSCILLATORS, 2, self.n_pairs, self.n_taps)
         m = np.arange(1, N_OSCILLATORS + 1, dtype=float)
-        theta = rng.uniform(-math.pi, math.pi, size=shape[:2])
-        alpha = (2.0 * math.pi * m - math.pi + theta[..., None]) \
-            / (4.0 * N_OSCILLATORS)
-        wd = 2.0 * math.pi * np.asarray(doppler_hz, dtype=float)
-        self._w = np.empty((N_OSCILLATORS, 2) + shape[:2])
-        self._phase = np.empty_like(self._w)
-        for q, trig in enumerate((np.cos, np.sin)):
-            self._w[:, q] = np.moveaxis(wd[:, None, None] * trig(alpha), -1, 0)
-            self._phase[:, q] = np.moveaxis(
-                rng.uniform(-math.pi, math.pi, size=shape), -1, 0)
-        # exp(1j*w*TTI_S) per chunk of CHUNK_PAIRS pairs, once built.
-        self._rotations = None
+        theta = rng.uniform(-math.pi, math.pi, size=shape[2:])
+        alpha = (2.0 * math.pi * m - math.pi)[:, None, None] + theta
+        alpha /= 4.0 * N_OSCILLATORS
+        self._w = np.empty(shape)
+        np.cos(alpha, out=self._w[:, 0])
+        np.sin(alpha, out=self._w[:, 1])
+        del alpha
+        self._w *= 2.0 * math.pi * np.asarray(doppler_hz, dtype=float)[:, None]
+        # The phases of quadrature 0, then of quadrature 1, drawn a chunk of
+        # pairs at a time: the stream order of one (pairs, taps, 16) draw
+        # per quadrature.
+        self._phase = np.empty(shape)
+        for q in range(2):
+            for start in range(0, self.n_pairs, CHUNK_PAIRS):
+                part = self._phase[:, q, start:start + CHUNK_PAIRS]
+                part[...] = np.moveaxis(rng.uniform(
+                    -math.pi, math.pi, size=part.shape[1:] + (N_OSCILLATORS,)),
+                    -1, 0)
+        # Per chunk: exp(1j*w*TTI_S) once built, and, with the pool, the
+        # phasors its worker steps.
+        self._rotations = self._phasors = self._pool = None
 
     def subset(self, pairs: slice) -> "FadingBank":
-        """The same processes restricted to `pairs` (views, no new draws)."""
+        """The same processes restricted to `pairs` (views, no new draws),
+        with no rotations or pool of their own yet."""
         sub = copy.copy(self)
         sub._w, sub._phase = self._w[:, :, pairs], self._phase[:, :, pairs]
         sub.n_pairs = sub._w.shape[2]
-        sub._rotations = None
+        sub._rotations = sub._phasors = sub._pool = None
         return sub
+
+    def close(self) -> None:
+        """End the chunk pool, if there is one, and join its threads; later
+        blocks run their chunks inline."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = self._phasors = None
 
     def tap_gains(self, t) -> np.ndarray:
         """Per-tap complex gains at time(s) t: shape (len(t), n_pairs, n_taps)."""
@@ -133,35 +189,68 @@ class FadingBank:
         only at the requested ones.  This replaces all trig evaluations but
         the first and drifts only at float rounding level within a block.
         Each chunk of CHUNK_PAIRS pairs runs through all steps while it stays
-        in cache; the bank's first block that steps builds the rotations.
+        in cache, and writes only its own pairs of the result.  The bank's
+        first block that steps allocates the rotations and starts the pool
+        (see the class); each chunk builds its own rotations in that block.
+        With the pool, this thread allocates every chunk's buffers and then
+        only waits: the workers allocate nothing but each step's sums.
         """
         out = np.empty((len(steps), self.n_pairs, self.n_taps), dtype=complex)
-        chunks = range(0, self.n_pairs, CHUNK_PAIRS)
-        if len(steps) and steps[-1] > 0 and self._rotations is None:
-            # Every chunk's rotations in one buffer, each a contiguous slice.
-            flat = np.empty((self.n_pairs, 2 * N_OSCILLATORS * self.n_taps),
-                            dtype=complex)
-            self._rotations = [np.exp(
-                1j * (self._w[:, :, start:start + CHUNK_PAIRS] * TTI_S),
-                out=flat[start:start + CHUNK_PAIRS].reshape(
-                    N_OSCILLATORS, 2, -1, self.n_taps)) for start in chunks]
-        for c, start in enumerate(chunks):
-            pairs = slice(start, start + CHUNK_PAIRS)
-            z = np.exp(1j * (self._w[:, :, pairs] * t0
-                             + self._phase[:, :, pairs]))
-            at = 0
-            for k, step in enumerate(steps):
-                for _ in range(step - at):
-                    z *= self._rotations[c]
-                at = step
-                # numpy's pairwise order: a[j] + a[j+8], then adjacent pairs.
-                r = z.real[:8] + z.real[8:]
-                r = r[0::2] + r[1::2]
-                r = r[0::2] + r[1::2]
-                np.add(r[0, 0], r[1, 0], out=out.real[k, pairs])
-                np.add(r[0, 1], r[1, 1], out=out.imag[k, pairs])
-        out *= 1.0 / math.sqrt(N_OSCILLATORS)
+        starts = range(0, self.n_pairs, CHUNK_PAIRS)
+        build = len(steps) > 0 and steps[-1] > 0 and self._rotations is None
+        if build:
+            self._rotations = self._chunk_buffers()
+            cpus = usable_cpus() if len(starts) > 1 else 1
+            if cpus > 1:
+                self._phasors = self._chunk_buffers()
+                self._pool = ThreadPoolExecutor(
+                    min(len(starts), cpus), thread_name_prefix="fading")
+        if self._pool is None:
+            phasors, run = self._chunk_buffers(shared=True), map
+        else:
+            phasors, run = self._phasors, self._pool.map
+        rows = functools.partial(self._chunk_rows, t0, steps, out, build)
+        for _ in run(rows, starts, phasors,
+                     self._rotations or [None] * len(starts)):
+            pass
         return out
+
+    def _chunk_buffers(self, shared: bool = False) -> list:
+        """One complex (16, 2, chunk pairs, n_taps) array per chunk, each
+        contiguous, in one new buffer; with `shared`, every chunk's array
+        starts at the buffer's start, for chunks that run one at a time."""
+        per_pair = 2 * N_OSCILLATORS * self.n_taps
+        flat = np.empty(per_pair * (min(CHUNK_PAIRS, self.n_pairs) if shared
+                                    else self.n_pairs), dtype=complex)
+        views = []
+        for start in range(0, self.n_pairs, CHUNK_PAIRS):
+            n = min(CHUNK_PAIRS, self.n_pairs - start)
+            at = 0 if shared else start * per_pair
+            views.append(flat[at:at + n * per_pair].reshape(
+                N_OSCILLATORS, 2, n, self.n_taps))
+        return views
+
+    def _chunk_rows(self, t0, steps, out, build, start, z, rotation) -> None:
+        """The rows of pairs start..start+CHUNK_PAIRS-1 of a block, written
+        to `out`: the phasors `z` anchored at t0 and stepped by `rotation`,
+        which is built first when `build`, then scaled to unit power."""
+        pairs = slice(start, start + CHUNK_PAIRS)
+        w = self._w[:, :, pairs]
+        if build:
+            _unit_phasors(w, TTI_S, rotation)
+        _unit_phasors(w, t0, z, self._phase[:, :, pairs])
+        at = 0
+        for k, step in enumerate(steps):
+            for _ in range(step - at):
+                z *= rotation
+            at = step
+            # numpy's pairwise order: a[j] + a[j+8], then adjacent pairs.
+            r = z.real[:8] + z.real[8:]
+            r = r[0::2] + r[1::2]
+            r = r[0::2] + r[1::2]
+            np.add(r[0, 0], r[1, 0], out=out.real[k, pairs])
+            np.add(r[0, 1], r[1, 1], out=out.imag[k, pairs])
+        out[:, pairs] *= 1.0 / math.sqrt(N_OSCILLATORS)
 
     def steering(self, freq_offsets_hz) -> np.ndarray:
         """Tap-to-frequency mixing matrix (n_taps, n_freqs), powers included."""
@@ -213,6 +302,12 @@ class ChannelModel:
     still step through every TTI of a block up to its last read one, so
     each snapshot is bitwise the one an unrestricted model gives at the
     same TTI.
+
+    The moving pairs' bank owns a thread pool once its first block steps,
+    if it has more than one chunk and the process more than one CPU (see
+    `FadingBank`); snapshots are bitwise the same for any number of
+    workers.  The model's owner ends the pool with `close`: `engine.run`
+    does so on every exit path.
     """
 
     def __init__(self, cell_positions: np.ndarray, positions: np.ndarray,
@@ -251,6 +346,10 @@ class ChannelModel:
         gains = bank.subset(slice(split, None)).block_tap_gains(0.0, (0,))[0]
         self.static = gamma[:, :, None] * gains.reshape(-1, self.n_cells,
                                                         bank.n_taps)
+
+    def close(self) -> None:
+        """End the fading bank's thread pool, if it has one."""
+        self.bank.close()
 
     def amplitude_gain(self, positions: np.ndarray, rows) -> np.ndarray:
         """Linear macroscopic amplitude per (user, cell) at given positions;

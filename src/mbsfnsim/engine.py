@@ -595,60 +595,67 @@ def run(config: ScenarioConfig) -> RunRecord:
     for src in sources:
         generating.setdefault(buffers[src].offset, []).append(src)
 
-    for tti in range(cfg.n_tti):
-        gamma = topology.advance_mobility(pop, channel.TTI_S, moving_gain,
-                                          sources)
+    try:
+        for tti in range(cfg.n_tti):
+            gamma = topology.advance_mobility(pop, channel.TTI_S, moving_gain,
+                                              sources)
 
-        # Membership follows the serving cell: a car that left the area stops
-        # blocking open entries and is excluded from new recipient sets.
-        area_prev = area_now
-        area_now = set(source_arr[
-            mbsfn_mask[pop.serving_cell[source_arr]]].tolist())
-        for gone in sorted(area_prev - area_now):
-            recorder.on_receiver_exit(gone, tti)
+            # Membership follows the serving cell: a car that left the area
+            # stops blocking open entries and is excluded from new recipient
+            # sets.
+            area_prev = area_now
+            area_now = set(source_arr[
+                mbsfn_mask[pop.serving_cell[source_arr]]].tolist())
+            for gone in sorted(area_prev - area_now):
+                recorder.on_receiver_exit(gone, tti)
 
-        if static_now is not None:
-            now = static_now
-        elif reported[tti]:
-            now = link_state(model.snapshot(tti, gamma))
-        else:
-            now = None
-        report_cache.append(now)
-        report = report_cache[0]
+            if static_now is not None:
+                now = static_now
+            elif reported[tti]:
+                now = link_state(model.snapshot(tti, gamma))
+            else:
+                now = None
+            report_cache.append(now)
+            report = report_cache[0]
 
-        # Generation replaces any undelivered predecessor.
-        for src in generating.get(tti % cfg.cam_period_ttis, ()):
-            pkt = traffic.maybe_generate(buffers[src], tti)
-            receivers = area_now - {src}
-            recorder.on_generation(src, pkt.sequence, tti, receivers)
-            delivery.add(pkt, receivers)
+            # Generation replaces any undelivered predecessor.
+            for src in generating.get(tti % cfg.cam_period_ttis, ()):
+                pkt = traffic.maybe_generate(buffers[src], tti)
+                receivers = area_now - {src}
+                recorder.on_generation(src, pkt.sequence, tti, receivers)
+                delivery.add(pkt, receivers)
 
-        # Messages first, then the ordinary users on what is left.
-        left = delivery.serve(tti, area_now, lambda: (
-            link_state(model.snapshot(tti, gamma))
-            if now is None else now), report)
-        states = []
-        for cell, users in ordinary_by_cell.items():
-            if users and left[cell] > 0:
-                states.append((cell, left[cell], rr_offset[cell]))
-                rr_offset[cell] = (rr_offset[cell] + 1) % len(users)
-        if not states:
-            continue
-        if new := [state for state in states if state not in ordinary_cache]:
-            # The TTI's new states in one batch, split per state.
-            slots = [[s for s in scheduler.schedule_unicast_ordinary(
-                ordinary_by_cell[c], n, k) if s[2] > 0] for c, n, k in new]
-            flat = np.array(list(itertools.chain(*slots)), dtype=np.intp)
-            bits, p = ordinary_stage(flat, ordinary_sinr, cfg.usable_re_per_rb,
-                                     cfg.bler_slope_db_per_decade, table)
-            ends = list(itertools.accumulate(map(len, slots), initial=0))
-            for state, a, b in zip(new, ends, ends[1:]):
-                ordinary_cache[state] = flat[a:b, 0], bits[a:b], p[a:b]
-        rows, bits, p = (np.concatenate(parts) for parts in zip(
-            *[ordinary_cache[state] for state in states]))
-        ok = draw_success(p, cfg.perfect_decode, rng_decode)
-        # A user has at most one slot per TTI, so no row repeats.
-        ordinary_bits[rows[ok]] += bits[ok]
+            # Messages first, then the ordinary users on what is left.
+            left = delivery.serve(tti, area_now, lambda: (
+                link_state(model.snapshot(tti, gamma))
+                if now is None else now), report)
+            states = []
+            for cell, users in ordinary_by_cell.items():
+                if users and left[cell] > 0:
+                    states.append((cell, left[cell], rr_offset[cell]))
+                    rr_offset[cell] = (rr_offset[cell] + 1) % len(users)
+            if not states:
+                continue
+            if new := [state for state in states
+                       if state not in ordinary_cache]:
+                # The TTI's new states in one batch, split per state.
+                slots = [[s for s in scheduler.schedule_unicast_ordinary(
+                    ordinary_by_cell[c], n, k) if s[2] > 0] for c, n, k in new]
+                flat = np.array(list(itertools.chain(*slots)), dtype=np.intp)
+                bits, p = ordinary_stage(
+                    flat, ordinary_sinr, cfg.usable_re_per_rb,
+                    cfg.bler_slope_db_per_decade, table)
+                ends = list(itertools.accumulate(map(len, slots), initial=0))
+                for state, a, b in zip(new, ends, ends[1:]):
+                    ordinary_cache[state] = flat[a:b, 0], bits[a:b], p[a:b]
+            rows, bits, p = (np.concatenate(parts) for parts in zip(
+                *[ordinary_cache[state] for state in states]))
+            ok = draw_success(p, cfg.perfect_decode, rng_decode)
+            # A user has at most one slot per TTI, so no row repeats.
+            ordinary_bits[rows[ok]] += bits[ok]
+    finally:
+        # The fading pool's threads end with the loop that uses them.
+        model.close()
 
     duration_s = cfg.n_tti * channel.TTI_S
     throughput = {u: (b / duration_s / 1e6 if duration_s else 0.0)

@@ -1,5 +1,6 @@
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -167,11 +168,63 @@ class TestChunkedRecurrence:
     N_PAIRS = 2 * channel.CHUNK_PAIRS + 7
     SPARSE = [1, 2, 6, 7, 61, 62]
 
-    def _bank(self, seed=9):
+    def _doppler(self):
         doppler = np.linspace(0.0, 240.0, self.N_PAIRS)
         doppler[::11] = 0.0
-        return FadingBank(doppler, channel.VEHA_TAP_DELAYS,
+        return doppler
+
+    def _bank(self, seed=9):
+        return FadingBank(self._doppler(), channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed)
+
+    @pytest.mark.parametrize("chunk", [7, channel.CHUNK_PAIRS])
+    def test_draws_per_chunk_equal_full_size_draws(self, chunk, monkeypatch):
+        """The frequencies, computed in place, and the phases, drawn a chunk
+        of pairs at a time, are bitwise those of full-size draws: theta,
+        then each quadrature's (pairs, taps, oscillators) phases."""
+        monkeypatch.setattr(channel, "CHUNK_PAIRS", chunk)
+        bank = self._bank()
+        rng = np.random.default_rng(np.random.SeedSequence([9, 0xFAD, 0]))
+        n = channel.N_OSCILLATORS
+        shape = (self.N_PAIRS, bank.n_taps, n)
+        m = np.arange(1, n + 1, dtype=float)
+        theta = rng.uniform(-math.pi, math.pi, size=shape[:2])
+        alpha = (2.0 * math.pi * m - math.pi + theta[..., None]) / (4.0 * n)
+        wd = 2.0 * math.pi * self._doppler()
+        for q, trig in enumerate((np.cos, np.sin)):
+            np.testing.assert_array_equal(
+                bank._w[:, q], np.moveaxis(wd[:, None, None] * trig(alpha),
+                                           -1, 0))
+            np.testing.assert_array_equal(
+                bank._phase[:, q],
+                np.moveaxis(rng.uniform(-math.pi, math.pi, size=shape), -1, 0))
+
+    @pytest.mark.parametrize("t0_tti", [0, 10_000])
+    @pytest.mark.parametrize("steps", [range(channel.BLOCK_LEN), SPARSE, [0]],
+                             ids=["dense", "sparse", "first"])
+    def test_rows_independent_of_worker_count(self, steps, t0_tti,
+                                              monkeypatch):
+        """Rows are bitwise the same with the chunks inline (one CPU) and on
+        pools of 2 and 3 workers, in the block that starts the pool and in
+        a later one; `close` joins the workers."""
+        t0 = t0_tti * channel.TTI_S
+        rows = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(channel, "usable_cpus", lambda: cpus)
+            before = set(threading.enumerate())
+            bank = self._bank()
+            first = bank.block_tap_gains(t0, steps)
+            bank.block_tap_gains(t0, [1])
+            workers = set(threading.enumerate()) - before
+            assert (len(workers) > 0) == (cpus > 1)
+            assert len(workers) <= cpus
+            rows[cpus] = first, bank.block_tap_gains(t0, steps)
+            bank.close()
+            assert not any(t.is_alive() for t in workers)
+        for cpus in (2, 3):
+            for got, want in zip(rows[cpus], rows[1]):
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rows[1][0], rows[1][1])
 
     @pytest.mark.parametrize("t0_tti", [0, 10_000])
     @pytest.mark.parametrize("steps", [range(channel.BLOCK_LEN), SPARSE, [0]],

@@ -1,5 +1,6 @@
 import logging
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
@@ -252,6 +253,69 @@ def test_unicast_reads_link_state_only_where_copies_are_sent(monkeypatch):
     rec = run(ScenarioConfig(mode="unicast_baseline", n_tti=256, seed=1))
     assert snapshot_ttis == np.flatnonzero(rec.cam_rb_per_tti).tolist()
     assert len(snapshot_ttis) == 253
+
+
+@pytest.mark.parametrize("mode", [engine.MODE_MULTICAST,
+                                  engine.MODE_UNICAST_BASELINE])
+def test_outputs_independent_of_cpu_count(mode, monkeypatch):
+    """A 5 MHz run's 399 moving fading pairs make two chunks: inline with
+    one CPU, on a pool of two workers with two.  The record is the same."""
+    asked = []
+
+    def cpus(n):
+        def usable():
+            asked.append(n)
+            return n
+        return usable
+
+    cfg = ScenarioConfig(mode=mode, n_tti=200, seed=1)
+    records = []
+    for n in (1, 2):
+        monkeypatch.setattr(channel, "usable_cpus", cpus(n))
+        records.append(run(cfg))
+    assert asked == [1, 2]
+    one, two = records
+    assert one.summary() == two.summary()
+    assert one.entries == two.entries
+    np.testing.assert_array_equal(one.multicast_rb_per_tti,
+                                  two.multicast_rb_per_tti)
+    np.testing.assert_array_equal(one.cam_rb_per_tti, two.cam_rb_per_tti)
+
+
+@pytest.mark.parametrize("mode", [engine.MODE_MULTICAST,
+                                  engine.MODE_UNICAST_BASELINE])
+def test_one_tti_run_starts_no_pool(mode, monkeypatch):
+    """A 1-TTI run never steps the fading, so it never asks for a pool."""
+    asked = []
+    monkeypatch.setattr(channel, "usable_cpus", lambda: asked.append(2) or 2)
+    run(ScenarioConfig(mode=mode, n_tti=1, seed=1))
+    assert asked == []
+
+
+@pytest.mark.parametrize("fail_at", [None, 150])
+def test_no_thread_outlives_a_run(fail_at, monkeypatch):
+    """The fading pool's threads end with the run, also when a delivery
+    raises in the middle of the loop."""
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    during = []
+    serve = engine.MulticastDelivery.serve
+
+    def watched(delivery, tti, *args):
+        during.append(threading.active_count())
+        if tti == fail_at:
+            raise RuntimeError("delivery failed")
+        return serve(delivery, tti, *args)
+
+    monkeypatch.setattr(engine.MulticastDelivery, "serve", watched)
+    before = threading.enumerate()
+    cfg = ScenarioConfig(n_tti=200, seed=1)
+    if fail_at is None:
+        run(cfg)
+    else:
+        with pytest.raises(RuntimeError, match="delivery failed"):
+            run(cfg)
+    assert threading.enumerate() == before
+    assert max(during) > len(before)
 
 
 short_configs = st.builds(
