@@ -27,6 +27,7 @@ import functools
 import logging
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -113,9 +114,9 @@ class FadingBank:
     chunks of CHUNK_PAIRS pairs.  The pool exists only from the bank's
     first block that steps until `close`, and only when the bank has more
     than one chunk and `usable_cpus()` is above one; it has one worker per
-    chunk, up to that many CPUs.  Otherwise the chunks run inline, one
-    after another.  A row is bitwise the same on either path, whatever
-    the number of workers.
+    chunk, up to that many CPUs, and one chunk-sized phasor buffer per
+    worker.  Otherwise the chunks run inline, one after another.  A row
+    is bitwise the same on either path, whatever the number of workers.
     """
 
     def __init__(self, doppler_hz: np.ndarray, tap_delays, tap_powers_db,
@@ -146,8 +147,8 @@ class FadingBank:
                 part[...] = np.moveaxis(rng.uniform(
                     -math.pi, math.pi, size=part.shape[1:] + (N_OSCILLATORS,)),
                     -1, 0)
-        # Per chunk: exp(1j*w*TTI_S) once built, and, with the pool, the
-        # phasors its worker steps.
+        # Per chunk: exp(1j*w*TTI_S) once built.  With the pool: one phasor
+        # buffer per worker, which a chunk takes while it runs.
         self._rotations = self._phasors = self._pool = None
 
     def subset(self, pairs: slice) -> "FadingBank":
@@ -192,8 +193,10 @@ class FadingBank:
         in cache, and writes only its own pairs of the result.  The bank's
         first block that steps allocates the rotations and starts the pool
         (see the class); each chunk builds its own rotations in that block.
-        With the pool, this thread allocates every chunk's buffers and then
-        only waits: the workers allocate nothing but each step's sums.
+        With the pool, this thread allocates every buffer and then only
+        waits: the workers allocate nothing but each step's sums.  The pool
+        keeps one phasor buffer per worker, taken by each chunk while it
+        runs; inline, the chunks share one.
         """
         out = np.empty((len(steps), self.n_pairs, self.n_taps), dtype=complex)
         starts = range(0, self.n_pairs, CHUNK_PAIRS)
@@ -202,54 +205,65 @@ class FadingBank:
             self._rotations = self._chunk_buffers()
             cpus = usable_cpus() if len(starts) > 1 else 1
             if cpus > 1:
-                self._phasors = self._chunk_buffers()
+                workers = min(len(starts), cpus)
+                self._phasors = self._phasor_buffers(workers)
                 self._pool = ThreadPoolExecutor(
-                    min(len(starts), cpus), thread_name_prefix="fading")
+                    workers, thread_name_prefix="fading")
         if self._pool is None:
-            phasors, run = self._chunk_buffers(shared=True), map
+            phasors, run = self._phasor_buffers(1), map
         else:
             phasors, run = self._phasors, self._pool.map
-        rows = functools.partial(self._chunk_rows, t0, steps, out, build)
-        for _ in run(rows, starts, phasors,
-                     self._rotations or [None] * len(starts)):
+        rows = functools.partial(self._chunk_rows, t0, steps, out, build,
+                                 phasors)
+        for _ in run(rows, starts, self._rotations or [None] * len(starts)):
             pass
         return out
 
-    def _chunk_buffers(self, shared: bool = False) -> list:
+    def _chunk_buffers(self) -> list:
         """One complex (16, 2, chunk pairs, n_taps) array per chunk, each
-        contiguous, in one new buffer; with `shared`, every chunk's array
-        starts at the buffer's start, for chunks that run one at a time."""
+        contiguous, in one new buffer."""
         per_pair = 2 * N_OSCILLATORS * self.n_taps
-        flat = np.empty(per_pair * (min(CHUNK_PAIRS, self.n_pairs) if shared
-                                    else self.n_pairs), dtype=complex)
-        views = []
-        for start in range(0, self.n_pairs, CHUNK_PAIRS):
-            n = min(CHUNK_PAIRS, self.n_pairs - start)
-            at = 0 if shared else start * per_pair
-            views.append(flat[at:at + n * per_pair].reshape(
-                N_OSCILLATORS, 2, n, self.n_taps))
-        return views
+        flat = np.empty(per_pair * self.n_pairs, dtype=complex)
+        return [flat[start * per_pair:(start + CHUNK_PAIRS) * per_pair]
+                .reshape(N_OSCILLATORS, 2, -1, self.n_taps)
+                for start in range(0, self.n_pairs, CHUNK_PAIRS)]
 
-    def _chunk_rows(self, t0, steps, out, build, start, z, rotation) -> None:
+    def _phasor_buffers(self, n: int) -> queue.SimpleQueue:
+        """`n` new flat complex buffers, each the size of one chunk's
+        phasors, in a queue from which a running chunk takes one."""
+        free = queue.SimpleQueue()
+        for _ in range(n):
+            free.put(np.empty(2 * N_OSCILLATORS * self.n_taps
+                              * min(CHUNK_PAIRS, self.n_pairs), dtype=complex))
+        return free
+
+    def _chunk_rows(self, t0, steps, out, build, phasors, start,
+                    rotation) -> None:
         """The rows of pairs start..start+CHUNK_PAIRS-1 of a block, written
-        to `out`: the phasors `z` anchored at t0 and stepped by `rotation`,
-        which is built first when `build`, then scaled to unit power."""
+        to `out`: phasors anchored at t0 in a buffer taken from the queue
+        `phasors` (and put back), stepped by `rotation`, which is built
+        first when `build`, then scaled to unit power."""
         pairs = slice(start, start + CHUNK_PAIRS)
         w = self._w[:, :, pairs]
         if build:
             _unit_phasors(w, TTI_S, rotation)
-        _unit_phasors(w, t0, z, self._phase[:, :, pairs])
-        at = 0
-        for k, step in enumerate(steps):
-            for _ in range(step - at):
-                z *= rotation
-            at = step
-            # numpy's pairwise order: a[j] + a[j+8], then adjacent pairs.
-            r = z.real[:8] + z.real[8:]
-            r = r[0::2] + r[1::2]
-            r = r[0::2] + r[1::2]
-            np.add(r[0, 0], r[1, 0], out=out.real[k, pairs])
-            np.add(r[0, 1], r[1, 1], out=out.imag[k, pairs])
+        buffer = phasors.get()
+        try:
+            z = buffer[:w.size].reshape(w.shape)
+            _unit_phasors(w, t0, z, self._phase[:, :, pairs])
+            at = 0
+            for k, step in enumerate(steps):
+                for _ in range(step - at):
+                    z *= rotation
+                at = step
+                # numpy's pairwise order: a[j] + a[j+8], then adjacent pairs.
+                r = z.real[:8] + z.real[8:]
+                r = r[0::2] + r[1::2]
+                r = r[0::2] + r[1::2]
+                np.add(r[0, 0], r[1, 0], out=out.real[k, pairs])
+                np.add(r[0, 1], r[1, 1], out=out.imag[k, pairs])
+        finally:
+            phasors.put(buffer)
         out[:, pairs] *= 1.0 / math.sqrt(N_OSCILLATORS)
 
     def steering(self, freq_offsets_hz) -> np.ndarray:
@@ -354,12 +368,16 @@ class ChannelModel:
     def amplitude_gain(self, positions: np.ndarray, rows) -> np.ndarray:
         """Linear macroscopic amplitude per (user, cell) at given positions;
         `rows` selects the users (and shadowing rows) they belong to."""
-        d = np.linalg.norm(positions[:, None, :]
-                           - self.cell_positions[None, :, :], axis=2)
-        clamped = d < MIN_DISTANCE_M
-        if np.any(clamped) and not self._clamp_warned:
+        # sqrt(dx*dx + dy*dy) is bitwise the 2-vector norm, which sums the
+        # two squares in this order.
+        dx = positions[:, 0, None] - self.cell_positions[:, 0]
+        dy = positions[:, 1, None] - self.cell_positions[:, 1]
+        d = np.sqrt(dx * dx + dy * dy)
+        clamped = (0 if self._clamp_warned
+                   else np.count_nonzero(d < MIN_DISTANCE_M))
+        if clamped:
             log.warning("%d user-cell distance(s) below %.1f m clamped",
-                        int(clamped.sum()), MIN_DISTANCE_M)
+                        clamped, MIN_DISTANCE_M)
             self._clamp_warned = True
         gain_db = -pathloss_db(d) + self.shadowing_db[rows]
         return 10.0 ** (gain_db / 20.0)

@@ -126,6 +126,16 @@ class ScenarioConfig:
             raise ValueError("reservation_cqi must be in 1..15")
         if self.cars_per_cell > self.users_per_cell:
             raise ValueError("cars_per_cell exceeds users_per_cell")
+        # The wrap at the boundary disc keeps a car inside it only while one
+        # TTI's step is at most the disc's diameter.
+        radius = topology.build_layout(
+            self.mbsfn_rings, self.interference_rings,
+            self.inter_site_distance_m).boundary_radius
+        if self.car_speed_ms * channel.TTI_S > 2.0 * radius:
+            raise ValueError(
+                f"car_speed_kmh must be at most "
+                f"{2.0 * radius / channel.TTI_S * 3.6:.6g}: a car may move "
+                f"at most the layout's diameter ({2.0 * radius:.0f} m) per TTI")
 
     @property
     def n_rb(self) -> int:
@@ -598,7 +608,7 @@ def run(config: ScenarioConfig) -> RunRecord:
     try:
         for tti in range(cfg.n_tti):
             gamma = topology.advance_mobility(pop, channel.TTI_S, moving_gain,
-                                              sources)
+                                              source_arr)
 
             # Membership follows the serving cell: a car that left the area
             # stops blocking open entries and is excluded from new recipient

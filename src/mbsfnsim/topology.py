@@ -180,19 +180,22 @@ def advance_mobility(pop: UserPopulation, dt: float, gain_fn,
     if dt < 0:
         raise ConfigurationError("dt must be >= 0")
     users = np.asarray(users, dtype=np.intp)
-    moving = users[np.any(pop.velocities[users] != 0.0, axis=1)]
-    pop.positions[moving] += pop.velocities[moving] * dt
+    # Only users with a velocity move.  Their positions are gathered once,
+    # moved, wrapped and handed to `gain_fn`, and scattered back once.
+    v = pop.velocities.take(users, axis=0)
+    moves = v.any(axis=1)
+    moving = users[moves]
+    p = pop.positions.take(moving, axis=0) + v[moves] * dt
 
     # Wrap-around: a car crossing the boundary disc re-enters on the
     # antipodal side, keeping its heading.
     radius = pop.layout.boundary_radius
-    dist = np.hypot(*pop.positions[moving].T)
+    dist = np.hypot(p[:, 0], p[:, 1])
     outside = dist > radius
-    if np.any(outside):
-        idx = moving[outside]
-        unit = pop.positions[idx] / dist[outside, None]
-        pop.positions[idx] -= 2.0 * radius * unit
+    if outside.any():
+        p[outside] -= 2.0 * radius * (p[outside] / dist[outside, None])
+    pop.positions[moving] = p
 
-    gains = gain_fn(pop.positions[moving])
-    pop.serving_cell[moving] = np.argmax(gains, axis=1)
+    gains = gain_fn(p)
+    pop.serving_cell[moving] = gains.argmax(axis=1)
     return gains

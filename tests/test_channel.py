@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 import threading
 
 import numpy as np
@@ -242,6 +243,30 @@ class TestChunkedRecurrence:
         monkeypatch.setattr(channel, "CHUNK_PAIRS", chunk)
         np.testing.assert_array_equal(
             self._bank().block_tap_gains(t0, self.SPARSE), expected)
+
+    def test_pool_passes_one_phasor_buffer_per_worker(self, monkeypatch):
+        """59 chunks of 7 pairs on 4 workers, more than the host's CPUs,
+        with a short switch interval: the pool holds 4 phasor buffers,
+        which the chunks take in turn, and two blocks' rows stay bitwise
+        the inline ones, which a buffer stepped by two chunks at once
+        would break."""
+        monkeypatch.setattr(channel, "CHUNK_PAIRS", 7)
+        starts = [0, 64 * channel.TTI_S]
+        monkeypatch.setattr(channel, "usable_cpus", lambda: 1)
+        inline = self._bank()
+        expected = [inline.block_tap_gains(t0, self.SPARSE) for t0 in starts]
+        monkeypatch.setattr(channel, "usable_cpus", lambda: 4)
+        bank = self._bank()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [bank.block_tap_gains(t0, self.SPARSE) for t0 in starts]
+            assert bank._phasors.qsize() == 4
+        finally:
+            sys.setswitchinterval(interval)
+            bank.close()
+        for rows, want in zip(got, expected):
+            np.testing.assert_array_equal(rows, want)
 
     def test_rotation_built_once_and_never_for_static_rows(self,
                                                            monkeypatch):

@@ -582,3 +582,42 @@ def test_runs_with_different_tables_share_a_process(tmp_path):
         np.testing.assert_array_equal(got.multicast_rb_per_tti,
                                       want.multicast_rb_per_tti)
         np.testing.assert_array_equal(got.cam_rb_per_tti, want.cam_rb_per_tti)
+
+
+def test_car_speed_bounded_by_layout():
+    """A car may move at most the boundary disc's diameter per TTI, which
+    the wrap needs to keep it inside: 1e7 km/h (2778 m per TTI) is too fast
+    for the 1289 m disc of one area and one interference ring, 1e6 km/h
+    runs, and a wider layout takes 1e7."""
+    too_fast = small_config(car_speed_kmh=1e7, n_tti=100)
+    with pytest.raises(ValueError, match="car_speed_kmh"):
+        too_fast.validate()
+    with pytest.raises(ValueError, match="car_speed_kmh"):
+        run(too_fast)
+    assert run(small_config(car_speed_kmh=1e6, n_tti=100)).sources
+    replace(too_fast, interference_rings=2).validate()
+
+
+def test_tracer_counts_one_mobility_step_per_tti(monkeypatch):
+    """perfbench's tracer replaces module and class attributes with
+    counting shims and marks the TTI loop's start at the first
+    `advance_mobility` call: the model's construction takes one
+    `amplitude_gain`, then each TTI one `advance_mobility` whose gain is
+    one `amplitude_gain` with one `pathloss_db`."""
+    events = []
+
+    def shim(owner, attr, name):
+        original = vars(owner)[attr]
+
+        def counted(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    shim(topology, "advance_mobility", "mobility")
+    shim(channel.ChannelModel, "amplitude_gain", "gain")
+    shim(channel, "pathloss_db", "pathloss")
+    cfg = small_config(n_tti=50, shadowing_std_db=8.0)
+    run(cfg)
+    assert events == (["gain", "pathloss"]
+                      + ["mobility", "gain", "pathloss"] * cfg.n_tti)

@@ -1,3 +1,5 @@
+import functools
+import logging
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsfnsim import topology
+from mbsfnsim import channel, topology
 from mbsfnsim.topology import (ConfigurationError, advance_mobility,
                                build_layout, drop_users, point_in_hexagon)
 
@@ -241,3 +243,82 @@ class TestAdvanceMobility:
                                       serving[rest])
         assert not np.array_equal(subset_pop.serving_cell[given],
                                   serving[given])
+
+    def test_wrap_keeps_cars_inside_at_the_speed_limit(self):
+        """After a step of the disc's diameter, the most that
+        `ScenarioConfig.validate` accepts, the wrap still takes every car
+        back inside the disc."""
+        layout = build_layout(1, 1, 500.0)
+        radius = layout.boundary_radius
+        pop = drop_users(layout, 6, 3, 2.0 * radius, rng_seed=3)
+        for _ in range(100):
+            advance_mobility(pop, 1.0, _distance_gain(layout),
+                             _everyone(pop))
+            assert np.all(np.hypot(*pop.positions.T) <= radius + 1e-9)
+
+
+def _parent_amplitude_gain(model, positions, rows, clamps):
+    """`ChannelModel.amplitude_gain` before it took per-axis distances: the
+    norm over a (users, cells, 2) difference.  Appends the clamp count."""
+    d = np.linalg.norm(positions[:, None, :]
+                       - model.cell_positions[None, :, :], axis=2)
+    clamps.append(int(np.count_nonzero(d < channel.MIN_DISTANCE_M)))
+    gain_db = -channel.pathloss_db(d) + model.shadowing_db[rows]
+    return 10.0 ** (gain_db / 20.0)
+
+
+def _parent_advance_mobility(pop, dt, gain_fn, users, wraps):
+    """`advance_mobility` before its whole-array passes: in-place updates
+    of indexed positions.  Appends the wrap count."""
+    users = np.asarray(users, dtype=np.intp)
+    moving = users[np.any(pop.velocities[users] != 0.0, axis=1)]
+    pop.positions[moving] += pop.velocities[moving] * dt
+    radius = pop.layout.boundary_radius
+    dist = np.hypot(*pop.positions[moving].T)
+    outside = dist > radius
+    wraps.append(int(np.count_nonzero(outside)))
+    if np.any(outside):
+        idx = moving[outside]
+        unit = pop.positions[idx] / dist[outside, None]
+        pop.positions[idx] -= 2.0 * radius * unit
+    gains = gain_fn(pop.positions[moving])
+    pop.serving_cell[moving] = np.argmax(gains, axis=1)
+    return gains
+
+
+@pytest.mark.parametrize("mbsfn_rings", [1, 2], ids=["mc5", "mc20_rings2"])
+def test_mobility_stage_bitwise_as_parent(mbsfn_rings, caplog):
+    """2000 TTIs of every user's move and macroscopic gain, with 8 dB
+    shadowing, give bitwise the positions, serving cells and gains of the
+    indexed-update, norm-based stage, through wraps, handovers and
+    distance clamps; the clamp warning is logged once."""
+    layout = build_layout(mbsfn_rings, 1, 500.0)
+    pops = [drop_users(layout, 6, 3, 500.0 / 3.6, rng_seed=1)
+            for _ in range(2)]
+    pop, ref = pops
+    cars = pop.car_ids()
+    # The model's moving users come first: the cars, in user order.
+    tracked = np.concatenate((cars, pop.ordinary_ids()))
+    shadow = channel.draw_shadowing(pop.n_users, layout.n_cells, 8.0, 1)
+    with caplog.at_level(logging.WARNING, logger="mbsfnsim.channel"):
+        model = channel.ChannelModel(
+            layout.cell_positions, pop.positions[tracked],
+            np.hypot(*pop.velocities[tracked].T), shadow[tracked],
+            2.14e9, 25, 1)
+        rows = slice(0, len(cars))
+        gain = functools.partial(model.amplitude_gain, rows=rows)
+        wraps, clamps = [], []
+        ref_gain = functools.partial(_parent_amplitude_gain, model,
+                                     rows=rows, clamps=clamps)
+        handovers = 0
+        for _ in range(2000):
+            serving = pop.serving_cell.copy()
+            got = advance_mobility(pop, channel.TTI_S, gain, _everyone(pop))
+            want = _parent_advance_mobility(ref, channel.TTI_S, ref_gain,
+                                            _everyone(ref), wraps)
+            assert np.array_equal(got, want)
+            assert np.array_equal(pop.positions, ref.positions)
+            assert np.array_equal(pop.serving_cell, ref.serving_cell)
+            handovers += np.count_nonzero(pop.serving_cell != serving)
+    assert sum(wraps) > 0 and handovers > 0 and sum(clamps) > 0
+    assert caplog.text.count("clamped") == 1
