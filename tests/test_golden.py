@@ -8,6 +8,8 @@ subframes differ from the reserved ones (a fixed CQI that reads none, a
 report from an unreserved subframe, a report from the previous fading
 block), error-free decoding, which draws nothing, and unicast at 20 MHz,
 where the RBs the copies leave to ordinary users take many values.
+One more digest covers the whole output tree of a `compare` run: its
+per-cell run directories, overlays, ratios, summary and manifest.
 
 Each run's artifact files (name and bytes, as `metrics.write_run_outputs`
 emits them) and its per-TTI RB arrays are hashed with SHA-256 and compared
@@ -26,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbsfnsim import engine, metrics
+from mbsfnsim import cli, engine, metrics
 
 N_TTI = 256
 SEED = 1
@@ -115,6 +117,14 @@ GOLDEN = {
                     "9c0a51a564fa752b6353fef794ebe315"),
 }
 
+# Both modes at both bandwidths, fixed and unbounded adaptive CQI: eight
+# cells and one bandwidth ratio per (mode, CQI) pair.
+COMPARE_ARGS = ["compare", "--modes", "multicast,unicast_baseline",
+                "--bandwidths", "5,20", "--cqi", "fixed:3,adaptive:0",
+                "--n-tti", "400", "--seed", "3"]
+COMPARE_GOLDEN = ("9a149606537fb526d2da5f054e7c6bc6"
+                  "fa6cb5b92c4fa33fd06f300443c0f997")
+
 
 def run_digest(cfg, out_dir) -> str:
     record = engine.run(cfg)
@@ -131,12 +141,30 @@ def run_digest(cfg, out_dir) -> str:
     return h.hexdigest()
 
 
+def compare_digest(out_dir) -> str:
+    assert cli.main(COMPARE_ARGS + ["--out", str(out_dir)]) == 0
+    h = hashlib.sha256()
+    paths = sorted(p for p in out_dir.rglob("*") if p.is_file())
+    for path in paths:
+        data = path.read_bytes()
+        h.update(f"file {path.relative_to(out_dir).as_posix()} "
+                 f"{len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digest(name, tmp_path):
     assert run_digest(CONFIGS[name], tmp_path) == GOLDEN[name]
+
+
+def test_compare_golden_digest(tmp_path):
+    assert compare_digest(tmp_path) == COMPARE_GOLDEN
 
 
 if __name__ == "__main__":
     for name in sorted(CONFIGS):
         with tempfile.TemporaryDirectory() as out:
             print(name, run_digest(CONFIGS[name], pathlib.Path(out)))
+    with tempfile.TemporaryDirectory() as out:
+        print("compare", compare_digest(pathlib.Path(out)))
