@@ -230,15 +230,12 @@ def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
     lat_mean_curves, lat_comb_curves, tp_curves = {}, {}, {}
     for cfg, record in zip(cells, records):
         name = _cell_name(cfg)
-        metrics.write_run_outputs(os.path.join(out_dir, name), record)
+        curves = metrics.write_run_outputs(os.path.join(out_dir, name),
+                                           record)
         summary_rows.append(record.summary())
-        per_source = metrics.latencies_by_source(record.entries,
-                                                 record.sources)
-        flat = [v for vals in per_source.values() for v in vals]
-        if flat:
-            lat_comb_curves[name] = metrics.ecdf(flat)
-            lat_mean_curves[name] = metrics.ecdf(
-                [np.mean(v) for v in per_source.values() if v])
+        if curves.combined is not None:
+            lat_comb_curves[name] = curves.combined
+            lat_mean_curves[name] = curves.mean
         if record.ordinary_throughput_mbps:
             tp_curves[name] = metrics.ecdf(
                 list(record.ordinary_throughput_mbps.values()))

@@ -7,9 +7,11 @@ whole generation periods until some later packet from the same source
 reaches the remaining recipients, so a k-times-replaced entry lands at
 its within-period delivery time plus k periods.
 
-Three views of the resulting latency matrix are computed: the flat
-distribution over all entries, the distribution of per-user means, and
-one distribution per user.
+`latency_curves` builds the three latency views: all closed entries, the
+per-source means, and each source alone.  An entry still open at run end
+is left out (`n_open_entries` counts it); a source with no closed entry
+has no curve and no mean.  An entry whose last blocking receiver left the
+area closes at that TTI and counts as delivered.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,25 +80,39 @@ def ecdf(samples) -> EcdfCurve:
     return EcdfCurve(samples=s, values=values, probs=probs)
 
 
-def cdf_combined(latency_matrix: np.ndarray) -> EcdfCurve:
-    """Distribution over every (packet, user) latency entry."""
-    return ecdf(np.asarray(latency_matrix, dtype=float).ravel())
+class LatencyCurves(NamedTuple):
+    """The three latency views; a view with no sample is None."""
+    combined: EcdfCurve | None          # every closed entry
+    mean: EcdfCurve | None              # one point per source with an entry
+    individual: list[EcdfCurve | None]  # one curve per source
 
 
-def cdf_mean(latency_matrix: np.ndarray) -> EcdfCurve:
-    """Distribution of each user's mean latency (column means)."""
-    m = np.asarray(latency_matrix, dtype=float)
-    if m.size == 0:
-        raise MetricsError("empty latency matrix")
-    return ecdf(m.mean(axis=0))
+def latency_curves(per_source) -> LatencyCurves:
+    """Latency views from one latency list per source (in source order,
+    each list in sequence order).  Latencies are whole TTIs, so every
+    per-source sum, and with it the mean, is exact in any order."""
+    columns = [np.asarray(v, dtype=float) for v in per_source]
+    closed = [v for v in columns if v.size]
+    if not closed:
+        return LatencyCurves(None, None, [None] * len(columns))
+    return LatencyCurves(ecdf(np.concatenate(closed)),
+                         ecdf([v.mean() for v in closed]),
+                         [ecdf(v) if v.size else None for v in columns])
 
 
-def cdf_individual(latency_matrix: np.ndarray) -> list[EcdfCurve]:
+def cdf_combined(matrix) -> EcdfCurve | None:
+    """Distribution over every (packet, user) entry of the matrix."""
+    return latency_curves(np.asarray(matrix, dtype=float).T).combined
+
+
+def cdf_mean(matrix) -> EcdfCurve | None:
+    """Distribution of each user's (column's) mean latency."""
+    return latency_curves(np.asarray(matrix, dtype=float).T).mean
+
+
+def cdf_individual(matrix) -> list[EcdfCurve | None]:
     """One latency distribution per user (column)."""
-    m = np.asarray(latency_matrix, dtype=float)
-    if m.size == 0:
-        raise MetricsError("empty latency matrix")
-    return [ecdf(m[:, i]) for i in range(m.shape[1])]
+    return latency_curves(np.asarray(matrix, dtype=float).T).individual
 
 
 def utilization(packet_bits: float, n_mbms_users: int, n_rb: float,
@@ -175,18 +192,6 @@ class LatencyRecorder:
     def n_open(self) -> int:
         return sum(len(v) for v in self._open.values())
 
-    def latency_matrix(self) -> np.ndarray:
-        """Rectangular (n_packets, n_sources) matrix of closed-entry latencies,
-        truncated to the packet count every source completed."""
-        per_source = latencies_by_source(self.entries, self.sources)
-        if not per_source:
-            return np.empty((0, 0))
-        n_min = min(len(v) for v in per_source.values())
-        if n_min == 0:
-            return np.empty((0, len(self.sources)))
-        return np.array([per_source[s][:n_min] for s in self.sources],
-                        dtype=float).T
-
 
 # ---------------------------------------------------------------------------
 # File emission
@@ -207,9 +212,11 @@ def format_value(x) -> str:
     return str(x)
 
 
-def write_curve_csv(path, curve: EcdfCurve, value_name: str) -> None:
-    rows = [(format_value(v), format_value(p))
-            for v, p in zip(curve.values, curve.probs)]
+def write_curve_csv(path, curve: EcdfCurve | None, value_name: str) -> None:
+    """One (value, cum_prob) row per curve step; header only for None."""
+    rows = [] if curve is None else [
+        (format_value(v), format_value(p))
+        for v, p in zip(curve.values, curve.probs)]
     write_csv(path, (value_name, "cum_prob"), rows)
 
 
@@ -223,40 +230,20 @@ def write_summary_csv(path, rows: list[dict]) -> None:
     write_csv(path, SUMMARY_COLUMNS, out)
 
 
-def latencies_by_source(entries, sources) -> dict[int, list[int]]:
-    out = {s: [] for s in sources}
-    for e in sorted(entries, key=lambda e: (e.source, e.sequence)):
-        out[e.source].append(e.latency_ttis)
-    return out
-
-
-def write_run_outputs(out_dir, record) -> None:
-    """Emit the CSV artifact set and manifest for one finished run.
-
-    Curves are built from whatever entries closed; sources may complete
-    unequal packet counts under congestion, so the flat entry list rather
-    than the rectangular matrix is the emission basis.
-    """
+def write_run_outputs(out_dir, record) -> LatencyCurves:
+    """Emit one finished run's CSV artifacts and manifest; return its
+    latency views."""
     os.makedirs(out_dir, exist_ok=True)
-    per_source = latencies_by_source(record.entries, record.sources)
-    all_lat = [v for vals in per_source.values() for v in vals]
-    if all_lat:
-        write_curve_csv(os.path.join(out_dir, "latency_combined.csv"),
-                        ecdf(all_lat), "latency_tti")
-        means = [float(np.mean(v)) for v in per_source.values() if v]
-        write_curve_csv(os.path.join(out_dir, "latency_mean.csv"),
-                        ecdf(means), "mean_latency_tti")
-    else:
-        write_csv(os.path.join(out_dir, "latency_combined.csv"),
-                  ("latency_tti", "cum_prob"), [])
-        write_csv(os.path.join(out_dir, "latency_mean.csv"),
-                  ("mean_latency_tti", "cum_prob"), [])
-    for source in record.sources:
-        path = os.path.join(out_dir, f"latency_user_{source}.csv")
-        if per_source[source]:
-            write_curve_csv(path, ecdf(per_source[source]), "latency_tti")
-        else:
-            write_csv(path, ("latency_tti", "cum_prob"), [])
+    per_source = {s: [] for s in record.sources}
+    for e in sorted(record.entries, key=lambda e: e.sequence):
+        per_source[e.source].append(e.latency_ttis)
+    curves = latency_curves(per_source.values())
+    files = [("latency_combined.csv", curves.combined, "latency_tti"),
+             ("latency_mean.csv", curves.mean, "mean_latency_tti")]
+    files += [(f"latency_user_{s}.csv", curve, "latency_tti")
+              for s, curve in zip(record.sources, curves.individual)]
+    for name, curve, value_name in files:
+        write_curve_csv(os.path.join(out_dir, name), curve, value_name)
     tp = record.ordinary_throughput_mbps
     rows = sorted(((u, tp[u]) for u in tp), key=lambda kv: (kv[1], kv[0]))
     n = max(len(rows), 1)
@@ -276,3 +263,4 @@ def write_run_outputs(out_dir, record) -> None:
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return curves

@@ -6,8 +6,16 @@ from hypothesis import strategies as st
 from mbsfnsim import metrics
 from mbsfnsim.metrics import (EcdfCurve, LatencyRecorder, MetricsError,
                               cdf_combined, cdf_individual, cdf_mean,
-                              close_packet, ecdf, predicted_throughput_ratio,
-                              utilization)
+                              close_packet, ecdf, latency_curves,
+                              predicted_throughput_ratio, utilization)
+
+
+def assert_same_curve(a, b):
+    if a is None or b is None:
+        assert a is b
+        return
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.probs, b.probs)
 
 
 def counting_cdf(samples, x) -> float:
@@ -147,15 +155,34 @@ class TestLatencyCdfs:
             [c.samples for c in cdf_individual(L)]))
         np.testing.assert_array_equal(pooled, cdf_combined(L).samples)
 
-    @given(st.integers(1, 30), st.integers(1, 10), st.integers(0, 2 ** 31))
+    @given(st.integers(1, 30), st.integers(1, 10), st.integers(0, 2 ** 31),
+           st.lists(st.lists(st.integers(1, 1000), max_size=30), max_size=10),
+           st.integers(0, 10))
     @settings(max_examples=30, deadline=None)
-    def test_identities_hold_on_random_matrices(self, n_pkt, n_ue, seed):
+    def test_identities_hold_on_random_matrices(self, n_pkt, n_ue, seed,
+                                                ragged, empty_at):
         rng = np.random.default_rng(seed)
         L = rng.uniform(1, 1000, size=(n_pkt, n_ue))
         assert cdf_mean(L).mean() == pytest.approx(cdf_combined(L).mean())
         pooled = np.sort(np.concatenate(
             [c.samples for c in cdf_individual(L)]))
         np.testing.assert_array_equal(pooled, cdf_combined(L).samples)
+        # The matrix views are the per-source views of the columns.
+        views = latency_curves(list(L.T))
+        assert_same_curve(cdf_combined(L), views.combined)
+        assert_same_curve(cdf_mean(L), views.mean)
+        for a, b in zip(cdf_individual(L), views.individual, strict=True):
+            assert_same_curve(a, b)
+        # Ragged per-source lists with at least one source that closed
+        # nothing, as under congestion.
+        ragged.insert(min(empty_at, len(ragged)), [])
+        curves = latency_curves(ragged)
+        flat = [x for v in ragged for x in v]
+        assert_same_curve(curves.combined, ecdf(flat) if flat else None)
+        assert_same_curve(curves.mean, ecdf([np.mean(v) for v in ragged if v])
+                          if flat else None)
+        for v, curve in zip(ragged, curves.individual, strict=True):
+            assert_same_curve(curve, ecdf(v) if v else None)
 
 
 class TestUtilization:
@@ -217,14 +244,3 @@ class TestRecorderMembership:
         rec.on_delivery(0, 0, 25, satisfied_receivers=set())
         assert rec.n_open == 0
         assert rec.entries[-1].latency_ttis == 15
-
-    def test_matrix_truncates_to_common_count(self):
-        rec = LatencyRecorder([0, 1], period=100)
-        for seq, gen in [(0, 0), (1, 100)]:
-            rec.on_generation(0, seq, gen, receivers=set())
-            rec.on_delivery(0, seq, gen + 10, satisfied_receivers=set())
-        rec.on_generation(1, 0, 50, receivers=set())
-        rec.on_delivery(1, 0, 75, satisfied_receivers=set())
-        L = rec.latency_matrix()
-        assert L.shape == (1, 2)
-        assert L[0].tolist() == [10.0, 25.0]
