@@ -206,7 +206,6 @@ class RunRecord:
     seed: int
     config_hash: str
     sources: list[int]
-    n_mbms_users: int
     reserved_per_frame: int
     congested: bool
     entries: list[metrics.LatencyEntry]
@@ -218,8 +217,7 @@ class RunRecord:
     measured_utilization_pct: float
 
     def mean_latency_tti(self) -> float:
-        """Mean over all closed entries (sources may close unequal counts
-        under congestion, so the flat list is the robust aggregate)."""
+        """Mean over all closed entries, whatever each source closed."""
         if not self.entries:
             return float("nan")
         return float(np.mean([e.latency_ttis for e in self.entries]))
@@ -675,7 +673,6 @@ def run(config: ScenarioConfig) -> RunRecord:
         seed=seed,
         config_hash=cfg.content_hash(),
         sources=sources,
-        n_mbms_users=n_sources,
         reserved_per_frame=delivery.reserved_per_frame,
         congested=congested,
         entries=recorder.entries,

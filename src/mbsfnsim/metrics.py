@@ -93,11 +93,10 @@ def latency_curves(per_source) -> LatencyCurves:
     per-source sum, and with it the mean, is exact in any order."""
     columns = [np.asarray(v, dtype=float) for v in per_source]
     closed = [v for v in columns if v.size]
-    if not closed:
-        return LatencyCurves(None, None, [None] * len(columns))
-    return LatencyCurves(ecdf(np.concatenate(closed)),
-                         ecdf([v.mean() for v in closed]),
-                         [ecdf(v) if v.size else None for v in columns])
+    return LatencyCurves(
+        ecdf(np.concatenate(closed)) if closed else None,
+        ecdf([v.mean() for v in closed]) if closed else None,
+        [ecdf(v) if v.size else None for v in columns])
 
 
 def cdf_combined(matrix) -> EcdfCurve | None:

@@ -101,7 +101,7 @@ class TestRunBasics:
         assert rec.entries == []
         assert rec.n_open_entries == 0
         assert np.isnan(rec.mean_latency_tti())
-        assert rec.n_mbms_users == 21
+        assert len(rec.sources) == 21
 
     def test_deterministic_records(self):
         a = run(small_config())
@@ -364,7 +364,7 @@ class TestHandTracedSchedule:
             cars_per_cell=1, car_speed_kmh=0.0, cqi_policy="fixed",
             cqi_value=15, perfect_decode=True, n_tti=350)
         rec = run(cfg)
-        assert rec.n_mbms_users == 1
+        assert len(rec.sources) == 1
         assert rec.reserved_per_frame == 1  # 2400 bits fit one CQI-15 subframe
         assert rec.entries
         for e in rec.entries:
