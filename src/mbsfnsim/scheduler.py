@@ -96,7 +96,10 @@ def allocate_fifo(items, n_rb: int, n_re_per_rb: int) -> tuple[list[Allocation],
         per_rb = n_re_per_rb * efficiency
         want = rb_demand(residual, n_re_per_rb, efficiency)
         take = min(want, n_rb - rb_next)
-        allocations.append(Allocation(key, rb_next, take, take * per_rb))
+        # A full grant carries the whole residual, which rb_demand's slack
+        # can leave a rounding error above `take` RBs.
+        capacity = max(take * per_rb, residual) if take == want else take * per_rb
+        allocations.append(Allocation(key, rb_next, take, capacity))
         rb_next += take
     return allocations, rb_next
 

@@ -147,6 +147,24 @@ def test_one_pathloss_evaluation_per_tti(monkeypatch):
     assert len(calls) <= cfg.n_tti + 1, calls[:4]
 
 
+def test_no_zero_rb_grants(monkeypatch):
+    """Unicast at 20 MHz with an unbounded adaptive CQI: here some copies'
+    residuals land a rounding error above whole RBs, and every such copy
+    must still finish with the grant that priced it."""
+    grants = []
+    original = scheduler.allocate_fifo
+
+    def recorded(*args):
+        allocations, used = original(*args)
+        grants.extend(a.rb_count for a in allocations)
+        return allocations, used
+
+    monkeypatch.setattr(scheduler, "allocate_fifo", recorded)
+    run(ScenarioConfig(mode="unicast_baseline", bandwidth_mhz=20,
+                       cqi_policy="adaptive", cqi_value=0, n_tti=400, seed=3))
+    assert grants and min(grants) > 0, grants.count(0)
+
+
 def test_one_unicast_sinr_grid_per_tti(monkeypatch):
     """Unicast CQI pricing and decoding both read the TTI's one (source, rb)
     SINR grid: one `sinr_vs_cell` call per TTI, plus one for the ordinary

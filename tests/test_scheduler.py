@@ -187,6 +187,23 @@ class TestBaselineQueue:
         window = backlog[::10]
         assert all(b2 > b1 for b1, b2 in zip(window, window[1:]))
 
+    def test_full_grant_carries_a_rounding_error_over_whole_rbs(self):
+        # rb_demand's slack prices this residual at exactly 7 RBs; if the
+        # grant carried only 7 RBs' worth, one ulp would be left over and
+        # priced at 0 RBs in every later TTI.
+        eff = cqi_efficiency(3)
+        per_rb = 100 * eff
+        residual = float(np.nextafter(7 * per_rb, np.inf))
+        assert scheduler.rb_demand(residual, 100, eff) == 7
+        (alloc,), used = schedule_unicast_cam_baseline(
+            [("k", residual, eff)], 25, 100)
+        assert used == alloc.rb_count == 7
+        assert residual - alloc.capacity_bits <= 0
+        # A grant capped by the RBs left carries only those RBs.
+        (alloc,), _ = schedule_unicast_cam_baseline(
+            [("k", residual, eff)], 5, 100)
+        assert alloc.capacity_bits == 5 * per_rb
+
 
 class TestPriceUntilFull:
     """Pricing only the queue head leaves the allocations unchanged."""
