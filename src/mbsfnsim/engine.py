@@ -217,7 +217,7 @@ class RunRecord:
     measured_utilization_pct: float
 
     def mean_latency_tti(self) -> float:
-        """Mean over all closed entries, whatever each source closed."""
+        """Mean over every closed entry, pooled across sources."""
         if not self.entries:
             return float("nan")
         return float(np.mean([e.latency_ttis for e in self.entries]))
