@@ -146,8 +146,7 @@ def run_digest(cfg, out_dir) -> str:
 def compare_digest(out_dir) -> str:
     assert cli.main(COMPARE_ARGS + ["--out", str(out_dir)]) == 0
     h = hashlib.sha256()
-    paths = sorted(p for p in out_dir.rglob("*") if p.is_file())
-    for path in paths:
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         data = path.read_bytes()
         h.update(f"file {path.relative_to(out_dir).as_posix()} "
                  f"{len(data)}\n".encode())
