@@ -8,6 +8,9 @@ subframes differ from the reserved ones (a fixed CQI that reads none, a
 report from an unreserved subframe, a report from the previous fading
 block), error-free decoding, which draws nothing, and unicast at 20 MHz,
 where the RBs the copies leave to ordinary users take many values.
+Three unicast edge paths close the set: standing cars with an adaptive
+CQI (the static link state), error-free decoding, and a lone car whose
+messages have no recipient.
 One more digest covers the whole output tree of a `compare` run: its
 per-cell run directories, overlays, ratios, summary and manifest.
 
@@ -76,6 +79,15 @@ CONFIGS = {
     "mc_perfect_decode": replace(BASE, perfect_decode=True),
     # The copies leave each cell's ordinary users many different RB counts.
     "uc_fixed_20": replace(BASE, mode="unicast_baseline", bandwidth_mhz=20),
+    # Standing cars: the unicast copies read the static link state.
+    "uc_standing_cars": replace(BASE, mode="unicast_baseline",
+                                cqi_policy="adaptive", car_speed_kmh=0.0),
+    # Every unicast copy decodes: no decode draw is taken.
+    "uc_perfect_decode": replace(BASE, mode="unicast_baseline",
+                                 perfect_decode=True),
+    # One area cell with one car: its messages have no recipient.
+    "uc_lone_car": replace(BASE, mode="unicast_baseline", mbsfn_rings=0,
+                           users_per_cell=1, cars_per_cell=1),
 }
 
 GOLDEN = {
@@ -115,6 +127,12 @@ GOLDEN = {
                           "704734253b626267da94a5ea83d1484b"),
     "uc_fixed_20": ("7f33a9eed1a62b4c5401e4a268beda21"
                     "9c0a51a564fa752b6353fef794ebe315"),
+    "uc_standing_cars": ("f2773961ba80f1d317671c1dbe0bb1c5"
+                         "87100f7983c58d3006ede4ae4dad4af7"),
+    "uc_perfect_decode": ("c8436a5afdb0a01660ff9ad6508e87e8"
+                          "29acdf5133d98661260405be92a674dd"),
+    "uc_lone_car": ("138271ffb61a3cdcc5963e740e9069fc"
+                    "c9f2e7c696dc071ca31d90d4f8cb7028"),
 }
 
 # Both modes at both bandwidths, fixed and unbounded adaptive CQI: eight
