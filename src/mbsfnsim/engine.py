@@ -197,7 +197,6 @@ class _CopyJob:
     sequence: int
     receiver: int
     residual: float
-    cqi: int = 1
 
 
 @dataclass
@@ -396,7 +395,9 @@ class UnicastDelivery:
     Recipients stay subscribed at their drop cell, so ring cells never carry
     copies and every area cell carries the same recipients-per-cell load.
     `pending[cell]` holds the cell's undelivered copies, oldest first, keyed
-    by (source, receiver).
+    by (source, receiver).  A copy's CQI is its receiver's, so `serve`
+    prices each receiver once per TTI and each cell's queue only up to the
+    copy whose RB demand fills the cell.
     """
     reserved_per_frame = 0
     congested = False
@@ -409,6 +410,7 @@ class UnicastDelivery:
         self.drop_cell, self.recorder = drop_cell, recorder
         self.row_of, self.decode = row_of, decode
         self.noise_variance = noise_variance
+        self.efficiency = table.efficiencies.tolist()
         self.source_cells = np.array(list(drop_cell.values()), dtype=int)
         # One generation period's copies over the area cells' RB grids.
         n_sources = len(drop_cell)
@@ -445,16 +447,28 @@ class UnicastDelivery:
         """Schedule every area cell's copies, then decode the granted ones
         as one batch with `read_now()`, this TTI's `link_state`, and the
         report's; returns the RBs each area cell leaves to ordinary users."""
-        n_rb, n_re = self.cfg.n_rb, self.cfg.usable_re_per_rb
-        price = functools.partial(self._price, report=report)
+        cfg, row_of, efficiency = self.cfg, self.row_of, self.efficiency
+        n_rb, n_re = cfg.n_rb, cfg.usable_re_per_rb
+        # Rows are evaluated independently: each CQI is its row's alone.
+        if cfg.cqi_policy == POLICY_FIXED:
+            cqi_of_row = [cfg.cqi_value] * len(row_of)
+        else:
+            cqi_of_row = np.maximum(
+                link.cqi_from_sinr_rows(report, self.table),
+                max(cfg.cqi_value, 1)).tolist()
         left, granted = {}, []
         for cell, queue in self.pending.items():
-            # Only the copies that fit are priced; a copy's CQI is read
-            # only after it is granted RBs in this subframe.
-            items = scheduler.price_until_full(
-                ((c, c.residual) for c in queue.values()), price, n_rb, n_re)
+            # Only the head whose RB demand fills the cell is priced: the
+            # scheduler stops at that same copy and grants every one before.
+            head, demand = [], 0
+            for copy in queue.values():
+                if demand >= n_rb:
+                    break
+                per_re = efficiency[cqi_of_row[row_of[copy.receiver]] - 1]
+                head.append((copy, copy.residual, per_re))
+                demand += scheduler.rb_demand(copy.residual, n_re, per_re)
             allocations, used = scheduler.schedule_unicast_cam_baseline(
-                items, n_rb, n_re)
+                head, n_rb, n_re)
             self.cam_rb_per_tti[tti] += used
             granted += allocations
             left[cell] = n_rb - used
@@ -462,11 +476,12 @@ class UnicastDelivery:
             return left
         # One draw per copy, in cell-then-allocation order.
         copies = [alloc.key for alloc in granted]
+        rows = [row_of[copy.receiver] for copy in copies]
         eff_db = link.effective_sinr_db_slices(
-            read_now(), np.array([self.row_of[c.receiver] for c in copies]),
+            read_now(), np.array(rows),
             np.array([a.rb_start for a in granted]),
             np.array([a.rb_count for a in granted]))
-        ok = self.decode(eff_db, np.array([c.cqi for c in copies]))
+        ok = self.decode(eff_db, np.array([cqi_of_row[r] for r in rows]))
         for copy, alloc, success in zip(copies, granted, ok.tolist()):
             if success:
                 copy.residual = max(copy.residual - alloc.capacity_bits, 0.0)
@@ -476,18 +491,6 @@ class UnicastDelivery:
                 self.recorder.on_delivery(copy.source, copy.sequence,
                                           tti + 1, {copy.receiver})
         return left
-
-    def _price(self, copy: _CopyJob, report) -> float:
-        """Set the copy's CQI from its receiver's reported SINR towards
-        the drop cell; returns its efficiency."""
-        cfg = self.cfg
-        if cfg.cqi_policy == POLICY_FIXED:
-            copy.cqi = cfg.cqi_value
-        else:
-            row = self.row_of[copy.receiver]
-            copy.cqi = max(int(link.cqi_from_sinr_rows(
-                report[row, None], self.table)[0]), max(cfg.cqi_value, 1))
-        return link.cqi_efficiency(copy.cqi, self.table)
 
     def measured_utilization_pct(self) -> float:
         grid_rb = self.cfg.n_rb * max(self.cfg.n_tti, 1)

@@ -167,23 +167,33 @@ def effective_sinr_db_rows(sinr_rows: np.ndarray) -> np.ndarray:
     sum and divide are `.mean(axis=1)` without its dispatch.
     """
     mi = np.log2(1.0 + sinr_rows).sum(axis=1) / sinr_rows.shape[1]
+    return _db_from_mi(mi)
+
+
+def _db_from_mi(mi: np.ndarray) -> np.ndarray:
+    """SINR in dB whose Gaussian capacity is `mi` bits per RE."""
     return 10.0 * np.log10(np.maximum(2.0 ** mi - 1.0, 1e-30))
 
 
 def effective_sinr_db_slices(sinr: np.ndarray, rows, starts,
                              counts) -> np.ndarray:
     """Effective SINR in dB of RB slice `starts[k]:starts[k] + counts[k]`
-    of row `rows[k]` of a (row, rb) SINR array, for every k.
+    of row `rows[k]` of a C-ordered (row, rb) SINR array, for every k.
 
-    Slices of equal length are evaluated as one (n, length) array; by
-    `effective_sinr_db_rows` each value is the one its slice alone gives.
+    Each value is bitwise the one `effective_sinr_db_rows` gives its slice
+    alone.  `log2(1 + sinr)` is taken elementwise over the whole grid once;
+    a slice's run of it is the same values, contiguous, and numpy reduces
+    a contiguous run with one pairwise sum whether it is a whole array or
+    a row of one.  So full-width slices are summed as whole rows in one
+    `.sum(axis=1)` and every other slice alone.
     """
-    out = np.empty(len(counts))
-    for length in np.unique(counts):
-        group = np.flatnonzero(counts == length)
-        out[group] = effective_sinr_db_rows(
-            sinr[rows[group, None], starts[group, None] + np.arange(length)])
-    return out
+    log2_sinr = np.log2(1.0 + sinr)
+    full = counts == sinr.shape[1]
+    sums = np.empty(len(counts))
+    sums[full] = log2_sinr[rows[full]].sum(axis=1)
+    for k in np.flatnonzero(~full).tolist():
+        sums[k] = log2_sinr[rows[k], starts[k]:starts[k] + counts[k]].sum()
+    return _db_from_mi(sums / counts)
 
 
 def cqi_from_sinr_rows(sinr_rows: np.ndarray,

@@ -104,29 +104,6 @@ def allocate_fifo(items, n_rb: int, n_re_per_rb: int) -> tuple[list[Allocation],
     return allocations, rb_next
 
 
-def price_until_full(pending, efficiency_of, n_rb: int,
-                     n_re_per_rb: int) -> list[tuple[object, float, float]]:
-    """(key, residual_bits, efficiency) items for `allocate_fifo`, pricing
-    only the queue head it can serve.
-
-    `pending` yields (key, residual_bits) in queue order and
-    `efficiency_of(key)` prices one item.  Pricing stops once the priced
-    items' RB demand fills `n_rb`: `allocate_fifo` stops at that same item,
-    so its allocations equal those of the whole queue priced.
-    """
-    items = []
-    demand = 0
-    for key, residual in pending:
-        if demand >= n_rb:
-            break
-        if residual <= 0:
-            continue
-        efficiency = efficiency_of(key)
-        items.append((key, residual, efficiency))
-        demand += rb_demand(residual, n_re_per_rb, efficiency)
-    return items
-
-
 def schedule_multicast(pending, n_rb: int, n_re_per_rb: int,
                        efficiency: float) -> tuple[list[Allocation], int]:
     """Allocate one reserved subframe to pending messages, oldest first.

@@ -1,6 +1,7 @@
 import logging
 import sys
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsfnsim import channel, engine, link, scheduler, topology
+from mbsfnsim import channel, engine, link, scheduler, topology, traffic
 from mbsfnsim.engine import ScenarioConfig, derived_seeds, replicate, run
+from test_link import grouped_slices
 
 
 def small_config(**overrides):
@@ -639,3 +641,227 @@ def test_tracer_counts_one_mobility_step_per_tti(monkeypatch):
     run(cfg)
     assert events == (["gain", "pathloss"]
                       + ["mobility", "gain", "pathloss"] * cfg.n_tti)
+
+
+def _price_until_full(pending, efficiency_of, n_rb, n_re_per_rb):
+    """(key, residual, efficiency) items of the queue head, each priced by
+    `efficiency_of(key)`, until their RB demand fills `n_rb`."""
+    items, demand = [], 0
+    for key, residual in pending:
+        if demand >= n_rb:
+            break
+        if residual <= 0:
+            continue
+        efficiency = efficiency_of(key)
+        items.append((key, residual, efficiency))
+        demand += scheduler.rb_demand(residual, n_re_per_rb, efficiency)
+    return items
+
+
+def _per_copy_serve(delivery, tti, area_sources, read_now, report):
+    """`UnicastDelivery.serve` with each copy priced on its own: one
+    `cqi_from_sinr_rows` call on its receiver's report row and one
+    `cqi_efficiency` call per copy, and the per-length grouped slices."""
+    cfg, table = delivery.cfg, delivery.table
+    n_rb, n_re = cfg.n_rb, cfg.usable_re_per_rb
+    cqi = {}
+
+    def price(copy):
+        if cfg.cqi_policy == engine.POLICY_FIXED:
+            cqi[copy] = cfg.cqi_value
+        else:
+            row = delivery.row_of[copy.receiver]
+            cqi[copy] = max(int(link.cqi_from_sinr_rows(
+                report[row, None], table)[0]), max(cfg.cqi_value, 1))
+        return link.cqi_efficiency(cqi[copy], table)
+
+    left, granted = {}, []
+    for cell, queue in delivery.pending.items():
+        items = _price_until_full(((c, c.residual) for c in queue.values()),
+                                  price, n_rb, n_re)
+        allocations, used = scheduler.schedule_unicast_cam_baseline(
+            items, n_rb, n_re)
+        delivery.cam_rb_per_tti[tti] += used
+        granted += allocations
+        left[cell] = n_rb - used
+    if not granted:
+        return left
+    copies = [alloc.key for alloc in granted]
+    eff_db = grouped_slices(
+        read_now(), np.array([delivery.row_of[c.receiver] for c in copies]),
+        np.array([a.rb_start for a in granted]),
+        np.array([a.rb_count for a in granted]))
+    ok = delivery.decode(eff_db, np.array([cqi[c] for c in copies]))
+    for copy, alloc, success in zip(copies, granted, ok.tolist()):
+        if success:
+            copy.residual = max(copy.residual - alloc.capacity_bits, 0.0)
+        if copy.residual <= 0:
+            del delivery.pending[delivery.drop_cell[copy.receiver]][
+                copy.source, copy.receiver]
+            delivery.recorder.on_delivery(copy.source, copy.sequence,
+                                          tti + 1, {copy.receiver})
+    return left
+
+
+class _DeliveryLog:
+    """Recorder and decoder stand-ins that keep what a delivery hands them."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.delivered, self.decoded = [], []
+
+    def on_delivery(self, *args):
+        self.delivered.append(args)
+
+    def decode(self, eff_db, cqi):
+        p = link.bler(eff_db, cqi)
+        self.decoded.append((eff_db, cqi, p))
+        return engine.draw_success(p, False, self.rng)
+
+
+def _unicast_delivery(gen, policy, bound, n_rb, n_sources, n_cells):
+    """A `UnicastDelivery` over `n_cells` area cells with random drop
+    cells, and its log; `cfg` carries only the fields it reads, so any RB
+    count can be set."""
+    cfg = types.SimpleNamespace(
+        n_rb=n_rb, usable_re_per_rb=100, cqi_policy=policy, cqi_value=bound,
+        n_tti=8, cam_size_bits=2400, cam_period_ttis=100, sizing_cqi=3)
+    sources = [int(s) for s in 100 + np.arange(n_sources)]
+    drop_cell = {s: int(gen.integers(n_cells)) for s in sources}
+    log = _DeliveryLog(int(gen.integers(2 ** 31)))
+    delivery = engine.UnicastDelivery(
+        cfg, link.CQI_TABLE, list(range(n_cells)), drop_cell, log,
+        {s: k for k, s in enumerate(sources)}, log.decode, 1.0)
+    return delivery, log
+
+
+def _random_unicast_case(seed, policy):
+    """Two identical random unicast deliveries, their logs, and the
+    (report, now) SINR grids of 8 TTIs, with packets added before each."""
+    gen = np.random.default_rng(seed)
+    n_rb = int(gen.choice([6, 25, 100]))
+    bound = int(gen.integers(1, 16) if policy == engine.POLICY_FIXED
+                else gen.choice([0, int(gen.integers(1, 16))]))
+    n_sources, n_cells = int(gen.integers(2, 14)), int(gen.integers(1, 5))
+    state = gen.bit_generator.state
+    pair = []
+    for _ in range(2):
+        gen.bit_generator.state = state
+        pair.append(_unicast_delivery(gen, policy, bound, n_rb, n_sources,
+                                      n_cells))
+    sources = list(pair[0][0].drop_cell)
+    ttis = []
+    for tti in range(8):
+        report, now = 10.0 ** (gen.uniform(-2.0, 2.5, (2, n_sources, n_rb)))
+        packets = []
+        for sequence in range(int(gen.integers(0, 4))):
+            src = sources[int(gen.integers(n_sources))]
+            receivers = {r for r in sources
+                         if r != src and gen.random() < 0.7}
+            packets.append((traffic.CamPacket(src, tti, tti, 2400),
+                            receivers))
+        # Residuals: partly served, a few bits, or a rounding error above
+        # whole RBs at the receiver's reported CQI.
+        cqi = (np.full(n_sources, bound) if policy == engine.POLICY_FIXED
+               else np.maximum(link.cqi_from_sinr_rows(report),
+                               max(bound, 1)))
+        per_rb = 100 * link.CQI_TABLE.efficiencies[cqi - 1]
+        rb = gen.integers(1, 2 * n_rb, n_sources)
+        residual = {
+            "partial": gen.uniform(1.0, 2400.0, n_sources),
+            "bits": gen.uniform(1e-3, 1.0, n_sources),
+            "ulp_over": np.nextafter(rb * per_rb, np.inf)}
+        kinds = gen.choice(["keep", *residual], size=64)
+        ttis.append((report, now, packets, residual, kinds))
+    return pair, ttis
+
+
+def _drive(delivery, serve, ttis):
+    """Run `serve` over the case's TTIs; returns each TTI's observables."""
+    seen = []
+    for tti, (report, now, packets, residual, kinds) in enumerate(ttis):
+        for packet, receivers in packets:
+            delivery.add(packet, receivers)
+        copies = [c for q in delivery.pending.values() for c in q.values()]
+        for copy, kind in zip(copies, kinds):
+            if kind != "keep":
+                copy.residual = float(
+                    residual[kind][delivery.row_of[copy.receiver]])
+        left = serve(delivery, tti, None, lambda: now, report)
+        seen.append((left, int(delivery.cam_rb_per_tti[tti]),
+                     {cell: [(k, c.residual) for k, c in q.items()]
+                      for cell, q in delivery.pending.items()}))
+    return seen
+
+
+@pytest.mark.parametrize("policy", [engine.POLICY_FIXED,
+                                    engine.POLICY_ADAPTIVE])
+def test_serve_matches_per_copy_pricing(policy, monkeypatch):
+    """Pricing each receiver once per TTI and summing the slices from one
+    log2 pass gives the grants, CQIs, decode `p`, draws, residuals and
+    deletions of pricing every copy on its own, at 6, 25 and 100 RBs and
+    with a fixed CQI, an unbounded and a bounded adaptive one."""
+    grants = []
+    original = scheduler.schedule_unicast_cam_baseline
+
+    def recorded(items, n_rb, n_re):
+        allocations, used = original(items, n_rb, n_re)
+        grants.append([(a.key.source, a.key.receiver, a.rb_start,
+                        a.rb_count, a.capacity_bits) for a in allocations])
+        return allocations, used
+
+    monkeypatch.setattr(scheduler, "schedule_unicast_cam_baseline", recorded)
+    n_decoded = 0
+    for seed in range(60):
+        ((new, new_log), (old, old_log)), ttis = _random_unicast_case(
+            seed, policy)
+        got = _drive(new, engine.UnicastDelivery.serve, ttis)
+        new_grants, grants[:] = grants[:], []
+        want = _drive(old, _per_copy_serve, ttis)
+        assert got == want
+        assert new_grants == grants
+        grants.clear()
+        assert new_log.delivered == old_log.delivered
+        assert len(new_log.decoded) == len(old_log.decoded)
+        for a, b in zip(new_log.decoded, old_log.decoded):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+        assert (new_log.rng.bit_generator.state
+                == old_log.rng.bit_generator.state)
+        n_decoded += len(new_log.decoded)
+    assert n_decoded > 100
+
+
+@pytest.mark.parametrize("policy", [engine.POLICY_FIXED,
+                                    engine.POLICY_ADAPTIVE])
+def test_serve_prices_only_the_granted_head(policy, monkeypatch):
+    """Each cell's scheduler call gets the head of its queue, priced, up to
+    the copy whose RB demand fills the cell: its grants equal those of the
+    whole queue priced, and every priced copy is granted RBs."""
+    calls = []
+    original = scheduler.schedule_unicast_cam_baseline
+
+    def recorded(items, n_rb, n_re):
+        calls.append((list(items), original(items, n_rb, n_re), n_rb, n_re))
+        return calls[-1][1]
+
+    monkeypatch.setattr(scheduler, "schedule_unicast_cam_baseline", recorded)
+    for seed in range(60):
+        ((delivery, _), _), ttis = _random_unicast_case(seed, policy)
+        cfg, table = delivery.cfg, delivery.table
+        for tti, (report, now, packets, _, _) in enumerate(ttis):
+            for packet, receivers in packets:
+                delivery.add(packet, receivers)
+            cqi = (np.full(len(report), cfg.cqi_value)
+                   if policy == engine.POLICY_FIXED
+                   else np.maximum(link.cqi_from_sinr_rows(report),
+                                   max(cfg.cqi_value, 1)))
+            whole = [[(c, c.residual, link.cqi_efficiency(
+                int(cqi[delivery.row_of[c.receiver]]), table))
+                for c in queue.values()] for queue in delivery.pending.values()]
+            delivery.serve(tti, None, lambda: now, report)
+            for queue, (head, got, n_rb, n_re) in zip(whole, calls):
+                assert head == queue[:len(head)]
+                assert got == scheduler.allocate_fifo(queue, n_rb, n_re)
+                assert len(got[0]) == len(head)
+            calls.clear()

@@ -333,3 +333,37 @@ class TestRowHelpers:
             assert link.effective_sinr_db_rows(rows[k:k + 1])[0] == eff_db[k]
             assert link.cqi_from_sinr_rows(rows[k:k + 1])[0] == cqi[k]
             assert cqi[k] == _oracle_cqi(rows[k])
+
+
+def grouped_slices(sinr, rows, starts, counts):
+    """`effective_sinr_db_slices` as one (n, length) gather per distinct
+    slice length, each evaluated by `effective_sinr_db_rows`."""
+    out = np.empty(len(counts))
+    for length in np.unique(counts):
+        group = np.flatnonzero(counts == length)
+        out[group] = link.effective_sinr_db_rows(
+            sinr[rows[group, None], starts[group, None] + np.arange(length)])
+    return out
+
+
+class TestSlices:
+    @pytest.mark.parametrize("n_rb", [25, 100])
+    def test_bitwise_as_grouped_rows(self, n_rb):
+        """One log2 pass with whole-row and per-slice sums gives every
+        slice bitwise the value of its per-length gather, for full-width
+        and 1-RB slices and SINRs of exactly 0."""
+        gen = np.random.default_rng(n_rb)
+        for _ in range(1500):
+            n_rows = int(gen.integers(1, 30))
+            sinr = 10.0 ** gen.uniform(-3.0, 3.0, (n_rows, n_rb))
+            sinr[gen.random(sinr.shape) < 0.1] = 0.0
+            sinr[gen.integers(n_rows)] *= gen.integers(2)
+            n = int(gen.integers(1, 25))
+            counts = gen.integers(1, n_rb + 1, n)
+            counts[gen.random(n) < 0.3] = n_rb
+            counts[gen.random(n) < 0.2] = 1
+            starts = gen.integers(0, n_rb - counts + 1)
+            rows = gen.integers(0, n_rows, n)
+            np.testing.assert_array_equal(
+                link.effective_sinr_db_slices(sinr, rows, starts, counts),
+                grouped_slices(sinr, rows, starts, counts))

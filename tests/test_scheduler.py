@@ -204,41 +204,6 @@ class TestBaselineQueue:
             [("k", residual, eff)], 5, 100)
         assert alloc.capacity_bits == 5 * per_rb
 
-
-class TestPriceUntilFull:
-    """Pricing only the queue head leaves the allocations unchanged."""
-
-    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
-    def test_same_allocations_as_whole_queue(self, policy):
-        gen = np.random.default_rng(11)
-        for _ in range(300):
-            n = int(gen.integers(0, 40))
-            residual = gen.choice([0.0, -1.0, 2400.0, 700.0, 37.7, 1.0e4],
-                                  size=n)
-            residual[gen.random(n) < 0.5] = gen.uniform(1.0, 5000.0)
-            if policy == "fixed":
-                cqi = np.full(n, int(gen.integers(1, 16)))
-            else:
-                cqi = gen.integers(1, 16, size=n)
-            n_rb = int(gen.choice([6, 25, 100]))
-            priced = []
-
-            def efficiency_of(key):
-                priced.append(key)
-                return cqi_efficiency(int(cqi[key]))
-
-            whole = [(k, residual[k], cqi_efficiency(int(cqi[k])))
-                     for k in range(n)]
-            head = scheduler.price_until_full(
-                ((k, residual[k]) for k in range(n)), efficiency_of, n_rb, 100)
-            assert priced == [k for k, _, _ in head]
-            assert head == [w for w in whole if w[1] > 0][:len(head)]
-            want = scheduler.allocate_fifo(whole, n_rb, 100)
-            got = schedule_unicast_cam_baseline(head, n_rb, 100)
-            assert got == want
-            # Every priced copy is granted RBs.
-            assert len(got[0]) == len(head)
-
     def test_demand_matches_allocation(self):
         for residual, eff in [(2400.0, 0.377), (1000.0, 5.5547),
                               (3770.0, 0.377), (1.0, 0.1523)]:
