@@ -754,7 +754,7 @@ def _random_unicast_case(seed, policy):
     for tti in range(8):
         report, now = 10.0 ** (gen.uniform(-2.0, 2.5, (2, n_sources, n_rb)))
         packets = []
-        for sequence in range(int(gen.integers(0, 4))):
+        for _ in range(int(gen.integers(0, 4))):
             src = sources[int(gen.integers(n_sources))]
             receivers = {r for r in sources
                          if r != src and gen.random() < 0.7}
@@ -816,10 +816,10 @@ def test_serve_matches_per_copy_pricing(policy, monkeypatch):
         ((new, new_log), (old, old_log)), ttis = _random_unicast_case(
             seed, policy)
         got = _drive(new, engine.UnicastDelivery.serve, ttis)
-        new_grants, grants[:] = grants[:], []
+        got_grants = grants.copy()
+        grants.clear()
         want = _drive(old, _per_copy_serve, ttis)
-        assert got == want
-        assert new_grants == grants
+        assert got == want and got_grants == grants
         grants.clear()
         assert new_log.delivered == old_log.delivered
         assert len(new_log.decoded) == len(old_log.decoded)
