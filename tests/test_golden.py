@@ -10,7 +10,9 @@ block), error-free decoding, which draws nothing, and unicast at 20 MHz,
 where the RBs the copies leave to ordinary users take many values.
 Three unicast edge paths close the set: standing cars with an adaptive
 CQI (the static link state), error-free decoding, and a lone car whose
-messages have no recipient.
+messages have no recipient.  Three two-ring layouts (19 area cells) take
+the scale shape: multicast at 20 MHz, unicast, and multicast at 5 MHz,
+whose infeasible reservation runs a congested loop at six subframes.
 One more digest covers the whole output tree of a `compare` run: its
 per-cell run directories, overlays, ratios, summary and manifest.
 
@@ -88,6 +90,12 @@ CONFIGS = {
     # One area cell with one car: its messages have no recipient.
     "uc_lone_car": replace(BASE, mode="unicast_baseline", mbsfn_rings=0,
                            users_per_cell=1, cars_per_cell=1),
+    # Two rings, 20 MHz: 19 area cells and 57 sources.
+    "mc_rings2_20": replace(BASE, mbsfn_rings=2, bandwidth_mhz=20),
+    "uc_rings2": replace(BASE, mode="unicast_baseline", mbsfn_rings=2),
+    # Two rings at 5 MHz: the reservation is infeasible, so a congested
+    # multicast loop runs at the maximum of six subframes.
+    "mc_rings2_5": replace(BASE, mbsfn_rings=2),
 }
 
 GOLDEN = {
@@ -133,6 +141,12 @@ GOLDEN = {
                           "29acdf5133d98661260405be92a674dd"),
     "uc_lone_car": ("138271ffb61a3cdcc5963e740e9069fc"
                     "c9f2e7c696dc071ca31d90d4f8cb7028"),
+    "mc_rings2_20": ("7f5250ece81a999e09e5eac80b25244a"
+                     "2f83d83669d6a5e028d77368f0a7363a"),
+    "uc_rings2": ("8f77a91f4abe2fc806f33933b6b6aac0"
+                  "e3b66f7bfa653a4d7631a04d227a01fa"),
+    "mc_rings2_5": ("832c035bedd7e507ef63b03152528cbd"
+                    "0d04e5a1c77744fbe3b7a1f56a4f0b64"),
 }
 
 # Both modes at both bandwidths, fixed and unbounded adaptive CQI: eight
