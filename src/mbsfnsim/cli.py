@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,8 +49,9 @@ def _parse_policy(s: str) -> tuple[str, int]:
 
 
 # Parser and printer of each declared config field type.
-_CODECS = {int: (int, str), float: (float, repr), str: (str, str),
-           bool: (_parse_bool, lambda v: str(v).lower())}
+_CODECS = MappingProxyType({
+    int: (int, str), float: (float, repr), str: (str, str),
+    bool: (_parse_bool, lambda v: str(v).lower())})
 # The one key that sets two fields: `cqi_policy = fixed:3` carries
 # cqi_value, which has no key of its own.
 _POLICY_KEY = "cqi_policy"

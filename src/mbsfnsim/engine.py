@@ -1,44 +1,37 @@
 """Run lifecycle: the 1 ms TTI loop and its deterministic state.
 
-Per TTI: vehicles move, the channel advances, users report channel
-quality, new messages are generated (replacing undelivered
-predecessors), the scheduler fills the subframe, each transport block
-is decoded per recipient, buffers drain, and the latency/throughput
-logs are appended.  All randomness derives from the master seed through
-purpose-keyed streams, so a (config, seed) pair reproduces bit-identical
-results.
+`run` sets a run up, then runs these stages in every TTI, in this order:
 
-The loop computes only what changes, and only where it is read.  The
-channel model fixes the static users' scaled taps at construction, so
-the ordinary users' SINR is computed once, before the loop, and so is
-the sources' link state when the cars stand.  A cell's ordinary slots,
-with their bits and error probabilities, are priced once per cell state
-(RBs left, round-robin offset); each TTI only draws their decodes.  Only
-the tracked cars move, and their macroscopic gain is evaluated once per
-TTI: mobility hands each car over to its strongest cell with it, and the
-snapshot scales the cars' tap gains by it.  The delivery then derives
-one (source, rb) SINR grid from the sources' taps alone, through the
-model's steering (see `link`): the MBSFN SINR in multicast mode, the
-SINR against the drop cell in unicast mode.  No (user, cell, rb) channel
-is formed.  The feedback-delay cache keeps that grid; CQI reports read
-the cached one and decoding reads this TTI's.
+1. Mobility (`topology.advance_mobility`): the tracked cars move.  Their
+   macroscopic gain is evaluated once per TTI: mobility hands each car
+   over to its strongest cell with it, and the channel snapshot scales
+   the cars' tap gains by it.
+2. Membership (`_membership`): the cars served by an area cell; a car
+   that left the area exits as a receiver.
+3. Link reads (`LinkReads.step`): this TTI's link state, evaluated only
+   where it is read, and the CQI report's.
+4. Generation (`_generate`): the sources in their phase of the period
+   generate messages, replacing undelivered predecessors.
+5. Delivery (`MulticastDelivery.serve` or `UnicastDelivery.serve`): the
+   scheduler fills the subframe with messages, each transport block is
+   decoded per recipient, buffers drain and the latency log is appended.
+6. Ordinary users (`OrdinaryUsers.serve`): the full-buffer users share
+   the RBs the messages leave, round robin in each area cell.
 
-A delivery reads link state only in its `read_subframes` (multicast: the
-reserved ones; unicast: all ten); an adaptive CQI at TTI t also reads the
-report of TTI max(t - delay, 0).  The snapshot and the grid are evaluated
-at a report TTI or where `serve` reads them (multicast: a message is
-pending; unicast: a copy is granted RBs); elsewhere the cache holds None.
-Mobility and handover still run every TTI.
+A stage that keeps state from TTI to TTI is an object that owns it; the
+others are functions of what the loop hands them.  All randomness
+derives from the master seed through purpose-keyed streams, so a
+(config, seed) pair reproduces bit-identical results.
 """
 # No `from __future__ import annotations`: the scenario parser and
 # `validate` read ScenarioConfig's field types as classes at run time.
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import math
 from collections import deque
+from types import MappingProxyType
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -52,7 +45,7 @@ MODE_UNICAST_BASELINE = "unicast_baseline"
 POLICY_FIXED = "fixed"
 POLICY_ADAPTIVE = "adaptive"
 
-BANDWIDTH_TO_RB = {5: 25, 20: 100}
+BANDWIDTH_TO_RB = MappingProxyType({5: 25, 20: 100})
 
 
 def _spec(default, section: str, *, at_least=None, above=None):
@@ -498,6 +491,107 @@ class UnicastDelivery:
                 / (grid_rb * len(self.area_cells)))
 
 
+def _membership(area_prev, sources, serving_cell, mbsfn_mask, recorder, tti):
+    """The cars in the area, i.e. served by an area cell: only they are
+    obliged to receive (and report CQI for) messages.  A car that left the
+    area stops blocking open entries and is excluded from new recipient
+    sets."""
+    area_now = set(sources[mbsfn_mask[serving_cell[sources]]].tolist())
+    for gone in sorted(area_prev - area_now):
+        recorder.on_receiver_exit(gone, tti)
+    return area_now
+
+
+def _generate(tti, phase_sources, buffers, area_now, recorder, delivery):
+    """Each source in its generation phase sends a message to the other
+    cars in the area, which replaces its undelivered predecessor."""
+    for src in phase_sources:
+        pkt = traffic.maybe_generate(buffers[src], tti)
+        receivers = area_now - {src}
+        recorder.on_generation(src, pkt.sequence, tti, receivers)
+        delivery.add(pkt, receivers)
+
+
+class LinkReads:
+    """This TTI's link state, evaluated lazily, and the report's.
+
+    The delivery derives one (source, rb) SINR grid from the sources' taps
+    alone, through the model's steering (see `link`): the MBSFN SINR in
+    multicast mode, the SINR against the drop cell in unicast mode.  No
+    (user, cell, rb) channel is formed.  A delivery reads that grid only in
+    its `read_subframes` (multicast: the reserved ones; unicast: all ten);
+    an adaptive CQI at TTI t also reads the report of TTI max(t - delay, 0),
+    the TTIs `reported` marks.  The snapshot and the grid are evaluated at
+    a report TTI or where `serve` reads them (multicast: a message is
+    pending; unicast: a copy is granted RBs); elsewhere the feedback-delay
+    cache holds None.  Standing cars are static rows, so their grid is
+    evaluated once, here.
+    """
+
+    def __init__(self, cfg, delivery, model, reported, n_sources: int):
+        self.model, self.reported = model, reported
+        self.link_state = functools.partial(
+            delivery.link_state, steer=model.steer,
+            steer_products=model.steer_products)
+        self.static_now = (None if model.n_moving
+                           else self.link_state(model.static[:n_sources]))
+        self.reports = deque(maxlen=cfg.cqi_feedback_delay_tti + 1)
+
+    def step(self, tti: int, gamma: np.ndarray):
+        """`read_now()`, this TTI's grid, and the report's grid or None."""
+        now = self.static_now
+        if now is None and self.reported[tti]:
+            now = self.link_state(self.model.snapshot(tti, gamma))
+        self.reports.append(now)
+        return (lambda: self.link_state(self.model.snapshot(tti, gamma))
+                if now is None else now), self.reports[0]
+
+
+class OrdinaryUsers:
+    """The area cells' ordinary full-buffer users, served round robin on
+    the RBs the messages leave them.
+
+    An ordinary user is static, so its SINR, reported or current, is fixed
+    before the loop, and a cell's slots, with their bits and error
+    probabilities, depend only on its state (cell, RBs left, round-robin
+    offset): `ordinary_stage` prices each state once, and each TTI only
+    draws the decodes.  `bits` holds each user's decoded bits by its row
+    of `sinr`.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, table: link.CqiTable,
+                 rows_by_cell: dict[int, list[int]], sinr, rng):
+        self.cfg, self.table, self.rng = cfg, table, rng
+        self.rows_by_cell, self.sinr = rows_by_cell, sinr
+        self.rr_offset = dict.fromkeys(rows_by_cell, 0)
+        self.priced = {}
+        self.bits = np.zeros(len(sinr))
+
+    def serve(self, left: dict[int, int]) -> None:
+        """Serve each cell's users on the `left[cell]` RBs and advance its
+        round robin; the TTI's blocks are decoded in one draw, cell by
+        cell."""
+        cfg, priced = self.cfg, self.priced
+        served = []
+        for cell, users in self.rows_by_cell.items():
+            if users and left[cell] > 0:
+                state = (cell, left[cell], self.rr_offset[cell])
+                if state not in priced:
+                    slots = np.array(scheduler.schedule_unicast_ordinary(
+                        users, *state[1:]), dtype=np.intp)
+                    slots = slots[slots[:, 2] > 0]
+                    priced[state] = (slots[:, 0], *ordinary_stage(
+                        slots, self.sinr, cfg.usable_re_per_rb,
+                        cfg.bler_slope_db_per_decade, self.table))
+                served.append(priced[state])
+                self.rr_offset[cell] = (state[2] + 1) % len(users)
+        if served:
+            rows, bits, p = (np.concatenate(parts) for parts in zip(*served))
+            ok = draw_success(p, cfg.perfect_decode, self.rng)
+            # A user has at most one slot per TTI, so no row repeats.
+            self.bits[rows[ok]] += bits[ok]
+
+
 def run(config: ScenarioConfig) -> RunRecord:
     config.validate()
     cfg = config
@@ -568,8 +662,6 @@ def run(config: ScenarioConfig) -> RunRecord:
     # When the cars move, the sources are the model's rows 0..n_moving-1.
     moving_gain = functools.partial(model.amplitude_gain,
                                     rows=slice(0, model.n_moving))
-    link_state = functools.partial(delivery.link_state, steer=model.steer,
-                                   steer_products=model.steer_products)
 
     congested = delivery.congested
     if delivery.analytic_utilization_pct > 100.0:
@@ -578,27 +670,15 @@ def run(config: ScenarioConfig) -> RunRecord:
                     "unbounded latency growth",
                     delivery.analytic_utilization_pct)
 
-    # Ordinary users go by their row of ordinary_sinr and ordinary_bits.
-    ordinary_by_cell = {c: [row for row, u in enumerate(ordinary_tracked)
-                            if int(pop.drop_cell[u]) == c]
-                        for c in area_cells}
-    ordinary_bits = np.zeros(len(ordinary_tracked))
-    # A static user's SINR, reported or current, never changes.
-    ordinary_sinr = link.sinr_vs_cell(
-        model.static[n_sources - model.n_moving:],
-        pop.serving_cell[ordinary_tracked], model.steer,
-        model.steer_products, noise_var)
-    # Standing cars are static rows, so their link state never changes.
-    static_now = (None if model.n_moving
-                  else link_state(model.static[:n_sources]))
-    # A cell's ordinary slots, bits and error probabilities depend only on
-    # its state (cell, RBs left, round-robin offset): each is priced once.
-    ordinary_cache = {}
-    rr_offset = {c: 0 for c in area_cells}
-    report_cache = deque(maxlen=cfg.cqi_feedback_delay_tti + 1)
-    # Cars in the area, i.e. served by an area cell: only they are obliged
-    # to receive (and report CQI for) messages.  Every car starts in its
-    # drop cell.
+    # Ordinary users go by their row of the ordinary SINR and bits.
+    ordinary = OrdinaryUsers(
+        cfg, table, {c: [row for row, u in enumerate(ordinary_tracked)
+                         if int(pop.drop_cell[u]) == c] for c in area_cells},
+        link.sinr_vs_cell(model.static[n_sources - model.n_moving:],
+                          pop.serving_cell[ordinary_tracked], model.steer,
+                          model.steer_products, noise_var), rng_decode)
+    links = LinkReads(cfg, delivery, model, reported, n_sources)
+    # Every car starts in its drop cell, so in the area.
     area_now = set(sources)
     source_arr = np.array(sources, dtype=np.intp)
     # The sources that generate at each phase of the period, in order.
@@ -610,67 +690,20 @@ def run(config: ScenarioConfig) -> RunRecord:
         for tti in range(cfg.n_tti):
             gamma = topology.advance_mobility(pop, channel.TTI_S, moving_gain,
                                               source_arr)
-
-            # Membership follows the serving cell: a car that left the area
-            # stops blocking open entries and is excluded from new recipient
-            # sets.
-            area_prev = area_now
-            area_now = set(source_arr[
-                mbsfn_mask[pop.serving_cell[source_arr]]].tolist())
-            for gone in sorted(area_prev - area_now):
-                recorder.on_receiver_exit(gone, tti)
-
-            if static_now is not None:
-                now = static_now
-            elif reported[tti]:
-                now = link_state(model.snapshot(tti, gamma))
-            else:
-                now = None
-            report_cache.append(now)
-            report = report_cache[0]
-
-            # Generation replaces any undelivered predecessor.
-            for src in generating.get(tti % cfg.cam_period_ttis, ()):
-                pkt = traffic.maybe_generate(buffers[src], tti)
-                receivers = area_now - {src}
-                recorder.on_generation(src, pkt.sequence, tti, receivers)
-                delivery.add(pkt, receivers)
-
-            # Messages first, then the ordinary users on what is left.
-            left = delivery.serve(tti, area_now, lambda: (
-                link_state(model.snapshot(tti, gamma))
-                if now is None else now), report)
-            states = []
-            for cell, users in ordinary_by_cell.items():
-                if users and left[cell] > 0:
-                    states.append((cell, left[cell], rr_offset[cell]))
-                    rr_offset[cell] = (rr_offset[cell] + 1) % len(users)
-            if not states:
-                continue
-            if new := [state for state in states
-                       if state not in ordinary_cache]:
-                # The TTI's new states in one batch, split per state.
-                slots = [[s for s in scheduler.schedule_unicast_ordinary(
-                    ordinary_by_cell[c], n, k) if s[2] > 0] for c, n, k in new]
-                flat = np.array(list(itertools.chain(*slots)), dtype=np.intp)
-                bits, p = ordinary_stage(
-                    flat, ordinary_sinr, cfg.usable_re_per_rb,
-                    cfg.bler_slope_db_per_decade, table)
-                ends = list(itertools.accumulate(map(len, slots), initial=0))
-                for state, a, b in zip(new, ends, ends[1:]):
-                    ordinary_cache[state] = flat[a:b, 0], bits[a:b], p[a:b]
-            rows, bits, p = (np.concatenate(parts) for parts in zip(
-                *[ordinary_cache[state] for state in states]))
-            ok = draw_success(p, cfg.perfect_decode, rng_decode)
-            # A user has at most one slot per TTI, so no row repeats.
-            ordinary_bits[rows[ok]] += bits[ok]
+            area_now = _membership(area_now, source_arr, pop.serving_cell,
+                                   mbsfn_mask, recorder, tti)
+            read_now, report = links.step(tti, gamma)
+            _generate(tti, generating.get(tti % cfg.cam_period_ttis, ()),
+                      buffers, area_now, recorder, delivery)
+            left = delivery.serve(tti, area_now, read_now, report)
+            ordinary.serve(left)
     finally:
         # The fading pool's threads end with the loop that uses them.
         model.close()
 
     duration_s = cfg.n_tti * channel.TTI_S
     throughput = {u: (b / duration_s / 1e6 if duration_s else 0.0)
-                  for u, b in zip(ordinary_tracked, ordinary_bits.tolist())}
+                  for u, b in zip(ordinary_tracked, ordinary.bits.tolist())}
     return RunRecord(
         config_dict=cfg.to_dict(),
         seed=seed,

@@ -1,4 +1,5 @@
 import logging
+import re
 import sys
 import threading
 import types
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsfnsim import channel, engine, link, scheduler, topology, traffic
+from mbsfnsim import (channel, engine, link, metrics, scheduler, topology,
+                      traffic)
 from mbsfnsim.engine import ScenarioConfig, derived_seeds, replicate, run
 from test_link import grouped_slices
 
@@ -641,6 +643,89 @@ def test_tracer_counts_one_mobility_step_per_tti(monkeypatch):
     run(cfg)
     assert events == (["gain", "pathloss"]
                       + ["mobility", "gain", "pathloss"] * cfg.n_tti)
+
+
+@pytest.mark.parametrize("mode", [engine.MODE_MULTICAST,
+                                  engine.MODE_UNICAST_BASELINE])
+def test_stages_run_in_order(mode, monkeypatch):
+    """Each TTI runs its stages in one order: mobility, any receiver exits,
+    the link reads, any generation, the delivery's `serve`, then the
+    ordinary users on the RBs it leaves.  The shims replace module and
+    class attributes, as perfbench's tracer does."""
+    events = []
+
+    def shim(owner, attr, letter):
+        original = vars(owner)[attr]
+
+        def logged(*args, **kwargs):
+            events.append(letter)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, logged)
+
+    shim(topology, "advance_mobility", "m")
+    shim(metrics.LatencyRecorder, "on_receiver_exit", "x")
+    shim(engine.LinkReads, "step", "r")
+    shim(traffic, "maybe_generate", "g")
+    shim(engine.MulticastDelivery, "serve", "s")
+    shim(engine.UnicastDelivery, "serve", "s")
+    shim(engine.OrdinaryUsers, "serve", "o")
+    # With shadowing some cars hand over to a ring cell and leave the area.
+    cfg = ScenarioConfig(mode=mode, shadowing_std_db=8.0, n_tti=300, seed=1)
+    run(cfg)
+    trace = "".join(events)
+    assert re.fullmatch(r"(mx*rg*so)*", trace), trace[:80]
+    assert trace.count("m") == cfg.n_tti
+    assert "x" in trace and "g" in trace
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"reassign_unused_subframes": False},
+    {"mode": "unicast_baseline"},
+    {"mode": "unicast_baseline", "bandwidth_mhz": 20},
+], ids=["mc_fixed", "mc_no_reassign", "uc_5", "uc_20"])
+def test_rb_conservation_at_the_ordinary_stage(overrides, monkeypatch):
+    """In every TTI and area cell the message RBs plus the RBs left to the
+    ordinary users are at most `n_rb`; in unicast the RBs not left are
+    exactly the copies' RBs; and a cell with ordinary users gets slots
+    that cover exactly the RBs left to it, each once."""
+    slots_of, lefts = {}, []
+    schedule, serve = (scheduler.schedule_unicast_ordinary,
+                       engine.OrdinaryUsers.serve)
+
+    def recorded_schedule(users, n_rb, rr_offset=0):
+        slots_of[tuple(users), n_rb, rr_offset] = schedule(users, n_rb,
+                                                           rr_offset)
+        return slots_of[tuple(users), n_rb, rr_offset]
+
+    def checked_serve(ordinary, left):
+        offsets = dict(ordinary.rr_offset)
+        serve(ordinary, left)
+        lefts.append(dict(left))
+        for cell, users in ordinary.rows_by_cell.items():
+            if users and left[cell] > 0:
+                slots = slots_of[tuple(users), left[cell], offsets[cell]]
+                covered = [rb for _, start, count in slots
+                           for rb in range(start, start + count)]
+                assert sorted(covered) == list(range(left[cell]))
+
+    monkeypatch.setattr(scheduler, "schedule_unicast_ordinary",
+                        recorded_schedule)
+    monkeypatch.setattr(engine.OrdinaryUsers, "serve", checked_serve)
+    cfg = ScenarioConfig(n_tti=300, seed=1, **overrides)
+    rec = run(cfg)
+    area_cells = topology.build_layout(
+        cfg.mbsfn_rings, cfg.interference_rings,
+        cfg.inter_site_distance_m).mbsfn_cells
+    assert len(lefts) == cfg.n_tti and slots_of
+    for tti, left in enumerate(lefts):
+        assert set(left) == set(area_cells)
+        for cell in area_cells:
+            assert 0 <= left[cell]
+            assert rec.multicast_rb_per_tti[tti] + left[cell] <= cfg.n_rb
+        if cfg.mode == engine.MODE_UNICAST_BASELINE:
+            assert (sum(cfg.n_rb - n for n in left.values())
+                    == rec.cam_rb_per_tti[tti])
+    assert (rec.multicast_rb_per_tti + rec.cam_rb_per_tti).any()
 
 
 def _price_until_full(pending, efficiency_of, n_rb, n_re_per_rb):
