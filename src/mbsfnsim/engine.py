@@ -31,8 +31,8 @@ import json
 import logging
 import math
 from collections import deque
-from types import MappingProxyType
 from dataclasses import asdict, dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -524,8 +524,9 @@ class LinkReads:
     the TTIs `reported` marks.  The snapshot and the grid are evaluated at
     a report TTI or where `serve` reads them (multicast: a message is
     pending; unicast: a copy is granted RBs); elsewhere the feedback-delay
-    cache holds None.  Standing cars are static rows, so their grid is
-    evaluated once, here.
+    cache holds None.  CQI reports read the cached grid and decoding reads
+    this TTI's.  Standing cars are static rows, so their grid is evaluated
+    once, here.
     """
 
     def __init__(self, cfg, delivery, model, reported, n_sources: int):
@@ -569,8 +570,8 @@ class OrdinaryUsers:
 
     def serve(self, left: dict[int, int]) -> None:
         """Serve each cell's users on the `left[cell]` RBs and advance its
-        round robin; the TTI's blocks are decoded in one draw, cell by
-        cell."""
+        round robin; the TTI's blocks are decoded by one `draw_success`
+        call, in cell order."""
         cfg, priced = self.cfg, self.priced
         served = []
         for cell, users in self.rows_by_cell.items():
@@ -670,7 +671,6 @@ def run(config: ScenarioConfig) -> RunRecord:
                     "unbounded latency growth",
                     delivery.analytic_utilization_pct)
 
-    # Ordinary users go by their row of the ordinary SINR and bits.
     ordinary = OrdinaryUsers(
         cfg, table, {c: [row for row, u in enumerate(ordinary_tracked)
                          if int(pop.drop_cell[u]) == c] for c in area_cells},

@@ -693,9 +693,9 @@ def test_rb_conservation_at_the_ordinary_stage(overrides, monkeypatch):
                        engine.OrdinaryUsers.serve)
 
     def recorded_schedule(users, n_rb, rr_offset=0):
-        slots_of[tuple(users), n_rb, rr_offset] = schedule(users, n_rb,
-                                                           rr_offset)
-        return slots_of[tuple(users), n_rb, rr_offset]
+        slots = schedule(users, n_rb, rr_offset)
+        slots_of[tuple(users), n_rb, rr_offset] = slots
+        return slots
 
     def checked_serve(ordinary, left):
         offsets = dict(ordinary.rr_offset)
