@@ -70,8 +70,8 @@ def doppler_frequency(speed_ms: float, carrier_hz: float) -> float:
 def pathloss_db(distance_m):
     """Distance-dependent loss in dB; distances below MIN_DISTANCE_M are
     clamped."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M)
-    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE_DB * np.log10(d / 1000.0)
+    km = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M) / 1e3
+    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE_DB * np.log10(km)
 
 
 def usable_cpus() -> int:
@@ -302,8 +302,8 @@ class ChannelModel:
     neither moves nor fades, so its scaled taps (amplitude at its given
     position times fading) are evaluated once, at construction, as
     `static`, (n_static, n_cells, n_taps).  A snapshot holds the moving
-    users' rows only; the caller evaluates their amplitude once per TTI
-    and passes it in, so the same gain can also drive handover.  The
+    users' rows only; the caller evaluates their amplitude once per block
+    and passes in each TTI's, so the same gain can also drive handover.  The
     moving pairs' tap gains are evaluated by the bank's phasor recurrence
     over blocks of BLOCK_LEN consecutive TTIs and chunks of CHUNK_PAIRS
     pairs; each snapshot scales one TTI of them.  Both groups draw from
@@ -366,21 +366,24 @@ class ChannelModel:
         self.bank.close()
 
     def amplitude_gain(self, positions: np.ndarray, rows) -> np.ndarray:
-        """Linear macroscopic amplitude per (user, cell) at given positions;
-        `rows` selects the users (and shadowing rows) they belong to."""
-        # sqrt(dx*dx + dy*dy) is bitwise the 2-vector norm, which sums the
-        # two squares in this order.
-        dx = positions[:, 0, None] - self.cell_positions[:, 0]
-        dy = positions[:, 1, None] - self.cell_positions[:, 1]
-        d = np.sqrt(dx * dx + dy * dy)
+        """Linear macroscopic amplitude per (user, cell) at given positions,
+        (..., users, 2) -> (..., users, n_cells); `rows` selects the users
+        (and shadowing rows) they belong to, and any leading axes, such as
+        a block's steps, share them.  A block's values are bitwise those of
+        one call per step.  The passes run in place where they can: a
+        block's temporaries are its largest arrays."""
+        # sqrt(dx**2 + dy**2) is bitwise the 2-vector norm, which sums the
+        # two squares in this order; x**2 is x*x.
+        d = (positions[..., 0, None] - self.cell_positions[:, 0]) ** 2
+        d += (positions[..., 1, None] - self.cell_positions[:, 1]) ** 2
+        np.sqrt(d, out=d)
         clamped = (0 if self._clamp_warned
                    else np.count_nonzero(d < MIN_DISTANCE_M))
         if clamped:
             log.warning("%d user-cell distance(s) below %.1f m clamped",
                         clamped, MIN_DISTANCE_M)
             self._clamp_warned = True
-        gain_db = -pathloss_db(d) + self.shadowing_db[rows]
-        return 10.0 ** (gain_db / 20.0)
+        return 10.0 ** ((-pathloss_db(d) + self.shadowing_db[rows]) / 20.0)
 
     def _tap_gains_at(self, tti: int) -> np.ndarray:
         """Moving pairs' tap gains at `tti`: (n_moving * n_cells, n_taps)."""

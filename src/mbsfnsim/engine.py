@@ -2,20 +2,19 @@
 
 `run` sets a run up, then runs these stages in every TTI, in this order:
 
-1. Mobility (`topology.advance_mobility`): the tracked cars move.  Their
-   macroscopic gain is evaluated once per TTI: mobility hands each car
-   over to its strongest cell with it, and the channel snapshot scales
-   the cars' tap gains by it.
-2. Membership (`_membership`): the cars served by an area cell; a car
-   that left the area exits as a receiver.
-3. Link reads (`LinkReads.step`): this TTI's link state, evaluated only
+1. Mobility (`Mobility.step`): the tracked cars move, hand over and
+   enter or leave the area per block of TTIs; a car that left the area
+   exits as a receiver.  Their macroscopic gain is evaluated once per
+   block: mobility hands each car over to its strongest cell with it, and
+   the channel snapshot scales the cars' tap gains by each TTI's row.
+2. Link reads (`LinkReads.step`): this TTI's link state, evaluated only
    where it is read, and the CQI report's.
-4. Generation (`_generate`): the sources in their phase of the period
+3. Generation (`_generate`): the sources in their phase of the period
    generate messages, replacing undelivered predecessors.
-5. Delivery (`MulticastDelivery.serve` or `UnicastDelivery.serve`): the
+4. Delivery (`MulticastDelivery.serve` or `UnicastDelivery.serve`): the
    scheduler fills the subframe with messages, each transport block is
    decoded per recipient, buffers drain and the latency log is appended.
-6. Ordinary users (`OrdinaryUsers.serve`): the full-buffer users share
+5. Ordinary users (`OrdinaryUsers.serve`): the full-buffer users share
    the RBs the messages leave, round robin in each area cell.
 
 A stage that keeps state from TTI to TTI is an object that owns it; the
@@ -491,15 +490,53 @@ class UnicastDelivery:
                 / (grid_rb * len(self.area_cells)))
 
 
-def _membership(area_prev, sources, serving_cell, mbsfn_mask, recorder, tti):
-    """The cars in the area, i.e. served by an area cell: only they are
-    obliged to receive (and report CQI for) messages.  A car that left the
-    area stops blocking open entries and is excluded from new recipient
-    sets."""
-    area_now = set(sources[mbsfn_mask[serving_cell[sources]]].tolist())
-    for gone in sorted(area_prev - area_now):
-        recorder.on_receiver_exit(gone, tti)
-    return area_now
+class Mobility:
+    """The moving sources' positions, macroscopic gain, serving cells and
+    area membership, advanced once per block of channel.BLOCK_LEN TTIs.
+
+    The blocks line up with the fading blocks and end at the run's last
+    TTI.  Each block makes one `topology.advance_mobility` call, which
+    evaluates the block's gains in one `amplitude_gain` pass, and one pass
+    over its serving cells for the in-area rows; every TTI's values are
+    bitwise those of a step per TTI.  The cars in the area, i.e. served
+    by an area cell, are the only ones obliged to receive (and report CQI
+    for) messages.  A car that left the area stops blocking open entries
+    and is excluded from new recipient sets: the area set is rebuilt, and
+    exits recorded in sorted order, only at a TTI whose in-area row
+    differs from the one before.  The sources share one speed: they all
+    move or all stand in their drop cells, in the area.
+    """
+
+    def __init__(self, pop, sources, model, mbsfn_mask, recorder,
+                 n_tti: int):
+        m = model.n_moving
+        # When the cars move, the sources are the model's rows 0..m-1.
+        self.moving = np.array(sources[:m], dtype=np.intp)
+        self.gain = functools.partial(model.amplitude_gain, rows=slice(0, m))
+        self.pop, self.mbsfn_mask = pop, mbsfn_mask
+        self.recorder, self.n_tti = recorder, n_tti
+        # Every car starts in its drop cell, so in the area.
+        self.area = set(sources)
+        self.in_area = np.ones(m, dtype=bool)
+
+    def step(self, tti: int):
+        """This TTI's gains of the moving sources, (n_moving, n_cells), and
+        the set of sources in the area."""
+        k = tti % channel.BLOCK_LEN
+        if k == 0:
+            self.gains, serving = topology.advance_mobility(
+                self.pop, channel.TTI_S, self.gain, self.moving,
+                min(channel.BLOCK_LEN, self.n_tti - tti))
+            rows = self.mbsfn_mask[serving]
+            before = np.concatenate((self.in_area[None], rows[:-1]))
+            self.changed = (rows != before).any(axis=1).tolist()
+            self.rows, self.in_area = rows, rows[-1]
+        if self.changed[k]:
+            area = set(self.moving[self.rows[k]].tolist())
+            for gone in sorted(self.area - area):
+                self.recorder.on_receiver_exit(gone, tti)
+            self.area = area
+        return self.gains[k], self.area
 
 
 def _generate(tti, phase_sources, buffers, area_now, recorder, delivery):
@@ -660,10 +697,6 @@ def run(config: ScenarioConfig) -> RunRecord:
         seed=seed,
         evaluated_ttis=reads | reported,
     )
-    # When the cars move, the sources are the model's rows 0..n_moving-1.
-    moving_gain = functools.partial(model.amplitude_gain,
-                                    rows=slice(0, model.n_moving))
-
     congested = delivery.congested
     if delivery.analytic_utilization_pct > 100.0:
         congested = True
@@ -678,9 +711,7 @@ def run(config: ScenarioConfig) -> RunRecord:
                           pop.serving_cell[ordinary_tracked], model.steer,
                           model.steer_products, noise_var), rng_decode)
     links = LinkReads(cfg, delivery, model, reported, n_sources)
-    # Every car starts in its drop cell, so in the area.
-    area_now = set(sources)
-    source_arr = np.array(sources, dtype=np.intp)
+    mobility = Mobility(pop, sources, model, mbsfn_mask, recorder, cfg.n_tti)
     # The sources that generate at each phase of the period, in order.
     generating = {}
     for src in sources:
@@ -688,10 +719,7 @@ def run(config: ScenarioConfig) -> RunRecord:
 
     try:
         for tti in range(cfg.n_tti):
-            gamma = topology.advance_mobility(pop, channel.TTI_S, moving_gain,
-                                              source_arr)
-            area_now = _membership(area_now, source_arr, pop.serving_cell,
-                                   mbsfn_mask, recorder, tti)
+            gamma, area_now = mobility.step(tti)
             read_now, report = links.step(tti, gamma)
             _generate(tti, generating.get(tti % cfg.cam_period_ttis, ()),
                       buffers, area_now, recorder, delivery)

@@ -164,18 +164,20 @@ def drop_users(layout: CellLayout, n_users_per_cell: int, n_cars_per_cell: int,
     )
 
 
-def advance_mobility(pop: UserPopulation, dt: float, gain_fn,
-                     users) -> np.ndarray:
-    """In place: move the users among `users` that have a velocity by
-    velocity*dt, wrap them at the layout boundary and hand each one over to
-    its strongest cell.
+def advance_mobility(pop: UserPopulation, dt: float, gain_fn, users,
+                     n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """In place: move the users among `users` that have a velocity through
+    `n_steps` steps of velocity*dt, wrapping them at the layout boundary
+    and handing each one over to its strongest cell after every step.
 
-    `gain_fn(positions) -> (n, n_cells)` gives the macroscopic gain of the
-    moved users, in `users` order, at their new positions; the serving cell
-    is its argmax, and the gains are returned for the caller to reuse.  A
+    `gain_fn(positions) -> (..., n_cells)` gives the macroscopic gain at
+    positions (..., 2) of the moved users, in `users` order.  Returns each
+    step's gains, (n_steps, moving, n_cells), and serving cells, (n_steps,
+    moving), the argmax of its gains; `pop` is left at the last step.  A
     car moves by its own position and velocity alone, so moving a subset
-    gives those cars the values that moving every car would.  Handover is
-    instantaneous and cost-free.
+    gives those cars the values that moving every car would, and one call
+    of n steps gives bitwise the values of n calls of one step.  Handover
+    is instantaneous and cost-free.
     """
     if dt < 0:
         raise ConfigurationError("dt must be >= 0")
@@ -185,17 +187,34 @@ def advance_mobility(pop: UserPopulation, dt: float, gain_fn,
     v = pop.velocities.take(users, axis=0)
     moves = v.any(axis=1)
     moving = users[moves]
-    p = pop.positions.take(moving, axis=0) + v[moves] * dt
+    step = v[moves] * dt
+    # Row k is the position after k steps: numpy's cumulative sum adds the
+    # rows in sequence, so it is bitwise k sequential `p + step` adds.
+    p = np.empty((n_steps + 1, len(moving), 2))
+    p[0] = pop.positions.take(moving, axis=0)
+    p[1:] = step
+    np.cumsum(p, axis=0, out=p)
 
     # Wrap-around: a car crossing the boundary disc re-enters on the
-    # antipodal side, keeping its heading.
+    # antipodal side, keeping its heading.  At the first step that leaves
+    # a car outside, wrap it and move on from there again.
     radius = pop.layout.boundary_radius
-    dist = np.hypot(p[:, 0], p[:, 1])
-    outside = dist > radius
-    if outside.any():
-        p[outside] -= 2.0 * radius * (p[outside] / dist[outside, None])
-    pop.positions[moving] = p
+    k = 1
+    while k <= n_steps:
+        dist = np.hypot(p[k:, :, 0], p[k:, :, 1])
+        outside = dist > radius
+        crossed = np.flatnonzero(outside.any(axis=1))
+        if not len(crossed):
+            break
+        k += crossed[0]
+        out, d = outside[crossed[0]], dist[crossed[0]]
+        p[k, out] -= 2.0 * radius * (p[k, out] / d[out, None])
+        p[k + 1:] = step
+        np.cumsum(p[k:], axis=0, out=p[k:])
+        k += 1
+    pop.positions[moving] = p[-1]
 
-    gains = gain_fn(p)
-    pop.serving_cell[moving] = gains.argmax(axis=1)
-    return gains
+    gains = gain_fn(p[1:])
+    serving = gains.argmax(axis=2)
+    pop.serving_cell[moving] = serving[-1]
+    return gains, serving

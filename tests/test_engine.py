@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 import sys
 import threading
@@ -134,9 +135,10 @@ class TestRunBasics:
         assert all(e.latency_ttis >= 1 for e in rec.entries)
 
 
-def test_one_pathloss_evaluation_per_tti(monkeypatch):
-    """Handover and the channel snapshot share each TTI's macroscopic gain:
-    one `pathloss_db` call per TTI, plus one for the static rows at set-up."""
+def test_one_pathloss_evaluation_per_block(monkeypatch):
+    """Handover and the channel snapshot share each TTI's macroscopic gain,
+    evaluated per block of BLOCK_LEN TTIs: one `pathloss_db` call per
+    block, plus one for the static rows at set-up."""
     calls = []
     original = channel.pathloss_db
 
@@ -148,7 +150,8 @@ def test_one_pathloss_evaluation_per_tti(monkeypatch):
     cfg = small_config(n_tti=64, shadowing_std_db=8.0)
     rec = run(cfg)
     assert cfg.car_speed_kmh > 0 and rec.sources
-    assert len(calls) <= cfg.n_tti + 1, calls[:4]
+    assert len(calls) == 1 + math.ceil(cfg.n_tti / channel.BLOCK_LEN), calls
+    assert calls[1] == (channel.BLOCK_LEN, len(rec.sources), 19)
 
 
 def test_no_zero_rb_grants(monkeypatch):
@@ -364,6 +367,12 @@ def test_short_run_properties(cfg):
     on: mode, policy, standing or moving cars, no cars, report delay."""
     rec = run(cfg)
     assert all(e.latency_ttis >= 1 for e in rec.entries)
+    # A delivery's k counts the periods up to the delivered packet, which
+    # is served before its own replacement; an exit's k is latency // period.
+    period = cfg.cam_period_ttis
+    for e in rec.entries:
+        assert (e.replacements * period <= e.latency_ttis
+                <= (e.replacements + 1) * period), e
     n_area = len(topology.build_layout(
         cfg.mbsfn_rings, cfg.interference_rings,
         cfg.inter_site_distance_m).mbsfn_cells)
@@ -620,29 +629,33 @@ def test_car_speed_bounded_by_layout():
     replace(too_fast, interference_rings=2).validate()
 
 
-def test_tracer_counts_one_mobility_step_per_tti(monkeypatch):
+def test_tracer_counts_one_mobility_step_per_block(monkeypatch):
     """perfbench's tracer replaces module and class attributes with
     counting shims and marks the TTI loop's start at the first
     `advance_mobility` call: the model's construction takes one
-    `amplitude_gain`, then each TTI one `advance_mobility` whose gain is
-    one `amplitude_gain` with one `pathloss_db`."""
-    events = []
+    `amplitude_gain`, then each block of BLOCK_LEN TTIs, the last one cut
+    at the run's end, one `advance_mobility` whose gain is one
+    `amplitude_gain` with one `pathloss_db`."""
+    events, steps = [], []
 
     def shim(owner, attr, name):
         original = vars(owner)[attr]
 
         def counted(*args, **kwargs):
             events.append(name)
+            if name == "mobility":
+                steps.append(args[4])
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, attr, counted)
 
     shim(topology, "advance_mobility", "mobility")
     shim(channel.ChannelModel, "amplitude_gain", "gain")
     shim(channel, "pathloss_db", "pathloss")
-    cfg = small_config(n_tti=50, shadowing_std_db=8.0)
+    cfg = small_config(n_tti=150, shadowing_std_db=8.0)
     run(cfg)
     assert events == (["gain", "pathloss"]
-                      + ["mobility", "gain", "pathloss"] * cfg.n_tti)
+                      + ["mobility", "gain", "pathloss"] * 3)
+    assert steps == [64, 64, 22]
 
 
 @pytest.mark.parametrize("mode", [engine.MODE_MULTICAST,
@@ -662,7 +675,7 @@ def test_stages_run_in_order(mode, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, attr, logged)
 
-    shim(topology, "advance_mobility", "m")
+    shim(engine.Mobility, "step", "m")
     shim(metrics.LatencyRecorder, "on_receiver_exit", "x")
     shim(engine.LinkReads, "step", "r")
     shim(traffic, "maybe_generate", "g")

@@ -120,8 +120,8 @@ class TestDropUsers:
 def _distance_gain(layout):
     """A gain that falls with distance alone: handover to the nearest cell."""
     def gain(positions):
-        return -np.linalg.norm(positions[:, None, :]
-                               - layout.cell_positions[None], axis=2)
+        return -np.linalg.norm(positions[..., None, :]
+                               - layout.cell_positions, axis=-1)
     return gain
 
 
@@ -143,7 +143,7 @@ class TestAdvanceMobility:
     def test_kinematics(self):
         layout = build_layout(1, 1, 500.0)
         pop = _single_car_population(layout, (0.0, 0.0), (27.78, 0.0))
-        advance_mobility(pop, 1.0, _distance_gain(layout), [0])
+        advance_mobility(pop, 1.0, _distance_gain(layout), [0], 1)
         np.testing.assert_allclose(pop.positions[0], (27.78, 0.0))
 
     def test_zero_dt_identity(self):
@@ -151,23 +151,25 @@ class TestAdvanceMobility:
         pop = drop_users(layout, 6, 3, 27.78, rng_seed=1)
         positions, serving = pop.positions.copy(), pop.serving_cell.copy()
         # A drop cell is its user's nearest cell, so nobody hands over.
-        gains = advance_mobility(pop, 0.0, _distance_gain(layout),
-                                 _everyone(pop))
+        gains, cells = advance_mobility(pop, 0.0, _distance_gain(layout),
+                                        _everyone(pop), 3)
         np.testing.assert_array_equal(pop.positions, positions)
         np.testing.assert_array_equal(pop.serving_cell, serving)
-        assert gains.shape == (len(pop.car_ids()), layout.n_cells)
+        assert gains.shape == (3, len(pop.car_ids()), layout.n_cells)
+        np.testing.assert_array_equal(cells, np.tile(serving[pop.is_car],
+                                                     (3, 1)))
 
     def test_negative_dt_rejected(self):
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 1, 1, 10.0, rng_seed=1)
         with pytest.raises(ConfigurationError):
-            advance_mobility(pop, -1.0, _distance_gain(layout), [0])
+            advance_mobility(pop, -1.0, _distance_gain(layout), [0], 1)
 
     def test_wrap_and_reselection_against_gain_scan(self):
         layout = build_layout(1, 1, 500.0)
         radius = layout.boundary_radius
         pop = _single_car_population(layout, (radius - 1.0, 0.0), (100.0, 0.0))
-        advance_mobility(pop, 1.0, _distance_gain(layout), [0])
+        advance_mobility(pop, 1.0, _distance_gain(layout), [0], 1)
         assert np.hypot(*pop.positions[0]) <= radius + 1e-9
         assert pop.positions[0][0] < 0  # re-entered on the opposite side
 
@@ -176,12 +178,12 @@ class TestAdvanceMobility:
         shadow = rng.normal(0.0, 8.0, size=(1, layout.n_cells))
 
         def gain_db(positions):
-            d = np.hypot(*(positions[:, None, :]
-                           - layout.cell_positions[None, :, :]).T).T
+            d = np.hypot(*np.moveaxis(positions[..., None, :]
+                                      - layout.cell_positions, -1, 0))
             return -(128.1 + 37.6 * np.log10(np.maximum(d, 35.0) / 1000.0)) \
                 + shadow
 
-        gains = advance_mobility(pop, 1.0, gain_db, [0])
+        (gains,), (cells,) = advance_mobility(pop, 1.0, gain_db, [0], 1)
         expected = []
         for cell in range(layout.n_cells):
             d = max(np.hypot(*(pop.positions[0]
@@ -189,6 +191,7 @@ class TestAdvanceMobility:
             expected.append(-(128.1 + 37.6 * math.log10(d / 1000.0))
                             + shadow[0, cell])
         assert int(pop.serving_cell[0]) == int(np.argmax(expected))
+        assert cells[0] == pop.serving_cell[0]
         # The gains used for the handover are returned, for reuse.
         np.testing.assert_allclose(gains[0], expected)
 
@@ -198,7 +201,8 @@ class TestAdvanceMobility:
         n_users, is_car = pop.n_users, pop.is_car.copy()
         positions = pop.positions.copy()
         for _ in range(50):
-            advance_mobility(pop, 5.0, _distance_gain(layout), _everyone(pop))
+            advance_mobility(pop, 5.0, _distance_gain(layout), _everyone(pop),
+                             1)
         assert pop.n_users == n_users
         np.testing.assert_array_equal(pop.is_car, is_car)
         radius = layout.boundary_radius
@@ -224,15 +228,15 @@ class TestAdvanceMobility:
         def gain_db(movers):
             """The gain of `movers`, the users that move, in user order."""
             def gain(pos):
-                d = np.linalg.norm(pos[:, None, :]
-                                   - layout.cell_positions[None], axis=2)
+                d = np.linalg.norm(pos[..., None, :]
+                                   - layout.cell_positions, axis=-1)
                 return -d + shadow[movers]
             return gain
 
         for _ in range(40):  # long enough for wraps and handovers
-            advance_mobility(subset_pop, 1.0, gain_db(cars[::3]), given)
+            advance_mobility(subset_pop, 1.0, gain_db(cars[::3]), given, 1)
             advance_mobility(full_pop, 1.0, gain_db(cars),
-                             _everyone(full_pop))
+                             _everyone(full_pop), 1)
         np.testing.assert_array_equal(subset_pop.positions[given],
                                       full_pop.positions[given])
         np.testing.assert_array_equal(subset_pop.serving_cell[given],
@@ -253,7 +257,7 @@ class TestAdvanceMobility:
         pop = drop_users(layout, 6, 3, 2.0 * radius, rng_seed=3)
         for _ in range(100):
             advance_mobility(pop, 1.0, _distance_gain(layout),
-                             _everyone(pop))
+                             _everyone(pop), 1)
             assert np.all(np.hypot(*pop.positions.T) <= radius + 1e-9)
 
 
@@ -268,15 +272,16 @@ def _parent_amplitude_gain(model, positions, rows, clamps):
 
 
 def _parent_advance_mobility(pop, dt, gain_fn, users, wraps):
-    """`advance_mobility` before its whole-array passes: in-place updates
-    of indexed positions.  Appends the wrap count."""
+    """`advance_mobility` before its whole-array passes and blocks: one
+    step of in-place updates of indexed positions.  Appends which moving
+    users wrapped."""
     users = np.asarray(users, dtype=np.intp)
     moving = users[np.any(pop.velocities[users] != 0.0, axis=1)]
     pop.positions[moving] += pop.velocities[moving] * dt
     radius = pop.layout.boundary_radius
     dist = np.hypot(*pop.positions[moving].T)
     outside = dist > radius
-    wraps.append(int(np.count_nonzero(outside)))
+    wraps.append(outside)
     if np.any(outside):
         idx = moving[outside]
         unit = pop.positions[idx] / dist[outside, None]
@@ -286,16 +291,25 @@ def _parent_advance_mobility(pop, dt, gain_fn, users, wraps):
     return gains
 
 
-@pytest.mark.parametrize("mbsfn_rings", [1, 2], ids=["mc5", "mc20_rings2"])
-def test_mobility_stage_bitwise_as_parent(mbsfn_rings, caplog):
+@pytest.mark.parametrize("mbsfn_rings, speed", [
+    (1, lambda radius: 500.0 / 3.6), (2, lambda radius: 500.0 / 3.6),
+    # Each TTI's step is 95% of the boundary disc's diameter.
+    (1, lambda radius: 0.95 * 2.0 * radius / channel.TTI_S),
+    (1, lambda radius: 0.0)],
+    ids=["mc5", "mc20_rings2", "near_speed_bound", "standing"])
+def test_mobility_stage_bitwise_as_parent(mbsfn_rings, speed, caplog):
     """2000 TTIs of every user's move and macroscopic gain, with 8 dB
-    shadowing, give bitwise the positions, serving cells and gains of the
-    indexed-update, norm-based stage, through wraps, handovers and
-    distance clamps; the clamp warning is logged once."""
+    shadowing, driven in blocks of BLOCK_LEN steps and one cut block, give
+    at each step bitwise the gains and serving cells of one step of the
+    indexed-update, norm-based stage per TTI, and after each block its
+    positions, through wraps, handovers and distance clamps; the clamp
+    warning is logged once.  Near `validate`'s speed bound a car wraps
+    more than once in one block; standing cars stay put."""
     layout = build_layout(mbsfn_rings, 1, 500.0)
-    pops = [drop_users(layout, 6, 3, 500.0 / 3.6, rng_seed=1)
-            for _ in range(2)]
+    speed_ms = speed(layout.boundary_radius)
+    pops = [drop_users(layout, 6, 3, speed_ms, rng_seed=1) for _ in range(2)]
     pop, ref = pops
+    positions = pop.positions.copy()
     cars = pop.car_ids()
     # The model's moving users come first: the cars, in user order.
     tracked = np.concatenate((cars, pop.ordinary_ids()))
@@ -305,20 +319,34 @@ def test_mobility_stage_bitwise_as_parent(mbsfn_rings, caplog):
             layout.cell_positions, pop.positions[tracked],
             np.hypot(*pop.velocities[tracked].T), shadow[tracked],
             2.14e9, 25, 1)
-        rows = slice(0, len(cars))
+        moving = cars[:model.n_moving]
+        rows = slice(0, model.n_moving)
         gain = functools.partial(model.amplitude_gain, rows=rows)
         wraps, clamps = [], []
         ref_gain = functools.partial(_parent_amplitude_gain, model,
                                      rows=rows, clamps=clamps)
-        handovers = 0
-        for _ in range(2000):
-            serving = pop.serving_cell.copy()
-            got = advance_mobility(pop, channel.TTI_S, gain, _everyone(pop))
-            want = _parent_advance_mobility(ref, channel.TTI_S, ref_gain,
-                                            _everyone(ref), wraps)
-            assert np.array_equal(got, want)
+        handovers = most_wraps_in_a_block = 0
+        # 2000 = 31 * 64 + 16.
+        for n in [channel.BLOCK_LEN] * 31 + [16]:
+            gains, cells = advance_mobility(pop, channel.TTI_S, gain,
+                                            _everyone(pop), n)
+            assert gains.shape == (n, len(moving), layout.n_cells)
+            assert cells.shape == (n, len(moving))
+            for k in range(n):
+                serving = ref.serving_cell.copy()
+                want = _parent_advance_mobility(ref, channel.TTI_S, ref_gain,
+                                                _everyone(ref), wraps)
+                assert np.array_equal(gains[k], want)
+                assert np.array_equal(cells[k], ref.serving_cell[moving])
+                handovers += np.count_nonzero(ref.serving_cell != serving)
             assert np.array_equal(pop.positions, ref.positions)
             assert np.array_equal(pop.serving_cell, ref.serving_cell)
-            handovers += np.count_nonzero(pop.serving_cell != serving)
-    assert sum(wraps) > 0 and handovers > 0 and sum(clamps) > 0
-    assert caplog.text.count("clamped") == 1
+            most_wraps_in_a_block = max(most_wraps_in_a_block, max(
+                np.sum(wraps[-n:], axis=0), default=0))
+    if speed_ms:
+        assert most_wraps_in_a_block >= (1 if speed_ms < 1e3 else 2)
+        assert handovers > 0 and sum(clamps) > 0
+        assert caplog.text.count("clamped") == 1
+    else:
+        assert not moving.size and not handovers
+        np.testing.assert_array_equal(pop.positions, positions)
