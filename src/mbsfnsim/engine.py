@@ -418,8 +418,12 @@ class UnicastDelivery:
     def add(self, packet: traffic.CamPacket, receivers) -> None:
         """Queue one copy per receiver at the back of its drop cell's
         queue, replacing the undelivered copy of the source's predecessor
-        to that receiver."""
+        to that receiver.  A message with no receiver needs no copy: its
+        entry closes at the end of its generation TTI."""
         src = packet.source_user_id
+        if not receivers:
+            self.recorder.on_delivery(src, packet.sequence,
+                                      packet.generation_tti + 1, ())
         for recv in sorted(receivers):
             queue = self.pending[self.drop_cell[recv]]
             queue.pop((src, recv), None)

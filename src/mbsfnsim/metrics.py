@@ -12,9 +12,8 @@ per-source means, and each source alone.  An entry still open at run end
 is left out (`n_open_entries` counts it); a source with no closed entry
 has no curve and no mean.  An entry whose last blocking receiver left the
 area closes at that TTI and counts as delivered.  A message with no
-recipient closes when multicast transmits it; unicast sends it no copy,
-so its entry stays open until a later delivery from its source closes it,
-whole periods late, or until run end.
+recipient closes when multicast transmits it; unicast sends it no copy
+and closes its entry at the end of its generation TTI.
 """
 from __future__ import annotations
 

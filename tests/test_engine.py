@@ -408,6 +408,17 @@ class TestHandTracedSchedule:
         used = rec.multicast_rb_per_tti[rec.multicast_rb_per_tti > 0]
         assert np.all(used == 5)
 
+    def test_unicast_message_with_no_recipient_closes(self):
+        """A lone car's messages have no recipient: unicast sends no copy
+        and closes each entry at the end of its generation TTI."""
+        rec = run(ScenarioConfig(
+            mode="unicast_baseline", mbsfn_rings=0, users_per_cell=1,
+            cars_per_cell=1, n_tti=400, seed=1))
+        assert len(rec.entries) == 4 and rec.n_open_entries == 0
+        assert all(e.latency_ttis == 1 and e.replacements == 0
+                   for e in rec.entries)
+        assert not rec.cam_rb_per_tti.any()
+
     def test_congestion_infeasible_clamps_with_warning(self, caplog):
         cfg = small_config(cqi_value=1, n_tti=0)
         with caplog.at_level(logging.WARNING):
