@@ -311,11 +311,10 @@ class ChannelModel:
     unchanged.
 
     `evaluated_ttis`, a boolean mask over TTIs 0..len-1, names the only
-    TTIs a caller reads (by default, every TTI): a block sums the taps
-    only at those, and `snapshot` at any other TTI raises.  The phasors
-    still step through every TTI of a block up to its last read one, so
-    each snapshot is bitwise the one an unrestricted model gives at the
-    same TTI.
+    TTIs a caller reads: a block sums the taps only at those, and
+    `snapshot` at any other TTI raises.  The phasors still step through
+    every TTI of a block up to its last read one, so each snapshot is
+    bitwise the same under any mask that reads its TTI.
 
     The moving pairs' bank owns a thread pool once its first block steps,
     if it has more than one chunk and the process more than one CPU (see
@@ -327,7 +326,7 @@ class ChannelModel:
     def __init__(self, cell_positions: np.ndarray, positions: np.ndarray,
                  user_speeds_ms: np.ndarray, shadowing_db: np.ndarray,
                  carrier_hz: float, n_rb: int, seed,
-                 evaluated_ttis: np.ndarray | None = None):
+                 evaluated_ttis: np.ndarray):
         self.cell_positions = np.asarray(cell_positions, dtype=float)
         self.n_cells = len(self.cell_positions)
         n_users = len(user_speeds_ms)
@@ -388,12 +387,11 @@ class ChannelModel:
     def _tap_gains_at(self, tti: int) -> np.ndarray:
         """Moving pairs' tap gains at `tti`: (n_moving * n_cells, n_taps)."""
         mask = self.evaluated_ttis
-        if mask is not None and not (0 <= tti < len(mask) and mask[tti]):
+        if not (0 <= tti < len(mask) and mask[tti]):
             raise ChannelStateError(f"TTI {tti} is not an evaluated TTI")
         if tti not in self._rows:
             start = (tti // BLOCK_LEN) * BLOCK_LEN
-            steps = (range(BLOCK_LEN) if mask is None else
-                     np.flatnonzero(mask[start:start + BLOCK_LEN]).tolist())
+            steps = np.flatnonzero(mask[start:start + BLOCK_LEN]).tolist()
             self._gains = None
             self._gains = self.bank.block_tap_gains(start * TTI_S, steps)
             self._rows = {start + step: k for k, step in enumerate(steps)}

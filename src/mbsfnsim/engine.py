@@ -522,12 +522,16 @@ class Mobility:
         # Every car starts in its drop cell, so in the area.
         self.area = set(sources)
         self.in_area = np.ones(m, dtype=bool)
+        self.gains = None
 
     def step(self, tti: int):
-        """This TTI's gains of the moving sources, (n_moving, n_cells), and
-        the set of sources in the area."""
+        """This TTI's gains of the moving sources, a new (n_moving,
+        n_cells) array, and the set of sources in the area."""
         k = tti % channel.BLOCK_LEN
         if k == 0:
+            # Free the last block's gains before the next one is built; the
+            # rows handed out are copies, so nothing else holds the block.
+            self.gains = None
             self.gains, serving = topology.advance_mobility(
                 self.pop, channel.TTI_S, self.gain, self.moving,
                 min(channel.BLOCK_LEN, self.n_tti - tti))
@@ -540,7 +544,7 @@ class Mobility:
             for gone in sorted(self.area - area):
                 self.recorder.on_receiver_exit(gone, tti)
             self.area = area
-        return self.gains[k], self.area
+        return self.gains[k].copy(), self.area
 
 
 def _generate(tti, phase_sources, buffers, area_now, recorder, delivery):

@@ -12,13 +12,20 @@ from mbsfnsim.channel import (ChannelModel, FadingBank, draw_shadowing,
                               noise_variance_normalized, normalized_tap_powers)
 
 
+def every_tti_model(*args, **kwargs):
+    """A ChannelModel that may be read at any TTI below 4096; `engine.run`
+    passes the mask of the TTIs it reads."""
+    return ChannelModel(*args, evaluated_ttis=np.ones(4096, dtype=bool),
+                        **kwargs)
+
+
 def _amplitude(distances_m, shadowing_db):
     """ChannelModel.amplitude_gain of users at `distances_m` from one cell."""
     n = len(distances_m)
     pos = np.column_stack([distances_m, np.zeros(n)])
-    model = ChannelModel(np.zeros((1, 2)), pos, np.zeros(n),
-                         np.asarray(shadowing_db, dtype=float).reshape(n, 1),
-                         2.14e9, 1, seed=0)
+    shadow = np.asarray(shadowing_db, dtype=float).reshape(n, 1)
+    model = every_tti_model(np.zeros((1, 2)), pos, np.zeros(n), shadow,
+                            2.14e9, 1, seed=0)
     return model.amplitude_gain(pos, slice(None))[:, 0]
 
 
@@ -304,8 +311,8 @@ def _small_model(pos, doppler=(100.0, 0.0), n_rb=4, shadow_std=0.0,
     """Users at `pos` with the given Doppler shifts against three cells."""
     cells = np.array([[0.0, 0.0], [500.0, 0.0], [250.0, 433.0]])
     shadow = draw_shadowing(len(pos), len(cells), shadow_std, seed)
-    return ChannelModel(cells, pos, np.asarray(doppler) * 3e8 / 2.14e9,
-                        shadow, 2.14e9, n_rb, seed), cells
+    return every_tti_model(cells, pos, np.asarray(doppler) * 3e8 / 2.14e9,
+                           shadow, 2.14e9, n_rb, seed), cells
 
 
 def _moving_gamma(model, pos):
@@ -341,8 +348,8 @@ class TestChannelModel:
         cells = np.array([[0.0, 0.0]])
         shadow = np.array([[4.0]])
         pos = np.array([[840.0, 0.0]])
-        model = ChannelModel(cells, pos, np.array([20.0]), shadow, 2.14e9, 1,
-                             seed=21)
+        model = every_tti_model(cells, pos, np.array([20.0]), shadow,
+                                2.14e9, 1, seed=21)
         h = model.snapshot(3, _moving_gamma(model, pos)) @ model.steer
         bank = FadingBank(np.array([channel.doppler_frequency(20.0, 2.14e9)]),
                           channel.VEHA_TAP_DELAYS, channel.VEHA_TAP_POWERS_DB,
@@ -376,11 +383,11 @@ class TestChannelModel:
     def test_shadowing_shapes_checked(self):
         cells = np.array([[0.0, 0.0]])
         with pytest.raises(channel.ChannelStateError):
-            ChannelModel(cells, np.zeros((1, 2)), np.array([0.0]),
-                         np.zeros((2, 2)), 2.14e9, 1, seed=1)
+            every_tti_model(cells, np.zeros((1, 2)), np.array([0.0]),
+                            np.zeros((2, 2)), 2.14e9, 1, seed=1)
         with pytest.raises(channel.ChannelStateError):
-            ChannelModel(cells, np.zeros((2, 2)), np.array([0.0]),
-                         np.zeros((1, 1)), 2.14e9, 1, seed=1)
+            every_tti_model(cells, np.zeros((2, 2)), np.array([0.0]),
+                            np.zeros((1, 1)), 2.14e9, 1, seed=1)
 
 
 class TestStaticMovingSplit:
@@ -413,8 +420,8 @@ class TestStaticMovingSplit:
         shadow = draw_shadowing(n, len(self.CELLS), 8.0, seed)
         pos = np.column_stack([np.linspace(60.0, 700.0, n),
                                np.linspace(-40.0, 300.0, n)])
-        model = ChannelModel(self.CELLS, pos, np.array(speeds), shadow,
-                             2.14e9, 6, seed)
+        model = every_tti_model(self.CELLS, pos, np.array(speeds), shadow,
+                                2.14e9, 6, seed)
         assert model.n_moving == sum(s > 0 for s in speeds)
         for tti in (0, 63, 64, 130):
             moving = model.snapshot(tti, _moving_gamma(model, pos))
@@ -428,9 +435,9 @@ class TestStaticMovingSplit:
         """A kept snapshot (e.g. a delayed report's) is not overwritten by
         a later one, even within one block of tap gains."""
         pos = np.array([[100.0, 50.0], [300.0, 10.0], [-80.0, 200.0]])
-        model = ChannelModel(self.CELLS, pos, np.array([27.8, 13.9, 0.0]),
-                             np.zeros((3, len(self.CELLS))), 2.14e9, 6,
-                             seed=1)
+        model = every_tti_model(self.CELLS, pos, np.array([27.8, 13.9, 0.0]),
+                                np.zeros((3, len(self.CELLS))), 2.14e9, 6,
+                                seed=1)
         gamma = _moving_gamma(model, pos)
         a = model.snapshot(0, gamma)
         kept = a.copy()
@@ -443,9 +450,9 @@ class TestStaticMovingSplit:
     def test_amplitude_of_other_users_rejected(self):
         """A one-row amplitude would broadcast over every moving row."""
         pos = np.array([[100.0, 50.0], [300.0, 10.0], [-80.0, 200.0]])
-        model = ChannelModel(self.CELLS, pos, np.array([27.8, 13.9, 0.0]),
-                             np.zeros((3, len(self.CELLS))), 2.14e9, 6,
-                             seed=1)
+        model = every_tti_model(self.CELLS, pos, np.array([27.8, 13.9, 0.0]),
+                                np.zeros((3, len(self.CELLS))), 2.14e9, 6,
+                                seed=1)
         with pytest.raises(channel.ChannelStateError, match="moving"):
             model.snapshot(0, _moving_gamma(model, pos)[:1])
 
@@ -453,8 +460,8 @@ class TestStaticMovingSplit:
         shadow = draw_shadowing(5, len(self.CELLS), 8.0, 3)
         pos = np.column_stack([np.linspace(10.0, 900.0, 5),
                                np.linspace(-300.0, 40.0, 5)])
-        model = ChannelModel(self.CELLS, pos, np.zeros(5), shadow, 2.14e9, 6,
-                             seed=3)
+        model = every_tti_model(self.CELLS, pos, np.zeros(5), shadow,
+                                2.14e9, 6, seed=3)
         full = model.amplitude_gain(pos, slice(None))
         np.testing.assert_array_equal(
             model.amplitude_gain(pos[1:4], slice(1, 4)), full[1:4])
@@ -467,7 +474,7 @@ class TestStaticMovingSplit:
         shadow = draw_shadowing(3, len(self.CELLS), 8.0, 5)
         n_tti = 3 * channel.BLOCK_LEN + 10
         evaluated = np.isin(np.arange(n_tti) % 10, [1, 2, 6, 7, 9])
-        full = ChannelModel(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5)
+        full = every_tti_model(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5)
         part = ChannelModel(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5,
                             evaluated_ttis=evaluated)
         np.testing.assert_array_equal(part.static, full.static)
@@ -490,8 +497,9 @@ class TestStaticMovingSplit:
 
     def test_static_user_before_moving_one_rejected(self):
         with pytest.raises(channel.ChannelStateError, match="precede"):
-            ChannelModel(self.CELLS, np.zeros((2, 2)), np.array([0.0, 27.8]),
-                         np.zeros((2, len(self.CELLS))), 2.14e9, 6, seed=1)
+            every_tti_model(self.CELLS, np.zeros((2, 2)),
+                            np.array([0.0, 27.8]),
+                            np.zeros((2, len(self.CELLS))), 2.14e9, 6, seed=1)
 
 
 def test_noise_variance_arithmetic():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mbsfnsim import channel, topology
 from mbsfnsim.topology import (ConfigurationError, advance_mobility,
                                build_layout, drop_users, point_in_hexagon)
+from test_channel import every_tti_model
 
 
 def brute_force_ring_count(n_rings: int) -> int:
@@ -315,7 +316,7 @@ def test_mobility_stage_bitwise_as_parent(mbsfn_rings, speed, caplog):
     tracked = np.concatenate((cars, pop.ordinary_ids()))
     shadow = channel.draw_shadowing(pop.n_users, layout.n_cells, 8.0, 1)
     with caplog.at_level(logging.WARNING, logger="mbsfnsim.channel"):
-        model = channel.ChannelModel(
+        model = every_tti_model(
             layout.cell_positions, pop.positions[tracked],
             np.hypot(*pop.velocities[tracked].T), shadow[tracked],
             2.14e9, 25, 1)
