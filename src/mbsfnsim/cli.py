@@ -6,11 +6,18 @@ their line number.  `run` executes one scenario and writes the CSV
 artifact set; `compare` runs a {mode} x {bandwidth} x {CQI policy}
 matrix, overlays the distribution curves on a shared abscissa and, for
 bandwidth pairs, reports the predicted next to the measured ordinary
-throughput ratio.
+throughput ratio.  `compare` runs its cells on up to one process per CPU
+this process may use (`channel.usable_cpus`); the outputs do not depend
+on the number of processes.
+
+`main` validates every input before any run and reports a bad one as a
+single `error: ...` line with exit code 2; no output directory is made.
+An error raised during a run is not a user error and propagates.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -21,9 +28,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import engine, metrics
-
-WORKERS_ENV = "MBSFNSIM_WORKERS"
+from . import channel, engine, metrics
 
 
 class ScenarioParseError(ValueError):
@@ -136,29 +141,55 @@ def resolve_scenario_path(path: str) -> str:
     raise FileNotFoundError(f"scenario file not found: {path}")
 
 
-def cmd_run(scenario_path: str, out_dir: str, seed_override=None) -> int:
-    try:
-        cfg = load_scenario(scenario_path)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {scenario_path}: {exc}", file=sys.stderr)
-        return 2
-    if seed_override is not None:
-        cfg = replace(cfg, seed=int(seed_override))
+def _configs(args) -> list[engine.ScenarioConfig]:
+    """The validated configs of a parsed command line: `[cfg]` for `run`,
+    the matrix cells for `compare`.  Every user input is checked here,
+    before any run; a bad one raises ValueError or FileNotFoundError with
+    the message `main` prints."""
+    if args.command == "run":
         try:
-            cfg.validate()
+            cfg = load_scenario(args.scenario)
         except ValueError as exc:
-            print(f"error: --seed: {exc}", file=sys.stderr)
-            return 2
-    try:
+            raise ValueError(f"{args.scenario}: {exc}") from exc
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+            try:
+                cfg.validate()
+            except ValueError as exc:
+                raise ValueError(f"--seed: {exc}") from exc
         cfg.cqi_table()
+        return [cfg]
+
+    base = (engine.ScenarioConfig() if args.base is None
+            else load_scenario(args.base))
+    if args.n_tti is not None:
+        base = replace(base, n_tti=args.n_tti)
+    if args.seed is not None:
+        base = replace(base, seed=args.seed)
+    try:
+        policies = [_parse_policy(p) for p in args.cqi.split(",") if p]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    record = engine.run(cfg)
-    metrics.write_run_outputs(out_dir, record)
+        raise ValueError(f"--cqi: {exc}") from exc
+    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    try:
+        bandwidths = [int(b) for b in args.bandwidths.split(",") if b.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--bandwidths: bandwidth_mhz must be integers, got "
+                         f"{args.bandwidths!r}") from exc
+    cells = [replace(base, mode=mode, bandwidth_mhz=bw, cqi_policy=policy,
+                     cqi_value=value)
+             for mode in modes for bw in bandwidths
+             for policy, value in policies]
+    if len(cells) < 2:
+        raise ValueError("compare needs at least two matrix cells")
+    for cfg in cells:
+        cfg.validate()
+    base.cqi_table()
+    return cells
+
+
+def cmd_run(cfg: engine.ScenarioConfig, out_dir: str) -> int:
+    metrics.write_run_outputs(out_dir, engine.run(cfg))
     print(f"wrote {out_dir} (mode={cfg.mode}, bandwidth={cfg.bandwidth_mhz} MHz,"
           f" policy={cfg.cqi_policy_label()}, seed={cfg.seed})")
     return 0
@@ -169,58 +200,24 @@ def _cell_name(cfg: engine.ScenarioConfig) -> str:
             f"{cfg.cqi_policy}{cfg.cqi_value}")
 
 
-def _aligned_overlay(curves: dict[str, metrics.EcdfCurve]) -> tuple:
-    grid = np.unique(np.concatenate([c.values for c in curves.values()]))
-    cols = {name: c.evaluate(grid) for name, c in curves.items()}
-    return grid, cols
-
-
 def _write_overlay(path, value_name, curves: dict[str, metrics.EcdfCurve]):
-    if not curves:
-        metrics.write_csv(path, (value_name,), [])
-        return
-    grid, cols = _aligned_overlay(curves)
-    names = sorted(cols)
-    header = [value_name] + [f"cum_prob_{n}" for n in names]
-    rows = []
-    for i, v in enumerate(grid):
-        rows.append([repr(float(v))] + [repr(float(cols[n][i])) for n in names])
-    metrics.write_csv(path, header, rows)
+    """One row per value at which any cell's curve steps, with each cell's
+    cumulative probability there; header only when no cell has a curve."""
+    names = sorted(curves)
+    grid = np.unique(np.concatenate([[]] + [curves[n].values for n in names]))
+    cols = [curves[n].evaluate(grid) for n in names]
+    metrics.write_csv(path, [value_name] + [f"cum_prob_{n}" for n in names],
+                      [[repr(float(v)) for v in row]
+                       for row in zip(grid, *cols)])
 
 
-def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
-                out_dir: str) -> int:
-    cells = []
-    for mode in modes:
-        for bw in bandwidths:
-            for policy, value in policies:
-                cells.append(replace(base_cfg, mode=mode, bandwidth_mhz=bw,
-                                     cqi_policy=policy, cqi_value=value))
-    raw_workers = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw_workers)
-    except ValueError:
-        print(f"error: {WORKERS_ENV}: must be an integer, got "
-              f"{raw_workers!r}", file=sys.stderr)
-        return 2
-    if workers < 1:
-        print(f"error: {WORKERS_ENV}: must be >= 1, got {raw_workers!r}",
-              file=sys.stderr)
-        return 2
-    if len(cells) < 2:
-        print("error: compare needs at least two matrix cells",
-              file=sys.stderr)
-        return 2
-    try:
-        for cfg in cells:
-            cfg.validate()
-        base_cfg.cqi_table()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+RATIO_COLUMNS = ("mode", "cqi_policy", "bandwidth_low", "bandwidth_high",
+                 "predicted_ratio", "measured_ratio")
 
-    # No more processes than matrix cells.
-    workers = min(workers, len(cells))
+
+def cmd_compare(cells: list[engine.ScenarioConfig], out_dir: str) -> int:
+    # One process per cell, up to the CPUs this process may use.
+    workers = min(len(cells), channel.usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(engine.run, cells))
@@ -250,14 +247,15 @@ def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
     _write_overlay(os.path.join(out_dir, "overlay_throughput.csv"),
                    "mean_throughput_mbps", tp_curves)
 
+    # Each (mode, policy) group's bandwidth pairs, low before high.
+    groups = {}
+    for c, r in zip(cells, records):
+        groups.setdefault((c.mode, c.cqi_policy, c.cqi_value),
+                          {})[c.bandwidth_mhz] = r
     ratio_rows = []
-    by_key = {(c.mode, c.cqi_policy, c.cqi_value, c.bandwidth_mhz): r
-              for c, r in zip(cells, records)}
-    for (mode, policy, value, bw), rec in sorted(by_key.items()):
-        for bw_hi in sorted(set(c.bandwidth_mhz for c in cells)):
-            if bw_hi <= bw or (mode, policy, value, bw_hi) not in by_key:
-                continue
-            rec_hi = by_key[(mode, policy, value, bw_hi)]
+    for (mode, policy, value), by_bw in sorted(groups.items()):
+        for bw, bw_hi in itertools.combinations(sorted(by_bw), 2):
+            rec, rec_hi = by_bw[bw], by_bw[bw_hi]
             lo_util = rec.analytic_utilization_pct / 100.0
             hi_util = rec_hi.analytic_utilization_pct / 100.0
             try:
@@ -269,16 +267,11 @@ def cmd_compare(base_cfg: engine.ScenarioConfig, modes, bandwidths, policies,
             lo_tp = rec.mean_throughput_mbps()
             measured = (rec_hi.mean_throughput_mbps() / lo_tp
                         if lo_tp else float("nan"))
-            ratio_rows.append({
-                "mode": mode, "cqi_policy": f"{policy}:{value}",
-                "bandwidth_low": bw, "bandwidth_high": bw_hi,
-                "predicted_ratio": predicted, "measured_ratio": measured,
-            })
+            ratio_rows.append([metrics.format_value(v) for v in (
+                mode, f"{policy}:{value}", bw, bw_hi, predicted, measured)])
     if ratio_rows:
-        header = list(ratio_rows[0])
-        metrics.write_csv(os.path.join(out_dir, "ratios.csv"), header,
-                          [[metrics.format_value(r[k]) for k in header]
-                           for r in ratio_rows])
+        metrics.write_csv(os.path.join(out_dir, "ratios.csv"), RATIO_COLUMNS,
+                          ratio_rows)
     with open(os.path.join(out_dir, "compare_manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump({"cells": [c.to_dict() for c in cells]}, fh, indent=2,
@@ -317,34 +310,14 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--seed", type=int, default=None)
 
     args = parser.parse_args(argv)
+    try:
+        configs = _configs(args)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "run":
-        return cmd_run(args.scenario, args.out, args.seed)
-
-    if args.base is not None:
-        try:
-            base = load_scenario(args.base)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        base = engine.ScenarioConfig()
-    if args.n_tti is not None:
-        base = replace(base, n_tti=args.n_tti)
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
-    try:
-        policies = [_parse_policy(p) for p in args.cqi.split(",") if p]
-    except ValueError as exc:
-        print(f"error: --cqi: {exc}", file=sys.stderr)
-        return 2
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    try:
-        bandwidths = [int(b) for b in args.bandwidths.split(",") if b.strip()]
-    except ValueError:
-        print(f"error: --bandwidths: bandwidth_mhz must be integers, got "
-              f"{args.bandwidths!r}", file=sys.stderr)
-        return 2
-    return cmd_compare(base, modes, bandwidths, policies, args.out)
+        return cmd_run(configs[0], args.out)
+    return cmd_compare(configs, args.out)
 
 
 if __name__ == "__main__":

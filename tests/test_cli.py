@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from mbsfnsim import cli, engine
+from mbsfnsim import channel, cli, engine
 from mbsfnsim.cli import (ScenarioParseError, load_scenario, main,
                           parse_scenario_text, resolve_scenario_path,
                           serialize_scenario)
@@ -298,49 +298,19 @@ class TestCmdCompare:
             cells = json.load(fh)["cells"]
         assert all(c["n_tti"] == 150 and c["seed"] == 4 for c in cells)
 
-    def test_worker_env_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        out = tmp_path / "cmp"
-        rc = main(["compare", "--modes", "multicast", "--bandwidths", "5",
-                   "--cqi", "fixed:3,fixed:4", "--out", str(out),
-                   "--n-tti", "150", "--seed", "3"])
-        assert rc == 0
-        with open(out / "summary.csv") as fh:
-            assert len(list(csv.DictReader(fh))) == 2
-
-    def test_bad_worker_env_variable(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
-
-        def no_run(cfg):
-            raise AssertionError("a run started")
-        monkeypatch.setattr(engine, "run", no_run)
-        out = tmp_path / "cmp"
-        rc = main(["compare", "--cqi", "fixed:3,fixed:4", "--out", str(out),
-                   "--n-tti", "10"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cli.WORKERS_ENV}: ") and "abc" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_worker_count_below_one_rejected(self, value, tmp_path,
-                                             monkeypatch, capsys):
-        monkeypatch.setenv(cli.WORKERS_ENV, value)
-
-        def no_run(cfg):
-            raise AssertionError("a run started")
-        monkeypatch.setattr(engine, "run", no_run)
-        out = tmp_path / "cmp"
-        rc = main(["compare", "--cqi", "fixed:3,fixed:4", "--out", str(out),
-                   "--n-tti", "10"])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: {cli.WORKERS_ENV}: must be >= 1, got '{value}'\n")
-        assert not out.exists()
-
     def test_worker_count_capped_at_cells(self, tmp_path, monkeypatch):
         """A pool never gets more workers than there are matrix cells."""
-        monkeypatch.setenv(cli.WORKERS_ENV, "64")
+        monkeypatch.setattr(channel, "usable_cpus", lambda: 64)
+        assert self._pool_sizes(tmp_path, monkeypatch) == [2]
+
+    def test_one_usable_cpu_runs_cells_in_this_process(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(channel, "usable_cpus", lambda: 1)
+        assert self._pool_sizes(tmp_path, monkeypatch) == []
+
+    @staticmethod
+    def _pool_sizes(tmp_path, monkeypatch):
+        """The worker count of each pool a two-cell `compare` starts."""
         sizes = []
 
         class InlinePool:
@@ -361,7 +331,89 @@ class TestCmdCompare:
                    "--cqi", "fixed:3,fixed:4", "--out",
                    str(tmp_path / "cmp"), "--n-tti", "20"])
         assert rc == 0
-        assert sizes == [2]
+        return sizes
+
+
+class TestValidationBoundary:
+    """`main` checks every input before any run and reports a bad one as
+    one `error:` line with exit code 2; errors raised by a run are not
+    user errors and propagate."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "{d}/absent.scenario"],
+         "scenario file not found: {d}/absent.scenario"),
+        (["run", "{d}/broken.scenario"],
+         "{d}/broken.scenario: line 2: bad value for 'n_tti': invalid "
+         "literal for int() with base 10: 'many'"),
+        (["run", "{d}/wide.scenario"],
+         "{d}/wide.scenario: bandwidth_mhz must be 5 or 20"),
+        (["run", "{d}/small.scenario", "--seed", "-1"],
+         "--seed: seed must be >= 0"),
+        (["run", "{d}/table.scenario"],
+         "cqi_table_file: '{d}/absent.csv': No such file or directory"),
+        (["compare", "--base", "{d}/absent.scenario"],
+         "scenario file not found: {d}/absent.scenario"),
+        (["compare", "--base", "{d}/broken.scenario"],
+         "line 2: bad value for 'n_tti': invalid literal for int() with "
+         "base 10: 'many'"),
+        (["compare", "--base", "{d}/wide.scenario"],
+         "bandwidth_mhz must be 5 or 20"),
+        (["compare", "--cqi", "fixed:x,fixed:3"],
+         "--cqi: expected fixed:<cqi> or adaptive:<bound>, got 'fixed:x'"),
+        (["compare", "--bandwidths", "5,x"],
+         "--bandwidths: bandwidth_mhz must be integers, got '5,x'"),
+        (["compare"], "compare needs at least two matrix cells"),
+        (["compare", "--modes", "", "--cqi", "fixed:3,fixed:4"],
+         "compare needs at least two matrix cells"),
+        (["compare", "--bandwidths", "5,10"], "bandwidth_mhz must be 5 or 20"),
+        (["compare", "--modes", "multicast,broadcast"],
+         "unknown mode 'broadcast'"),
+        (["compare", "--cqi", "fixed:3,adaptive:16"],
+         "adaptive CQI bound must be in 0..15"),
+        (["compare", "--cqi", "fixed:3,fixed:4", "--n-tti", "-1"],
+         "n_tti must be >= 0"),
+        (["compare", "--cqi", "fixed:3,fixed:4", "--seed", "-1"],
+         "seed must be >= 0"),
+        (["compare", "--base", "{d}/table.scenario",
+          "--cqi", "fixed:3,fixed:4"],
+         "cqi_table_file: '{d}/absent.csv': No such file or directory"),
+    ])
+    def test_user_error_reported_before_any_run(self, tmp_path, monkeypatch,
+                                                capsys, argv, message):
+        (tmp_path / "broken.scenario").write_text("[run]\nn_tti = many\n")
+        (tmp_path / "wide.scenario").write_text(
+            "[scenario]\nbandwidth_mhz = 10\n")
+        (tmp_path / "small.scenario").write_text(SMALL_SCENARIO)
+        (tmp_path / "table.scenario").write_text(
+            SMALL_SCENARIO + f"\n[radio]\ncqi_table_file = "
+                             f"{tmp_path}/absent.csv\n")
+
+        def no_run(cfg):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(engine, "run", no_run)
+        out = tmp_path / "out"
+        argv = [a.format(d=tmp_path) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message.format(d=tmp_path)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "{d}/small.scenario"],
+        ["compare", "--cqi", "fixed:3,fixed:4"]])
+    def test_error_inside_a_run_propagates(self, tmp_path, monkeypatch,
+                                           capsys, command):
+        (tmp_path / "small.scenario").write_text(SMALL_SCENARIO)
+
+        def failing_run(cfg):
+            raise ValueError("inside the run")
+        monkeypatch.setattr(engine, "run", failing_run)
+        # One process, so the failing run is this process's.
+        monkeypatch.setattr(channel, "usable_cpus", lambda: 1)
+        argv = [a.format(d=tmp_path) for a in command]
+        with pytest.raises(ValueError, match="inside the run"):
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert "error:" not in capsys.readouterr().err
 
 
 class TestCqiTableOverride:

@@ -33,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbsfnsim import cli, engine, metrics
+from mbsfnsim import channel, cli, engine, metrics
 
 N_TTI = 256
 SEED = 1
@@ -192,7 +192,16 @@ def test_golden_digest(name, tmp_path):
     assert run_digest(CONFIGS[name], tmp_path) == GOLDEN[name]
 
 
-def test_compare_golden_digest(tmp_path):
+def test_compare_golden_digest(tmp_path, monkeypatch):
+    """Two processes share the eight cells."""
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    assert compare_digest(tmp_path) == COMPARE_GOLDEN
+
+
+def test_compare_golden_digest_in_one_process(tmp_path, monkeypatch):
+    """One usable CPU runs every cell in this process: the same tree."""
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
     assert compare_digest(tmp_path) == COMPARE_GOLDEN
 
 

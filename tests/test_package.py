@@ -1,5 +1,7 @@
 """Rules that hold for every module of the package."""
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -21,3 +23,19 @@ def test_no_module_level_mutable_state():
                     or isinstance(value, np.ndarray) and value.flags.writeable)]
     assert len(modules) > 5
     assert mutable == []
+
+
+def test_reads_no_environment_variable():
+    """No module reads `os.environ` or `os.getenv`: a run's settings are
+    its config fields and command-line arguments, and a setting derived
+    from the host comes from what the process can measure, such as
+    `channel.usable_cpus()`."""
+    reads = []
+    for path in sorted(pathlib.Path(mbsfnsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
