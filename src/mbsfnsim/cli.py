@@ -53,10 +53,9 @@ def _parse_policy(s: str) -> tuple[str, int]:
     raise ValueError(f"expected fixed:<cqi> or adaptive:<bound>, got {s!r}")
 
 
-# Parser and printer of each declared config field type.
-_CODECS = MappingProxyType({
-    int: (int, str), float: (float, repr), str: (str, str),
-    bool: (_parse_bool, lambda v: str(v).lower())})
+# Parser of each declared config field type.
+_PARSERS = MappingProxyType({int: int, float: float, str: str,
+                             bool: _parse_bool})
 # The one key that sets two fields: `cqi_policy = fixed:3` carries
 # cqi_value, which has no key of its own.
 _POLICY_KEY = "cqi_policy"
@@ -97,7 +96,7 @@ def parse_scenario_text(text: str) -> engine.ScenarioConfig:
         if key in values:
             raise ScenarioParseError(f"line {lineno}: {key!r} given twice")
         parse = (_parse_policy if key == _POLICY_KEY
-                 else _CODECS[schema[section][key]][0])
+                 else _PARSERS[schema[section][key]])
         try:
             parsed = parse(val)
         except ValueError as exc:
@@ -107,21 +106,7 @@ def parse_scenario_text(text: str) -> engine.ScenarioConfig:
             values["cqi_policy"], values["cqi_value"] = parsed
         else:
             values[key] = parsed
-    cfg = engine.ScenarioConfig(**values)
-    cfg.validate()
-    return cfg
-
-
-def serialize_scenario(cfg: engine.ScenarioConfig) -> str:
-    lines = []
-    for section, keys in _scenario_keys().items():
-        lines.append(f"[{section}]")
-        for key, typ in keys.items():
-            text = (cfg.cqi_policy_label() if key == _POLICY_KEY
-                    else _CODECS[typ][1](getattr(cfg, key)))
-            lines.append(f"{key} = {text}")
-        lines.append("")
-    return "\n".join(lines)
+    return engine.ScenarioConfig(**values)
 
 
 def load_scenario(path: str) -> engine.ScenarioConfig:
@@ -132,7 +117,7 @@ def load_scenario(path: str) -> engine.ScenarioConfig:
 
 def resolve_scenario_path(path: str) -> str:
     """A real file path, or the name of a bundled scenario."""
-    if os.path.exists(path):
+    if os.path.isfile(path):
         return path
     name = path if path.endswith(".scenario") else path + ".scenario"
     bundled = resources.files("mbsfnsim").joinpath("scenarios", name)
@@ -152,9 +137,8 @@ def _configs(args) -> list[engine.ScenarioConfig]:
         except ValueError as exc:
             raise ValueError(f"{args.scenario}: {exc}") from exc
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
             try:
-                cfg.validate()
+                cfg = replace(cfg, seed=args.seed)
             except ValueError as exc:
                 raise ValueError(f"--seed: {exc}") from exc
         cfg.cqi_table()
@@ -162,10 +146,10 @@ def _configs(args) -> list[engine.ScenarioConfig]:
 
     base = (engine.ScenarioConfig() if args.base is None
             else load_scenario(args.base))
-    if args.n_tti is not None:
-        base = replace(base, n_tti=args.n_tti)
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
+    # Each cell is built, and so checked, after the matrix checks, with the
+    # --n-tti and --seed overrides among its fields.
+    overrides = {k: v for k, v in (("n_tti", args.n_tti), ("seed", args.seed))
+                 if v is not None}
     try:
         policies = [_parse_policy(p) for p in args.cqi.split(",") if p]
     except ValueError as exc:
@@ -176,14 +160,17 @@ def _configs(args) -> list[engine.ScenarioConfig]:
     except ValueError as exc:
         raise ValueError(f"--bandwidths: bandwidth_mhz must be integers, got "
                          f"{args.bandwidths!r}") from exc
-    cells = [replace(base, mode=mode, bandwidth_mhz=bw, cqi_policy=policy,
-                     cqi_value=value)
+    for flag, entries, text in (("--modes", modes, args.modes),
+                                ("--bandwidths", bandwidths, args.bandwidths),
+                                ("--cqi", policies, args.cqi)):
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"{flag}: an entry is repeated in {text!r}")
+    if len(modes) * len(bandwidths) * len(policies) < 2:
+        raise ValueError("compare needs at least two matrix cells")
+    cells = [replace(base, **overrides, mode=mode, bandwidth_mhz=bw,
+                     cqi_policy=policy, cqi_value=value)
              for mode in modes for bw in bandwidths
              for policy, value in policies]
-    if len(cells) < 2:
-        raise ValueError("compare needs at least two matrix cells")
-    for cfg in cells:
-        cfg.validate()
     base.cqi_table()
     return cells
 

@@ -23,7 +23,7 @@ derives from the master seed through purpose-keyed streams, so a
 (config, seed) pair reproduces bit-identical results.
 """
 # No `from __future__ import annotations`: the scenario parser and
-# `validate` read ScenarioConfig's field types as classes at run time.
+# ScenarioConfig's own check read its field types as classes at run time.
 import functools
 import hashlib
 import json
@@ -49,7 +49,7 @@ BANDWIDTH_TO_RB = MappingProxyType({5: 25, 20: 100})
 
 def _spec(default, section: str, *, at_least=None, above=None):
     """A config field with its scenario-file section and lower bound
-    (`at_least` inclusive, `above` exclusive), checked by `validate`."""
+    (`at_least` inclusive, `above` exclusive), checked at construction."""
     return field(default=default, metadata={
         "section": section, "at_least": at_least, "above": above})
 
@@ -60,7 +60,9 @@ class ScenarioConfig:
 
     Each field's annotation (int, float, bool or str), default, scenario
     file section and lower bound are the whole schema: the scenario parser
-    and serializer and the per-field checks of `validate` derive from them.
+    and the per-field checks derive from them.  A config is checked when it
+    is built, also by `dataclasses.replace`: a bad value raises ValueError
+    naming its field, so every ScenarioConfig is valid.
     """
     mode: str = _spec(MODE_MULTICAST, "scenario")
     cqi_policy: str = _spec(POLICY_FIXED, "scenario")
@@ -88,7 +90,7 @@ class ScenarioConfig:
     n_tti: int = _spec(10000, "run", at_least=0)
     seed: int = _spec(1, "run", at_least=0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value, low, above = (getattr(self, f.name), f.metadata["at_least"],
                                  f.metadata["above"])
@@ -638,9 +640,7 @@ class OrdinaryUsers:
             self.bits[rows[ok]] += bits[ok]
 
 
-def run(config: ScenarioConfig) -> RunRecord:
-    config.validate()
-    cfg = config
+def run(cfg: ScenarioConfig) -> RunRecord:
     seed = cfg.seed
     table = cfg.cqi_table()
     rng_decode = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC]))

@@ -101,21 +101,6 @@ def latency_curves(per_source) -> LatencyCurves:
         [ecdf(v) if v.size else None for v in columns])
 
 
-def cdf_combined(matrix) -> EcdfCurve | None:
-    """Distribution over every (packet, user) entry of the matrix."""
-    return latency_curves(np.asarray(matrix, dtype=float).T).combined
-
-
-def cdf_mean(matrix) -> EcdfCurve | None:
-    """Distribution of each user's (column's) mean latency."""
-    return latency_curves(np.asarray(matrix, dtype=float).T).mean
-
-
-def cdf_individual(matrix) -> list[EcdfCurve | None]:
-    """One latency distribution per user (column)."""
-    return latency_curves(np.asarray(matrix, dtype=float).T).individual
-
-
 def utilization(packet_bits: float, n_mbms_users: int, n_rb: float,
                 n_re_per_rb: float, efficiency: float) -> float:
     """Share of the RB grid (percent) that carrying one packet from every

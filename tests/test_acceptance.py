@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from mbsfnsim import cli, engine, link, metrics, scheduler
+from mbsfnsim import channel, cli, engine, link, metrics, scheduler
 from mbsfnsim.channel import FadingBank
 
 N_SEEDS = 4
@@ -42,7 +42,7 @@ def battery():
                         for s in seeds],
     }
     flat = [cfg for group in cells.values() for cfg in group]
-    workers = min(2, os.cpu_count() or 1)
+    workers = min(2, channel.usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(engine.run, flat))
@@ -107,17 +107,16 @@ def test_criterion_4_metric_oracles():
     for _ in range(5):
         L = rng.integers(1, 500, size=(50, 20)).astype(float)
         flat = np.sort(L.ravel())
-        combined = metrics.cdf_combined(L)
+        # Each column is one user's latencies.
+        combined, mean_curve, individual = metrics.latency_curves(L.T)
         queries = rng.uniform(0, 520, size=100)
         for x in queries:
             oracle = np.sum(flat <= x) / flat.size
             ok &= combined.evaluate(x) == oracle
-        mean_curve = metrics.cdf_mean(L)
         col_means = np.sort(L.mean(axis=0))
         for x in queries:
             oracle = np.sum(col_means <= x) / col_means.size
             ok &= mean_curve.evaluate(x) == oracle
-        individual = metrics.cdf_individual(L)
         for i, curve in enumerate(individual):
             col = np.sort(L[:, i])
             for x in queries[:20]:

@@ -36,16 +36,16 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(bandwidth_mhz=10).validate()
+            ScenarioConfig(bandwidth_mhz=10)
         with pytest.raises(ValueError):
-            ScenarioConfig(mode="broadcast").validate()
+            ScenarioConfig(mode="broadcast")
         with pytest.raises(ValueError):
-            ScenarioConfig(cqi_policy="fixed", cqi_value=0).validate()
+            ScenarioConfig(cqi_policy="fixed", cqi_value=0)
         with pytest.raises(ValueError):
-            ScenarioConfig(cars_per_cell=7).validate()
-        ScenarioConfig(cqi_policy="adaptive", cqi_value=0).validate()
+            ScenarioConfig(cars_per_cell=7)
+        ScenarioConfig(cqi_policy="adaptive", cqi_value=0)
         # A float field takes an int.
-        ScenarioConfig(car_speed_kmh=100, tx_power_dbm=43).validate()
+        ScenarioConfig(car_speed_kmh=100, tx_power_dbm=43)
 
     @pytest.mark.parametrize("field, value, others", [
         ("bler_slope_db_per_decade", 0.0, {}),
@@ -79,12 +79,12 @@ class TestConfig:
         ("cqi_table_file", None, {}),
     ])
     def test_validation_names_field(self, field, value, others):
-        cfg = ScenarioConfig(**{field: value, **others})
+        """A bad value is rejected when the config is built, directly or
+        by `replace` (as the CLI's overrides and `replicate` build it)."""
         with pytest.raises(ValueError, match=field):
-            cfg.validate()
-        short = {} if field == "n_tti" else {"n_tti": 1}
+            ScenarioConfig(**{field: value, **others})
         with pytest.raises(ValueError, match=field):
-            run(replace(cfg, **short))
+            replace(ScenarioConfig(n_tti=1), **{field: value, **others})
 
     def test_hash_tracks_content(self):
         a = ScenarioConfig()
@@ -95,9 +95,7 @@ class TestConfig:
     def test_roundtrip_dict(self):
         cfg = ScenarioConfig(mode="unicast_baseline", cqi_policy="adaptive",
                              cqi_value=5, n_tti=123)
-        again = ScenarioConfig(**cfg.to_dict())
-        again.validate()
-        assert again == cfg
+        assert ScenarioConfig(**cfg.to_dict()) == cfg
 
 
 class TestRunBasics:
@@ -631,13 +629,12 @@ def test_car_speed_bounded_by_layout():
     the wrap needs to keep it inside: 1e7 km/h (2778 m per TTI) is too fast
     for the 1289 m disc of one area and one interference ring, 1e6 km/h
     runs, and a wider layout takes 1e7."""
-    too_fast = small_config(car_speed_kmh=1e7, n_tti=100)
     with pytest.raises(ValueError, match="car_speed_kmh"):
-        too_fast.validate()
+        small_config(car_speed_kmh=1e7, n_tti=100)
     with pytest.raises(ValueError, match="car_speed_kmh"):
-        run(too_fast)
+        replace(small_config(n_tti=100), car_speed_kmh=1e7)
     assert run(small_config(car_speed_kmh=1e6, n_tti=100)).sources
-    replace(too_fast, interference_rings=2).validate()
+    small_config(car_speed_kmh=1e7, n_tti=100, interference_rings=2)
 
 
 def test_tracer_counts_one_mobility_step_per_block(monkeypatch):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mbsfnsim import metrics
 from mbsfnsim.metrics import (EcdfCurve, LatencyRecorder, MetricsError,
-                              cdf_combined, cdf_individual, cdf_mean,
                               close_packet, ecdf, latency_curves,
                               predicted_throughput_ratio, utilization)
 
@@ -100,50 +99,57 @@ class TestEcdf:
 
 
 class TestLatencyCdfs:
+    """The latency views of a (packet x user) matrix: each user (column)
+    is one source's latency list."""
+
     def test_combined_flatten(self):
-        curve = cdf_combined(np.array([[10.0, 20.0], [10.0, 20.0]]))
+        L = np.array([[10.0, 20.0], [10.0, 20.0]])
+        curve = latency_curves(L.T).combined
         assert curve.evaluate(10.0) == 0.5
         assert curve.evaluate(20.0) == 1.0
 
     def test_combined_degenerate(self):
-        curve = cdf_combined(np.full((4, 3), 7.0))
+        curve = latency_curves(np.full((4, 3), 7.0).T).combined
         assert curve.values.tolist() == [7.0]
         assert curve.evaluate(6.99) == 0.0
 
     def test_combined_equals_ecdf_of_flat(self):
         rng = np.random.default_rng(12)
         L = rng.integers(1, 400, size=(50, 20)).astype(float)
-        a = cdf_combined(L)
+        a = latency_curves(L.T).combined
         b = ecdf(L.ravel())
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_mean_column_average(self):
-        curve = cdf_mean(np.array([[10.0, 20.0], [30.0, 20.0]]))
+        L = np.array([[10.0, 20.0], [30.0, 20.0]])
+        curve = latency_curves(L.T).mean
         assert curve.values.tolist() == [20.0]
 
     def test_mean_collapses_for_single_packet(self):
         L = np.array([[13.0, 5.0, 99.0]])
-        a, b = cdf_mean(L), cdf_combined(L)
+        curves = latency_curves(L.T)
+        a, b = curves.mean, curves.combined
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_grand_mean_identity(self):
         rng = np.random.default_rng(13)
         L = rng.uniform(1, 500, size=(50, 20))
-        assert cdf_mean(L).mean() == pytest.approx(
-            cdf_combined(L).mean(), rel=1e-12)
+        curves = latency_curves(L.T)
+        assert curves.mean.mean() == pytest.approx(
+            curves.combined.mean(), rel=1e-12)
 
     def test_individual_columns(self):
         L = np.array([[10.0, 30.0], [20.0, 40.0]])
-        curves = cdf_individual(L)
+        curves = latency_curves(L.T).individual
         assert len(curves) == 2
         assert curves[0].values.tolist() == [10.0, 20.0]
         assert curves[1].values.tolist() == [30.0, 40.0]
 
     def test_identical_columns_identical_curves(self):
         L = np.tile(np.array([[3.0], [9.0]]), (1, 4))
-        curves = cdf_individual(L)
+        curves = latency_curves(L.T).individual
         for c in curves[1:]:
             np.testing.assert_array_equal(c.values, curves[0].values)
             np.testing.assert_array_equal(c.probs, curves[0].probs)
@@ -151,9 +157,10 @@ class TestLatencyCdfs:
     def test_partition_identity(self):
         rng = np.random.default_rng(14)
         L = rng.integers(1, 300, size=(50, 20)).astype(float)
+        curves = latency_curves(L.T)
         pooled = np.sort(np.concatenate(
-            [c.samples for c in cdf_individual(L)]))
-        np.testing.assert_array_equal(pooled, cdf_combined(L).samples)
+            [c.samples for c in curves.individual]))
+        np.testing.assert_array_equal(pooled, curves.combined.samples)
 
     @given(st.integers(1, 30), st.integers(1, 10), st.integers(0, 2 ** 31),
            st.lists(st.lists(st.integers(1, 1000), max_size=30), max_size=10),
@@ -163,15 +170,16 @@ class TestLatencyCdfs:
                                                 ragged, empty_at):
         rng = np.random.default_rng(seed)
         L = rng.uniform(1, 1000, size=(n_pkt, n_ue))
-        assert cdf_mean(L).mean() == pytest.approx(cdf_combined(L).mean())
+        matrix = latency_curves(L.T)
+        assert matrix.mean.mean() == pytest.approx(matrix.combined.mean())
         pooled = np.sort(np.concatenate(
-            [c.samples for c in cdf_individual(L)]))
-        np.testing.assert_array_equal(pooled, cdf_combined(L).samples)
+            [c.samples for c in matrix.individual]))
+        np.testing.assert_array_equal(pooled, matrix.combined.samples)
         # The matrix views are the per-source views of the columns.
         views = latency_curves(list(L.T))
-        assert_same_curve(cdf_combined(L), views.combined)
-        assert_same_curve(cdf_mean(L), views.mean)
-        for a, b in zip(cdf_individual(L), views.individual, strict=True):
+        assert_same_curve(matrix.combined, views.combined)
+        assert_same_curve(matrix.mean, views.mean)
+        for a, b in zip(matrix.individual, views.individual, strict=True):
             assert_same_curve(a, b)
         # Ragged per-source lists with at least one source that closed
         # nothing, as under congestion.

@@ -39,3 +39,40 @@ def test_reads_no_environment_variable():
                     and node.value.id == "os"):
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+def _referenced_names(node):
+    """Every name `node` mentions: as a name, an attribute, an import or a
+    string, since perfbench's tracer looks functions up by their name."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_no_code_only_tests_call():
+    """Every module-level function and class of the package is used by the
+    package or by perfbench's code (not its tests) outside its own
+    definition: library code does not exist only to serve tests."""
+    repo = pathlib.Path(__file__).parents[1]
+    sources = sorted((repo / "src" / "mbsfnsim").glob("*.py"))
+    bench = [path for path in sorted((repo / "perfbench").glob("*.py"))
+             if not path.name.startswith("test_")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sources + bench}
+    users = {}
+    for tree in trees.values():
+        for top in tree.body:
+            for name in _referenced_names(top):
+                users.setdefault(name, []).append(top)
+    unused = [f"{path.name}:{node.name}" for path in sources
+              for node in trees[path].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and all(user is node for user in users.get(node.name, ()))]
+    assert len(trees) > len(sources) > 5
+    assert unused == []

@@ -251,7 +251,7 @@ class TestAdvanceMobility:
 
     def test_wrap_keeps_cars_inside_at_the_speed_limit(self):
         """After a step of the disc's diameter, the most that
-        `ScenarioConfig.validate` accepts, the wrap still takes every car
+        `ScenarioConfig` accepts, the wrap still takes every car
         back inside the disc."""
         layout = build_layout(1, 1, 500.0)
         radius = layout.boundary_radius
@@ -304,7 +304,7 @@ def test_mobility_stage_bitwise_as_parent(mbsfn_rings, speed, caplog):
     at each step bitwise the gains and serving cells of one step of the
     indexed-update, norm-based stage per TTI, and after each block its
     positions, through wraps, handovers and distance clamps; the clamp
-    warning is logged once.  Near `validate`'s speed bound a car wraps
+    warning is logged once.  Near `ScenarioConfig`'s speed bound a car wraps
     more than once in one block; standing cars stay put."""
     layout = build_layout(mbsfn_rings, 1, 500.0)
     speed_ms = speed(layout.boundary_radius)
