@@ -408,7 +408,7 @@ class ChannelModel:
 
 
 def noise_variance_normalized(bandwidth_rb: int, tx_power_dbm: float,
-                              noise_figure_db: float = 9.0,
+                              noise_figure_db: float,
                               noise_density_dbm_hz: float = -174.0) -> float:
     """Receiver noise power per RB divided by per-RB transmit power.
 

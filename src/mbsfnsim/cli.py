@@ -12,7 +12,10 @@ on the number of processes.
 
 `main` validates every input before any run and reports a bad one as a
 single `error: ...` line with exit code 2; no output directory is made.
-An error raised during a run is not a user error and propagates.
+The inputs are the scenario (read, with its CQI table, when its config is
+built), the overrides, the matrix lists and `--out`, which must be a
+directory or a path that one can be made at.  An error raised during a
+run is not a user error and propagates.
 """
 from __future__ import annotations
 
@@ -116,14 +119,25 @@ def load_scenario(path: str) -> engine.ScenarioConfig:
 
 
 def resolve_scenario_path(path: str) -> str:
-    """A real file path, or the name of a bundled scenario."""
+    """A real file path, or the bare file name of a bundled scenario."""
     if os.path.isfile(path):
         return path
-    name = path if path.endswith(".scenario") else path + ".scenario"
-    bundled = resources.files("mbsfnsim").joinpath("scenarios", name)
-    if bundled.is_file():
-        return str(bundled)
+    if os.path.basename(path) == path:
+        name = path if path.endswith(".scenario") else path + ".scenario"
+        bundled = resources.files("mbsfnsim").joinpath("scenarios", name)
+        if bundled.is_file():
+            return str(bundled)
     raise FileNotFoundError(f"scenario file not found: {path}")
+
+
+def _check_out(out_dir: str) -> None:
+    """Raise ValueError if `out_dir`, or the nearest of its ancestors that
+    exists, is not a directory: no output could be written there."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValueError(f"--out: {path} is not a directory")
 
 
 def _configs(args) -> list[engine.ScenarioConfig]:
@@ -131,6 +145,7 @@ def _configs(args) -> list[engine.ScenarioConfig]:
     the matrix cells for `compare`.  Every user input is checked here,
     before any run; a bad one raises ValueError or FileNotFoundError with
     the message `main` prints."""
+    _check_out(args.out)
     if args.command == "run":
         try:
             cfg = load_scenario(args.scenario)
@@ -141,7 +156,6 @@ def _configs(args) -> list[engine.ScenarioConfig]:
                 cfg = replace(cfg, seed=args.seed)
             except ValueError as exc:
                 raise ValueError(f"--seed: {exc}") from exc
-        cfg.cqi_table()
         return [cfg]
 
     base = (engine.ScenarioConfig() if args.base is None
@@ -167,12 +181,10 @@ def _configs(args) -> list[engine.ScenarioConfig]:
             raise ValueError(f"{flag}: an entry is repeated in {text!r}")
     if len(modes) * len(bandwidths) * len(policies) < 2:
         raise ValueError("compare needs at least two matrix cells")
-    cells = [replace(base, **overrides, mode=mode, bandwidth_mhz=bw,
-                     cqi_policy=policy, cqi_value=value)
-             for mode in modes for bw in bandwidths
-             for policy, value in policies]
-    base.cqi_table()
-    return cells
+    return [replace(base, **overrides, mode=mode, bandwidth_mhz=bw,
+                    cqi_policy=policy, cqi_value=value)
+            for mode in modes for bw in bandwidths
+            for policy, value in policies]
 
 
 def cmd_run(cfg: engine.ScenarioConfig, out_dir: str) -> int:

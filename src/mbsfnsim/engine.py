@@ -62,7 +62,10 @@ class ScenarioConfig:
     file section and lower bound are the whole schema: the scenario parser
     and the per-field checks derive from them.  A config is checked when it
     is built, also by `dataclasses.replace`: a bad value raises ValueError
-    naming its field, so every ScenarioConfig is valid.
+    naming its field, so every ScenarioConfig is valid.  Building it also
+    reads `cqi_table_file`, once, and keeps the checked table as
+    `cqi_table` (the standard table when the field is empty).  `cqi_table`
+    is no field: `to_dict` and `content_hash` cover the fields alone.
     """
     mode: str = _spec(MODE_MULTICAST, "scenario")
     cqi_policy: str = _spec(POLICY_FIXED, "scenario")
@@ -130,6 +133,15 @@ class ScenarioConfig:
                 f"car_speed_kmh must be at most "
                 f"{2.0 * radius / channel.TTI_S * 3.6:.6g}: a car may move "
                 f"at most the layout's diameter ({2.0 * radius:.0f} m) per TTI")
+        table = link.CQI_TABLE
+        if self.cqi_table_file:
+            try:
+                table = link.load_cqi_table(self.cqi_table_file)
+            except (OSError, ValueError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise ValueError(f"cqi_table_file: {self.cqi_table_file!r}: "
+                                 f"{reason}") from exc
+        object.__setattr__(self, "cqi_table", table)
 
     @property
     def n_rb(self) -> int:
@@ -153,18 +165,6 @@ class ScenarioConfig:
         if self.cqi_policy == POLICY_FIXED:
             return self.cqi_value
         return self.cqi_value if self.cqi_value >= 1 else self.reservation_cqi
-
-    def cqi_table(self) -> link.CqiTable:
-        """The standard CQI table, or the one in `cqi_table_file`; a file
-        that cannot be read as a table raises ValueError naming the field."""
-        if not self.cqi_table_file:
-            return link.CQI_TABLE
-        try:
-            return link.load_cqi_table(self.cqi_table_file)
-        except (OSError, ValueError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise ValueError(f"cqi_table_file: {self.cqi_table_file!r}: "
-                             f"{reason}") from exc
 
     def cqi_policy_label(self) -> str:
         return f"{self.cqi_policy}:{self.cqi_value}"
@@ -627,7 +627,6 @@ class OrdinaryUsers:
                 if state not in priced:
                     slots = np.array(scheduler.schedule_unicast_ordinary(
                         users, *state[1:]), dtype=np.intp)
-                    slots = slots[slots[:, 2] > 0]
                     priced[state] = (slots[:, 0], *ordinary_stage(
                         slots, self.sinr, cfg.usable_re_per_rb,
                         cfg.bler_slope_db_per_decade, self.table))
@@ -642,7 +641,7 @@ class OrdinaryUsers:
 
 def run(cfg: ScenarioConfig) -> RunRecord:
     seed = cfg.seed
-    table = cfg.cqi_table()
+    table = cfg.cqi_table
     rng_decode = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC]))
 
     layout = topology.build_layout(cfg.mbsfn_rings, cfg.interference_rings,

@@ -44,8 +44,10 @@ class CqiTable:
     """A validated CQI table: its 15 entries plus read-only arrays of their
     SINR thresholds (dB) and efficiencies, indexed by CQI - 1.
 
-    A table is a value passed to the functions that read it, so runs with
-    different tables can share a process.
+    Both columns are finite and strictly increasing, and every efficiency
+    is positive.  A table is a value passed to the functions that read it,
+    so runs with different tables can share a process.  It pickles as its
+    entries, so an unpickled table is checked and read-only again.
     """
     entries: tuple[CqiEntry, ...]
     thresholds_db: np.ndarray = field(init=False, repr=False)
@@ -57,10 +59,17 @@ class CqiTable:
         for name, attr in (("thresholds_db", "sinr_threshold_db"),
                            ("efficiencies", "efficiency")):
             values = np.array([getattr(e, attr) for e in self.entries])
+            if not np.isfinite(values).all():
+                raise ValueError(f"CQI {name} must be finite")
             if np.any(np.diff(values) <= 0):
                 raise ValueError(f"CQI {name} must be strictly increasing")
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        if self.efficiencies[0] <= 0:
+            raise ValueError("CQI efficiencies must be positive")
+
+    def __reduce__(self):
+        return CqiTable, (self.entries,)
 
 
 CQI_TABLE = CqiTable((
@@ -104,10 +113,8 @@ def load_cqi_table(path) -> CqiTable:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
     return CqiTable(tuple(entries))
 
-# Logistic BLER steepness: one decade of error probability per dB around
-# the 10%-BLER anchor point.
+# The block error probability at each CQI's switching threshold.
 BLER_TARGET = 0.1
-BLER_SLOPE_DB_PER_DECADE = 1.0
 
 
 def cqi_efficiency(cqi_index: int, table: CqiTable = CQI_TABLE) -> float:
@@ -202,8 +209,7 @@ def cqi_from_sinr_rows(sinr_rows: np.ndarray,
     return cqi_from_sinr_db(effective_sinr_db_rows(sinr_rows), table)
 
 
-def bler(effective_sinr_db, cqi_index,
-         slope_db_per_decade: float = BLER_SLOPE_DB_PER_DECADE,
+def bler(effective_sinr_db, cqi_index, slope_db_per_decade: float,
          table: CqiTable = CQI_TABLE):
     """Block error probability of a transport block sent with `cqi_index`.
 

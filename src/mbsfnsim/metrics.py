@@ -104,11 +104,11 @@ def latency_curves(per_source) -> LatencyCurves:
 def utilization(packet_bits: float, n_mbms_users: int, n_rb: float,
                 n_re_per_rb: float, efficiency: float) -> float:
     """Share of the RB grid (percent) that carrying one packet from every
-    source per accounting window consumes; above 100 means infeasible."""
-    denominator = n_rb * n_re_per_rb * efficiency
-    if denominator <= 0:
-        raise MetricsError("utilization denominator must be positive")
-    return 100.0 * packet_bits * n_mbms_users / denominator
+    source per accounting window consumes; above 100 means infeasible.
+    The grid and the efficiency are positive: `ScenarioConfig` fields and
+    an entry of its checked CQI table."""
+    return (100.0 * packet_bits * n_mbms_users
+            / (n_rb * n_re_per_rb * efficiency))
 
 
 def predicted_throughput_ratio(util_a: float, rb_a: float,

@@ -49,10 +49,9 @@ def required_subframes(packet_bits: float, n_mbms_users: int,
                        n_rb_per_subframe: int, n_re_per_rb: int,
                        efficiency: float, period_ttis: int) -> int:
     """Minimum reserved subframes per radio frame so that one generation
-    period's worth of messages fits the reservation."""
-    if min(packet_bits, n_rb_per_subframe, n_re_per_rb, efficiency,
-           period_ttis) <= 0:
-        raise ValueError("all sizing arguments must be positive")
+    period's worth of messages fits the reservation.  Every argument but
+    `n_mbms_users` is positive: a `ScenarioConfig` field or an entry of
+    its checked CQI table."""
     if n_mbms_users <= 0:
         return 0
     bits_per_subframe = n_rb_per_subframe * n_re_per_rb * efficiency
@@ -126,12 +125,13 @@ def schedule_unicast_ordinary(user_ids, n_rb: int, rr_offset: int = 0
                               ) -> list[tuple[int, int, int]]:
     """Even round-robin split of a cell's RBs over its full-buffer users.
 
-    Returns (user_id, rb_start, rb_count) triples; allocations differ by at
-    most one RB, with the remainder rotating by `rr_offset`.
+    Returns (user_id, rb_start, rb_count) triples, one per user that gets
+    at least one RB; allocations differ by at most one RB, with the
+    remainder rotating by `rr_offset`.
     """
     users = list(user_ids)
-    if not users or n_rb <= 0:
-        return [(u, 0, 0) for u in users]
+    if not users:
+        return []
     n = len(users)
     base, rem = divmod(n_rb, n)
     order = [users[(rr_offset + k) % n] for k in range(n)]
@@ -139,6 +139,7 @@ def schedule_unicast_ordinary(user_ids, n_rb: int, rr_offset: int = 0
     start = 0
     for k, user in enumerate(order):
         count = base + (1 if k < rem else 0)
-        out.append((user, start, count))
+        if count:
+            out.append((user, start, count))
         start += count
     return out

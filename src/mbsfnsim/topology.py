@@ -4,7 +4,8 @@ The layout is a hexagonal grid centred at the origin: an inner group of
 cells transmits the common multicast signal, the surrounding ring(s) act
 as interference sources only.  Users are dropped uniformly inside their
 cell's hexagon; car users move in a straight line at constant speed and
-wrap around the layout boundary.
+wrap around the layout boundary.  The arguments are values of a checked
+`ScenarioConfig` (see `engine`), so no function here checks them again.
 """
 from __future__ import annotations
 
@@ -17,10 +18,6 @@ import numpy as np
 # Cell hexagons tile the plane with centres one inter-site distance apart:
 # inradius = isd / 2, circumradius = isd / sqrt(3).
 _HEX_AXES_DEG = (0.0, 60.0, 120.0)
-
-
-class ConfigurationError(ValueError):
-    """Raised for invalid layout or drop parameters."""
 
 
 @dataclass(frozen=True)
@@ -89,13 +86,6 @@ def build_layout(n_mbsfn_rings: int, n_interference_rings: int,
                  inter_site_distance: float) -> CellLayout:
     """Hexagonal grid: rings 0..n_mbsfn_rings form the multicast area, the
     next n_interference_rings rings are interference-only cells."""
-    if n_mbsfn_rings < 0:
-        raise ConfigurationError("n_mbsfn_rings must be >= 0")
-    if n_interference_rings < 1:
-        raise ConfigurationError("need at least one interference ring")
-    if inter_site_distance <= 0:
-        raise ConfigurationError("inter-site distance must be positive")
-
     positions = []
     mbsfn = set()
     cid = 0
@@ -138,8 +128,6 @@ def drop_users(layout: CellLayout, n_users_per_cell: int, n_cars_per_cell: int,
     Within each cell the first n_cars_per_cell users are cars with a uniform
     random heading at `car_speed` m/s, the rest are static ordinary users.
     """
-    if n_cars_per_cell > n_users_per_cell:
-        raise ConfigurationError("car count exceeds user count per cell")
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), 0x0D0]))
     is_car, serving, pos, vel = [], [], [], []
     for cell_id in range(layout.n_cells):
@@ -179,8 +167,6 @@ def advance_mobility(pop: UserPopulation, dt: float, gain_fn, users,
     of n steps gives bitwise the values of n calls of one step.  Handover
     is instantaneous and cost-free.
     """
-    if dt < 0:
-        raise ConfigurationError("dt must be >= 0")
     users = np.asarray(users, dtype=np.intp)
     # Only users with a velocity move.  Their positions are gathered once,
     # moved, wrapped and handed to `gain_fn`, and scattered back once.

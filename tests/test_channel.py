@@ -507,7 +507,7 @@ def test_noise_variance_arithmetic():
     noise_dbm = -174.0 + 9.0 + 10.0 * math.log10(180e3)
     tx_dbm = 43.0 - 10.0 * math.log10(25)
     expected = 10.0 ** ((noise_dbm - tx_dbm) / 10.0)
-    assert noise_variance_normalized(25, 43.0) == pytest.approx(expected)
+    assert noise_variance_normalized(25, 43.0, 9.0) == pytest.approx(expected)
 
 
 def test_draw_shadowing_deterministic():

@@ -9,6 +9,7 @@ import pytest
 from mbsfnsim import channel, cli, engine
 from mbsfnsim.cli import (ScenarioParseError, load_scenario, main,
                           parse_scenario_text, resolve_scenario_path)
+from test_link import BAD_TABLES, write_cqi_table
 
 SMALL_SCENARIO = """
 [scenario]
@@ -63,11 +64,12 @@ seed = 99
 """
         assert parse_scenario_text(text) == cfg
 
-    def test_roundtrip_every_field_changed(self):
+    def test_roundtrip_every_field_changed(self, tmp_path):
         # every field of the spec gets a valid non-default value, so a field
         # added to ScenarioConfig is covered (or fails here) automatically
         enumerated = {"mode": "unicast_baseline", "cqi_policy": "adaptive",
-                      "bandwidth_mhz": 20, "cqi_table_file": "alt_table.csv"}
+                      "bandwidth_mhz": 20, "cqi_table_file": write_cqi_table(
+                          tmp_path / "alt_table.csv")}
         bump = {int: lambda v: v + 1, float: lambda v: v + 0.1,
                 bool: lambda v: not v}
         cfg = engine.ScenarioConfig(**{
@@ -207,12 +209,13 @@ class TestCmdRun:
         scen = tmp_path / "table.scenario"
         scen.write_text(SMALL_SCENARIO
                         + f"\n[radio]\ncqi_table_file = {table}\n")
-        for argv in (["run", str(scen)],
-                     ["compare", "--base", str(scen),
-                      "--cqi", "fixed:3,fixed:4"]):
+        for argv, prefix in ((["run", str(scen)], f"{scen}: "),
+                             (["compare", "--base", str(scen),
+                               "--cqi", "fixed:3,fixed:4"], "")):
             assert main(argv + ["--out", str(tmp_path / "o")]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: cqi_table_file: ") and reason in err
+            assert err.startswith(f"error: {prefix}cqi_table_file: ")
+            assert reason in err
             assert not (tmp_path / "o").exists()
 
     def test_invalid_seed_override_diagnostic(self, tmp_path, capsys):
@@ -369,7 +372,8 @@ class TestValidationBoundary:
         (["run", "{d}/small.scenario", "--seed", "-1"],
          "--seed: seed must be >= 0"),
         (["run", "{d}/table.scenario"],
-         "cqi_table_file: '{d}/absent.csv': No such file or directory"),
+         "{d}/table.scenario: cqi_table_file: '{d}/absent.csv': No such file "
+         "or directory"),
         (["compare", "--base", "{d}/absent.scenario"],
          "scenario file not found: {d}/absent.scenario"),
         (["compare", "--base", "{d}/broken.scenario"],
@@ -409,6 +413,30 @@ class TestValidationBoundary:
         # The matrix is counted before any cell is built and checked.
         (["compare", "--bandwidths", "10", "--n-tti", "-1"],
          "compare needs at least two matrix cells"),
+        # --out is no file and lies under none.
+        (["run", "{d}/small.scenario", "--out", "{d}/small.scenario"],
+         "--out: {d}/small.scenario is not a directory"),
+        (["run", "{d}/small.scenario", "--out", "{d}/small.scenario/sub"],
+         "--out: {d}/small.scenario is not a directory"),
+        (["compare", "--cqi", "fixed:3,fixed:4", "--out",
+          "{d}/small.scenario"],
+         "--out: {d}/small.scenario is not a directory"),
+        (["compare", "--cqi", "fixed:3,fixed:4", "--out",
+          "{d}/small.scenario/sub"],
+         "--out: {d}/small.scenario is not a directory"),
+        # Only a bare name is looked up among the bundled scenarios.
+        (["run", "{d}/small"], "scenario file not found: {d}/small"),
+        (["compare", "--base", "{d}/small"],
+         "scenario file not found: {d}/small"),
+    ] + [
+        # A table with a value no CqiTable takes.
+        row for bad in sorted(BAD_TABLES) for row in (
+            (["run", f"{{d}}/{bad}.scenario"],
+             f"{{d}}/{bad}.scenario: cqi_table_file: '{{d}}/{bad}.csv': "
+             f"{BAD_TABLES[bad][3]}"),
+            (["compare", "--base", f"{{d}}/{bad}.scenario",
+              "--cqi", "fixed:3,fixed:4"],
+             f"cqi_table_file: '{{d}}/{bad}.csv': {BAD_TABLES[bad][3]}"))
     ])
     def test_user_error_reported_before_any_run(self, tmp_path, monkeypatch,
                                                 capsys, argv, message):
@@ -419,13 +447,19 @@ class TestValidationBoundary:
         (tmp_path / "table.scenario").write_text(
             SMALL_SCENARIO + f"\n[radio]\ncqi_table_file = "
                              f"{tmp_path}/absent.csv\n")
+        for bad in BAD_TABLES:
+            (tmp_path / f"{bad}.scenario").write_text(
+                SMALL_SCENARIO + "\n[radio]\ncqi_table_file = "
+                + write_cqi_table(tmp_path / f"{bad}.csv", bad) + "\n")
 
         def no_run(cfg):
             raise AssertionError("a run started")
         monkeypatch.setattr(engine, "run", no_run)
         out = tmp_path / "out"
         argv = [a.format(d=tmp_path) for a in argv]
-        assert main(argv + ["--out", str(out)]) == 2
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {message.format(d=tmp_path)}\n")
         assert not out.exists()

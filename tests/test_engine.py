@@ -1,5 +1,6 @@
 import logging
 import math
+import pickle
 import re
 import sys
 import threading
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from mbsfnsim import (channel, engine, link, metrics, scheduler, topology,
                       traffic)
 from mbsfnsim.engine import ScenarioConfig, derived_seeds, replicate, run
-from test_link import grouped_slices
+from test_link import BAD_TABLES, grouped_slices, write_cqi_table
 
 
 def small_config(**overrides):
@@ -77,6 +78,7 @@ class TestConfig:
         ("reassign_unused_subframes", 1, {}),
         ("mode", 1, {}),
         ("cqi_table_file", None, {}),
+        ("cqi_table_file", "/nonexistent/cqi_table.csv", {}),
     ])
     def test_validation_names_field(self, field, value, others):
         """A bad value is rejected when the config is built, directly or
@@ -85,6 +87,35 @@ class TestConfig:
             ScenarioConfig(**{field: value, **others})
         with pytest.raises(ValueError, match=field):
             replace(ScenarioConfig(n_tti=1), **{field: value, **others})
+
+    @pytest.mark.parametrize("bad", sorted(BAD_TABLES))
+    def test_bad_table_file_names_field(self, tmp_path, bad):
+        """A table file whose values no CqiTable takes is rejected when
+        the config is built, naming the field, the file and the reason."""
+        path = write_cqi_table(tmp_path / "bad.csv", bad)
+        message = re.escape(f"cqi_table_file: {path!r}: {BAD_TABLES[bad][3]}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScenarioConfig(cqi_table_file=path)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(ScenarioConfig(n_tti=1), cqi_table_file=path)
+
+    def test_table_read_once_and_kept(self, tmp_path, monkeypatch):
+        """Building a config reads its table file, once; a run and a
+        pickled copy use the kept table and read no file."""
+        loads = []
+        load = link.load_cqi_table
+        monkeypatch.setattr(link, "load_cqi_table",
+                            lambda path: loads.append(path) or load(path))
+        path = write_cqi_table(tmp_path / "table.csv")
+        cfg = ScenarioConfig(n_tti=20, cqi_table_file=path)
+        assert loads == [path]
+        assert cfg.cqi_table.entries == link.CQI_TABLE.entries
+        assert ScenarioConfig().cqi_table is link.CQI_TABLE
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and copy.cqi_table.entries == cfg.cqi_table.entries
+        assert copy.to_dict() == cfg.to_dict()
+        run(cfg)
+        assert loads == [path]
 
     def test_hash_tracks_content(self):
         a = ScenarioConfig()
@@ -820,7 +851,7 @@ class _DeliveryLog:
         self.delivered.append(args)
 
     def decode(self, eff_db, cqi):
-        p = link.bler(eff_db, cqi)
+        p = link.bler(eff_db, cqi, 1.0)
         self.decoded.append((eff_db, cqi, p))
         return engine.draw_success(p, False, self.rng)
 

@@ -33,7 +33,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbsfnsim import channel, cli, engine, metrics
+from mbsfnsim import channel, cli, engine, link, metrics
+from test_link import write_cqi_table
 
 N_TTI = 256
 SEED = 1
@@ -162,7 +163,10 @@ COMPARE_GOLDEN = ("864231c3f0f21e8c048a3a387793179b"
 
 
 def run_digest(cfg, out_dir) -> str:
-    record = engine.run(cfg)
+    return record_digest(engine.run(cfg), out_dir)
+
+
+def record_digest(record, out_dir) -> str:
     metrics.write_run_outputs(out_dir, record)
     h = hashlib.sha256()
     for name in sorted(os.listdir(out_dir)):
@@ -190,6 +194,17 @@ def compare_digest(out_dir) -> str:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digest(name, tmp_path):
     assert run_digest(CONFIGS[name], tmp_path) == GOLDEN[name]
+
+
+def test_standard_table_file_reproduces_golden(tmp_path):
+    """A `cqi_table_file` holding the standard table's values drives a run
+    exactly as the built-in table does.  The manifest names the config,
+    file included, so it is written from the file-less one."""
+    cfg = replace(BASE, cqi_table_file=write_cqi_table(tmp_path / "t.csv"))
+    assert cfg.cqi_table is not link.CQI_TABLE
+    record = replace(engine.run(cfg), config_dict=BASE.to_dict(),
+                     config_hash=BASE.content_hash())
+    assert record_digest(record, tmp_path / "out") == GOLDEN["mc_fixed_5"]
 
 
 def test_compare_golden_digest(tmp_path, monkeypatch):

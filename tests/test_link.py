@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,39 @@ from mbsfnsim.link import CqiRangeError, bler, cqi_efficiency
 
 def cqi_threshold_db(cqi_index, table=link.CQI_TABLE) -> float:
     return float(table.thresholds_db[cqi_index - 1])
+
+
+# Tables that are the standard one but for one value of one entry:
+# (CQI index, changed column, value, the reason a CqiTable gives).  Each
+# keeps both columns increasing, so only the finite and positive checks
+# reject it.
+BAD_TABLES = {
+    "efficiency_negative": (1, "efficiency", -0.5,
+                            "CQI efficiencies must be positive"),
+    "efficiency_zero": (1, "efficiency", 0.0,
+                        "CQI efficiencies must be positive"),
+    "efficiency_nan": (7, "efficiency", math.nan,
+                       "CQI efficiencies must be finite"),
+    "threshold_nan": (7, "sinr_threshold_db", math.nan,
+                      "CQI thresholds_db must be finite"),
+    "threshold_inf": (15, "sinr_threshold_db", math.inf,
+                      "CQI thresholds_db must be finite"),
+}
+
+
+def write_cqi_table(path, bad=None) -> str:
+    """Write the standard CQI table as a `cqi_table_file` CSV, each value
+    as its `repr`, so it reads back bitwise; `bad` names a BAD_TABLES
+    change to make.  Returns the path."""
+    index, column, value, _ = BAD_TABLES[bad] if bad else (None,) * 4
+    with open(path, "w") as fh:
+        fh.write("index,modulation,efficiency,sinr_threshold_db\n")
+        for e in link.CQI_TABLE.entries:
+            if e.index == index:
+                e = replace(e, **{column: value})
+            fh.write(f"{e.index},{e.modulation},{e.efficiency!r},"
+                     f"{e.sinr_threshold_db!r}\n")
+    return str(path)
 
 
 def _cqi(sinr_per_rb) -> int:
@@ -192,7 +227,7 @@ class TestTapDomainSinr:
         most interferers sit far below it and some far above."""
         rng = np.random.default_rng(99)
         amplitude = 10.0 ** -rng.uniform(4.0, 8.0, size=(57, 37))
-        noise = channel.noise_variance_normalized(100, 46.0)
+        noise = channel.noise_variance_normalized(100, 46.0, 9.0)
         _check_tap_domain(rng, 57, 37, 19, 6, 100, amplitude, noise,
                           _veha_steering(100))
 
@@ -272,22 +307,37 @@ class TestEfficiencyTable:
         with pytest.raises(ValueError):
             link.CqiTable(tuple(entries[:-1]))
 
+    @pytest.mark.parametrize("bad", sorted(BAD_TABLES))
+    def test_nonfinite_or_nonpositive_value_rejected(self, tmp_path, bad):
+        index, column, value, reason = BAD_TABLES[bad]
+        entries = list(link.CQI_TABLE.entries)
+        entries[index - 1] = replace(entries[index - 1], **{column: value})
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            link.CqiTable(tuple(entries))
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            link.load_cqi_table(write_cqi_table(tmp_path / "bad.csv", bad))
+
+    def test_unpickled_table_is_read_only(self):
+        table = pickle.loads(pickle.dumps(link.CQI_TABLE))
+        assert table.entries == link.CQI_TABLE.entries
+        assert not any(t.flags.writeable for t in (
+            table.thresholds_db, table.efficiencies))
+
 
 def _decode(seed):
-    """The engine's decode path at the default BLER slope."""
-    return engine.decoder(link.BLER_SLOPE_DB_PER_DECADE, False,
-                          np.random.default_rng(seed))
+    """The engine's decode path at the config's default BLER slope."""
+    return engine.decoder(1.0, False, np.random.default_rng(seed))
 
 
 class TestDecoding:
     def test_far_above_threshold(self):
         thr = cqi_threshold_db(5)
-        assert bler(thr + 30.0, 5) < 1e-3
+        assert bler(thr + 30.0, 5, 1.0) < 1e-3
         assert _decode(1)(np.full(1000, thr + 30.0), 5).all()
 
     def test_far_below_threshold(self):
         thr = cqi_threshold_db(5)
-        assert bler(thr - 20.0, 5) > 0.999
+        assert bler(thr - 20.0, 5, 1.0) > 0.999
         assert not _decode(2)(np.full(1000, thr - 20.0), 5).any()
 
     def test_error_rate_at_threshold(self):
@@ -298,12 +348,12 @@ class TestDecoding:
 
     def test_bler_monotone_decreasing(self):
         grid = np.linspace(-20.0, 30.0, 101)
-        values = bler(grid, 6)
+        values = bler(grid, 6, 1.0)
         assert np.all(np.diff(values) <= 0)
         # strictly decreasing where the curve is not saturated
         active = np.linspace(cqi_threshold_db(6) - 4.0,
                              cqi_threshold_db(6) + 4.0, 41)
-        assert np.all(np.diff(bler(active, 6)) < 0)
+        assert np.all(np.diff(bler(active, 6, 1.0)) < 0)
 
     def test_bler_cqi_array_matches_scalar_calls(self):
         gen = np.random.default_rng(4)
@@ -313,14 +363,14 @@ class TestDecoding:
         for x, c, p in zip(eff_db, cqi, batched):
             assert bler(np.array([x]), int(c), 1.5)[0] == p
         with pytest.raises(CqiRangeError):
-            bler(eff_db[:2], np.array([3, 16]))
+            bler(eff_db[:2], np.array([3, 16]), 1.0)
         for bad in (0, 16):
             with pytest.raises(CqiRangeError):
-                bler(0.0, bad)
+                bler(0.0, bad, 1.0)
 
     def test_bler_exact_at_anchor(self):
         for cqi in (1, 7, 15):
-            assert bler(cqi_threshold_db(cqi), cqi) == pytest.approx(0.1)
+            assert bler(cqi_threshold_db(cqi), cqi, 1.0) == pytest.approx(0.1)
 
 
 class TestRowHelpers:

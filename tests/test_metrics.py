@@ -209,10 +209,6 @@ class TestUtilization:
     def test_overload_reported_not_clamped(self):
         assert utilization(2400, 21 * 20, 7 * 2500, 100, 0.377) > 100.0
 
-    def test_bad_denominator(self):
-        with pytest.raises(MetricsError):
-            utilization(2400, 21, 0, 100, 0.377)
-
 
 class TestPredictedRatio:
     def test_reference_values(self):

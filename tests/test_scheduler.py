@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbsfnsim import scheduler
-from mbsfnsim.link import cqi_efficiency
+from mbsfnsim.engine import ScenarioConfig
+from mbsfnsim.link import CQI_TABLE, CqiTable, cqi_efficiency
 from mbsfnsim.scheduler import (CongestionInfeasibleError, SchedulingError,
                                 required_subframes, reserved_subframes,
                                 schedule_multicast,
@@ -47,8 +49,16 @@ class TestRequiredSubframes:
             required_subframes(2400, 21, 25, 100, cqi_efficiency(1), 100)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            required_subframes(0, 21, 25, 100, 0.377, 100)
+        """`required_subframes` trusts its sizing arguments: a zero message
+        size, RE count or period is rejected where the config is built,
+        and a zero efficiency where the CQI table is."""
+        for field in ("cam_size_bytes", "usable_re_per_rb", "cam_period_ms"):
+            with pytest.raises(ValueError, match=field):
+                ScenarioConfig(**{field: 0})
+        entries = list(CQI_TABLE.entries)
+        entries[0] = replace(entries[0], efficiency=0.0)
+        with pytest.raises(ValueError, match="efficiencies must be positive"):
+            CqiTable(tuple(entries))
 
     @given(st.integers(1, 40), st.integers(500, 4000), st.integers(1, 15))
     @settings(max_examples=60, deadline=None)
@@ -136,8 +146,10 @@ class TestScheduleOrdinary:
         assert bits == pytest.approx(1131.0)
 
     def test_starvation(self):
-        out = schedule_unicast_ordinary([1, 2, 3], n_rb=0)
-        assert all(count == 0 for _, _, count in out)
+        assert schedule_unicast_ordinary([1, 2, 3], n_rb=0) == []
+        # Fewer RBs than users: only the users given an RB get a slot.
+        assert schedule_unicast_ordinary([1, 2, 3], n_rb=2, rr_offset=1) == [
+            (2, 0, 1), (3, 1, 1)]
 
     def test_round_robin_fairness(self):
         out = schedule_unicast_ordinary([1, 2], n_rb=25, rr_offset=0)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsfnsim import channel, topology
-from mbsfnsim.topology import (ConfigurationError, advance_mobility,
-                               build_layout, drop_users, point_in_hexagon)
+from mbsfnsim import channel, engine, topology
+from mbsfnsim.topology import (advance_mobility, build_layout, drop_users,
+                               point_in_hexagon)
 from test_channel import every_tti_model
 
 
@@ -57,14 +57,13 @@ class TestBuildLayout:
         np.testing.assert_allclose(dist, 500.0)
 
     def test_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            build_layout(1, 1, 0.0)
-        with pytest.raises(ConfigurationError):
-            build_layout(1, 1, -5.0)
-        with pytest.raises(ConfigurationError):
-            build_layout(1, 0, 500.0)
-        with pytest.raises(ConfigurationError):
-            build_layout(-1, 1, 500.0)
+        """`build_layout` trusts its arguments: a bad layout is rejected
+        where its config is built, naming the field."""
+        for field, value in (("inter_site_distance_m", 0.0),
+                             ("inter_site_distance_m", -5.0),
+                             ("interference_rings", 0), ("mbsfn_rings", -1)):
+            with pytest.raises(ValueError, match=field):
+                engine.ScenarioConfig(**{field: value})
 
 
 class TestDropUsers:
@@ -113,9 +112,10 @@ class TestDropUsers:
         np.testing.assert_allclose(speeds, 27.78)
 
     def test_too_many_cars(self):
-        layout = build_layout(1, 1, 500.0)
-        with pytest.raises(ConfigurationError):
-            drop_users(layout, 2, 3, 27.78, rng_seed=1)
+        """`drop_users` trusts its counts: more cars than users per cell is
+        rejected where the config is built."""
+        with pytest.raises(ValueError, match="cars_per_cell"):
+            engine.ScenarioConfig(users_per_cell=2, cars_per_cell=3)
 
 
 def _distance_gain(layout):
@@ -159,12 +159,6 @@ class TestAdvanceMobility:
         assert gains.shape == (3, len(pop.car_ids()), layout.n_cells)
         np.testing.assert_array_equal(cells, np.tile(serving[pop.is_car],
                                                      (3, 1)))
-
-    def test_negative_dt_rejected(self):
-        layout = build_layout(1, 1, 500.0)
-        pop = drop_users(layout, 1, 1, 10.0, rng_seed=1)
-        with pytest.raises(ConfigurationError):
-            advance_mobility(pop, -1.0, _distance_gain(layout), [0], 1)
 
     def test_wrap_and_reselection_against_gain_scan(self):
         layout = build_layout(1, 1, 500.0)
