@@ -12,13 +12,12 @@ coefficient at resource block r is x @ steer[:, r], where the steering
 matrix carries the taps' powers and delays; the link layer forms SINRs
 from x and the steering without building the per-RB coefficients.
 
-Fading is stepped in chunks of pairs.  A bank with more than one chunk,
-in a process that may use more than one CPU, steps them on a thread
-pool of its own, started by its first block that steps and ended by
-its `close` (`ChannelModel.close`, which `engine.run` calls on every
-exit path).  The chunks write disjoint pairs with the same operations
-on either path, so the tap gains do not depend on the number of
-workers.
+Fading is stepped in chunks of pairs.  The module owns no thread: a
+block maps its chunks on the thread pool its caller passes in (`engine.run`
+owns one per run), and without a pool runs them inline.  Each chunk
+allocates its own phasors and writes disjoint pairs with the same
+operations on either path, so the tap gains do not depend on the number
+of workers.
 """
 from __future__ import annotations
 
@@ -27,8 +26,6 @@ import functools
 import logging
 import math
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -75,7 +72,7 @@ def pathloss_db(distance_m):
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on: a fading bank's pool has at most
+    """The CPUs this process may run on: `engine.run`'s fading pool has
     this many workers."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
@@ -110,13 +107,12 @@ class FadingBank:
     J0(2*pi*fd*tau) and E|g|^2 = 1 per tap.  Evaluation is stateless in t.
     Both quadratures are held oscillator axis first: (16, 2, pairs, taps).
 
-    The bank owns the thread pool on which `block_tap_gains` steps its
-    chunks of CHUNK_PAIRS pairs.  The pool exists only from the bank's
-    first block that steps until `close`, and only when the bank has more
-    than one chunk and `usable_cpus()` is above one; it has one worker per
-    chunk, up to that many CPUs, and one chunk-sized phasor buffer per
-    worker.  Otherwise the chunks run inline, one after another.  A row
-    is bitwise the same on either path, whatever the number of workers.
+    `block_tap_gains` steps the pairs in chunks of CHUNK_PAIRS.  From the
+    bank's first block that steps on, a bank of more than one chunk maps
+    them on the pool it is given, if any; otherwise they run inline, one
+    after another.  The bank holds no thread and no per-worker buffer, so
+    a row is bitwise the same on either path, whatever the number of
+    workers.
     """
 
     def __init__(self, doppler_hz: np.ndarray, tap_delays, tap_powers_db,
@@ -147,25 +143,17 @@ class FadingBank:
                 part[...] = np.moveaxis(rng.uniform(
                     -math.pi, math.pi, size=part.shape[1:] + (N_OSCILLATORS,)),
                     -1, 0)
-        # Per chunk: exp(1j*w*TTI_S) once built.  With the pool: one phasor
-        # buffer per worker, which a chunk takes while it runs.
-        self._rotations = self._phasors = self._pool = None
+        # Per chunk: exp(1j*w*TTI_S) once built.
+        self._rotations = None
 
     def subset(self, pairs: slice) -> "FadingBank":
         """The same processes restricted to `pairs` (views, no new draws),
-        with no rotations or pool of their own yet."""
+        with no rotations of their own yet."""
         sub = copy.copy(self)
         sub._w, sub._phase = self._w[:, :, pairs], self._phase[:, :, pairs]
         sub.n_pairs = sub._w.shape[2]
-        sub._rotations = sub._phasors = sub._pool = None
+        sub._rotations = None
         return sub
-
-    def close(self) -> None:
-        """End the chunk pool, if there is one, and join its threads; later
-        blocks run their chunks inline."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = self._phasors = None
 
     def tap_gains(self, t) -> np.ndarray:
         """Per-tap complex gains at time(s) t: shape (len(t), n_pairs, n_taps)."""
@@ -177,7 +165,7 @@ class FadingBank:
                    + phase[None]).sum(axis=-1)
         return 1.0 / math.sqrt(N_OSCILLATORS) * (g[:, 0] + 1j * g[:, 1])
 
-    def block_tap_gains(self, t0: float, steps) -> np.ndarray:
+    def block_tap_gains(self, t0: float, steps, pool=None) -> np.ndarray:
         """tap_gains at t0 + i*TTI_S for each i in the ascending `steps`, via a
         phasor recurrence: shape (len(steps), n_pairs, n_taps).
 
@@ -190,31 +178,21 @@ class FadingBank:
         only at the requested ones.  This replaces all trig evaluations but
         the first and drifts only at float rounding level within a block.
         Each chunk of CHUNK_PAIRS pairs runs through all steps while it stays
-        in cache, and writes only its own pairs of the result.  The bank's
-        first block that steps allocates the rotations and starts the pool
-        (see the class); each chunk builds its own rotations in that block.
-        With the pool, this thread allocates every buffer and then only
-        waits: the workers allocate nothing but each step's sums.  The pool
-        keeps one phasor buffer per worker, taken by each chunk while it
-        runs; inline, the chunks share one.
+        in cache, in a phasor array of its own, and writes only its own pairs
+        of the result.  The bank's first block that steps allocates the
+        rotations, and each chunk builds its own in that block.  From then
+        on a bank of more than one chunk maps its chunks on `pool`, when
+        given; a block that never steps, such as a 1-TTI run's, runs inline
+        and so starts no thread.
         """
         out = np.empty((len(steps), self.n_pairs, self.n_taps), dtype=complex)
         starts = range(0, self.n_pairs, CHUNK_PAIRS)
         build = len(steps) > 0 and steps[-1] > 0 and self._rotations is None
         if build:
             self._rotations = self._chunk_buffers()
-            cpus = usable_cpus() if len(starts) > 1 else 1
-            if cpus > 1:
-                workers = min(len(starts), cpus)
-                self._phasors = self._phasor_buffers(workers)
-                self._pool = ThreadPoolExecutor(
-                    workers, thread_name_prefix="fading")
-        if self._pool is None:
-            phasors, run = self._phasor_buffers(1), map
-        else:
-            phasors, run = self._phasors, self._pool.map
-        rows = functools.partial(self._chunk_rows, t0, steps, out, build,
-                                 phasors)
+        run = (pool.map if pool is not None and len(starts) > 1
+               and self._rotations is not None else map)
+        rows = functools.partial(self._chunk_rows, t0, steps, out, build)
         for _ in run(rows, starts, self._rotations or [None] * len(starts)):
             pass
         return out
@@ -228,42 +206,28 @@ class FadingBank:
                 .reshape(N_OSCILLATORS, 2, -1, self.n_taps)
                 for start in range(0, self.n_pairs, CHUNK_PAIRS)]
 
-    def _phasor_buffers(self, n: int) -> queue.SimpleQueue:
-        """`n` new flat complex buffers, each the size of one chunk's
-        phasors, in a queue from which a running chunk takes one."""
-        free = queue.SimpleQueue()
-        for _ in range(n):
-            free.put(np.empty(2 * N_OSCILLATORS * self.n_taps
-                              * min(CHUNK_PAIRS, self.n_pairs), dtype=complex))
-        return free
-
-    def _chunk_rows(self, t0, steps, out, build, phasors, start,
-                    rotation) -> None:
+    def _chunk_rows(self, t0, steps, out, build, start, rotation) -> None:
         """The rows of pairs start..start+CHUNK_PAIRS-1 of a block, written
-        to `out`: phasors anchored at t0 in a buffer taken from the queue
-        `phasors` (and put back), stepped by `rotation`, which is built
-        first when `build`, then scaled to unit power."""
+        to `out`: phasors anchored at t0 in a new array, stepped by
+        `rotation`, which is built first when `build`, then scaled to unit
+        power."""
         pairs = slice(start, start + CHUNK_PAIRS)
         w = self._w[:, :, pairs]
         if build:
             _unit_phasors(w, TTI_S, rotation)
-        buffer = phasors.get()
-        try:
-            z = buffer[:w.size].reshape(w.shape)
-            _unit_phasors(w, t0, z, self._phase[:, :, pairs])
-            at = 0
-            for k, step in enumerate(steps):
-                for _ in range(step - at):
-                    z *= rotation
-                at = step
-                # numpy's pairwise order: a[j] + a[j+8], then adjacent pairs.
-                r = z.real[:8] + z.real[8:]
-                r = r[0::2] + r[1::2]
-                r = r[0::2] + r[1::2]
-                np.add(r[0, 0], r[1, 0], out=out.real[k, pairs])
-                np.add(r[0, 1], r[1, 1], out=out.imag[k, pairs])
-        finally:
-            phasors.put(buffer)
+        z = np.empty(w.shape, dtype=complex)
+        _unit_phasors(w, t0, z, self._phase[:, :, pairs])
+        at = 0
+        for k, step in enumerate(steps):
+            for _ in range(step - at):
+                z *= rotation
+            at = step
+            # numpy's pairwise order: a[j] + a[j+8], then adjacent pairs.
+            r = z.real[:8] + z.real[8:]
+            r = r[0::2] + r[1::2]
+            r = r[0::2] + r[1::2]
+            np.add(r[0, 0], r[1, 0], out=out.real[k, pairs])
+            np.add(r[0, 1], r[1, 1], out=out.imag[k, pairs])
         out[:, pairs] *= 1.0 / math.sqrt(N_OSCILLATORS)
 
     def steering(self, freq_offsets_hz) -> np.ndarray:
@@ -316,17 +280,17 @@ class ChannelModel:
     every TTI of a block up to its last read one, so each snapshot is
     bitwise the same under any mask that reads its TTI.
 
-    The moving pairs' bank owns a thread pool once its first block steps,
-    if it has more than one chunk and the process more than one CPU (see
-    `FadingBank`); snapshots are bitwise the same for any number of
-    workers.  The model's owner ends the pool with `close`: `engine.run`
-    does so on every exit path.
+    `pool` is the thread pool on which the moving pairs' blocks step their
+    chunks (see `FadingBank`), or None to step them inline; the static
+    rows are always evaluated inline.  The model only uses the pool: its
+    owner, `engine.run`, starts and ends it.  Snapshots are bitwise the
+    same for any number of workers.
     """
 
     def __init__(self, cell_positions: np.ndarray, positions: np.ndarray,
                  user_speeds_ms: np.ndarray, shadowing_db: np.ndarray,
                  carrier_hz: float, n_rb: int, seed,
-                 evaluated_ttis: np.ndarray):
+                 evaluated_ttis: np.ndarray, pool):
         self.cell_positions = np.asarray(cell_positions, dtype=float)
         self.n_cells = len(self.cell_positions)
         n_users = len(user_speeds_ms)
@@ -349,7 +313,7 @@ class ChannelModel:
         self.bank = bank.subset(slice(0, split))
         self.steer = bank.steering(self.rb_freqs)
         self.steer_products = steering_products(self.steer)
-        self.evaluated_ttis = evaluated_ttis
+        self.evaluated_ttis, self.pool = evaluated_ttis, pool
         # The current block's tap gains and the row of each TTI in it.
         self._gains = None
         self._rows = {}
@@ -359,10 +323,6 @@ class ChannelModel:
         gains = bank.subset(slice(split, None)).block_tap_gains(0.0, (0,))[0]
         self.static = gamma[:, :, None] * gains.reshape(-1, self.n_cells,
                                                         bank.n_taps)
-
-    def close(self) -> None:
-        """End the fading bank's thread pool, if it has one."""
-        self.bank.close()
 
     def amplitude_gain(self, positions: np.ndarray, rows) -> np.ndarray:
         """Linear macroscopic amplitude per (user, cell) at given positions,
@@ -393,7 +353,8 @@ class ChannelModel:
             start = (tti // BLOCK_LEN) * BLOCK_LEN
             steps = np.flatnonzero(mask[start:start + BLOCK_LEN]).tolist()
             self._gains = None
-            self._gains = self.bank.block_tap_gains(start * TTI_S, steps)
+            self._gains = self.bank.block_tap_gains(start * TTI_S, steps,
+                                                    self.pool)
             self._rows = {start + step: k for k, step in enumerate(steps)}
         return self._gains[self._rows[tti]]
 

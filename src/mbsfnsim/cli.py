@@ -73,7 +73,10 @@ def _scenario_keys() -> dict[str, dict[str, type]]:
     return sections
 
 
-def parse_scenario_text(text: str) -> engine.ScenarioConfig:
+def parse_scenario_text(text: str,
+                        directory: str = "") -> engine.ScenarioConfig:
+    """The config of a scenario file's text; a relative `cqi_table_file`
+    is taken from `directory`, that of the file."""
     schema = _scenario_keys()
     values: dict[str, object] = {}
     section = None
@@ -109,13 +112,16 @@ def parse_scenario_text(text: str) -> engine.ScenarioConfig:
             values["cqi_policy"], values["cqi_value"] = parsed
         else:
             values[key] = parsed
+    if values.get("cqi_table_file"):
+        values["cqi_table_file"] = os.path.join(directory,
+                                                values["cqi_table_file"])
     return engine.ScenarioConfig(**values)
 
 
 def load_scenario(path: str) -> engine.ScenarioConfig:
     resolved = resolve_scenario_path(path)
     with open(resolved, "r", encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read())
+        return parse_scenario_text(fh.read(), os.path.dirname(resolved))
 
 
 def resolve_scenario_path(path: str) -> str:

@@ -30,6 +30,7 @@ import json
 import logging
 import math
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from types import MappingProxyType
 
@@ -182,6 +183,7 @@ class _McastJob:
     source: int
     sequence: int
     receivers: frozenset[int]
+    residual: float
     failed: set[int] = field(default_factory=set)
 
 
@@ -244,16 +246,16 @@ def draw_success(p: np.ndarray, perfect_decode: bool,
     return rng.random(len(p)) >= p
 
 
-def decoder(slope_db_per_decade: float, perfect_decode: bool,
-            rng: np.random.Generator, table: link.CqiTable = link.CQI_TABLE):
-    """`decode(eff_db, cqi)`: `draw_success` at the blocks' BLER."""
+def decoder(cfg: ScenarioConfig, rng: np.random.Generator):
+    """`decode(eff_db, cqi)`: `draw_success` at the blocks' BLER under the
+    config's slope and CQI table."""
     return lambda eff_db, cqi: draw_success(
-        link.bler(eff_db, cqi, slope_db_per_decade, table), perfect_decode,
-        rng)
+        link.bler(eff_db, cqi, cfg.bler_slope_db_per_decade, cfg.cqi_table),
+        cfg.perfect_decode, rng)
 
 
 def ordinary_stage(slots, sinr, n_re_per_rb: int, slope_db_per_decade: float,
-                   table: link.CqiTable = link.CQI_TABLE):
+                   table: link.CqiTable):
     """Link stage of the ordinary full-buffer users' round-robin slots.
 
     `slots` lists (row, rb_start, rb_count) with rb_count > 0.  Each slot's
@@ -276,21 +278,20 @@ class MulticastDelivery:
     The reservation is sized once from the sizing CQI, whatever the rate
     adaptation.  A reserved subframe carries no ordinary traffic unless it
     has nothing to send and `reassign_unused_subframes` hands it back.
-    `pending` holds each source's undelivered message, oldest first.
+    `pending` holds each source's undelivered message, oldest first, with
+    its residual bits.
     """
 
-    def __init__(self, cfg: ScenarioConfig, table: link.CqiTable, area_cells,
-                 buffers, recorder, row_of, decode, mbsfn_mask: np.ndarray,
-                 noise_variance: float):
-        self.cfg, self.table, self.area_cells = cfg, table, area_cells
-        self.buffers, self.recorder = buffers, recorder
+    def __init__(self, cfg: ScenarioConfig, area_cells, recorder, row_of,
+                 decode, mbsfn_mask: np.ndarray, noise_variance: float):
+        self.cfg, self.area_cells, self.recorder = cfg, area_cells, recorder
         self.row_of, self.decode = row_of, decode
         self.mbsfn_mask, self.noise_variance = mbsfn_mask, noise_variance
-        sizing_eff = link.cqi_efficiency(cfg.sizing_cqi, table)
+        sizing_eff = link.cqi_efficiency(cfg.sizing_cqi, cfg.cqi_table)
         self.congested = False
         try:
             reserved = scheduler.required_subframes(
-                cfg.cam_size_bits, len(buffers), cfg.n_rb,
+                cfg.cam_size_bits, len(row_of), cfg.n_rb,
                 cfg.usable_re_per_rb, sizing_eff, cfg.cam_period_ttis)
         except scheduler.CongestionInfeasibleError as exc:
             reserved = len(scheduler.MBSFN_LEGAL_SUBFRAMES)
@@ -301,7 +302,7 @@ class MulticastDelivery:
         self.reserved = scheduler.reserved_subframes(reserved)
         # One generation period's messages over the RB grid.
         self.analytic_utilization_pct = metrics.utilization(
-            cfg.cam_size_bits, len(buffers), cfg.n_rb * cfg.cam_period_ttis,
+            cfg.cam_size_bits, len(row_of), cfg.n_rb * cfg.cam_period_ttis,
             cfg.usable_re_per_rb, sizing_eff)
         self.multicast_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
         self.cam_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
@@ -318,7 +319,8 @@ class MulticastDelivery:
         src = packet.source_user_id
         self.pending.pop(src, None)
         self.pending[src] = _McastJob(src, packet.sequence,
-                                      frozenset(receivers))
+                                      frozenset(receivers),
+                                      float(packet.size_bits))
 
     def link_state(self, x: np.ndarray, steer: np.ndarray,
                    steer_products: np.ndarray) -> np.ndarray:
@@ -332,7 +334,7 @@ class MulticastDelivery:
         """Send and decode this TTI's messages with `read_now()`, this
         TTI's `link_state`, and the report's; returns the RBs each area
         cell leaves to ordinary users."""
-        cfg, buffers = self.cfg, self.buffers
+        cfg = self.cfg
         if tti % scheduler.SUBFRAMES_PER_FRAME not in self.reserved:
             return dict.fromkeys(self.area_cells, cfg.n_rb)
         if not self.pending:
@@ -342,10 +344,9 @@ class MulticastDelivery:
         now = read_now()
         tx_cqi = self._tx_cqi(area_sources, report)
         allocations, used = scheduler.schedule_multicast(
-            [(j, buffers[j.source].residual_bits)
-             for j in self.pending.values()],
+            [(j, j.residual) for j in self.pending.values()],
             cfg.n_rb, cfg.usable_re_per_rb,
-            link.cqi_efficiency(tx_cqi, self.table))
+            link.cqi_efficiency(tx_cqi, cfg.cqi_table))
         self.multicast_rb_per_tti[tti] = used
         for alloc in allocations:
             job: _McastJob = alloc.key
@@ -357,9 +358,8 @@ class MulticastDelivery:
                     now[rows][:, rbs]), tx_cqi)
                 job.failed.update(r for r, r_ok in zip(receivers, ok)
                                   if not r_ok)
-            buf = buffers[job.source]
-            traffic.consume(buf, alloc.capacity_bits)
-            if buf.residual_bits <= 0:
+            traffic.consume(job, alloc.capacity_bits)
+            if job.residual <= 0:
                 del self.pending[job.source]
                 self.recorder.on_delivery(job.source, job.sequence, tti + 1,
                                           job.receivers - job.failed)
@@ -373,7 +373,7 @@ class MulticastDelivery:
             return cfg.sizing_cqi  # nobody left in the area to report
         rows = np.array([self.row_of[s] for s in sorted(area_sources)])
         return scheduler.select_mbsfn_cqi(
-            link.cqi_from_sinr_rows(report[rows], self.table),
+            link.cqi_from_sinr_rows(report[rows], cfg.cqi_table),
             cfg.cqi_value)
 
     def measured_utilization_pct(self) -> float:
@@ -398,20 +398,21 @@ class UnicastDelivery:
     # Copies are sent, so link state read, in every subframe.
     read_subframes = frozenset(range(scheduler.SUBFRAMES_PER_FRAME))
 
-    def __init__(self, cfg: ScenarioConfig, table: link.CqiTable, area_cells,
-                 drop_cell, recorder, row_of, decode, noise_variance: float):
-        self.cfg, self.table, self.area_cells = cfg, table, area_cells
+    def __init__(self, cfg: ScenarioConfig, area_cells, drop_cell, recorder,
+                 row_of, decode, noise_variance: float):
+        self.cfg, self.area_cells = cfg, area_cells
         self.drop_cell, self.recorder = drop_cell, recorder
         self.row_of, self.decode = row_of, decode
         self.noise_variance = noise_variance
-        self.efficiency = table.efficiencies.tolist()
+        self.efficiency = cfg.cqi_table.efficiencies.tolist()
         self.source_cells = np.array(list(drop_cell.values()), dtype=int)
         # One generation period's copies over the area cells' RB grids.
         n_sources = len(drop_cell)
         self.analytic_utilization_pct = metrics.utilization(
             cfg.cam_size_bits, n_sources * (n_sources - 1),
             len(area_cells) * cfg.n_rb * cfg.cam_period_ttis,
-            cfg.usable_re_per_rb, link.cqi_efficiency(cfg.sizing_cqi, table))
+            cfg.usable_re_per_rb,
+            link.cqi_efficiency(cfg.sizing_cqi, cfg.cqi_table))
         self.multicast_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
         self.cam_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
         self.pending: dict[int, dict[tuple[int, int], _CopyJob]] = {
@@ -452,7 +453,7 @@ class UnicastDelivery:
             cqi_of_row = [cfg.cqi_value] * len(row_of)
         else:
             cqi_of_row = np.maximum(
-                link.cqi_from_sinr_rows(report, self.table),
+                link.cqi_from_sinr_rows(report, cfg.cqi_table),
                 max(cfg.cqi_value, 1)).tolist()
         left, granted = {}, []
         for cell, queue in self.pending.items():
@@ -482,7 +483,7 @@ class UnicastDelivery:
         ok = self.decode(eff_db, np.array([cqi_of_row[r] for r in rows]))
         for copy, alloc, success in zip(copies, granted, ok.tolist()):
             if success:
-                copy.residual = max(copy.residual - alloc.capacity_bits, 0.0)
+                traffic.consume(copy, alloc.capacity_bits)
             if copy.residual <= 0:
                 del self.pending[self.drop_cell[copy.receiver]][
                     copy.source, copy.receiver]
@@ -607,9 +608,9 @@ class OrdinaryUsers:
     of `sinr`.
     """
 
-    def __init__(self, cfg: ScenarioConfig, table: link.CqiTable,
+    def __init__(self, cfg: ScenarioConfig,
                  rows_by_cell: dict[int, list[int]], sinr, rng):
-        self.cfg, self.table, self.rng = cfg, table, rng
+        self.cfg, self.rng = cfg, rng
         self.rows_by_cell, self.sinr = rows_by_cell, sinr
         self.rr_offset = dict.fromkeys(rows_by_cell, 0)
         self.priced = {}
@@ -629,7 +630,7 @@ class OrdinaryUsers:
                         users, *state[1:]), dtype=np.intp)
                     priced[state] = (slots[:, 0], *ordinary_stage(
                         slots, self.sinr, cfg.usable_re_per_rb,
-                        cfg.bler_slope_db_per_decade, self.table))
+                        cfg.bler_slope_db_per_decade, cfg.cqi_table))
                 served.append(priced[state])
                 self.rr_offset[cell] = (state[2] + 1) % len(users)
         if served:
@@ -641,7 +642,6 @@ class OrdinaryUsers:
 
 def run(cfg: ScenarioConfig) -> RunRecord:
     seed = cfg.seed
-    table = cfg.cqi_table
     rng_decode = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC]))
 
     layout = topology.build_layout(cfg.mbsfn_rings, cfg.interference_rings,
@@ -673,17 +673,14 @@ def run(cfg: ScenarioConfig) -> RunRecord:
         user_id=src, offset=int(offsets[k]), period=cfg.cam_period_ttis,
         packet_bits=cfg.cam_size_bits) for k, src in enumerate(sources)}
     recorder = metrics.LatencyRecorder(sources, cfg.cam_period_ttis)
-    decode = decoder(cfg.bler_slope_db_per_decade, cfg.perfect_decode,
-                     rng_decode, table)
+    decode = decoder(cfg, rng_decode)
     if cfg.mode == MODE_MULTICAST:
-        delivery = MulticastDelivery(cfg, table, area_cells, buffers,
-                                     recorder, row_of, decode, mbsfn_mask,
-                                     noise_var)
+        delivery = MulticastDelivery(cfg, area_cells, recorder, row_of, decode,
+                                     mbsfn_mask, noise_var)
     else:
         delivery = UnicastDelivery(
-            cfg, table, area_cells,
-            {src: int(pop.drop_cell[src]) for src in sources}, recorder,
-            row_of, decode, noise_var)
+            cfg, area_cells, {src: int(pop.drop_cell[src]) for src in sources},
+            recorder, row_of, decode, noise_var)
 
     # The TTIs whose link state is read: this TTI's in the delivery's
     # subframes, and an adaptive CQI's report, from TTI max(t - delay, 0).
@@ -694,6 +691,11 @@ def run(cfg: ScenarioConfig) -> RunRecord:
         reported[np.maximum(np.flatnonzero(reads)
                             - cfg.cqi_feedback_delay_tti, 0)] = True
     speeds = [float(np.hypot(*pop.velocities[u])) for u in tracked]
+    # One fading pool per run.  Its threads start at the first fading block
+    # that maps chunks on it, inside the loop, so the `finally` below joins
+    # every thread it starts.
+    pool = ThreadPoolExecutor(channel.usable_cpus(),
+                              thread_name_prefix="fading")
     model = channel.ChannelModel(
         cell_positions=layout.cell_positions,
         positions=pop.positions[tracked],
@@ -703,6 +705,7 @@ def run(cfg: ScenarioConfig) -> RunRecord:
         n_rb=cfg.n_rb,
         seed=seed,
         evaluated_ttis=reads | reported,
+        pool=pool,
     )
     congested = delivery.congested
     if delivery.analytic_utilization_pct > 100.0:
@@ -712,8 +715,8 @@ def run(cfg: ScenarioConfig) -> RunRecord:
                     delivery.analytic_utilization_pct)
 
     ordinary = OrdinaryUsers(
-        cfg, table, {c: [row for row, u in enumerate(ordinary_tracked)
-                         if int(pop.drop_cell[u]) == c] for c in area_cells},
+        cfg, {c: [row for row, u in enumerate(ordinary_tracked)
+                  if int(pop.drop_cell[u]) == c] for c in area_cells},
         link.sinr_vs_cell(model.static[n_sources - model.n_moving:],
                           pop.serving_cell[ordinary_tracked], model.steer,
                           model.steer_products, noise_var), rng_decode)
@@ -733,8 +736,7 @@ def run(cfg: ScenarioConfig) -> RunRecord:
             left = delivery.serve(tti, area_now, read_now, report)
             ordinary.serve(left)
     finally:
-        # The fading pool's threads end with the loop that uses them.
-        model.close()
+        pool.shutdown(cancel_futures=True)
 
     duration_s = cfg.n_tti * channel.TTI_S
     throughput = {u: (b / duration_s / 1e6 if duration_s else 0.0)

@@ -117,7 +117,7 @@ def load_cqi_table(path) -> CqiTable:
 BLER_TARGET = 0.1
 
 
-def cqi_efficiency(cqi_index: int, table: CqiTable = CQI_TABLE) -> float:
+def cqi_efficiency(cqi_index: int, table: CqiTable) -> float:
     if not 1 <= cqi_index <= 15:
         raise CqiRangeError(f"CQI index {cqi_index} outside 1..15")
     return float(table.efficiencies[cqi_index - 1])
@@ -156,7 +156,7 @@ def sinr_vs_cell(x: np.ndarray, cells, steer: np.ndarray,
                      + power_components(others, steer_products))
 
 
-def cqi_from_sinr_db(eff_db, table: CqiTable = CQI_TABLE):
+def cqi_from_sinr_db(eff_db, table: CqiTable):
     """Largest CQI whose threshold an effective SINR in dB meets, at least
     1: one value or an array."""
     idx = np.searchsorted(table.thresholds_db, eff_db + 1e-12, side="right")
@@ -204,13 +204,13 @@ def effective_sinr_db_slices(sinr: np.ndarray, rows, starts,
 
 
 def cqi_from_sinr_rows(sinr_rows: np.ndarray,
-                       table: CqiTable = CQI_TABLE) -> np.ndarray:
+                       table: CqiTable) -> np.ndarray:
     """CQI of each row's effective SINR, from a (rows, rb) SINR array."""
     return cqi_from_sinr_db(effective_sinr_db_rows(sinr_rows), table)
 
 
 def bler(effective_sinr_db, cqi_index, slope_db_per_decade: float,
-         table: CqiTable = CQI_TABLE):
+         table: CqiTable):
     """Block error probability of a transport block sent with `cqi_index`.
 
     Logistic in dB, anchored so that error probability is BLER_TARGET at the

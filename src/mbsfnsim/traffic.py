@@ -1,10 +1,12 @@
 """Periodic awareness-message traffic and per-source transmit buffers.
 
 Each car emits a fixed-size packet every `period` TTIs starting at a
-random per-car offset.  A buffer holds the residual bits of the packet
-currently in flight; a fresh generation always replaces an undelivered
-predecessor (receivers cannot splice halves of different messages), so
-the residual resets to the full packet size.
+random per-car offset.  A buffer holds a source's generation phase and
+sequence counter.  The residual bits of a packet in flight live on the
+delivery's job for it (one per message in multicast, one per copy in
+unicast), which `consume` drains.  A fresh generation always replaces an
+undelivered predecessor's jobs (receivers cannot splice halves of
+different messages), so its residual starts at the full packet size.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ class UserBuffer:
     offset: int                         # generation phase in [0, period)
     period: int
     packet_bits: int
-    residual_bits: float = 0.0
     next_sequence: int = 0
 
 
@@ -40,9 +41,9 @@ def draw_offsets(n_sources: int, period: int, seed) -> np.ndarray:
 def maybe_generate(buffer: UserBuffer, tti: int) -> CamPacket | None:
     """Emit a new packet when the TTI hits the buffer's generation phase.
 
-    An undelivered predecessor is replaced outright: its partial progress is
-    discarded and the residual resets to the full packet size.  Latency
-    accounting for replaced packets continues in the metrics layer.
+    The delivery replaces an undelivered predecessor outright: its partial
+    progress is discarded.  Latency accounting for replaced packets
+    continues in the metrics layer.
     """
     if tti < 0:
         raise ValueError("tti must be >= 0")
@@ -54,13 +55,13 @@ def maybe_generate(buffer: UserBuffer, tti: int) -> CamPacket | None:
         generation_tti=tti,
         size_bits=buffer.packet_bits,
     )
-    buffer.residual_bits = float(buffer.packet_bits)
     buffer.next_sequence += 1
     return packet
 
 
-def consume(buffer: UserBuffer, transmitted_bits: float) -> None:
-    """Drain the buffer by a transmitted transport block."""
+def consume(job, transmitted_bits: float) -> None:
+    """Drain a delivery job's `residual` bits by a transmitted transport
+    block, down to 0."""
     if transmitted_bits < 0:
         raise ValueError("transmitted bits must be >= 0")
-    buffer.residual_bits = max(buffer.residual_bits - transmitted_bits, 0.0)
+    job.residual = max(job.residual - transmitted_bits, 0.0)

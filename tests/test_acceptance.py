@@ -70,7 +70,7 @@ def test_criterion_1_predictor_arithmetic():
 
 def test_criterion_2_subframe_sizing():
     cfg = engine.ScenarioConfig()
-    eff = link.cqi_efficiency(3)
+    eff = link.cqi_efficiency(3, link.CQI_TABLE)
     five = scheduler.required_subframes(cfg.cam_size_bits, 21, 25,
                                         cfg.usable_re_per_rb, eff,
                                         cfg.cam_period_ttis)

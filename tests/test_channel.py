@@ -2,6 +2,7 @@ import logging
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ def every_tti_model(*args, **kwargs):
     """A ChannelModel that may be read at any TTI below 4096; `engine.run`
     passes the mask of the TTIs it reads."""
     return ChannelModel(*args, evaluated_ttis=np.ones(4096, dtype=bool),
-                        **kwargs)
+                        pool=None, **kwargs)
 
 
 def _amplitude(distances_m, shadowing_db):
@@ -210,29 +211,29 @@ class TestChunkedRecurrence:
     @pytest.mark.parametrize("t0_tti", [0, 10_000])
     @pytest.mark.parametrize("steps", [range(channel.BLOCK_LEN), SPARSE, [0]],
                              ids=["dense", "sparse", "first"])
-    def test_rows_independent_of_worker_count(self, steps, t0_tti,
-                                              monkeypatch):
-        """Rows are bitwise the same with the chunks inline (one CPU) and on
-        pools of 2 and 3 workers, in the block that starts the pool and in
-        a later one; `close` joins the workers."""
+    def test_rows_independent_of_worker_count(self, steps, t0_tti):
+        """Rows are bitwise the same with the chunks inline (no pool) and on
+        pools of 1, 2 and 3 workers, in the bank's first block that steps
+        and in a later one; `shutdown` joins the workers."""
         t0 = t0_tti * channel.TTI_S
         rows = {}
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(channel, "usable_cpus", lambda: cpus)
+        for n in (0, 1, 2, 3):
+            pool = ThreadPoolExecutor(n) if n else None
             before = set(threading.enumerate())
             bank = self._bank()
-            first = bank.block_tap_gains(t0, steps)
-            bank.block_tap_gains(t0, [1])
+            first = bank.block_tap_gains(t0, steps, pool)
+            bank.block_tap_gains(t0, [1], pool)
             workers = set(threading.enumerate()) - before
-            assert (len(workers) > 0) == (cpus > 1)
-            assert len(workers) <= cpus
-            rows[cpus] = first, bank.block_tap_gains(t0, steps)
-            bank.close()
+            assert (len(workers) > 0) == (n > 0)
+            assert len(workers) <= n
+            rows[n] = first, bank.block_tap_gains(t0, steps, pool)
+            if pool is not None:
+                pool.shutdown()
             assert not any(t.is_alive() for t in workers)
-        for cpus in (2, 3):
-            for got, want in zip(rows[cpus], rows[1]):
+        for n in (1, 2, 3):
+            for got, want in zip(rows[n], rows[0]):
                 np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(rows[1][0], rows[1][1])
+        np.testing.assert_array_equal(rows[0][0], rows[0][1])
 
     @pytest.mark.parametrize("t0_tti", [0, 10_000])
     @pytest.mark.parametrize("steps", [range(channel.BLOCK_LEN), SPARSE, [0]],
@@ -253,25 +254,23 @@ class TestChunkedRecurrence:
 
     def test_pool_passes_one_phasor_buffer_per_worker(self, monkeypatch):
         """59 chunks of 7 pairs on 4 workers, more than the host's CPUs,
-        with a short switch interval: the pool holds 4 phasor buffers,
-        which the chunks take in turn, and two blocks' rows stay bitwise
-        the inline ones, which a buffer stepped by two chunks at once
-        would break."""
+        with a short switch interval: each chunk steps phasors of its own,
+        so two blocks' rows stay bitwise the inline ones, which phasors
+        stepped by two chunks at once would break."""
         monkeypatch.setattr(channel, "CHUNK_PAIRS", 7)
         starts = [0, 64 * channel.TTI_S]
-        monkeypatch.setattr(channel, "usable_cpus", lambda: 1)
         inline = self._bank()
         expected = [inline.block_tap_gains(t0, self.SPARSE) for t0 in starts]
-        monkeypatch.setattr(channel, "usable_cpus", lambda: 4)
         bank = self._bank()
+        pool = ThreadPoolExecutor(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = [bank.block_tap_gains(t0, self.SPARSE) for t0 in starts]
-            assert bank._phasors.qsize() == 4
+            got = [bank.block_tap_gains(t0, self.SPARSE, pool)
+                   for t0 in starts]
         finally:
             sys.setswitchinterval(interval)
-            bank.close()
+            pool.shutdown()
         for rows, want in zip(got, expected):
             np.testing.assert_array_equal(rows, want)
 
@@ -476,7 +475,7 @@ class TestStaticMovingSplit:
         evaluated = np.isin(np.arange(n_tti) % 10, [1, 2, 6, 7, 9])
         full = every_tti_model(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5)
         part = ChannelModel(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5,
-                            evaluated_ttis=evaluated)
+                            evaluated_ttis=evaluated, pool=None)
         np.testing.assert_array_equal(part.static, full.static)
         gamma = _moving_gamma(full, pos)
         for tti in np.flatnonzero(evaluated).tolist():
@@ -489,7 +488,7 @@ class TestStaticMovingSplit:
         evaluated = np.isin(np.arange(100) % 10, [1, 2, 6])
         model = ChannelModel(self.CELLS, pos, np.array([27.8, 0.0]),
                              np.zeros((2, len(self.CELLS))), 2.14e9, 6,
-                             seed=1, evaluated_ttis=evaluated)
+                             seed=1, evaluated_ttis=evaluated, pool=None)
         gamma = _moving_gamma(model, pos)
         model.snapshot(1, gamma)
         with pytest.raises(channel.ChannelStateError, match="evaluated"):

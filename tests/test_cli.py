@@ -356,87 +356,172 @@ class TestCmdCompare:
         return sizes
 
 
+# The ids of each BAD_TABLES entry's two rows (run, then compare) in
+# `TestValidationBoundary.test_user_error_reported_before_any_run`.  Every
+# row's id is written out, so an edit to a message renames no test.
+_BAD_TABLE_ROW_IDS = (
+    ("efficiency_nan",
+     "argv30-{d}/efficiency_nan.scenario: cqi_table_file: "
+     "'{d}/efficiency_nan.csv': CQI efficiencies must be finite",
+     "argv31-cqi_table_file: '{d}/efficiency_nan.csv': CQI efficiencies "
+     "must be finite"),
+    ("efficiency_negative",
+     "argv32-{d}/efficiency_negative.scenario: cqi_table_file: "
+     "'{d}/efficiency_negative.csv': CQI efficiencies must be positive",
+     "argv33-cqi_table_file: '{d}/efficiency_negative.csv': CQI "
+     "efficiencies must be positive"),
+    ("efficiency_zero",
+     "argv34-{d}/efficiency_zero.scenario: cqi_table_file: "
+     "'{d}/efficiency_zero.csv': CQI efficiencies must be positive",
+     "argv35-cqi_table_file: '{d}/efficiency_zero.csv': CQI efficiencies "
+     "must be positive"),
+    ("threshold_inf",
+     "argv36-{d}/threshold_inf.scenario: cqi_table_file: "
+     "'{d}/threshold_inf.csv': CQI thresholds_db must be finite",
+     "argv37-cqi_table_file: '{d}/threshold_inf.csv': CQI thresholds_db "
+     "must be finite"),
+    ("threshold_nan",
+     "argv38-{d}/threshold_nan.scenario: cqi_table_file: "
+     "'{d}/threshold_nan.csv': CQI thresholds_db must be finite",
+     "argv39-cqi_table_file: '{d}/threshold_nan.csv': CQI thresholds_db "
+     "must be finite"),
+)
+
+
 class TestValidationBoundary:
     """`main` checks every input before any run and reports a bad one as
     one `error:` line with exit code 2; errors raised by a run are not
     user errors and propagate."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["run", "{d}/absent.scenario"],
-         "scenario file not found: {d}/absent.scenario"),
-        (["run", "{d}/broken.scenario"],
-         "{d}/broken.scenario: line 2: bad value for 'n_tti': invalid "
-         "literal for int() with base 10: 'many'"),
-        (["run", "{d}/wide.scenario"],
-         "{d}/wide.scenario: bandwidth_mhz must be 5 or 20"),
-        (["run", "{d}/small.scenario", "--seed", "-1"],
-         "--seed: seed must be >= 0"),
-        (["run", "{d}/table.scenario"],
-         "{d}/table.scenario: cqi_table_file: '{d}/absent.csv': No such file "
-         "or directory"),
-        (["compare", "--base", "{d}/absent.scenario"],
-         "scenario file not found: {d}/absent.scenario"),
-        (["compare", "--base", "{d}/broken.scenario"],
-         "line 2: bad value for 'n_tti': invalid literal for int() with "
-         "base 10: 'many'"),
-        (["compare", "--base", "{d}/wide.scenario"],
-         "bandwidth_mhz must be 5 or 20"),
-        (["compare", "--cqi", "fixed:x,fixed:3"],
-         "--cqi: expected fixed:<cqi> or adaptive:<bound>, got 'fixed:x'"),
-        (["compare", "--bandwidths", "5,x"],
-         "--bandwidths: bandwidth_mhz must be integers, got '5,x'"),
-        (["compare"], "compare needs at least two matrix cells"),
-        (["compare", "--modes", "", "--cqi", "fixed:3,fixed:4"],
-         "compare needs at least two matrix cells"),
-        (["compare", "--bandwidths", "5,10"], "bandwidth_mhz must be 5 or 20"),
-        (["compare", "--modes", "multicast,broadcast"],
-         "unknown mode 'broadcast'"),
-        (["compare", "--cqi", "fixed:3,adaptive:16"],
-         "adaptive CQI bound must be in 0..15"),
-        (["compare", "--cqi", "fixed:3,fixed:4", "--n-tti", "-1"],
-         "n_tti must be >= 0"),
-        (["compare", "--cqi", "fixed:3,fixed:4", "--seed", "-1"],
-         "seed must be >= 0"),
-        (["compare", "--base", "{d}/table.scenario",
-          "--cqi", "fixed:3,fixed:4"],
-         "cqi_table_file: '{d}/absent.csv': No such file or directory"),
+        pytest.param(["run", "{d}/absent.scenario"],
+                     "scenario file not found: {d}/absent.scenario",
+                     id="argv0-scenario file not found: {d}/absent.scenario"),
+        pytest.param(["run", "{d}/broken.scenario"],
+                     "{d}/broken.scenario: line 2: bad value for 'n_tti': "
+                     "invalid literal for int() with base 10: 'many'",
+                     id="argv1-{d}/broken.scenario: line 2: bad value for "
+                        "'n_tti': invalid literal for int() with base 10: "
+                        "'many'"),
+        pytest.param(["run", "{d}/wide.scenario"],
+                     "{d}/wide.scenario: bandwidth_mhz must be 5 or 20",
+                     id="argv2-{d}/wide.scenario: bandwidth_mhz must be 5 "
+                        "or 20"),
+        pytest.param(["run", "{d}/small.scenario", "--seed", "-1"],
+                     "--seed: seed must be >= 0",
+                     id="argv3---seed: seed must be >= 0"),
+        pytest.param(["run", "{d}/table.scenario"],
+                     "{d}/table.scenario: cqi_table_file: '{d}/absent.csv': "
+                     "No such file or directory",
+                     id="argv4-{d}/table.scenario: cqi_table_file: "
+                        "'{d}/absent.csv': No such file or directory"),
+        pytest.param(["compare", "--base", "{d}/absent.scenario"],
+                     "scenario file not found: {d}/absent.scenario",
+                     id="argv5-scenario file not found: {d}/absent.scenario"),
+        pytest.param(["compare", "--base", "{d}/broken.scenario"],
+                     "line 2: bad value for 'n_tti': invalid literal for "
+                     "int() with base 10: 'many'",
+                     id="argv6-line 2: bad value for 'n_tti': invalid "
+                        "literal for int() with base 10: 'many'"),
+        pytest.param(["compare", "--base", "{d}/wide.scenario"],
+                     "bandwidth_mhz must be 5 or 20",
+                     id="argv7-bandwidth_mhz must be 5 or 20"),
+        pytest.param(["compare", "--cqi", "fixed:x,fixed:3"],
+                     "--cqi: expected fixed:<cqi> or adaptive:<bound>, got "
+                     "'fixed:x'",
+                     id="argv8---cqi: expected fixed:<cqi> or "
+                        "adaptive:<bound>, got 'fixed:x'"),
+        pytest.param(["compare", "--bandwidths", "5,x"],
+                     "--bandwidths: bandwidth_mhz must be integers, got '5,x'",
+                     id="argv9---bandwidths: bandwidth_mhz must be "
+                        "integers, got '5,x'"),
+        pytest.param(["compare"], "compare needs at least two matrix cells",
+                     id="argv10-compare needs at least two matrix cells"),
+        pytest.param(["compare", "--modes", "", "--cqi", "fixed:3,fixed:4"],
+                     "compare needs at least two matrix cells",
+                     id="argv11-compare needs at least two matrix cells"),
+        pytest.param(["compare", "--bandwidths", "5,10"],
+                     "bandwidth_mhz must be 5 or 20",
+                     id="argv12-bandwidth_mhz must be 5 or 20"),
+        pytest.param(["compare", "--modes", "multicast,broadcast"],
+                     "unknown mode 'broadcast'",
+                     id="argv13-unknown mode 'broadcast'"),
+        pytest.param(["compare", "--cqi", "fixed:3,adaptive:16"],
+                     "adaptive CQI bound must be in 0..15",
+                     id="argv14-adaptive CQI bound must be in 0..15"),
+        pytest.param(["compare", "--cqi", "fixed:3,fixed:4", "--n-tti", "-1"],
+                     "n_tti must be >= 0",
+                     id="argv15-n_tti must be >= 0"),
+        pytest.param(["compare", "--cqi", "fixed:3,fixed:4", "--seed", "-1"],
+                     "seed must be >= 0",
+                     id="argv16-seed must be >= 0"),
+        pytest.param(["compare", "--base", "{d}/table.scenario",
+                      "--cqi", "fixed:3,fixed:4"],
+                     "cqi_table_file: '{d}/absent.csv': No such file or "
+                     "directory",
+                     id="argv17-cqi_table_file: '{d}/absent.csv': No such "
+                        "file or directory"),
         # A directory is no scenario file.
-        (["run", "{d}"], "scenario file not found: {d}"),
-        (["compare", "--base", "{d}"], "scenario file not found: {d}"),
+        pytest.param(["run", "{d}"], "scenario file not found: {d}",
+                     id="argv18-scenario file not found: {d}"),
+        pytest.param(["compare", "--base", "{d}"],
+                     "scenario file not found: {d}",
+                     id="argv19-scenario file not found: {d}"),
         # A repeated list entry is no new matrix cell.
-        (["compare", "--modes", "multicast,multicast"],
-         "--modes: an entry is repeated in 'multicast,multicast'"),
-        (["compare", "--bandwidths", "5,5"],
-         "--bandwidths: an entry is repeated in '5,5'"),
-        (["compare", "--cqi", "fixed:3,fixed:3"],
-         "--cqi: an entry is repeated in 'fixed:3,fixed:3'"),
+        pytest.param(["compare", "--modes", "multicast,multicast"],
+                     "--modes: an entry is repeated in 'multicast,multicast'",
+                     id="argv20---modes: an entry is repeated in "
+                        "'multicast,multicast'"),
+        pytest.param(["compare", "--bandwidths", "5,5"],
+                     "--bandwidths: an entry is repeated in '5,5'",
+                     id="argv21---bandwidths: an entry is repeated in '5,5'"),
+        pytest.param(["compare", "--cqi", "fixed:3,fixed:3"],
+                     "--cqi: an entry is repeated in 'fixed:3,fixed:3'",
+                     id="argv22---cqi: an entry is repeated in "
+                        "'fixed:3,fixed:3'"),
         # The matrix is counted before any cell is built and checked.
-        (["compare", "--bandwidths", "10", "--n-tti", "-1"],
-         "compare needs at least two matrix cells"),
+        pytest.param(["compare", "--bandwidths", "10", "--n-tti", "-1"],
+                     "compare needs at least two matrix cells",
+                     id="argv23-compare needs at least two matrix cells"),
         # --out is no file and lies under none.
-        (["run", "{d}/small.scenario", "--out", "{d}/small.scenario"],
-         "--out: {d}/small.scenario is not a directory"),
-        (["run", "{d}/small.scenario", "--out", "{d}/small.scenario/sub"],
-         "--out: {d}/small.scenario is not a directory"),
-        (["compare", "--cqi", "fixed:3,fixed:4", "--out",
-          "{d}/small.scenario"],
-         "--out: {d}/small.scenario is not a directory"),
-        (["compare", "--cqi", "fixed:3,fixed:4", "--out",
-          "{d}/small.scenario/sub"],
-         "--out: {d}/small.scenario is not a directory"),
+        pytest.param(["run", "{d}/small.scenario", "--out",
+                      "{d}/small.scenario"],
+                     "--out: {d}/small.scenario is not a directory",
+                     id="argv24---out: {d}/small.scenario is not a "
+                        "directory"),
+        pytest.param(["run", "{d}/small.scenario", "--out",
+                      "{d}/small.scenario/sub"],
+                     "--out: {d}/small.scenario is not a directory",
+                     id="argv25---out: {d}/small.scenario is not a "
+                        "directory"),
+        pytest.param(["compare", "--cqi", "fixed:3,fixed:4", "--out",
+                      "{d}/small.scenario"],
+                     "--out: {d}/small.scenario is not a directory",
+                     id="argv26---out: {d}/small.scenario is not a "
+                        "directory"),
+        pytest.param(["compare", "--cqi", "fixed:3,fixed:4", "--out",
+                      "{d}/small.scenario/sub"],
+                     "--out: {d}/small.scenario is not a directory",
+                     id="argv27---out: {d}/small.scenario is not a "
+                        "directory"),
         # Only a bare name is looked up among the bundled scenarios.
-        (["run", "{d}/small"], "scenario file not found: {d}/small"),
-        (["compare", "--base", "{d}/small"],
-         "scenario file not found: {d}/small"),
+        pytest.param(["run", "{d}/small"],
+                     "scenario file not found: {d}/small",
+                     id="argv28-scenario file not found: {d}/small"),
+        pytest.param(["compare", "--base", "{d}/small"],
+                     "scenario file not found: {d}/small",
+                     id="argv29-scenario file not found: {d}/small"),
     ] + [
         # A table with a value no CqiTable takes.
-        row for bad in sorted(BAD_TABLES) for row in (
-            (["run", f"{{d}}/{bad}.scenario"],
-             f"{{d}}/{bad}.scenario: cqi_table_file: '{{d}}/{bad}.csv': "
-             f"{BAD_TABLES[bad][3]}"),
-            (["compare", "--base", f"{{d}}/{bad}.scenario",
-              "--cqi", "fixed:3,fixed:4"],
-             f"cqi_table_file: '{{d}}/{bad}.csv': {BAD_TABLES[bad][3]}"))
+        row for bad, run_id, compare_id in _BAD_TABLE_ROW_IDS for row in (
+            pytest.param(["run", f"{{d}}/{bad}.scenario"],
+                         f"{{d}}/{bad}.scenario: cqi_table_file: "
+                         f"'{{d}}/{bad}.csv': {BAD_TABLES[bad][3]}",
+                         id=run_id),
+            pytest.param(["compare", "--base", f"{{d}}/{bad}.scenario",
+                          "--cqi", "fixed:3,fixed:4"],
+                         f"cqi_table_file: '{{d}}/{bad}.csv': "
+                         f"{BAD_TABLES[bad][3]}", id=compare_id))
     ])
     def test_user_error_reported_before_any_run(self, tmp_path, monkeypatch,
                                                 capsys, argv, message):
@@ -497,5 +582,25 @@ class TestCqiTableOverride:
         rec = engine.run(cfg)
         # CQI 3 efficiency 0.6 instead of 0.377 -> four reserved subframes
         assert rec.reserved_per_frame == 4
-        from mbsfnsim.link import cqi_efficiency
-        assert cqi_efficiency(3) == pytest.approx(0.377, abs=1e-4)
+        from mbsfnsim.link import CQI_TABLE, cqi_efficiency
+        assert cqi_efficiency(3, CQI_TABLE) == pytest.approx(0.377, abs=1e-4)
+
+    def test_relative_table_file_is_read_next_to_the_scenario(
+            self, tmp_path, monkeypatch, capsys):
+        """`d/s.scenario` names `t.csv`, which lies in `d`, and `run` starts
+        from the parent of `d`: the table is read from `d`, and the
+        manifest records the path opened.  An absolute path is kept."""
+        (tmp_path / "d").mkdir()
+        table = write_cqi_table(tmp_path / "d" / "t.csv")
+        (tmp_path / "d" / "s.scenario").write_text(
+            SMALL_SCENARIO + "\n[radio]\ncqi_table_file = t.csv\n")
+        (tmp_path / "d" / "abs.scenario").write_text(
+            SMALL_SCENARIO + f"\n[radio]\ncqi_table_file = {table}\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "d/s.scenario", "--out", "o"]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "o" / "run_manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["config"]["cqi_table_file"] == os.path.join("d",
+                                                                   "t.csv")
+        assert load_scenario("d/abs.scenario").cqi_table_file == table

@@ -312,8 +312,9 @@ def test_unicast_reads_link_state_only_where_copies_are_sent(monkeypatch):
 @pytest.mark.parametrize("mode", [engine.MODE_MULTICAST,
                                   engine.MODE_UNICAST_BASELINE])
 def test_outputs_independent_of_cpu_count(mode, monkeypatch):
-    """A 5 MHz run's 399 moving fading pairs make two chunks: inline with
-    one CPU, on a pool of two workers with two.  The record is the same."""
+    """A 5 MHz run's 399 moving fading pairs make two chunks: on a pool
+    of one worker with one CPU, of two workers with two.  The record is
+    the same."""
     asked = []
 
     def cpus(n):
@@ -339,11 +340,18 @@ def test_outputs_independent_of_cpu_count(mode, monkeypatch):
 @pytest.mark.parametrize("mode", [engine.MODE_MULTICAST,
                                   engine.MODE_UNICAST_BASELINE])
 def test_one_tti_run_starts_no_pool(mode, monkeypatch):
-    """A 1-TTI run never steps the fading, so it never asks for a pool."""
-    asked = []
-    monkeypatch.setattr(channel, "usable_cpus", lambda: asked.append(2) or 2)
+    """A 1-TTI run never steps the fading, so its pool starts no thread."""
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    started = []
+    start = threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
     run(ScenarioConfig(mode=mode, n_tti=1, seed=1))
-    assert asked == []
+    assert started == []
 
 
 @pytest.mark.parametrize("fail_at", [None, 150])
@@ -542,10 +550,11 @@ def _per_slot_oracle(slots, sinr, n_re_per_rb, slope, perfect_decode, rng):
         if perfect_decode:
             success = True
         else:
-            p = link.bler(eff_db, cq, slope)
+            p = link.bler(eff_db, cq, slope, link.CQI_TABLE)
             success = bool((rng.random(1) >= p)[0])
         cqi.append(cq)
-        bits.append(rb_count * n_re_per_rb * link.cqi_efficiency(cq))
+        bits.append(rb_count * n_re_per_rb
+                    * link.cqi_efficiency(cq, link.CQI_TABLE))
         ok.append(success)
     return cqi, bits, ok
 
@@ -573,7 +582,8 @@ class TestOrdinaryStage:
             slots = [slots[k] for k in gen.permutation(len(slots))]
             rng_a = np.random.default_rng(trial)
             rng_b = np.random.default_rng(trial)
-            bits, p = engine.ordinary_stage(slots, sinr, 100, 1.0)
+            bits, p = engine.ordinary_stage(slots, sinr, 100, 1.0,
+                                           link.CQI_TABLE)
             ok = engine.draw_success(p, perfect_decode, rng_a)
             _, want_bits, want_ok = _per_slot_oracle(
                 slots, sinr, 100, 1.0, perfect_decode, rng_b)
@@ -593,7 +603,8 @@ class TestOrdinaryStage:
                      range(6), 25, rr_offset=4))]
         assert {c for _, _, c in slots} == {4, 5}
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-        bits, p = engine.ordinary_stage(slots, sinr, 100, 1.0)
+        bits, p = engine.ordinary_stage(slots, sinr, 100, 1.0,
+                                           link.CQI_TABLE)
         ok = engine.draw_success(p, False, rng_a)
         _, want_bits, want_ok = _per_slot_oracle(
             slots, sinr, 100, 1.0, False, rng_b)
@@ -603,7 +614,8 @@ class TestOrdinaryStage:
     def test_no_slots(self):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        bits, p = engine.ordinary_stage([], np.ones((2, 25)), 100, 1.0)
+        bits, p = engine.ordinary_stage([], np.ones((2, 25)), 100, 1.0,
+                                       link.CQI_TABLE)
         ok = engine.draw_success(p, False, rng)
         assert len(bits) == len(p) == len(ok) == 0
         assert rng.bit_generator.state == state
@@ -799,7 +811,7 @@ def _per_copy_serve(delivery, tti, area_sources, read_now, report):
     """`UnicastDelivery.serve` with each copy priced on its own: one
     `cqi_from_sinr_rows` call on its receiver's report row and one
     `cqi_efficiency` call per copy, and the per-length grouped slices."""
-    cfg, table = delivery.cfg, delivery.table
+    cfg, table = delivery.cfg, delivery.cfg.cqi_table
     n_rb, n_re = cfg.n_rb, cfg.usable_re_per_rb
     cqi = {}
 
@@ -851,7 +863,7 @@ class _DeliveryLog:
         self.delivered.append(args)
 
     def decode(self, eff_db, cqi):
-        p = link.bler(eff_db, cqi, 1.0)
+        p = link.bler(eff_db, cqi, 1.0, link.CQI_TABLE)
         self.decoded.append((eff_db, cqi, p))
         return engine.draw_success(p, False, self.rng)
 
@@ -862,12 +874,13 @@ def _unicast_delivery(gen, policy, bound, n_rb, n_sources, n_cells):
     count can be set."""
     cfg = types.SimpleNamespace(
         n_rb=n_rb, usable_re_per_rb=100, cqi_policy=policy, cqi_value=bound,
-        n_tti=8, cam_size_bits=2400, cam_period_ttis=100, sizing_cqi=3)
+        n_tti=8, cam_size_bits=2400, cam_period_ttis=100, sizing_cqi=3,
+        cqi_table=link.CQI_TABLE)
     sources = [int(s) for s in 100 + np.arange(n_sources)]
     drop_cell = {s: int(gen.integers(n_cells)) for s in sources}
     log = _DeliveryLog(int(gen.integers(2 ** 31)))
     delivery = engine.UnicastDelivery(
-        cfg, link.CQI_TABLE, list(range(n_cells)), drop_cell, log,
+        cfg, list(range(n_cells)), drop_cell, log,
         {s: k for k, s in enumerate(sources)}, log.decode, 1.0)
     return delivery, log
 
@@ -900,7 +913,8 @@ def _random_unicast_case(seed, policy):
         # Residuals: partly served, a few bits, or a rounding error above
         # whole RBs at the receiver's reported CQI.
         cqi = (np.full(n_sources, bound) if policy == engine.POLICY_FIXED
-               else np.maximum(link.cqi_from_sinr_rows(report),
+               else np.maximum(link.cqi_from_sinr_rows(report,
+                                                       link.CQI_TABLE),
                                max(bound, 1)))
         per_rb = 100 * link.CQI_TABLE.efficiencies[cqi - 1]
         rb = gen.integers(1, 2 * n_rb, n_sources)
@@ -985,13 +999,13 @@ def test_serve_prices_only_the_granted_head(policy, monkeypatch):
     monkeypatch.setattr(scheduler, "schedule_unicast_cam_baseline", recorded)
     for seed in range(60):
         ((delivery, _), _), ttis = _random_unicast_case(seed, policy)
-        cfg, table = delivery.cfg, delivery.table
+        cfg, table = delivery.cfg, delivery.cfg.cqi_table
         for tti, (report, now, packets, _, _) in enumerate(ttis):
             for packet, receivers in packets:
                 delivery.add(packet, receivers)
             cqi = (np.full(len(report), cfg.cqi_value)
                    if policy == engine.POLICY_FIXED
-                   else np.maximum(link.cqi_from_sinr_rows(report),
+                   else np.maximum(link.cqi_from_sinr_rows(report, table),
                                    max(cfg.cqi_value, 1)))
             whole = [[(c, c.residual, link.cqi_efficiency(
                 int(cqi[delivery.row_of[c.receiver]]), table))

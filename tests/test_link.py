@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mbsfnsim import channel, engine, link
 from mbsfnsim.channel import steering_products
-from mbsfnsim.link import CqiRangeError, bler, cqi_efficiency
+from mbsfnsim.link import CQI_TABLE, CqiRangeError, bler, cqi_efficiency
 
 
 def cqi_threshold_db(cqi_index, table=link.CQI_TABLE) -> float:
@@ -52,7 +52,7 @@ def write_cqi_table(path, bad=None) -> str:
 def _cqi(sinr_per_rb) -> int:
     """CQI of one RB set through the production row path."""
     rows = np.array([sinr_per_rb], dtype=float)
-    return int(link.cqi_from_sinr_rows(rows)[0])
+    return int(link.cqi_from_sinr_rows(rows, link.CQI_TABLE)[0])
 
 
 def _oracle_cqi(sinr_per_rb) -> int:
@@ -268,20 +268,22 @@ class TestCqiMapping:
 
 class TestEfficiencyTable:
     def test_anchor_cqi3(self):
-        assert cqi_efficiency(3) == pytest.approx(0.377, abs=1e-4)
+        assert cqi_efficiency(3, CQI_TABLE) == pytest.approx(0.377, abs=1e-4)
 
     def test_top_entry(self):
-        assert cqi_efficiency(15) == pytest.approx(6 * 948 / 1024, abs=1e-4)
+        assert cqi_efficiency(15, CQI_TABLE) == pytest.approx(6 * 948 / 1024,
+                                                              abs=1e-4)
 
     def test_strictly_increasing(self):
         for k in range(1, 15):
-            assert cqi_efficiency(k + 1) > cqi_efficiency(k)
+            assert (cqi_efficiency(k + 1, CQI_TABLE)
+                    > cqi_efficiency(k, CQI_TABLE))
             assert cqi_threshold_db(k + 1) > cqi_threshold_db(k)
 
     def test_out_of_range(self):
         for bad in (0, 16, -1):
             with pytest.raises(CqiRangeError):
-                cqi_efficiency(bad)
+                cqi_efficiency(bad, CQI_TABLE)
 
     def test_replacement_table(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -293,7 +295,7 @@ class TestEfficiencyTable:
         table = link.load_cqi_table(path)
         assert cqi_efficiency(3, table) == pytest.approx(0.754, abs=1e-4)
         assert cqi_threshold_db(3, table) == pytest.approx(-1.3)
-        assert cqi_efficiency(3) == pytest.approx(0.377, abs=1e-4)
+        assert cqi_efficiency(3, CQI_TABLE) == pytest.approx(0.377, abs=1e-4)
         assert not any(t.flags.writeable for t in (
             link.CQI_TABLE.thresholds_db, link.CQI_TABLE.efficiencies,
             table.thresholds_db, table.efficiencies))
@@ -326,18 +328,18 @@ class TestEfficiencyTable:
 
 def _decode(seed):
     """The engine's decode path at the config's default BLER slope."""
-    return engine.decoder(1.0, False, np.random.default_rng(seed))
+    return engine.decoder(engine.ScenarioConfig(), np.random.default_rng(seed))
 
 
 class TestDecoding:
     def test_far_above_threshold(self):
         thr = cqi_threshold_db(5)
-        assert bler(thr + 30.0, 5, 1.0) < 1e-3
+        assert bler(thr + 30.0, 5, 1.0, CQI_TABLE) < 1e-3
         assert _decode(1)(np.full(1000, thr + 30.0), 5).all()
 
     def test_far_below_threshold(self):
         thr = cqi_threshold_db(5)
-        assert bler(thr - 20.0, 5, 1.0) > 0.999
+        assert bler(thr - 20.0, 5, 1.0, CQI_TABLE) > 0.999
         assert not _decode(2)(np.full(1000, thr - 20.0), 5).any()
 
     def test_error_rate_at_threshold(self):
@@ -348,29 +350,30 @@ class TestDecoding:
 
     def test_bler_monotone_decreasing(self):
         grid = np.linspace(-20.0, 30.0, 101)
-        values = bler(grid, 6, 1.0)
+        values = bler(grid, 6, 1.0, CQI_TABLE)
         assert np.all(np.diff(values) <= 0)
         # strictly decreasing where the curve is not saturated
         active = np.linspace(cqi_threshold_db(6) - 4.0,
                              cqi_threshold_db(6) + 4.0, 41)
-        assert np.all(np.diff(bler(active, 6, 1.0)) < 0)
+        assert np.all(np.diff(bler(active, 6, 1.0, CQI_TABLE)) < 0)
 
     def test_bler_cqi_array_matches_scalar_calls(self):
         gen = np.random.default_rng(4)
         eff_db = gen.uniform(-15.0, 30.0, 200)
         cqi = gen.integers(1, 16, 200)
-        batched = bler(eff_db, cqi, 1.5)
+        batched = bler(eff_db, cqi, 1.5, CQI_TABLE)
         for x, c, p in zip(eff_db, cqi, batched):
-            assert bler(np.array([x]), int(c), 1.5)[0] == p
+            assert bler(np.array([x]), int(c), 1.5, CQI_TABLE)[0] == p
         with pytest.raises(CqiRangeError):
-            bler(eff_db[:2], np.array([3, 16]), 1.0)
+            bler(eff_db[:2], np.array([3, 16]), 1.0, CQI_TABLE)
         for bad in (0, 16):
             with pytest.raises(CqiRangeError):
-                bler(0.0, bad, 1.0)
+                bler(0.0, bad, 1.0, CQI_TABLE)
 
     def test_bler_exact_at_anchor(self):
         for cqi in (1, 7, 15):
-            assert bler(cqi_threshold_db(cqi), cqi, 1.0) == pytest.approx(0.1)
+            assert bler(cqi_threshold_db(cqi), cqi, 1.0,
+                        CQI_TABLE) == pytest.approx(0.1)
 
 
 class TestRowHelpers:
@@ -378,10 +381,11 @@ class TestRowHelpers:
         gen = np.random.default_rng(9)
         rows = 10.0 ** (gen.uniform(-15.0, 30.0, (40, 25)) / 10.0)
         eff_db = link.effective_sinr_db_rows(rows)
-        cqi = link.cqi_from_sinr_rows(rows)
+        cqi = link.cqi_from_sinr_rows(rows, link.CQI_TABLE)
         for k in range(len(rows)):
             assert link.effective_sinr_db_rows(rows[k:k + 1])[0] == eff_db[k]
-            assert link.cqi_from_sinr_rows(rows[k:k + 1])[0] == cqi[k]
+            assert link.cqi_from_sinr_rows(rows[k:k + 1],
+                                           link.CQI_TABLE)[0] == cqi[k]
             assert cqi[k] == _oracle_cqi(rows[k])
 
 

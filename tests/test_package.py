@@ -76,3 +76,16 @@ def test_no_code_only_tests_call():
               and all(user is node for user in users.get(node.name, ()))]
     assert len(trees) > len(sources) > 5
     assert unused == []
+
+
+def test_only_engine_and_cli_start_pools():
+    """Only `engine.run` (the fading threads) and `cli` (the `compare`
+    processes) name an executor; every other module uses the pool it is
+    handed, so no object below a run has a thread lifecycle."""
+    executors = ("ThreadPoolExecutor", "ProcessPoolExecutor")
+    naming = set()
+    for path in sorted(pathlib.Path(mbsfnsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(name in executors for name in _referenced_names(tree)):
+            naming.add(path.name)
+    assert naming == {"engine.py", "cli.py"}

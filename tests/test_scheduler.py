@@ -33,20 +33,21 @@ class TestCqiSelection:
 
 class TestRequiredSubframes:
     def test_5mhz_needs_six(self):
-        assert required_subframes(2400, 21, 25, 100, cqi_efficiency(3),
-                                  100) == 6
+        assert required_subframes(2400, 21, 25, 100,
+                                  cqi_efficiency(3, CQI_TABLE), 100) == 6
 
     def test_20mhz_needs_two(self):
-        assert required_subframes(2400, 21, 100, 100, cqi_efficiency(3),
-                                  100) == 2
+        assert required_subframes(2400, 21, 100, 100,
+                                  cqi_efficiency(3, CQI_TABLE), 100) == 2
 
     def test_no_users_no_reservation(self):
-        assert required_subframes(2400, 0, 25, 100, cqi_efficiency(3),
-                                  100) == 0
+        assert required_subframes(2400, 0, 25, 100,
+                                  cqi_efficiency(3, CQI_TABLE), 100) == 0
 
     def test_infeasible_demand(self):
         with pytest.raises(CongestionInfeasibleError):
-            required_subframes(2400, 21, 25, 100, cqi_efficiency(1), 100)
+            required_subframes(2400, 21, 25, 100, cqi_efficiency(1, CQI_TABLE),
+                               100)
 
     def test_bad_arguments(self):
         """`required_subframes` trusts its sizing arguments: a zero message
@@ -63,7 +64,7 @@ class TestRequiredSubframes:
     @given(st.integers(1, 40), st.integers(500, 4000), st.integers(1, 15))
     @settings(max_examples=60, deadline=None)
     def test_monotone(self, n_users, bits, cqi):
-        eff = cqi_efficiency(cqi)
+        eff = cqi_efficiency(cqi, CQI_TABLE)
         def safe(b, n, rb, re_):
             try:
                 return required_subframes(b, n, rb, re_, eff, 100)
@@ -130,8 +131,8 @@ class TestScheduleMulticast:
     @settings(max_examples=50, deadline=None)
     def test_adaptive_never_uses_more_rbs(self, residuals, cqi):
         # efficiency at or above the bound can only shrink the allocation
-        bound_eff = cqi_efficiency(3)
-        high_eff = cqi_efficiency(cqi)
+        bound_eff = cqi_efficiency(3, CQI_TABLE)
+        high_eff = cqi_efficiency(cqi, CQI_TABLE)
         items = list(enumerate(residuals))
         _, used_bound = schedule_multicast(items, 25, 100, bound_eff)
         _, used_high = schedule_multicast(items, 25, 100, high_eff)
@@ -142,7 +143,7 @@ class TestScheduleOrdinary:
     def test_single_user_bit_arithmetic(self):
         out = schedule_unicast_ordinary([42], n_rb=25)
         assert out == [(42, 0, 25)]
-        bits = 25 * 120 * cqi_efficiency(3)
+        bits = 25 * 120 * cqi_efficiency(3, CQI_TABLE)
         assert bits == pytest.approx(1131.0)
 
     def test_starvation(self):
@@ -174,8 +175,8 @@ class TestBaselineQueue:
         assert allocations == [] and used == 0
 
     def test_heterogeneous_efficiencies(self):
-        items = [("good", 1000.0, cqi_efficiency(10)),
-                 ("bad", 1000.0, cqi_efficiency(1))]
+        items = [("good", 1000.0, cqi_efficiency(10, CQI_TABLE)),
+                 ("bad", 1000.0, cqi_efficiency(1, CQI_TABLE))]
         allocations, used = schedule_unicast_cam_baseline(items, 100, 100)
         by_key = {a.key: a for a in allocations}
         assert by_key["good"].rb_count < by_key["bad"].rb_count
@@ -203,7 +204,7 @@ class TestBaselineQueue:
         # rb_demand's slack prices this residual at exactly 7 RBs; if the
         # grant carried only 7 RBs' worth, one ulp would be left over and
         # priced at 0 RBs in every later TTI.
-        eff = cqi_efficiency(3)
+        eff = cqi_efficiency(3, CQI_TABLE)
         per_rb = 100 * eff
         residual = float(np.nextafter(7 * per_rb, np.inf))
         assert scheduler.rb_demand(residual, 100, eff) == 7

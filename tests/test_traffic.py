@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbsfnsim import engine
 from mbsfnsim.traffic import (CamPacket, UserBuffer, consume, draw_offsets,
                               maybe_generate)
 
@@ -12,12 +13,37 @@ def _buffer(offset=7, period=100, bits=2400):
                       packet_bits=bits)
 
 
+def _jobs(bits=2400):
+    """A multicast job and a unicast copy job of a fresh `bits` packet."""
+    return (engine._McastJob(0, 0, frozenset({1}), float(bits)),
+            engine._CopyJob(0, 0, 1, float(bits)))
+
+
+def _deliveries():
+    """A multicast and a unicast delivery of source 0 to receiver 1, both
+    dropped in cell 0; they keep the jobs of the messages added."""
+    cfg = engine.ScenarioConfig()
+    row_of = {0: 0, 1: 1}
+    return (engine.MulticastDelivery(cfg, [0], None, row_of, None, None, 1.0),
+            engine.UnicastDelivery(cfg, [0], {0: 0, 1: 0}, None, row_of,
+                                   None, 1.0))
+
+
+def _job_of(delivery):
+    """The one job a delivery keeps."""
+    jobs = list(delivery.pending.values())
+    if isinstance(delivery, engine.UnicastDelivery):
+        jobs = [job for queue in jobs for job in queue.values()]
+    (job,) = jobs
+    return job
+
+
 class TestGeneration:
     def test_on_phase(self):
         buf = _buffer()
         pkt = maybe_generate(buf, 107)
         assert isinstance(pkt, CamPacket)
-        assert buf.residual_bits == 2400
+        assert pkt.size_bits == 2400
         assert pkt.generation_tti == 107
 
     def test_off_phase(self):
@@ -31,12 +57,19 @@ class TestGeneration:
 
     def test_replacement_discards_partial_progress(self):
         buf = _buffer()
-        maybe_generate(buf, 7)
-        consume(buf, 1440)   # 60% delivered
-        assert buf.residual_bits == 960
+        deliveries = _deliveries()
+        pkt = maybe_generate(buf, 7)
+        for delivery in deliveries:
+            delivery.add(pkt, {1})
+            consume(_job_of(delivery), 1440)   # 60% delivered
+            assert _job_of(delivery).residual == 960
         pkt = maybe_generate(buf, 107)
         assert pkt.sequence == 1
-        assert buf.residual_bits == 2400     # fresh packet, old progress gone
+        for delivery in deliveries:
+            delivery.add(pkt, {1})
+            job = _job_of(delivery)
+            assert job.sequence == 1
+            assert job.residual == 2400     # fresh packet, old progress gone
 
     def test_sequences_increment(self):
         buf = _buffer(offset=0)
@@ -58,30 +91,28 @@ class TestGeneration:
 
 class TestConsume:
     def test_partial_drain(self):
-        buf = _buffer()
-        maybe_generate(buf, 7)
-        consume(buf, 1000)
-        assert buf.residual_bits == 1400
+        for job in _jobs():
+            consume(job, 1000)
+            assert job.residual == 1400
 
     def test_clamp_at_zero(self):
-        buf = _buffer()
-        maybe_generate(buf, 7)
-        consume(buf, 3000)
-        assert buf.residual_bits == 0
+        for job in _jobs():
+            consume(job, 3000)
+            assert job.residual == 0
 
     def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError):
-            consume(_buffer(), -1.0)
+        for job in _jobs():
+            with pytest.raises(ValueError):
+                consume(job, -1.0)
 
     def test_non_increasing_between_generations(self):
         rng = np.random.default_rng(4)
-        buf = _buffer(offset=0)
-        maybe_generate(buf, 0)
-        history = [buf.residual_bits]
-        for _ in range(40):
-            consume(buf, float(rng.integers(0, 200)))
-            history.append(buf.residual_bits)
-        assert all(b >= a for a, b in zip(history[1:], history))
+        for job in _jobs():
+            history = [job.residual]
+            for _ in range(40):
+                consume(job, float(rng.integers(0, 200)))
+                history.append(job.residual)
+            assert all(b >= a for a, b in zip(history[1:], history))
 
 
 class TestOffsets:
