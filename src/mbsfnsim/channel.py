@@ -12,7 +12,10 @@ coefficient at resource block r is x @ steer[:, r], where the steering
 matrix carries the taps' powers and delays; the link layer forms SINRs
 from x and the steering without building the per-RB coefficients.
 
-Fading is stepped in chunks of pairs.  The module owns no thread: a
+A zero-Doppler pair's fading does not change with t: its tap gains are
+the oscillator sums of cos(phase), taken once as its phases are drawn, and
+it has no frequencies and no phasors.  The other pairs' fading is stepped
+in chunks of pairs.  The module owns no thread: a
 block maps its chunks on the thread pool its caller passes in (`engine.run`
 owns one per run), and without a pool runs them inline.  Each chunk
 allocates its own phasors and writes disjoint pairs with the same
@@ -91,6 +94,23 @@ def _unit_phasors(w, t, out, phase=None):
     np.exp(out, out=out)
 
 
+def _draw_phases(rng, n_pairs: int, n_taps: int) -> np.ndarray:
+    """The next (n_pairs, n_taps, 16) uniform phases of `rng`, oscillator
+    axis first."""
+    return np.moveaxis(rng.uniform(-math.pi, math.pi,
+                                   size=(n_pairs, n_taps, N_OSCILLATORS)),
+                       -1, 0)
+
+
+def _oscillator_sum(a: np.ndarray, out: np.ndarray) -> None:
+    """The sum of `a` over its oscillator axis (the first) written to `out`,
+    in numpy's pairwise order: a[j] + a[j+8], then adjacent pairs."""
+    r = a[:8] + a[8:]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    np.add(r[0], r[1], out=out)
+
+
 def draw_shadowing(n_users: int, n_cells: int, std_db: float,
                    seed) -> np.ndarray:
     """Independent log-normal shadowing per (user, cell), frozen per run."""
@@ -107,6 +127,15 @@ class FadingBank:
     J0(2*pi*fd*tau) and E|g|^2 = 1 per tap.  Evaluation is stateless in t.
     Both quadratures are held oscillator axis first: (16, 2, pairs, taps).
 
+    `n_static` zero-Doppler pairs follow the `doppler_hz` pairs in the
+    draw order but are not held: their tap gains are constant, so the bank
+    keeps them as `static`, (n_static, n_taps), each the oscillator sum of
+    cos(phase) in `block_tap_gains`' order and scaling.  numpy's cos(x) is
+    bitwise its exp(1j*x).real (a channel test pins this), so `static` is
+    bitwise the t = 0 row of a bank that held those pairs.  Their phases
+    are drawn and summed a chunk of CHUNK_PAIRS pairs at a time and never
+    held at full size, and their frequencies are never computed.
+
     `block_tap_gains` steps the pairs in chunks of CHUNK_PAIRS.  From the
     bank's first block that steps on, a bank of more than one chunk maps
     them on the pool it is given, if any; otherwise they run inline, one
@@ -116,7 +145,7 @@ class FadingBank:
     """
 
     def __init__(self, doppler_hz: np.ndarray, tap_delays, tap_powers_db,
-                 seed):
+                 seed, n_static: int = 0):
         self.n_pairs = len(doppler_hz)
         self.tap_delays = np.asarray(tap_delays, dtype=float)
         self.tap_powers = normalized_tap_powers(tap_powers_db)
@@ -126,6 +155,8 @@ class FadingBank:
         shape = (N_OSCILLATORS, 2, self.n_pairs, self.n_taps)
         m = np.arange(1, N_OSCILLATORS + 1, dtype=float)
         theta = rng.uniform(-math.pi, math.pi, size=shape[2:])
+        # The static pairs' angles keep the stream; nothing reads them.
+        rng.uniform(-math.pi, math.pi, size=(n_static, self.n_taps))
         alpha = (2.0 * math.pi * m - math.pi)[:, None, None] + theta
         alpha /= 4.0 * N_OSCILLATORS
         self._w = np.empty(shape)
@@ -135,14 +166,20 @@ class FadingBank:
         self._w *= 2.0 * math.pi * np.asarray(doppler_hz, dtype=float)[:, None]
         # The phases of quadrature 0, then of quadrature 1, drawn a chunk of
         # pairs at a time: the stream order of one (pairs, taps, 16) draw
-        # per quadrature.
+        # per quadrature, the static pairs last.  A static chunk's phases
+        # live only until their cosines are summed.
         self._phase = np.empty(shape)
+        static = np.empty((2, n_static, self.n_taps))
         for q in range(2):
             for start in range(0, self.n_pairs, CHUNK_PAIRS):
                 part = self._phase[:, q, start:start + CHUNK_PAIRS]
-                part[...] = np.moveaxis(rng.uniform(
-                    -math.pi, math.pi, size=part.shape[1:] + (N_OSCILLATORS,)),
-                    -1, 0)
+                part[...] = _draw_phases(rng, part.shape[1], self.n_taps)
+            for start in range(0, n_static, CHUNK_PAIRS):
+                part = static[q, start:start + CHUNK_PAIRS]
+                _oscillator_sum(np.cos(
+                    _draw_phases(rng, len(part), self.n_taps)), part)
+        self.static = (static[0] + 1j * static[1]) \
+            * (1.0 / math.sqrt(N_OSCILLATORS))
         # Per chunk: exp(1j*w*TTI_S) once built.
         self._rotations = None
 
@@ -172,7 +209,8 @@ class FadingBank:
         Each oscillator's phasor exp(1j*(w*t0 + phase)) is evaluated once at
         t0 and then advanced one TTI at a time, up to the last step, by
         multiplying it with the rotation exp(1j*w*TTI_S); a requested sample
-        is the sum of the phasors' real parts, in numpy's pairwise order.
+        is the sum of the phasors' real parts, in numpy's pairwise order
+        (`_oscillator_sum`, which also sums the `static` pairs' cosines).
         Every phasor still advances through each sample, so a row is bitwise
         the same whichever other steps are requested, while the sum is taken
         only at the requested ones.  This replaces all trig evaluations but
@@ -217,17 +255,14 @@ class FadingBank:
             _unit_phasors(w, TTI_S, rotation)
         z = np.empty(w.shape, dtype=complex)
         _unit_phasors(w, t0, z, self._phase[:, :, pairs])
+        # Each row's real and imaginary parts: (steps, 2, pairs, taps).
+        parts = np.moveaxis(out.view(float).reshape(out.shape + (2,)), -1, 1)
         at = 0
         for k, step in enumerate(steps):
             for _ in range(step - at):
                 z *= rotation
             at = step
-            # numpy's pairwise order: a[j] + a[j+8], then adjacent pairs.
-            r = z.real[:8] + z.real[8:]
-            r = r[0::2] + r[1::2]
-            r = r[0::2] + r[1::2]
-            np.add(r[0, 0], r[1, 0], out=out.real[k, pairs])
-            np.add(r[0, 1], r[1, 1], out=out.imag[k, pairs])
+            _oscillator_sum(z.real, parts[k, :, pairs])
         out[:, pairs] *= 1.0 / math.sqrt(N_OSCILLATORS)
 
     def steering(self, freq_offsets_hz) -> np.ndarray:
@@ -271,8 +306,9 @@ class ChannelModel:
     moving pairs' tap gains are evaluated by the bank's phasor recurrence
     over blocks of BLOCK_LEN consecutive TTIs and chunks of CHUNK_PAIRS
     pairs; each snapshot scales one TTI of them.  Both groups draw from
-    one FadingBank over all pairs, so the split leaves every value
-    unchanged.
+    one FadingBank stream: the bank holds the moving pairs' oscillators
+    and only the static pairs' constant tap gains (`FadingBank.static`), so
+    the split leaves every value unchanged.
 
     `evaluated_ttis`, a boolean mask over TTIs 0..len-1, names the only
     TTIs a caller reads: a block sums the taps only at those, and
@@ -282,7 +318,8 @@ class ChannelModel:
 
     `pool` is the thread pool on which the moving pairs' blocks step their
     chunks (see `FadingBank`), or None to step them inline; the static
-    rows are always evaluated inline.  The model only uses the pool: its
+    rows are the bank's cosine sums, taken at construction without the
+    pool.  The model only uses the pool: its
     owner, `engine.run`, starts and ends it.  Snapshots are bitwise the
     same for any number of workers.
     """
@@ -307,11 +344,10 @@ class ChannelModel:
         m = self.n_moving = int(moving.sum())
         if moving[m:].any():
             raise ChannelStateError("moving users must precede static ones")
-        bank = FadingBank(np.repeat(user_doppler, self.n_cells),
-                          VEHA_TAP_DELAYS, VEHA_TAP_POWERS_DB, seed)
-        split = m * self.n_cells
-        self.bank = bank.subset(slice(0, split))
-        self.steer = bank.steering(self.rb_freqs)
+        self.bank = FadingBank(np.repeat(user_doppler[:m], self.n_cells),
+                               VEHA_TAP_DELAYS, VEHA_TAP_POWERS_DB, seed,
+                               n_static=(n_users - m) * self.n_cells)
+        self.steer = self.bank.steering(self.rb_freqs)
         self.steer_products = steering_products(self.steer)
         self.evaluated_ttis, self.pool = evaluated_ttis, pool
         # The current block's tap gains and the row of each TTI in it.
@@ -320,9 +356,8 @@ class ChannelModel:
         self._clamp_warned = False
         gamma = self.amplitude_gain(np.asarray(positions)[m:],
                                     slice(m, None))
-        gains = bank.subset(slice(split, None)).block_tap_gains(0.0, (0,))[0]
-        self.static = gamma[:, :, None] * gains.reshape(-1, self.n_cells,
-                                                        bank.n_taps)
+        self.static = gamma[:, :, None] * self.bank.static.reshape(
+            -1, self.n_cells, self.bank.n_taps)
 
     def amplitude_gain(self, positions: np.ndarray, rows) -> np.ndarray:
         """Linear macroscopic amplitude per (user, cell) at given positions,

@@ -134,6 +134,14 @@ class ScenarioConfig:
                 f"car_speed_kmh must be at most "
                 f"{2.0 * radius / channel.TTI_S * 3.6:.6g}: a car may move "
                 f"at most the layout's diameter ({2.0 * radius:.0f} m) per TTI")
+        try:
+            noise = channel.noise_variance_normalized(
+                self.n_rb, self.tx_power_dbm, self.noise_figure_db)
+        except OverflowError:
+            noise = math.inf
+        if noise == math.inf:
+            raise ValueError("noise_figure_db - tx_power_dbm is too large: "
+                             "the noise to transmit power ratio overflows")
         table = link.CQI_TABLE
         if self.cqi_table_file:
             try:

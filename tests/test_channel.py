@@ -304,6 +304,30 @@ class TestChunkedRecurrence:
         assert block_passes(bank.subset(slice(0, 5)), 0.0, [0, 1]) == 2
         assert block_passes(self._bank(), 0.0, [0]) == n_chunks
 
+    @pytest.mark.parametrize("chunk", [7, channel.CHUNK_PAIRS])
+    def test_static_pairs_bitwise_first_row_of_held_ones(self, chunk,
+                                                         monkeypatch):
+        """A bank's `n_static` trailing zero-Doppler pairs, more than two
+        chunks of them, hold only their tap gains: bitwise the t = 0 row of
+        a bank that holds them.  The pairs it holds, zero-Doppler ones
+        among them, keep the held bank's draws and rows."""
+        monkeypatch.setattr(channel, "CHUNK_PAIRS", chunk)
+        n_static = 2 * channel.CHUNK_PAIRS + 7
+        split = FadingBank(self._doppler(), channel.VEHA_TAP_DELAYS,
+                           channel.VEHA_TAP_POWERS_DB, 9, n_static=n_static)
+        held = FadingBank(np.r_[self._doppler(), np.zeros(n_static)],
+                          channel.VEHA_TAP_DELAYS, channel.VEHA_TAP_POWERS_DB,
+                          9)
+        moving, static = slice(0, self.N_PAIRS), slice(self.N_PAIRS, None)
+        assert split.static.shape == (n_static, split.n_taps)
+        np.testing.assert_array_equal(
+            split.static, held.subset(static).block_tap_gains(0.0, [0])[0])
+        np.testing.assert_array_equal(split._w, held._w[:, :, moving])
+        np.testing.assert_array_equal(split._phase, held._phase[:, :, moving])
+        np.testing.assert_array_equal(
+            split.block_tap_gains(0.0, self.SPARSE),
+            held.subset(moving).block_tap_gains(0.0, self.SPARSE))
+
 
 def _small_model(pos, doppler=(100.0, 0.0), n_rb=4, shadow_std=0.0,
                  seed=1):
@@ -429,6 +453,47 @@ class TestStaticMovingSplit:
             np.testing.assert_array_equal(
                 np.concatenate((moving, model.static)),
                 self._oracle(model, speeds, pos, tti, seed))
+
+    def test_static_rows_take_no_phasor_and_no_frequency(self, monkeypatch):
+        """Building a model with 3 moving and 120 static users (480 static
+        pairs, three chunks) takes no complex exp pass but the steering's
+        and no trig over the static pairs' frequencies: one cosine pass
+        per chunk of their phases and quadrature.  Its `static` is bitwise
+        the t = 0 row of a bank over all pairs."""
+        calls = []
+
+        def counted(f):
+            def call(x, *args, **kwargs):
+                calls.append((f.__name__, np.iscomplexobj(x), np.shape(x)))
+                return f(x, *args, **kwargs)
+            return call
+
+        for name in ("exp", "cos", "sin"):
+            monkeypatch.setattr(np, name, counted(getattr(np, name)))
+        speeds = np.r_[27.8, 13.9, 20.0, np.zeros(120)]
+        pos = np.column_stack([np.linspace(60.0, 700.0, 123),
+                               np.linspace(-40.0, 300.0, 123)])
+        shadow = draw_shadowing(123, len(self.CELLS), 8.0, 17)
+        model = every_tti_model(self.CELLS, pos, speeds, shadow, 2.14e9, 6,
+                                seed=17)
+        monkeypatch.undo()
+        n_taps, chunk = len(channel.VEHA_TAP_DELAYS), channel.CHUNK_PAIRS
+        alpha = (channel.N_OSCILLATORS, 3 * len(self.CELLS), n_taps)
+        static = [(channel.N_OSCILLATORS, n, n_taps)
+                  for n in (chunk, chunk, 480 - 2 * chunk)]
+        assert calls == ([("cos", False, alpha), ("sin", False, alpha)]
+                         + [("cos", False, shape) for shape in 2 * static]
+                         + [("exp", True, (n_taps, 6))])
+        doppler = np.repeat([channel.doppler_frequency(s, 2.14e9)
+                             for s in speeds], len(self.CELLS))
+        full = FadingBank(doppler, channel.VEHA_TAP_DELAYS,
+                          channel.VEHA_TAP_POWERS_DB, 17)
+        gains = full.subset(slice(3 * len(self.CELLS), None)).block_tap_gains(
+            0.0, [0])[0]
+        np.testing.assert_array_equal(
+            model.static,
+            model.amplitude_gain(pos[3:], slice(3, None))[:, :, None]
+            * gains.reshape(120, len(self.CELLS), n_taps))
 
     def test_snapshots_do_not_share_memory(self):
         """A kept snapshot (e.g. a delayed report's) is not overwritten by

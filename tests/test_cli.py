@@ -511,6 +511,20 @@ class TestValidationBoundary:
         pytest.param(["compare", "--base", "{d}/small"],
                      "scenario file not found: {d}/small",
                      id="argv29-scenario file not found: {d}/small"),
+        # A noise to transmit power ratio no float holds.
+        pytest.param(["run", "{d}/loud.scenario"],
+                     "{d}/loud.scenario: noise_figure_db - tx_power_dbm is "
+                     "too large: the noise to transmit power ratio overflows",
+                     id="noise_figure_db_overflow"),
+        pytest.param(["compare", "--base", "{d}/faint.scenario",
+                      "--cqi", "fixed:3,fixed:4"],
+                     "noise_figure_db - tx_power_dbm is too large: the noise "
+                     "to transmit power ratio overflows",
+                     id="tx_power_dbm_overflow"),
+        pytest.param(["run", "{d}/extreme.scenario"],
+                     "{d}/extreme.scenario: noise_figure_db - tx_power_dbm "
+                     "is too large: the noise to transmit power ratio "
+                     "overflows", id="noise_ratio_infinite"),
     ] + [
         # A table with a value no CqiTable takes.
         row for bad, run_id, compare_id in _BAD_TABLE_ROW_IDS for row in (
@@ -532,6 +546,12 @@ class TestValidationBoundary:
         (tmp_path / "table.scenario").write_text(
             SMALL_SCENARIO + f"\n[radio]\ncqi_table_file = "
                              f"{tmp_path}/absent.csv\n")
+        for name, radio in (("loud", "noise_figure_db = 1e6"),
+                            ("faint", "tx_power_dbm = -1e6"),
+                            ("extreme", "noise_figure_db = 1e308\n"
+                                        "tx_power_dbm = -1e308")):
+            (tmp_path / f"{name}.scenario").write_text(
+                SMALL_SCENARIO + f"\n[radio]\n{radio}\n")
         for bad in BAD_TABLES:
             (tmp_path / f"{bad}.scenario").write_text(
                 SMALL_SCENARIO + "\n[radio]\ncqi_table_file = "
