@@ -24,7 +24,6 @@ of workers.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import logging
 import math
@@ -182,15 +181,6 @@ class FadingBank:
             * (1.0 / math.sqrt(N_OSCILLATORS))
         # Per chunk: exp(1j*w*TTI_S) once built.
         self._rotations = None
-
-    def subset(self, pairs: slice) -> "FadingBank":
-        """The same processes restricted to `pairs` (views, no new draws),
-        with no rotations of their own yet."""
-        sub = copy.copy(self)
-        sub._w, sub._phase = self._w[:, :, pairs], self._phase[:, :, pairs]
-        sub.n_pairs = sub._w.shape[2]
-        sub._rotations = None
-        return sub
 
     def tap_gains(self, t) -> np.ndarray:
         """Per-tap complex gains at time(s) t: shape (len(t), n_pairs, n_taps)."""

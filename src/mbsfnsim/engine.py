@@ -31,7 +31,7 @@ import logging
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -83,7 +83,7 @@ class ScenarioConfig:
     carrier_ghz: float = _spec(2.14, "radio", above=0)
     usable_re_per_rb: int = _spec(100, "radio", at_least=1)
     tx_power_dbm: float = _spec(43.0, "radio")
-    noise_figure_db: float = _spec(9.0, "radio")
+    noise_figure_db: float = _spec(9.0, "radio", at_least=0)
     shadowing_std_db: float = _spec(0.0, "radio", at_least=0)
     cqi_feedback_delay_tti: int = _spec(0, "radio", at_least=0)
     reassign_unused_subframes: bool = _spec(True, "radio")
@@ -142,6 +142,10 @@ class ScenarioConfig:
         if noise == math.inf:
             raise ValueError("noise_figure_db - tx_power_dbm is too large: "
                              "the noise to transmit power ratio overflows")
+        if noise == 0.0:
+            raise ValueError("noise_figure_db - tx_power_dbm is too small: "
+                             "the noise to transmit power ratio underflows "
+                             "to 0")
         table = link.CQI_TABLE
         if self.cqi_table_file:
             try:
@@ -179,7 +183,7 @@ class ScenarioConfig:
         return f"{self.cqi_policy}:{self.cqi_value}"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -612,8 +616,10 @@ class OrdinaryUsers:
     before the loop, and a cell's slots, with their bits and error
     probabilities, depend only on its state (cell, RBs left, round-robin
     offset): `ordinary_stage` prices each state once, and each TTI only
-    draws the decodes.  `bits` holds each user's decoded bits by its row
-    of `sinr`.
+    draws the decodes.  A TTI's new states are priced in one call; its
+    slots are priced independently, so each state's arrays are those it
+    would get alone.  `bits` holds each user's decoded bits by its row of
+    `sinr`.
     """
 
     def __init__(self, cfg: ScenarioConfig,
@@ -629,20 +635,28 @@ class OrdinaryUsers:
         round robin; the TTI's blocks are decoded by one `draw_success`
         call, in cell order."""
         cfg, priced = self.cfg, self.priced
-        served = []
+        served, new = [], {}
         for cell, users in self.rows_by_cell.items():
             if users and left[cell] > 0:
                 state = (cell, left[cell], self.rr_offset[cell])
                 if state not in priced:
-                    slots = np.array(scheduler.schedule_unicast_ordinary(
-                        users, *state[1:]), dtype=np.intp)
-                    priced[state] = (slots[:, 0], *ordinary_stage(
-                        slots, self.sinr, cfg.usable_re_per_rb,
-                        cfg.bler_slope_db_per_decade, cfg.cqi_table))
-                served.append(priced[state])
+                    new[state] = scheduler.schedule_unicast_ordinary(
+                        users, *state[1:])
+                served.append(state)
                 self.rr_offset[cell] = (state[2] + 1) % len(users)
+        if new:
+            slots = np.array([s for part in new.values() for s in part],
+                             dtype=np.intp)
+            arrays = (slots[:, 0], *ordinary_stage(
+                slots, self.sinr, cfg.usable_re_per_rb,
+                cfg.bler_slope_db_per_decade, cfg.cqi_table))
+            at = 0
+            for state, part in new.items():
+                priced[state] = tuple(a[at:at + len(part)] for a in arrays)
+                at += len(part)
         if served:
-            rows, bits, p = (np.concatenate(parts) for parts in zip(*served))
+            rows, bits, p = (np.concatenate(parts) for parts in
+                             zip(*[priced[state] for state in served]))
             ok = draw_success(p, cfg.perfect_decode, self.rng)
             # A user has at most one slot per TTI, so no row repeats.
             self.bits[rows[ok]] += bits[ok]
@@ -664,10 +678,19 @@ def run(cfg: ScenarioConfig) -> RunRecord:
     # Sources and recipients are the cars dropped inside the multicast area;
     # ordinary throughput is tracked for that area's static users, since the
     # outer ring never carries message traffic or reservations.
-    car_ids = pop.car_ids()
-    sources = [int(u) for u in car_ids if int(pop.drop_cell[u]) in mbsfn_cells]
-    ordinary_tracked = [int(u) for u in pop.ordinary_ids()
-                        if int(pop.drop_cell[u]) in mbsfn_cells]
+    # `rows_by_cell` gives each area cell's ordinary users as indices into
+    # `ordinary_tracked`.
+    drop_cell = pop.drop_cell.tolist()
+    sources, ordinary_tracked = [], []
+    rows_by_cell = {c: [] for c in area_cells}
+    for u, (cell, car) in enumerate(zip(drop_cell, pop.is_car.tolist())):
+        if cell not in mbsfn_cells:
+            continue
+        if car:
+            sources.append(u)
+        else:
+            rows_by_cell[cell].append(len(ordinary_tracked))
+            ordinary_tracked.append(u)
     tracked = sources + ordinary_tracked
     row_of = {u: i for i, u in enumerate(sources)}
     n_sources = len(sources)
@@ -687,7 +710,7 @@ def run(cfg: ScenarioConfig) -> RunRecord:
                                      mbsfn_mask, noise_var)
     else:
         delivery = UnicastDelivery(
-            cfg, area_cells, {src: int(pop.drop_cell[src]) for src in sources},
+            cfg, area_cells, {src: drop_cell[src] for src in sources},
             recorder, row_of, decode, noise_var)
 
     # The TTIs whose link state is read: this TTI's in the delivery's
@@ -698,7 +721,6 @@ def run(cfg: ScenarioConfig) -> RunRecord:
     if cfg.cqi_policy == POLICY_ADAPTIVE:
         reported[np.maximum(np.flatnonzero(reads)
                             - cfg.cqi_feedback_delay_tti, 0)] = True
-    speeds = [float(np.hypot(*pop.velocities[u])) for u in tracked]
     # One fading pool per run.  Its threads start at the first fading block
     # that maps chunks on it, inside the loop, so the `finally` below joins
     # every thread it starts.
@@ -707,7 +729,7 @@ def run(cfg: ScenarioConfig) -> RunRecord:
     model = channel.ChannelModel(
         cell_positions=layout.cell_positions,
         positions=pop.positions[tracked],
-        user_speeds_ms=np.asarray(speeds),
+        user_speeds_ms=np.hypot(*pop.velocities[tracked].T),
         shadowing_db=shadow_full[tracked],
         carrier_hz=cfg.carrier_ghz * 1e9,
         n_rb=cfg.n_rb,
@@ -722,12 +744,10 @@ def run(cfg: ScenarioConfig) -> RunRecord:
                     "unbounded latency growth",
                     delivery.analytic_utilization_pct)
 
-    ordinary = OrdinaryUsers(
-        cfg, {c: [row for row, u in enumerate(ordinary_tracked)
-                  if int(pop.drop_cell[u]) == c] for c in area_cells},
-        link.sinr_vs_cell(model.static[n_sources - model.n_moving:],
-                          pop.serving_cell[ordinary_tracked], model.steer,
-                          model.steer_products, noise_var), rng_decode)
+    ordinary = OrdinaryUsers(cfg, rows_by_cell, link.sinr_vs_cell(
+        model.static[n_sources - model.n_moving:],
+        pop.serving_cell[ordinary_tracked], model.steer, model.steer_products,
+        noise_var), rng_decode)
     links = LinkReads(cfg, delivery, model, reported, n_sources)
     mobility = Mobility(pop, sources, model, mbsfn_mask, recorder, cfg.n_tti)
     # The sources that generate at each phase of the period, in order.

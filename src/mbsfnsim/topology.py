@@ -16,8 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Cell hexagons tile the plane with centres one inter-site distance apart:
-# inradius = isd / 2, circumradius = isd / sqrt(3).
-_HEX_AXES_DEG = (0.0, 60.0, 120.0)
+# inradius = isd / 2, circumradius = isd / sqrt(3).  A hexagon is the points
+# within its inradius of the centre along each of these unit axes.
+_HEX_AXES = tuple((math.cos(math.radians(deg)), math.sin(math.radians(deg)))
+                  for deg in (0.0, 60.0, 120.0))
+# Uniforms per user in each batch `drop_users` draws: a candidate position
+# lies in the hexagon with probability 0.65, so a user takes 3.1 uniforms
+# on average and a car one more, for its heading.
+_UNIFORMS_PER_USER = 4
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,6 @@ class UserPopulation:
     @property
     def n_users(self) -> int:
         return len(self.is_car)
-
-    def car_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.is_car)
-
-    def ordinary_ids(self) -> np.ndarray:
-        return np.flatnonzero(~self.is_car)
 
 
 def hex_ring_offsets(ring: int) -> list[tuple[int, int]]:
@@ -102,23 +102,21 @@ def build_layout(n_mbsfn_rings: int, n_interference_rings: int,
     )
 
 
-def point_in_hexagon(point: np.ndarray, centre: np.ndarray, isd: float) -> bool:
-    """True if `point` lies in the cell hexagon centred at `centre`."""
-    d = np.asarray(point, dtype=float) - np.asarray(centre, dtype=float)
-    for deg in _HEX_AXES_DEG:
-        a = math.radians(deg)
-        if abs(d[0] * math.cos(a) + d[1] * math.sin(a)) > isd / 2.0 + 1e-9:
+def point_in_hexagon(point, centre, isd: float) -> bool:
+    """True if `point` lies in the cell hexagon centred at `centre`; both
+    are (x, y) pairs."""
+    dx, dy = point[0] - centre[0], point[1] - centre[1]
+    for c, s in _HEX_AXES:
+        if abs(dx * c + dy * s) > isd / 2.0 + 1e-9:
             return False
     return True
 
 
-def _sample_in_hexagon(rng: np.random.Generator, centre: np.ndarray,
-                       isd: float) -> np.ndarray:
-    circum = isd / math.sqrt(3.0)
+def _uniforms(rng: np.random.Generator, batch: int):
+    """`rng`'s uniforms on [0, 1) as Python floats, drawn `batch` at a time;
+    the stream is the one that single draws take."""
     while True:
-        p = centre + rng.uniform(-circum, circum, size=2)
-        if point_in_hexagon(p, centre, isd):
-            return p
+        yield from rng.random(batch).tolist()
 
 
 def drop_users(layout: CellLayout, n_users_per_cell: int, n_cars_per_cell: int,
@@ -127,26 +125,40 @@ def drop_users(layout: CellLayout, n_users_per_cell: int, n_cars_per_cell: int,
 
     Within each cell the first n_cars_per_cell users are cars with a uniform
     random heading at `car_speed` m/s, the rest are static ordinary users.
+    A user's candidate positions are drawn uniformly in the square around
+    its hexagon until one lies inside it; then a car draws its heading.
+    The uniforms are drawn in batches and taken in that order, with the
+    arithmetic of one `rng.uniform` draw per value.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), 0x0D0]))
-    is_car, serving, pos, vel = [], [], [], []
-    for cell_id in range(layout.n_cells):
-        centre = layout.cell_positions[cell_id]
+    n_users = layout.n_cells * n_users_per_cell
+    draw = functools.partial(next,
+                             _uniforms(rng, _UNIFORMS_PER_USER * n_users))
+    isd = layout.inter_site_distance
+    circum = isd / math.sqrt(3.0)
+    # rng.uniform(low, high) is low + (high - low) * u.
+    low, span = -circum, circum - -circum
+    pos, vel = [], []
+    for centre in layout.cell_positions.tolist():
+        cx, cy = centre
         for k in range(n_users_per_cell):
-            p = _sample_in_hexagon(rng, centre, layout.inter_site_distance)
-            if k < n_cars_per_cell:
-                heading = rng.uniform(0.0, 2.0 * math.pi)
-                v = car_speed * np.array([math.cos(heading), math.sin(heading)])
-            else:
-                v = np.zeros(2)
-            is_car.append(k < n_cars_per_cell)
-            serving.append(cell_id)
+            while True:
+                p = (cx + (low + span * draw()), cy + (low + span * draw()))
+                if point_in_hexagon(p, centre, isd):
+                    break
             pos.append(p)
-            vel.append(v)
+            if k < n_cars_per_cell:
+                heading = 2.0 * math.pi * draw()
+                vel.append((car_speed * math.cos(heading),
+                            car_speed * math.sin(heading)))
+            else:
+                vel.append((0.0, 0.0))
     return UserPopulation(
         layout=layout,
-        is_car=np.asarray(is_car, dtype=bool),
-        serving_cell=np.asarray(serving, dtype=np.int64),
+        is_car=np.tile(np.arange(n_users_per_cell) < n_cars_per_cell,
+                       layout.n_cells),
+        serving_cell=np.repeat(np.arange(layout.n_cells, dtype=np.int64),
+                               n_users_per_cell),
         positions=np.asarray(pos, dtype=float),
         velocities=np.asarray(vel, dtype=float),
     )

@@ -277,8 +277,8 @@ class TestChunkedRecurrence:
     def test_rotation_built_once_and_never_for_static_rows(self,
                                                            monkeypatch):
         """Each chunk takes one complex exp pass for its phasors per block,
-        and one for its rotation only in the first block that steps; a
-        subset builds its own rotations."""
+        and one for its rotation only in the first block that steps; a new
+        bank builds its own rotations."""
         passes = []
         exp = np.exp
 
@@ -301,7 +301,10 @@ class TestChunkedRecurrence:
         assert block_passes(bank, 0.0, self.SPARSE) == 2 * n_chunks
         assert block_passes(bank, 64 * dt, self.SPARSE) == n_chunks
         assert block_passes(bank, 128 * dt, [0]) == n_chunks
-        assert block_passes(bank.subset(slice(0, 5)), 0.0, [0, 1]) == 2
+        assert block_passes(FadingBank(self._doppler()[:5],
+                                       channel.VEHA_TAP_DELAYS,
+                                       channel.VEHA_TAP_POWERS_DB, 9),
+                            0.0, [0, 1]) == 2
         assert block_passes(self._bank(), 0.0, [0]) == n_chunks
 
     @pytest.mark.parametrize("chunk", [7, channel.CHUNK_PAIRS])
@@ -321,12 +324,12 @@ class TestChunkedRecurrence:
         moving, static = slice(0, self.N_PAIRS), slice(self.N_PAIRS, None)
         assert split.static.shape == (n_static, split.n_taps)
         np.testing.assert_array_equal(
-            split.static, held.subset(static).block_tap_gains(0.0, [0])[0])
+            split.static, held.block_tap_gains(0.0, [0])[0, static])
         np.testing.assert_array_equal(split._w, held._w[:, :, moving])
         np.testing.assert_array_equal(split._phase, held._phase[:, :, moving])
         np.testing.assert_array_equal(
             split.block_tap_gains(0.0, self.SPARSE),
-            held.subset(moving).block_tap_gains(0.0, self.SPARSE))
+            held.block_tap_gains(0.0, self.SPARSE)[:, moving])
 
 
 def _small_model(pos, doppler=(100.0, 0.0), n_rb=4, shadow_std=0.0,
@@ -488,8 +491,7 @@ class TestStaticMovingSplit:
                              for s in speeds], len(self.CELLS))
         full = FadingBank(doppler, channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, 17)
-        gains = full.subset(slice(3 * len(self.CELLS), None)).block_tap_gains(
-            0.0, [0])[0]
+        gains = full.block_tap_gains(0.0, [0])[0, 3 * len(self.CELLS):]
         np.testing.assert_array_equal(
             model.static,
             model.amplitude_gain(pos[3:], slice(3, None))[:, :, None]

@@ -525,6 +525,20 @@ class TestValidationBoundary:
                      "{d}/extreme.scenario: noise_figure_db - tx_power_dbm "
                      "is too large: the noise to transmit power ratio "
                      "overflows", id="noise_ratio_infinite"),
+        # No receiver has a noise figure below 0 dB.
+        pytest.param(["run", "{d}/quiet.scenario"],
+                     "{d}/quiet.scenario: noise_figure_db must be >= 0",
+                     id="noise_figure_db_negative"),
+        # A noise to transmit power ratio that rounds to 0.
+        pytest.param(["run", "{d}/strong.scenario"],
+                     "{d}/strong.scenario: noise_figure_db - tx_power_dbm is "
+                     "too small: the noise to transmit power ratio "
+                     "underflows to 0", id="tx_power_dbm_underflow"),
+        pytest.param(["compare", "--base", "{d}/strong.scenario",
+                      "--cqi", "fixed:3,fixed:4"],
+                     "noise_figure_db - tx_power_dbm is too small: the noise "
+                     "to transmit power ratio underflows to 0",
+                     id="tx_power_dbm_underflow_compare"),
     ] + [
         # A table with a value no CqiTable takes.
         row for bad, run_id, compare_id in _BAD_TABLE_ROW_IDS for row in (
@@ -549,7 +563,9 @@ class TestValidationBoundary:
         for name, radio in (("loud", "noise_figure_db = 1e6"),
                             ("faint", "tx_power_dbm = -1e6"),
                             ("extreme", "noise_figure_db = 1e308\n"
-                                        "tx_power_dbm = -1e308")):
+                                        "tx_power_dbm = -1e308"),
+                            ("quiet", "noise_figure_db = -1"),
+                            ("strong", "tx_power_dbm = 1e6")):
             (tmp_path / f"{name}.scenario").write_text(
                 SMALL_SCENARIO + f"\n[radio]\n{radio}\n")
         for bad in BAD_TABLES:

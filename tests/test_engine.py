@@ -6,7 +6,7 @@ import sys
 import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -79,6 +79,8 @@ class TestConfig:
         ("mode", 1, {}),
         ("cqi_table_file", None, {}),
         ("cqi_table_file", "/nonexistent/cqi_table.csv", {}),
+        ("noise_figure_db", -0.5, {}),
+        ("tx_power_dbm", 1e6, {}),
     ])
     def test_validation_names_field(self, field, value, others):
         """A bad value is rejected when the config is built, directly or
@@ -127,6 +129,7 @@ class TestConfig:
         cfg = ScenarioConfig(mode="unicast_baseline", cqi_policy="adaptive",
                              cqi_value=5, n_tti=123)
         assert ScenarioConfig(**cfg.to_dict()) == cfg
+        assert list(cfg.to_dict().items()) == list(asdict(cfg).items())
 
 
 class TestRunBasics:
@@ -274,6 +277,50 @@ def test_ordinary_stage_once_per_cell_state(monkeypatch):
     assert rec.ordinary_throughput_mbps and calls
     assert len(calls) <= n_states, calls
 
+
+def test_ordinary_users_price_new_states_in_one_call(monkeypatch):
+    """A TTI's unpriced cell states are priced by one `ordinary_stage`
+    call, and each state gets the arrays that pricing it alone gives; a
+    TTI with only priced states calls nothing."""
+    calls = []
+    original = engine.ordinary_stage
+
+    def counted(slots, *args):
+        calls.append(len(slots))
+        return original(slots, *args)
+
+    monkeypatch.setattr(engine, "ordinary_stage", counted)
+    cfg = ScenarioConfig()
+    gen = np.random.default_rng(4)
+    # Down to far below CQI 1's threshold, so some blocks may fail.
+    sinr = 10.0 ** (gen.uniform(-25.0, 30.0, (13, cfg.n_rb)) / 10.0)
+    # A cell with no users, one with one user (a full-width slot) and
+    # cells whose users get slots of two lengths.
+    rows_by_cell = {0: [0, 1, 2], 3: [3, 4, 5, 6], 5: [], 8: [7, 8, 9, 10, 11],
+                    9: [12]}
+    users = engine.OrdinaryUsers(cfg, rows_by_cell, sinr,
+                                 np.random.default_rng(1))
+    all_rbs = dict.fromkeys(rows_by_cell, cfg.n_rb)
+    users.serve(all_rbs)
+    assert calls == [3 + 4 + 5 + 1]
+    users.serve({**all_rbs, 3: 7, 8: 0})
+    assert calls[1:] == [3 + 4]
+    for _ in range(20):
+        users.serve(all_rbs)
+    # Every round-robin offset at all RBs, and cell 3's one state at 7.
+    assert len(users.priced) == 3 + (4 + 1) + 5 + 1
+    n_calls = len(calls)
+    users.serve(all_rbs)
+    assert len(calls) == n_calls
+    for state, (rows, bits, p) in users.priced.items():
+        slots = np.array(scheduler.schedule_unicast_ordinary(
+            rows_by_cell[state[0]], *state[1:]))
+        want_bits, want_p = original(slots, sinr, cfg.usable_re_per_rb,
+                                     cfg.bler_slope_db_per_decade,
+                                     cfg.cqi_table)
+        np.testing.assert_array_equal(rows, slots[:, 0])
+        np.testing.assert_array_equal(bits, want_bits)
+        np.testing.assert_array_equal(p, want_p)
 
 def test_fixed_cqi_reads_no_delayed_report(monkeypatch):
     """A fixed CQI reads no report, so a report delay adds no snapshot:

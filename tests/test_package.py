@@ -55,27 +55,47 @@ def _referenced_names(node):
             yield n.value
 
 
+# Test-only by design: acceptance criterion 6 and the channel tests take
+# it as the direct evaluation of the fading that the block path must match.
+_TEST_ONLY_METHODS = ["channel.py:FadingBank.coefficients"]
+
+
 def test_no_code_only_tests_call():
-    """Every module-level function and class of the package is used by the
+    """Every module-level function and class of the package, and every
+    method of its classes but the special (dunder) ones, is used by the
     package or by perfbench's code (not its tests) outside its own
-    definition: library code does not exist only to serve tests."""
+    definition: library code does not exist only to serve tests.  A method
+    counts as used where other code names it, as an attribute, a name or
+    a string."""
     repo = pathlib.Path(__file__).parents[1]
     sources = sorted((repo / "src" / "mbsfnsim").glob("*.py"))
     bench = [path for path in sorted((repo / "perfbench").glob("*.py"))
              if not path.name.startswith("test_")]
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sources + bench}
-    users = {}
+    # Who names what: top-level statements, and each class's own
+    # statements (its methods) one by one.
+    users, member_users = {}, {}
     for tree in trees.values():
         for top in tree.body:
             for name in _referenced_names(top):
                 users.setdefault(name, []).append(top)
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for member in members:
+                for name in _referenced_names(member):
+                    member_users.setdefault(name, []).append(member)
     unused = [f"{path.name}:{node.name}" for path in sources
               for node in trees[path].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and all(user is node for user in users.get(node.name, ()))]
+    unused += [f"{path.name}:{cls.name}.{node.name}" for path in sources
+               for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("__")
+               and all(user is node
+                       for user in member_users.get(node.name, ()))]
     assert len(trees) > len(sources) > 5
-    assert unused == []
+    assert unused == _TEST_ONLY_METHODS
 
 
 def test_only_engine_and_cli_start_pools():

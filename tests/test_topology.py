@@ -71,8 +71,8 @@ class TestDropUsers:
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 6, 3, 27.78, rng_seed=1)
         assert pop.n_users == 114
-        assert len(pop.car_ids()) == 57
-        in_area = [u for u in pop.car_ids()
+        assert pop.is_car.sum() == 57
+        in_area = [u for u in np.flatnonzero(pop.is_car)
                    if int(pop.serving_cell[u]) in layout.mbsfn_cells]
         assert len(in_area) == 21
 
@@ -80,7 +80,7 @@ class TestDropUsers:
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 1, 0, 0.0, rng_seed=3)
         assert pop.n_users == 19
-        assert len(pop.car_ids()) == 0
+        assert not pop.is_car.any()
         assert np.all(pop.velocities == 0.0)
 
     def test_deterministic_per_seed(self):
@@ -107,7 +107,7 @@ class TestDropUsers:
     def test_car_speed_and_heading(self):
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 6, 3, 27.78, rng_seed=5)
-        cars = pop.car_ids()
+        cars = np.flatnonzero(pop.is_car)
         speeds = np.hypot(*pop.velocities[cars].T)
         np.testing.assert_allclose(speeds, 27.78)
 
@@ -117,6 +117,87 @@ class TestDropUsers:
         with pytest.raises(ValueError, match="cars_per_cell"):
             engine.ScenarioConfig(users_per_cell=2, cars_per_cell=3)
 
+
+def _sequential_drop(layout, n_users_per_cell, n_cars_per_cell, car_speed,
+                     rng_seed):
+    """The drop one numpy draw at a time, each candidate position an array
+    and each velocity a product with one, as `drop_users` first drew it:
+    the reference its batched draws must match bit for bit.  Returns the
+    population's arrays and the number of uniforms taken."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), 0x0D0]))
+    isd = layout.inter_site_distance
+    circum = isd / math.sqrt(3.0)
+    taken = 0
+    is_car, serving, pos, vel = [], [], [], []
+    for cell_id in range(layout.n_cells):
+        centre = layout.cell_positions[cell_id]
+        for k in range(n_users_per_cell):
+            while True:
+                p = centre + rng.uniform(-circum, circum, size=2)
+                taken += 2
+                if point_in_hexagon(p, centre, isd):
+                    break
+            if k < n_cars_per_cell:
+                heading = rng.uniform(0.0, 2.0 * math.pi)
+                taken += 1
+                v = car_speed * np.array([math.cos(heading),
+                                          math.sin(heading)])
+            else:
+                v = np.zeros(2)
+            is_car.append(k < n_cars_per_cell)
+            serving.append(cell_id)
+            pos.append(p)
+            vel.append(v)
+    arrays = {"is_car": np.asarray(is_car, dtype=bool),
+              "serving_cell": np.asarray(serving, dtype=np.int64),
+              "drop_cell": np.asarray(serving, dtype=np.int64),
+              "positions": np.asarray(pos, dtype=float),
+              "velocities": np.asarray(vel, dtype=float)}
+    return arrays, taken
+
+
+def _check_against_sequential(layout, *users, rng_seed):
+    """`drop_users` against `_sequential_drop`: equal arrays, dtypes and
+    signs of zero.  Returns the uniforms the drop takes."""
+    pop = drop_users(layout, *users, rng_seed=rng_seed)
+    want, taken = _sequential_drop(layout, *users, rng_seed)
+    for name, value in want.items():
+        got = getattr(pop, name)
+        assert got.dtype == value.dtype, name
+        np.testing.assert_array_equal(got, value, err_msg=name)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(value),
+                                      err_msg=name)
+    return taken
+
+
+class TestBatchedDrop:
+    """`drop_users` draws its uniforms in batches but takes them in the
+    order, and with the arithmetic, of one numpy draw per value."""
+
+    @pytest.mark.parametrize("rings", [(0, 1), (1, 1), (2, 1), (0, 2),
+                                       (1, 2), (2, 2)],
+                             ids=lambda r: "rings{}-{}".format(*r))
+    @pytest.mark.parametrize("users", [
+        (6, 3, 27.78), (1, 0, 27.78), (3, 3, 13.9), (6, 3, 0.0)],
+        ids=["mixed", "one_static_user", "all_cars", "standing_cars"])
+    def test_bitwise_sequential_drop(self, rings, users):
+        """Every layout size and user mix, at three seeds; standing cars
+        have a velocity of signed zeros."""
+        layout = build_layout(*rings, 500.0)
+        for seed in range(3):
+            _check_against_sequential(layout, *users, rng_seed=seed)
+
+    def test_bitwise_over_seeds_past_the_first_batch(self):
+        """200 seeds of two user mixes; a drop of one car per cell takes
+        4.1 uniforms per user on average, so some seeds run past the first
+        batch and draw another."""
+        layout = build_layout(0, 1, 1732.0)
+        for seed in range(200):
+            _check_against_sequential(layout, 6, 3, 27.78, rng_seed=seed)
+        taken = [_check_against_sequential(layout, 1, 1, 27.78, rng_seed=seed)
+                 for seed in range(200)]
+        batch = topology._UNIFORMS_PER_USER * layout.n_cells
+        assert min(taken) <= batch < max(taken)
 
 def _distance_gain(layout):
     """A gain that falls with distance alone: handover to the nearest cell."""
@@ -156,7 +237,7 @@ class TestAdvanceMobility:
                                         _everyone(pop), 3)
         np.testing.assert_array_equal(pop.positions, positions)
         np.testing.assert_array_equal(pop.serving_cell, serving)
-        assert gains.shape == (3, len(pop.car_ids()), layout.n_cells)
+        assert gains.shape == (3, pop.is_car.sum(), layout.n_cells)
         np.testing.assert_array_equal(cells, np.tile(serving[pop.is_car],
                                                      (3, 1)))
 
@@ -213,9 +294,10 @@ class TestAdvanceMobility:
         full_pop = drop_users(layout, 6, 3, 27.78, rng_seed=6)
         positions = subset_pop.positions.copy()
         serving = subset_pop.serving_cell.copy()
-        cars = subset_pop.car_ids()
+        cars = np.flatnonzero(subset_pop.is_car)
         # Some cars and one static user; only the cars among them move.
-        given = np.concatenate((cars[::3], subset_pop.ordinary_ids()[:1]))
+        given = np.concatenate((cars[::3],
+                                np.flatnonzero(~subset_pop.is_car)[:1]))
         rest = np.setdiff1d(np.arange(subset_pop.n_users), given)
         shadow = np.random.default_rng(2).normal(
             0.0, 8.0, size=(subset_pop.n_users, layout.n_cells))
@@ -305,9 +387,9 @@ def test_mobility_stage_bitwise_as_parent(mbsfn_rings, speed, caplog):
     pops = [drop_users(layout, 6, 3, speed_ms, rng_seed=1) for _ in range(2)]
     pop, ref = pops
     positions = pop.positions.copy()
-    cars = pop.car_ids()
+    cars = np.flatnonzero(pop.is_car)
     # The model's moving users come first: the cars, in user order.
-    tracked = np.concatenate((cars, pop.ordinary_ids()))
+    tracked = np.concatenate((cars, np.flatnonzero(~pop.is_car)))
     shadow = channel.draw_shadowing(pop.n_users, layout.n_cells, 8.0, 1)
     with caplog.at_level(logging.WARNING, logger="mbsfnsim.channel"):
         model = every_tti_model(
