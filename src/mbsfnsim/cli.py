@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import channel, engine, metrics
+from . import channel, config, engine, metrics
 
 
 class ScenarioParseError(ValueError):
@@ -49,7 +49,7 @@ def _parse_bool(s: str) -> bool:
 def _parse_policy(s: str) -> tuple[str, int]:
     kind, _, value = s.partition(":")
     try:
-        if kind in (engine.POLICY_FIXED, engine.POLICY_ADAPTIVE):
+        if kind in (config.POLICY_FIXED, config.POLICY_ADAPTIVE):
             return kind, int(value)
     except ValueError:
         pass
@@ -67,14 +67,14 @@ _POLICY_KEY = "cqi_policy"
 def _scenario_keys() -> dict[str, dict[str, type]]:
     """section -> key -> declared type, in ScenarioConfig field order."""
     sections: dict[str, dict[str, type]] = {}
-    for f in fields(engine.ScenarioConfig):
+    for f in fields(config.ScenarioConfig):
         if f.name != "cqi_value":
             sections.setdefault(f.metadata["section"], {})[f.name] = f.type
     return sections
 
 
 def parse_scenario_text(text: str,
-                        directory: str = "") -> engine.ScenarioConfig:
+                        directory: str = "") -> config.ScenarioConfig:
     """The config of a scenario file's text; a relative `cqi_table_file`
     is taken from `directory`, that of the file."""
     schema = _scenario_keys()
@@ -115,10 +115,10 @@ def parse_scenario_text(text: str,
     if values.get("cqi_table_file"):
         values["cqi_table_file"] = os.path.join(directory,
                                                 values["cqi_table_file"])
-    return engine.ScenarioConfig(**values)
+    return config.ScenarioConfig(**values)
 
 
-def load_scenario(path: str) -> engine.ScenarioConfig:
+def load_scenario(path: str) -> config.ScenarioConfig:
     resolved = resolve_scenario_path(path)
     with open(resolved, "r", encoding="utf-8") as fh:
         return parse_scenario_text(fh.read(), os.path.dirname(resolved))
@@ -146,7 +146,7 @@ def _check_out(out_dir: str) -> None:
         raise ValueError(f"--out: {path} is not a directory")
 
 
-def _configs(args) -> list[engine.ScenarioConfig]:
+def _configs(args) -> list[config.ScenarioConfig]:
     """The validated configs of a parsed command line: `[cfg]` for `run`,
     the matrix cells for `compare`.  Every user input is checked here,
     before any run; a bad one raises ValueError or FileNotFoundError with
@@ -164,7 +164,7 @@ def _configs(args) -> list[engine.ScenarioConfig]:
                 raise ValueError(f"--seed: {exc}") from exc
         return [cfg]
 
-    base = (engine.ScenarioConfig() if args.base is None
+    base = (config.ScenarioConfig() if args.base is None
             else load_scenario(args.base))
     # Each cell is built, and so checked, after the matrix checks, with the
     # --n-tti and --seed overrides among its fields.
@@ -193,14 +193,15 @@ def _configs(args) -> list[engine.ScenarioConfig]:
             for policy, value in policies]
 
 
-def cmd_run(cfg: engine.ScenarioConfig, out_dir: str) -> int:
+def cmd_run(cfg: config.ScenarioConfig, out_dir: str) -> int:
     metrics.write_run_outputs(out_dir, engine.run(cfg))
     print(f"wrote {out_dir} (mode={cfg.mode}, bandwidth={cfg.bandwidth_mhz} MHz,"
-          f" policy={cfg.cqi_policy_label()}, seed={cfg.seed})")
+          f" policy={config.policy_label(cfg.cqi_policy, cfg.cqi_value)},"
+          f" seed={cfg.seed})")
     return 0
 
 
-def _cell_name(cfg: engine.ScenarioConfig) -> str:
+def _cell_name(cfg: config.ScenarioConfig) -> str:
     return (f"{cfg.mode}_{cfg.bandwidth_mhz}mhz_"
             f"{cfg.cqi_policy}{cfg.cqi_value}")
 
@@ -220,7 +221,7 @@ RATIO_COLUMNS = ("mode", "cqi_policy", "bandwidth_low", "bandwidth_high",
                  "predicted_ratio", "measured_ratio")
 
 
-def cmd_compare(cells: list[engine.ScenarioConfig], out_dir: str) -> int:
+def cmd_compare(cells: list[config.ScenarioConfig], out_dir: str) -> int:
     # One process per cell, up to the CPUs this process may use.
     workers = min(len(cells), channel.usable_cpus())
     if workers > 1:
@@ -265,15 +266,16 @@ def cmd_compare(cells: list[engine.ScenarioConfig], out_dir: str) -> int:
             hi_util = rec_hi.analytic_utilization_pct / 100.0
             try:
                 predicted = metrics.predicted_throughput_ratio(
-                    lo_util, engine.BANDWIDTH_TO_RB[bw],
-                    hi_util, engine.BANDWIDTH_TO_RB[bw_hi])
+                    lo_util, config.BANDWIDTH_TO_RB[bw],
+                    hi_util, config.BANDWIDTH_TO_RB[bw_hi])
             except metrics.MetricsError:
                 predicted = float("nan")
             lo_tp = rec.mean_throughput_mbps()
             measured = (rec_hi.mean_throughput_mbps() / lo_tp
                         if lo_tp else float("nan"))
             ratio_rows.append([metrics.format_value(v) for v in (
-                mode, f"{policy}:{value}", bw, bw_hi, predicted, measured)])
+                mode, config.policy_label(policy, value), bw, bw_hi,
+                predicted, measured)])
     if ratio_rows:
         metrics.write_csv(os.path.join(out_dir, "ratios.csv"), RATIO_COLUMNS,
                           ratio_rows)

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from mbsfnsim import channel, cli, engine
+from mbsfnsim import channel, cli, config, engine
 from mbsfnsim.cli import (ScenarioParseError, load_scenario, main,
                           parse_scenario_text, resolve_scenario_path)
 from test_link import BAD_TABLES, write_cqi_table
@@ -83,7 +83,7 @@ seed = 99
             if f.name == "cqi_value":  # carried by the cqi_policy key
                 continue
             if f.name == "cqi_policy":
-                value = cfg.cqi_policy_label()
+                value = config.policy_label(cfg.cqi_policy, cfg.cqi_value)
             lines += [f"[{f.metadata['section']}]", f"{f.name} = "
                       f"{str(value).lower() if f.type is bool else value}"]
         assert parse_scenario_text("\n".join(lines)) == cfg
@@ -550,6 +550,21 @@ class TestValidationBoundary:
                           "--cqi", "fixed:3,fixed:4"],
                          f"cqi_table_file: '{{d}}/{bad}.csv': "
                          f"{BAD_TABLES[bad][3]}", id=compare_id))
+    ] + [
+        # A quantity derived from a value that overflows its type.
+        pytest.param(["run", "{d}/carrier.scenario"],
+                     "{d}/carrier.scenario: carrier_ghz is too large: the "
+                     "carrier in Hz or the Doppler phase at car_speed_kmh "
+                     "over the run overflows", id="carrier_ghz_overflow"),
+        pytest.param(["run", "{d}/sparse.scenario"],
+                     "{d}/sparse.scenario: inter_site_distance_m is too "
+                     "large: the squared distance across the layout "
+                     "overflows", id="inter_site_distance_m_overflow"),
+        pytest.param(["run", "{d}/dense.scenario"],
+                     "{d}/dense.scenario: usable_re_per_rb must be at most "
+                     "368934881474191032 at 25 RBs: an RB grid's resource "
+                     "elements must fit in int64",
+                     id="usable_re_per_rb_overflow"),
     ])
     def test_user_error_reported_before_any_run(self, tmp_path, monkeypatch,
                                                 capsys, argv, message):
@@ -568,6 +583,13 @@ class TestValidationBoundary:
                             ("strong", "tx_power_dbm = 1e6")):
             (tmp_path / f"{name}.scenario").write_text(
                 SMALL_SCENARIO + f"\n[radio]\n{radio}\n")
+        for name, text in (("carrier", "[radio]\ncarrier_ghz = 1e300"),
+                           ("sparse",
+                            "[layout]\ninter_site_distance_m = 1e200"),
+                           ("dense", "[radio]\nusable_re_per_rb = "
+                                     "9223372036854775808")):
+            (tmp_path / f"{name}.scenario").write_text(
+                SMALL_SCENARIO + f"\n{text}\n")
         for bad in BAD_TABLES:
             (tmp_path / f"{bad}.scenario").write_text(
                 SMALL_SCENARIO + "\n[radio]\ncqi_table_file = "

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsfnsim import (channel, engine, link, metrics, scheduler, topology,
-                      traffic)
+from mbsfnsim import (channel, config, engine, link, metrics, scheduler,
+                      topology, traffic)
+from mbsfnsim.delivery import MulticastDelivery, UnicastDelivery, draw_success
 from mbsfnsim.engine import ScenarioConfig, derived_seeds, replicate, run
 from test_link import BAD_TABLES, grouped_slices, write_cqi_table
 
@@ -81,6 +82,18 @@ class TestConfig:
         ("cqi_table_file", "/nonexistent/cqi_table.csv", {}),
         ("noise_figure_db", -0.5, {}),
         ("tx_power_dbm", 1e6, {}),
+        # Quantities derived from a value that overflow their type: the
+        # carrier in Hz (inf, and a standing car's Doppler 0 * inf = nan),
+        # the squared distance across the layout, the layout's radius
+        # itself, and an RB grid's resource elements in int64.
+        ("carrier_ghz", 1e300, {}),
+        ("carrier_ghz", 1e300, {"car_speed_kmh": 0.0}),
+        ("carrier_ghz", 1e297, {"n_tti": 10**12}),
+        ("inter_site_distance_m", 1e200, {}),
+        ("inter_site_distance_m", 1e308, {}),
+        ("usable_re_per_rb", 2**62, {}),
+        ("usable_re_per_rb", 2**63, {}),
+        ("usable_re_per_rb", 2**61, {"bandwidth_mhz": 20}),
     ])
     def test_validation_names_field(self, field, value, others):
         """A bad value is rejected when the config is built, directly or
@@ -131,6 +144,18 @@ class TestConfig:
         assert ScenarioConfig(**cfg.to_dict()) == cfg
         assert list(cfg.to_dict().items()) == list(asdict(cfg).items())
 
+    @pytest.mark.parametrize("bandwidth_mhz", [5, 20])
+    def test_re_limit_is_int64(self, bandwidth_mhz):
+        """An RB grid's resource elements fit in int64 up to the limit
+        and not one RE per RB beyond it."""
+        n_rb = config.BANDWIDTH_TO_RB[bandwidth_mhz]
+        limit = np.iinfo(np.int64).max // n_rb
+        cfg = ScenarioConfig(bandwidth_mhz=bandwidth_mhz,
+                             usable_re_per_rb=limit)
+        assert np.int64(n_rb) * np.int64(cfg.usable_re_per_rb) > 0
+        with pytest.raises(ValueError, match=f"at most {limit} at {n_rb}"):
+            replace(cfg, usable_re_per_rb=limit + 1)
+
 
 class TestRunBasics:
     def test_zero_ttis_valid_empty(self):
@@ -165,6 +190,53 @@ class TestRunBasics:
         rec = run(small_config())
         assert rec.entries
         assert all(e.latency_ttis >= 1 for e in rec.entries)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"mode": "unicast_baseline"}, {"n_tti": 7}, {"n_tti": 0},
+    {"mbsfn_rings": 0}, {"mbsfn_rings": 2, "bandwidth_mhz": 20},
+    {"cqi_policy": "adaptive", "cqi_feedback_delay_tti": 3},
+    {"mode": "unicast_baseline", "cqi_policy": "adaptive",
+     "cqi_feedback_delay_tti": 13},
+])
+def test_set_up_masks_are_those_of_isin(overrides):
+    """The Runner's area-cell mask and the mask of the TTIs the channel
+    evaluates are bitwise those of `np.isin` over the area cells and over
+    the subframes the delivery reads, with the adaptive reports'."""
+    cfg = small_config(**overrides)
+    with ThreadPoolExecutor(1) as pool:
+        runner = engine.Runner(cfg, pool)
+    layout = topology.build_layout(cfg.mbsfn_rings, cfg.interference_rings,
+                                   cfg.inter_site_distance_m)
+    mask = runner.mobility.mbsfn_mask
+    assert mask.dtype == bool and np.array_equal(mask, np.isin(
+        np.arange(layout.n_cells), sorted(layout.mbsfn_cells)))
+    reads = np.isin(np.arange(cfg.n_tti) % scheduler.SUBFRAMES_PER_FRAME,
+                    sorted(runner.delivery.read_subframes))
+    reported = np.zeros_like(reads)
+    if cfg.cqi_policy == config.POLICY_ADAPTIVE:
+        reported[np.maximum(np.flatnonzero(reads)
+                            - cfg.cqi_feedback_delay_tti, 0)] = True
+    evaluated = runner.links.model.evaluated_ttis
+    assert evaluated.dtype == bool
+    assert np.array_equal(evaluated, reads | reported)
+    assert np.array_equal(runner.links.reported, reported)
+
+
+def test_runner_steps_and_record():
+    """`advance` runs no TTI for n <= 0 and stops at n_tti; `record`
+    raises until every TTI has run."""
+    cfg = small_config(n_tti=70)
+    with ThreadPoolExecutor(1) as pool:
+        runner = engine.Runner(cfg, pool)
+        for n, tti in ((0, 0), (-5, 0), (3, 3), (-1, 3)):
+            runner.advance(n)
+            assert runner.tti == tti
+        with pytest.raises(RuntimeError, match="67 TTIs left"):
+            runner.record()
+        runner.advance(100)
+    assert runner.tti == 70
+    assert runner.record().entries == run(cfg).entries
 
 
 def test_one_pathloss_evaluation_per_block(monkeypatch):
@@ -243,7 +315,7 @@ def test_multicast_grid_only_in_reserved_subframes(monkeypatch):
     monkeypatch.setattr(channel.ChannelModel, "snapshot", recorded_snapshot)
     cfg = ScenarioConfig(n_tti=256, seed=1)
     rec = run(cfg)
-    assert cfg.cqi_policy == engine.POLICY_FIXED and rec.sources
+    assert cfg.cqi_policy == config.POLICY_FIXED and rec.sources
     reserved = scheduler.reserved_subframes(rec.reserved_per_frame)
     assert 0 < len(reserved) < scheduler.SUBFRAMES_PER_FRAME
     assert snapshot_ttis == np.flatnonzero(rec.multicast_rb_per_tti).tolist()
@@ -356,8 +428,8 @@ def test_unicast_reads_link_state_only_where_copies_are_sent(monkeypatch):
     assert len(snapshot_ttis) == 253
 
 
-@pytest.mark.parametrize("mode", [engine.MODE_MULTICAST,
-                                  engine.MODE_UNICAST_BASELINE])
+@pytest.mark.parametrize("mode", [config.MODE_MULTICAST,
+                                  config.MODE_UNICAST_BASELINE])
 def test_outputs_independent_of_cpu_count(mode, monkeypatch):
     """A 5 MHz run's 399 moving fading pairs make two chunks: on a pool
     of one worker with one CPU, of two workers with two.  The record is
@@ -384,8 +456,8 @@ def test_outputs_independent_of_cpu_count(mode, monkeypatch):
     np.testing.assert_array_equal(one.cam_rb_per_tti, two.cam_rb_per_tti)
 
 
-@pytest.mark.parametrize("mode", [engine.MODE_MULTICAST,
-                                  engine.MODE_UNICAST_BASELINE])
+@pytest.mark.parametrize("mode", [config.MODE_MULTICAST,
+                                  config.MODE_UNICAST_BASELINE])
 def test_one_tti_run_starts_no_pool(mode, monkeypatch):
     """A 1-TTI run never steps the fading, so its pool starts no thread."""
     monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
@@ -407,7 +479,7 @@ def test_no_thread_outlives_a_run(fail_at, monkeypatch):
     raises in the middle of the loop."""
     monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
     during = []
-    serve = engine.MulticastDelivery.serve
+    serve = MulticastDelivery.serve
 
     def watched(delivery, tti, *args):
         during.append(threading.active_count())
@@ -415,7 +487,7 @@ def test_no_thread_outlives_a_run(fail_at, monkeypatch):
             raise RuntimeError("delivery failed")
         return serve(delivery, tti, *args)
 
-    monkeypatch.setattr(engine.MulticastDelivery, "serve", watched)
+    monkeypatch.setattr(MulticastDelivery, "serve", watched)
     before = threading.enumerate()
     cfg = ScenarioConfig(n_tti=200, seed=1)
     if fail_at is None:
@@ -429,9 +501,9 @@ def test_no_thread_outlives_a_run(fail_at, monkeypatch):
 
 short_configs = st.builds(
     ScenarioConfig,
-    mode=st.sampled_from([engine.MODE_MULTICAST,
-                          engine.MODE_UNICAST_BASELINE]),
-    cqi_policy=st.sampled_from([engine.POLICY_FIXED, engine.POLICY_ADAPTIVE]),
+    mode=st.sampled_from([config.MODE_MULTICAST,
+                          config.MODE_UNICAST_BASELINE]),
+    cqi_policy=st.sampled_from([config.POLICY_FIXED, config.POLICY_ADAPTIVE]),
     cqi_value=st.integers(1, 15),
     car_speed_kmh=st.sampled_from([0.0, 100.0]),
     cars_per_cell=st.integers(0, 3),
@@ -462,7 +534,7 @@ def test_short_run_properties(cfg):
         cfg.inter_site_distance_m).mbsfn_cells)
     assert np.all(rec.multicast_rb_per_tti <= cfg.n_rb)
     assert np.all(rec.cam_rb_per_tti <= cfg.n_rb * n_area)
-    other = (rec.cam_rb_per_tti if cfg.mode == engine.MODE_MULTICAST
+    other = (rec.cam_rb_per_tti if cfg.mode == config.MODE_MULTICAST
              else rec.multicast_rb_per_tti)
     assert not other.any()
     again = run(cfg)
@@ -631,7 +703,7 @@ class TestOrdinaryStage:
             rng_b = np.random.default_rng(trial)
             bits, p = engine.ordinary_stage(slots, sinr, 100, 1.0,
                                            link.CQI_TABLE)
-            ok = engine.draw_success(p, perfect_decode, rng_a)
+            ok = draw_success(p, perfect_decode, rng_a)
             _, want_bits, want_ok = _per_slot_oracle(
                 slots, sinr, 100, 1.0, perfect_decode, rng_b)
             np.testing.assert_array_equal(bits, want_bits)
@@ -652,7 +724,7 @@ class TestOrdinaryStage:
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         bits, p = engine.ordinary_stage(slots, sinr, 100, 1.0,
                                            link.CQI_TABLE)
-        ok = engine.draw_success(p, False, rng_a)
+        ok = draw_success(p, False, rng_a)
         _, want_bits, want_ok = _per_slot_oracle(
             slots, sinr, 100, 1.0, False, rng_b)
         assert (bits.tolist(), ok.tolist()) == (want_bits, want_ok)
@@ -663,7 +735,7 @@ class TestOrdinaryStage:
         state = rng.bit_generator.state
         bits, p = engine.ordinary_stage([], np.ones((2, 25)), 100, 1.0,
                                        link.CQI_TABLE)
-        ok = engine.draw_success(p, False, rng)
+        ok = draw_success(p, False, rng)
         assert len(bits) == len(p) == len(ok) == 0
         assert rng.bit_generator.state == state
 
@@ -756,8 +828,8 @@ def test_tracer_counts_one_mobility_step_per_block(monkeypatch):
     assert steps == [64, 64, 22]
 
 
-@pytest.mark.parametrize("mode", [engine.MODE_MULTICAST,
-                                  engine.MODE_UNICAST_BASELINE])
+@pytest.mark.parametrize("mode", [config.MODE_MULTICAST,
+                                  config.MODE_UNICAST_BASELINE])
 def test_stages_run_in_order(mode, monkeypatch):
     """Each TTI runs its stages in one order: mobility, any receiver exits,
     the link reads, any generation, the delivery's `serve`, then the
@@ -777,8 +849,8 @@ def test_stages_run_in_order(mode, monkeypatch):
     shim(metrics.LatencyRecorder, "on_receiver_exit", "x")
     shim(engine.LinkReads, "step", "r")
     shim(traffic, "maybe_generate", "g")
-    shim(engine.MulticastDelivery, "serve", "s")
-    shim(engine.UnicastDelivery, "serve", "s")
+    shim(MulticastDelivery, "serve", "s")
+    shim(UnicastDelivery, "serve", "s")
     shim(engine.OrdinaryUsers, "serve", "o")
     # With shadowing some cars hand over to a ring cell and leave the area.
     cfg = ScenarioConfig(mode=mode, shadowing_std_db=8.0, n_tti=300, seed=1)
@@ -833,7 +905,7 @@ def test_rb_conservation_at_the_ordinary_stage(overrides, monkeypatch):
         for cell in area_cells:
             assert 0 <= left[cell]
             assert rec.multicast_rb_per_tti[tti] + left[cell] <= cfg.n_rb
-        if cfg.mode == engine.MODE_UNICAST_BASELINE:
+        if cfg.mode == config.MODE_UNICAST_BASELINE:
             assert (sum(cfg.n_rb - n for n in left.values())
                     == rec.cam_rb_per_tti[tti])
     assert (rec.multicast_rb_per_tti + rec.cam_rb_per_tti).any()
@@ -863,7 +935,7 @@ def _per_copy_serve(delivery, tti, area_sources, read_now, report):
     cqi = {}
 
     def price(copy):
-        if cfg.cqi_policy == engine.POLICY_FIXED:
+        if cfg.cqi_policy == config.POLICY_FIXED:
             cqi[copy] = cfg.cqi_value
         else:
             row = delivery.row_of[copy.receiver]
@@ -912,7 +984,7 @@ class _DeliveryLog:
     def decode(self, eff_db, cqi):
         p = link.bler(eff_db, cqi, 1.0, link.CQI_TABLE)
         self.decoded.append((eff_db, cqi, p))
-        return engine.draw_success(p, False, self.rng)
+        return draw_success(p, False, self.rng)
 
 
 def _unicast_delivery(gen, policy, bound, n_rb, n_sources, n_cells):
@@ -926,7 +998,7 @@ def _unicast_delivery(gen, policy, bound, n_rb, n_sources, n_cells):
     sources = [int(s) for s in 100 + np.arange(n_sources)]
     drop_cell = {s: int(gen.integers(n_cells)) for s in sources}
     log = _DeliveryLog(int(gen.integers(2 ** 31)))
-    delivery = engine.UnicastDelivery(
+    delivery = UnicastDelivery(
         cfg, list(range(n_cells)), drop_cell, log,
         {s: k for k, s in enumerate(sources)}, log.decode, 1.0)
     return delivery, log
@@ -937,7 +1009,7 @@ def _random_unicast_case(seed, policy):
     (report, now) SINR grids of 8 TTIs, with packets added before each."""
     gen = np.random.default_rng(seed)
     n_rb = int(gen.choice([6, 25, 100]))
-    bound = int(gen.integers(1, 16) if policy == engine.POLICY_FIXED
+    bound = int(gen.integers(1, 16) if policy == config.POLICY_FIXED
                 else gen.choice([0, int(gen.integers(1, 16))]))
     n_sources, n_cells = int(gen.integers(2, 14)), int(gen.integers(1, 5))
     state = gen.bit_generator.state
@@ -959,7 +1031,7 @@ def _random_unicast_case(seed, policy):
                             receivers))
         # Residuals: partly served, a few bits, or a rounding error above
         # whole RBs at the receiver's reported CQI.
-        cqi = (np.full(n_sources, bound) if policy == engine.POLICY_FIXED
+        cqi = (np.full(n_sources, bound) if policy == config.POLICY_FIXED
                else np.maximum(link.cqi_from_sinr_rows(report,
                                                        link.CQI_TABLE),
                                max(bound, 1)))
@@ -992,8 +1064,8 @@ def _drive(delivery, serve, ttis):
     return seen
 
 
-@pytest.mark.parametrize("policy", [engine.POLICY_FIXED,
-                                    engine.POLICY_ADAPTIVE])
+@pytest.mark.parametrize("policy", [config.POLICY_FIXED,
+                                    config.POLICY_ADAPTIVE])
 def test_serve_matches_per_copy_pricing(policy, monkeypatch):
     """Pricing each receiver once per TTI and summing the slices from one
     log2 pass gives the grants, CQIs, decode `p`, draws, residuals and
@@ -1013,7 +1085,7 @@ def test_serve_matches_per_copy_pricing(policy, monkeypatch):
     for seed in range(60):
         ((new, new_log), (old, old_log)), ttis = _random_unicast_case(
             seed, policy)
-        got = _drive(new, engine.UnicastDelivery.serve, ttis)
+        got = _drive(new, UnicastDelivery.serve, ttis)
         got_grants = grants.copy()
         grants.clear()
         want = _drive(old, _per_copy_serve, ttis)
@@ -1030,8 +1102,8 @@ def test_serve_matches_per_copy_pricing(policy, monkeypatch):
     assert n_decoded > 100
 
 
-@pytest.mark.parametrize("policy", [engine.POLICY_FIXED,
-                                    engine.POLICY_ADAPTIVE])
+@pytest.mark.parametrize("policy", [config.POLICY_FIXED,
+                                    config.POLICY_ADAPTIVE])
 def test_serve_prices_only_the_granted_head(policy, monkeypatch):
     """Each cell's scheduler call gets the head of its queue, priced, up to
     the copy whose RB demand fills the cell: its grants equal those of the
@@ -1051,7 +1123,7 @@ def test_serve_prices_only_the_granted_head(policy, monkeypatch):
             for packet, receivers in packets:
                 delivery.add(packet, receivers)
             cqi = (np.full(len(report), cfg.cqi_value)
-                   if policy == engine.POLICY_FIXED
+                   if policy == config.POLICY_FIXED
                    else np.maximum(link.cqi_from_sinr_rows(report, table),
                                    max(cfg.cqi_value, 1)))
             whole = [[(c, c.residual, link.cqi_efficiency(

@@ -14,7 +14,9 @@ messages have no recipient.  Three two-ring layouts (19 area cells) take
 the scale shape: multicast at 20 MHz, unicast, and multicast at 5 MHz,
 whose infeasible reservation runs a congested loop at six subframes.
 One more digest covers the whole output tree of a `compare` run: its
-per-cell run directories, overlays, ratios, summary and manifest.
+per-cell run directories, overlays, ratios, summary and manifest.  Every
+config also runs through an `engine.Runner` advanced in uneven steps,
+which must give the same digest as `engine.run`'s block steps.
 
 Each run's artifact files (name and bytes, as `metrics.write_run_outputs`
 emits them) and its per-TTI RB arrays are hashed with SHA-256 and compared
@@ -28,6 +30,8 @@ import hashlib
 import os
 import pathlib
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +198,56 @@ def compare_digest(out_dir) -> str:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digest(name, tmp_path):
     assert run_digest(CONFIGS[name], tmp_path) == GOLDEN[name]
+
+
+# Uneven steps that start and end off the 64-TTI fading blocks; the last
+# runs past n_tti, and the one before may as well.
+RUNNER_STEPS = (1, 63, 64, 200)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_runner_in_uneven_steps_gives_golden_digest(name, tmp_path):
+    """A Runner advanced 1, 63, 64 and 200 TTIs, then the rest and more,
+    on a pool its caller owns, gives the run's golden digest."""
+    cfg, done = CONFIGS[name], 0
+    with ThreadPoolExecutor(2) as pool:
+        runner = engine.Runner(cfg, pool)
+        for n in RUNNER_STEPS:
+            runner.advance(n)
+            done += n
+            assert runner.tti == min(done, cfg.n_tti)
+        runner.advance(cfg.n_tti - runner.tti + 5)
+        assert runner.tti == cfg.n_tti
+    assert record_digest(runner.record(), tmp_path) == GOLDEN[name]
+
+
+def test_run_shuts_its_pool_down_when_advance_raises(monkeypatch):
+    """`run` shuts its fading pool down, and joins its threads, also when
+    a block's `advance` raises."""
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    shut, threads = [], []
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shut.append(kwargs)
+            super().shutdown(*args, **kwargs)
+
+    advance = engine.Runner.advance
+
+    def failing(runner, n):
+        advance(runner, n)
+        if runner.tti == 2 * channel.BLOCK_LEN:
+            threads.append(threading.active_count())
+            raise RuntimeError("advance failed")
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(engine.Runner, "advance", failing)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="advance failed"):
+        engine.run(BASE)
+    assert shut == [{"cancel_futures": True}]
+    assert threading.enumerate() == before
+    assert threads[0] > len(before)
 
 
 def test_standard_table_file_reproduces_golden(tmp_path):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsfnsim import channel, engine, link
+from mbsfnsim import channel, link
 from mbsfnsim.channel import steering_products
+from mbsfnsim.config import ScenarioConfig
+from mbsfnsim.delivery import decoder
 from mbsfnsim.link import CQI_TABLE, CqiRangeError, bler, cqi_efficiency
 
 
@@ -328,7 +330,7 @@ class TestEfficiencyTable:
 
 def _decode(seed):
     """The engine's decode path at the config's default BLER slope."""
-    return engine.decoder(engine.ScenarioConfig(), np.random.default_rng(seed))
+    return decoder(ScenarioConfig(), np.random.default_rng(seed))
 
 
 class TestDecoding:

@@ -25,6 +25,20 @@ def test_no_module_level_mutable_state():
     assert mutable == []
 
 
+MAX_MODULE_LINES = 450
+
+
+def test_no_module_over_450_lines():
+    """Every module of the package fits in 450 physical lines: a module
+    that outgrows it holds more than one concept and is split by
+    concept, as `engine` was into `config`, `delivery` and `engine`."""
+    lengths = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+               for path in pathlib.Path(mbsfnsim.__file__).parent.glob("*.py")}
+    assert len(lengths) > 5
+    assert {name: n for name, n in lengths.items()
+            if n > MAX_MODULE_LINES} == {}
+
+
 def test_reads_no_environment_variable():
     """No module reads `os.environ` or `os.getenv`: a run's settings are
     its config fields and command-line arguments, and a setting derived

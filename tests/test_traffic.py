@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbsfnsim import engine
+from mbsfnsim.delivery import (MulticastDelivery, UnicastDelivery, _CopyJob,
+                               _McastJob)
 from mbsfnsim.traffic import (CamPacket, UserBuffer, consume, draw_offsets,
                               maybe_generate)
 
@@ -15,8 +17,8 @@ def _buffer(offset=7, period=100, bits=2400):
 
 def _jobs(bits=2400):
     """A multicast job and a unicast copy job of a fresh `bits` packet."""
-    return (engine._McastJob(0, 0, frozenset({1}), float(bits)),
-            engine._CopyJob(0, 0, 1, float(bits)))
+    return (_McastJob(0, 0, frozenset({1}), float(bits)),
+            _CopyJob(0, 0, 1, float(bits)))
 
 
 def _deliveries():
@@ -24,15 +26,15 @@ def _deliveries():
     dropped in cell 0; they keep the jobs of the messages added."""
     cfg = engine.ScenarioConfig()
     row_of = {0: 0, 1: 1}
-    return (engine.MulticastDelivery(cfg, [0], None, row_of, None, None, 1.0),
-            engine.UnicastDelivery(cfg, [0], {0: 0, 1: 0}, None, row_of,
+    return (MulticastDelivery(cfg, [0], None, row_of, None, None, 1.0),
+            UnicastDelivery(cfg, [0], {0: 0, 1: 0}, None, row_of,
                                    None, 1.0))
 
 
 def _job_of(delivery):
     """The one job a delivery keeps."""
     jobs = list(delivery.pending.values())
-    if isinstance(delivery, engine.UnicastDelivery):
+    if isinstance(delivery, UnicastDelivery):
         jobs = [job for queue in jobs for job in queue.values()]
     (job,) = jobs
     return job
