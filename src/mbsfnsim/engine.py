@@ -248,7 +248,6 @@ class OrdinaryUsers:
             self.bits[rows[ok]] += bits[ok]
 
 
-
 class Runner:
     """One run, set up by the constructor and stepped by its caller.
 

@@ -27,8 +27,7 @@ def _deliveries():
     cfg = engine.ScenarioConfig()
     row_of = {0: 0, 1: 1}
     return (MulticastDelivery(cfg, [0], None, row_of, None, None, 1.0),
-            UnicastDelivery(cfg, [0], {0: 0, 1: 0}, None, row_of,
-                                   None, 1.0))
+            UnicastDelivery(cfg, [0], {0: 0, 1: 0}, None, row_of, None, 1.0))
 
 
 def _job_of(delivery):
