@@ -98,14 +98,13 @@ class MulticastDelivery:
         self.cam_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
         self.pending: dict[int, _McastJob] = {}
 
-    def add(self, packet: traffic.CamPacket, receivers) -> None:
-        """Queue a generated message at the back, replacing its source's
+    def add(self, src: int, sequence: int, tti: int, receivers) -> None:
+        """Queue message `sequence` of `src`, generated at `tti` and
+        `cfg.cam_size_bits` long, at the back, replacing its source's
         undelivered predecessor."""
-        src = packet.source_user_id
         self.pending.pop(src, None)
-        self.pending[src] = _McastJob(src, packet.sequence,
-                                      frozenset(receivers),
-                                      float(packet.size_bits))
+        self.pending[src] = _McastJob(src, sequence, frozenset(receivers),
+                                      float(self.cfg.cam_size_bits))
 
     def link_state(self, x: np.ndarray, steer: np.ndarray,
                    steer_products: np.ndarray) -> np.ndarray:
@@ -203,20 +202,19 @@ class UnicastDelivery:
         self.pending: dict[int, dict[tuple[int, int], _CopyJob]] = {
             c: {} for c in area_cells}
 
-    def add(self, packet: traffic.CamPacket, receivers) -> None:
-        """Queue one copy per receiver at the back of its drop cell's
-        queue, replacing the undelivered copy of the source's predecessor
-        to that receiver.  A message with no receiver needs no copy: its
-        entry closes at the end of its generation TTI."""
-        src = packet.source_user_id
+    def add(self, src: int, sequence: int, tti: int, receivers) -> None:
+        """Queue one `cfg.cam_size_bits` copy of message `sequence` of
+        `src`, generated at `tti`, per receiver at the back of its drop
+        cell's queue, replacing the undelivered copy of the source's
+        predecessor to that receiver.  A message with no receiver needs no
+        copy: its entry closes at the end of its generation TTI."""
         if not receivers:
-            self.recorder.on_delivery(src, packet.sequence,
-                                      packet.generation_tti + 1, ())
+            self.recorder.on_delivery(src, sequence, tti + 1, ())
+        size = float(self.cfg.cam_size_bits)
         for recv in sorted(receivers):
             queue = self.pending[self.drop_cell[recv]]
             queue.pop((src, recv), None)
-            queue[(src, recv)] = _CopyJob(src, packet.sequence, recv,
-                                          float(packet.size_bits))
+            queue[(src, recv)] = _CopyJob(src, sequence, recv, size)
 
     def link_state(self, x: np.ndarray, steer: np.ndarray,
                    steer_products: np.ndarray) -> np.ndarray:

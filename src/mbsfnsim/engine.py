@@ -10,24 +10,27 @@ next min(n, TTIs left) TTIs, each through these stages, in this order:
    the channel snapshot scales the cars' tap gains by each TTI's row.
 2. Link reads (`LinkReads.step`): this TTI's link state, evaluated only
    where it is read, and the CQI report's.
-3. Generation (`Runner._generate`): the sources in their phase of the
-   period generate messages, replacing undelivered predecessors.
+3. Generation (`Runner._generate`): `traffic.maybe_generate` names the
+   sources in their phase of the period and the sequence number the
+   clock gives their messages; each message replaces its source's
+   undelivered predecessor in the delivery.
 4. Delivery (`delivery.MulticastDelivery.serve` or
    `delivery.UnicastDelivery.serve`): the scheduler fills the subframe
-   with messages, each transport block is decoded per recipient, buffers
-   drain and the latency log is appended.
+   with messages, each transport block is decoded per recipient, the
+   messages' residual bits drain and the latency log is appended.
 5. Ordinary users (`OrdinaryUsers.serve`): the full-buffer users share
    the RBs the messages leave, round robin in each area cell.
 
-Each stage's state from TTI to TTI lives in an object (the Runner holds
-the sources' buffers), so a run gives the same record however its TTIs
-are split into `advance` calls; `record()` returns its `RunRecord` once
-every TTI has run.  The caller that makes a Runner owns the fading pool
-it hands it.  `run(cfg)` creates one pool, advances a Runner on it one
-`channel.BLOCK_LEN` block at a time and shuts the pool down when the run
-ends or raises.  All randomness derives from the master seed through
-purpose-keyed streams, so a (config, seed) pair reproduces bit-identical
-results.  The schema is `config`'s and the deliveries are `delivery`'s.
+Each stage's state from TTI to TTI lives in an object (generation keeps
+none: the Runner holds only the sources' phases), so a run gives the
+same record however its TTIs are split into `advance` calls; `record()`
+returns its `RunRecord` once every TTI has run.  The caller that makes a
+Runner owns the fading pool it hands it.  `run(cfg)` creates one pool,
+advances a Runner on it one `channel.BLOCK_LEN` block at a time and
+shuts the pool down when the run ends or raises.  All randomness derives
+from the master seed through purpose-keyed streams, so a (config, seed)
+pair reproduces bit-identical results.  The schema is `config`'s and the
+deliveries are `delivery`'s.
 """
 import functools
 import logging
@@ -299,10 +302,6 @@ class Runner:
         mbsfn_mask = np.zeros(layout.n_cells, dtype=bool)
         mbsfn_mask[area_cells] = True
 
-        offsets = traffic.draw_offsets(n_sources, cfg.cam_period_ttis, seed)
-        buffers = {src: traffic.UserBuffer(
-            user_id=src, offset=int(offsets[k]), period=cfg.cam_period_ttis,
-            packet_bits=cfg.cam_size_bits) for k, src in enumerate(sources)}
         recorder = metrics.LatencyRecorder(sources, cfg.cam_period_ttis)
         decode = delivery.decoder(cfg, rng_decode)
         if cfg.mode == config.MODE_MULTICAST:
@@ -348,11 +347,12 @@ class Runner:
         self.mobility = Mobility(pop, sources, model, mbsfn_mask, recorder,
                                  cfg.n_tti)
         # The sources that generate at each phase of the period, in order.
-        self.generating = {}
-        for src in sources:
-            self.generating.setdefault(buffers[src].offset, []).append(src)
+        self.by_phase = {}
+        for src, offset in zip(sources, traffic.draw_offsets(
+                n_sources, cfg.cam_period_ttis, seed).tolist()):
+            self.by_phase.setdefault(offset, []).append(src)
         self.cfg, self.tti, self.ordinary_tracked = cfg, 0, ordinary_tracked
-        self.buffers, self.recorder, self.delivery = buffers, recorder, deliver
+        self.recorder, self.delivery = recorder, deliver
 
     def advance(self, n: int) -> None:
         """Run the next min(n, TTIs left) TTIs; none when n <= 0."""
@@ -370,11 +370,12 @@ class Runner:
     def _generate(self, tti: int, area_now) -> None:
         """Each source in its generation phase sends a message to the other
         cars in the area, which replaces its undelivered predecessor."""
-        for src in self.generating.get(tti % self.cfg.cam_period_ttis, ()):
-            pkt = traffic.maybe_generate(self.buffers[src], tti)
+        sources, sequence = traffic.maybe_generate(
+            self.by_phase, self.cfg.cam_period_ttis, tti)
+        for src in sources:
             receivers = area_now - {src}
-            self.recorder.on_generation(src, pkt.sequence, tti, receivers)
-            self.delivery.add(pkt, receivers)
+            self.recorder.on_generation(src, sequence, tti, receivers)
+            self.delivery.add(src, sequence, tti, receivers)
 
     def record(self) -> RunRecord:
         """The run's record, once every TTI has run."""

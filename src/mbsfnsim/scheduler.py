@@ -49,15 +49,19 @@ def required_subframes(packet_bits: float, n_mbms_users: int,
                        n_rb_per_subframe: int, n_re_per_rb: int,
                        efficiency: float, period_ttis: int) -> int:
     """Minimum reserved subframes per radio frame so that one generation
-    period's worth of messages fits the reservation.  Every argument but
-    `n_mbms_users` is positive: a `ScenarioConfig` field or an entry of
-    its checked CQI table."""
+    period's worth of messages fits the reservation, and at least one
+    when there is a message to carry.  Every argument but `n_mbms_users`
+    is positive: a `ScenarioConfig` field or an entry of its checked CQI
+    table."""
     if n_mbms_users <= 0:
         return 0
     bits_per_subframe = n_rb_per_subframe * n_re_per_rb * efficiency
     subframes_per_period = packet_bits * n_mbms_users / bits_per_subframe
     frames_per_period = period_ttis / SUBFRAMES_PER_FRAME
-    per_frame = math.ceil(subframes_per_period / frames_per_period - 1e-12)
+    # The slack absorbs rounding above a whole count; it must not round a
+    # load far below one subframe down to none.
+    per_frame = max(math.ceil(subframes_per_period / frames_per_period
+                              - 1e-12), 1)
     if per_frame > len(MBSFN_LEGAL_SUBFRAMES):
         raise CongestionInfeasibleError(
             f"need {per_frame} subframes/frame, only "
@@ -75,8 +79,10 @@ class Allocation:
 
 def rb_demand(residual_bits: float, n_re_per_rb: int,
               efficiency: float) -> int:
-    """RBs that carry `residual_bits` at `efficiency` bits per RE."""
-    return math.ceil(residual_bits / (n_re_per_rb * efficiency) - 1e-12)
+    """RBs that carry `residual_bits` > 0 at `efficiency` bits per RE: at
+    least one, however small the residual against an RB's capacity."""
+    return max(math.ceil(residual_bits / (n_re_per_rb * efficiency) - 1e-12),
+               1)
 
 
 def allocate_fifo(items, n_rb: int, n_re_per_rb: int) -> tuple[list[Allocation], int]:

@@ -1,35 +1,16 @@
-"""Periodic awareness-message traffic and per-source transmit buffers.
+"""Periodic awareness-message traffic.
 
-Each car emits a fixed-size packet every `period` TTIs starting at a
-random per-car offset.  A buffer holds a source's generation phase and
-sequence counter.  The residual bits of a packet in flight live on the
-delivery's job for it (one per message in multicast, one per copy in
-unicast), which `consume` drains.  A fresh generation always replaces an
-undelivered predecessor's jobs (receivers cannot splice halves of
-different messages), so its residual starts at the full packet size.
+Each car emits a fixed-size message every `period` TTIs starting at a
+random per-car offset in [0, period).  A message is its (source,
+sequence, generation TTI): the source with offset o sends message s at
+TTI o + s * period, so the sequence number is tti // period and no
+per-source state is kept.  The residual bits of a message in flight live
+on the delivery's job for it (one per message in multicast, one per copy
+in unicast), which `consume` drains.  A fresh generation always replaces
+an undelivered predecessor's jobs (receivers cannot splice halves of
+different messages), so its residual starts at the full message size.
 """
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CamPacket:
-    source_user_id: int
-    sequence: int
-    generation_tti: int
-    size_bits: int
-
-
-@dataclass
-class UserBuffer:
-    user_id: int
-    offset: int                         # generation phase in [0, period)
-    period: int
-    packet_bits: int
-    next_sequence: int = 0
 
 
 def draw_offsets(n_sources: int, period: int, seed) -> np.ndarray:
@@ -38,25 +19,16 @@ def draw_offsets(n_sources: int, period: int, seed) -> np.ndarray:
     return rng.integers(0, period, size=n_sources)
 
 
-def maybe_generate(buffer: UserBuffer, tti: int) -> CamPacket | None:
-    """Emit a new packet when the TTI hits the buffer's generation phase.
+def maybe_generate(by_phase: dict, period: int, tti: int) -> tuple:
+    """The sources that generate at TTI `tti` >= 0, in the order
+    `by_phase` (phase -> sources) lists them, and their messages'
+    sequence number, tti // period.
 
     The delivery replaces an undelivered predecessor outright: its partial
-    progress is discarded.  Latency accounting for replaced packets
+    progress is discarded.  Latency accounting for replaced messages
     continues in the metrics layer.
     """
-    if tti < 0:
-        raise ValueError("tti must be >= 0")
-    if (tti - buffer.offset) % buffer.period != 0 or tti < buffer.offset:
-        return None
-    packet = CamPacket(
-        source_user_id=buffer.user_id,
-        sequence=buffer.next_sequence,
-        generation_tti=tti,
-        size_bits=buffer.packet_bits,
-    )
-    buffer.next_sequence += 1
-    return packet
+    return by_phase.get(tti % period, ()), tti // period
 
 
 def consume(job, transmitted_bits: float) -> None:

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 
@@ -258,10 +259,9 @@ def test_one_pathloss_evaluation_per_block(monkeypatch):
     assert calls[1] == (channel.BLOCK_LEN, len(rec.sources), 19)
 
 
-def test_no_zero_rb_grants(monkeypatch):
-    """Unicast at 20 MHz with an unbounded adaptive CQI: here some copies'
-    residuals land a rounding error above whole RBs, and every such copy
-    must still finish with the grant that priced it."""
+def _rb_grants(cfg, monkeypatch):
+    """The RB counts of every grant `allocate_fifo` makes in a run of
+    `cfg`, where a numeric warning raises."""
     grants = []
     original = scheduler.allocate_fifo
 
@@ -271,9 +271,40 @@ def test_no_zero_rb_grants(monkeypatch):
         return allocations, used
 
     monkeypatch.setattr(scheduler, "allocate_fifo", recorded)
-    run(ScenarioConfig(mode="unicast_baseline", bandwidth_mhz=20,
-                       cqi_policy="adaptive", cqi_value=0, n_tti=400, seed=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run(cfg)
+    return grants
+
+
+def test_no_zero_rb_grants(monkeypatch):
+    """Unicast at 20 MHz with an unbounded adaptive CQI: here some copies'
+    residuals land a rounding error above whole RBs, and every such copy
+    must still finish with the grant that priced it."""
+    grants = _rb_grants(ScenarioConfig(
+        mode="unicast_baseline", bandwidth_mhz=20, cqi_policy="adaptive",
+        cqi_value=0, n_tti=400, seed=3), monkeypatch)
     assert grants and min(grants) > 0, grants.count(0)
+
+
+def test_message_far_below_one_rb_gets_one(monkeypatch):
+    """With RBs so large that a message is a tiny fraction of one, each
+    copy still gets an RB, so no 0-RB slice reaches the effective SINR as
+    a 0/0."""
+    grants = _rb_grants(ScenarioConfig(
+        mode="unicast_baseline", usable_re_per_rb=10**16, n_tti=130),
+        monkeypatch)
+    assert grants and min(grants) == 1, grants.count(0)
+
+
+def test_tiny_multicast_load_reserves_a_subframe():
+    """A message load far below one subframe's capacity still reserves
+    one subframe per frame, so its messages are sent and entries close."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = run(ScenarioConfig(usable_re_per_rb=10**15, n_tti=1000, seed=1))
+    assert rec.reserved_per_frame == 1
+    assert rec.entries and rec.multicast_rb_per_tti.sum() > 0
 
 
 def test_one_unicast_sinr_grid_per_tti(monkeypatch):
@@ -1006,7 +1037,7 @@ def _unicast_delivery(gen, policy, bound, n_rb, n_sources, n_cells):
 
 def _random_unicast_case(seed, policy):
     """Two identical random unicast deliveries, their logs, and the
-    (report, now) SINR grids of 8 TTIs, with packets added before each."""
+    (report, now) SINR grids of 8 TTIs, with messages added before each."""
     gen = np.random.default_rng(seed)
     n_rb = int(gen.choice([6, 25, 100]))
     bound = int(gen.integers(1, 16) if policy == config.POLICY_FIXED
@@ -1027,8 +1058,7 @@ def _random_unicast_case(seed, policy):
             src = sources[int(gen.integers(n_sources))]
             receivers = {r for r in sources
                          if r != src and gen.random() < 0.7}
-            packets.append((traffic.CamPacket(src, tti, tti, 2400),
-                            receivers))
+            packets.append((src, receivers))
         # Residuals: partly served, a few bits, or a rounding error above
         # whole RBs at the receiver's reported CQI.
         cqi = (np.full(n_sources, bound) if policy == config.POLICY_FIXED
@@ -1050,8 +1080,8 @@ def _drive(delivery, serve, ttis):
     """Run `serve` over the case's TTIs; returns each TTI's observables."""
     seen = []
     for tti, (report, now, packets, residual, kinds) in enumerate(ttis):
-        for packet, receivers in packets:
-            delivery.add(packet, receivers)
+        for src, receivers in packets:
+            delivery.add(src, tti, tti, receivers)
         copies = [c for q in delivery.pending.values() for c in q.values()]
         for copy, kind in zip(copies, kinds):
             if kind != "keep":
@@ -1120,8 +1150,8 @@ def test_serve_prices_only_the_granted_head(policy, monkeypatch):
         ((delivery, _), _), ttis = _random_unicast_case(seed, policy)
         cfg, table = delivery.cfg, delivery.cfg.cqi_table
         for tti, (report, now, packets, _, _) in enumerate(ttis):
-            for packet, receivers in packets:
-                delivery.add(packet, receivers)
+            for src, receivers in packets:
+                delivery.add(src, tti, tti, receivers)
             cqi = (np.full(len(report), cfg.cqi_value)
                    if policy == config.POLICY_FIXED
                    else np.maximum(link.cqi_from_sinr_rows(report, table),

@@ -44,6 +44,11 @@ class TestRequiredSubframes:
         assert required_subframes(2400, 0, 25, 100,
                                   cqi_efficiency(3, CQI_TABLE), 100) == 0
 
+    def test_load_below_one_subframe_reserves_one(self):
+        # At this RE count the 1e-12 slack exceeds the load in subframes.
+        assert required_subframes(2400, 21, 25, 10**15,
+                                  cqi_efficiency(3, CQI_TABLE), 100) == 1
+
     def test_infeasible_demand(self):
         with pytest.raises(CongestionInfeasibleError):
             required_subframes(2400, 21, 25, 100, cqi_efficiency(1, CQI_TABLE),
@@ -216,6 +221,11 @@ class TestBaselineQueue:
         (alloc,), _ = schedule_unicast_cam_baseline(
             [("k", residual, eff)], 5, 100)
         assert alloc.capacity_bits == 5 * per_rb
+
+    def test_residual_below_the_slack_gets_one_rb(self):
+        (alloc,), used = scheduler.allocate_fifo([("k", 2400.0, 0.377)], 25,
+                                                 10**16)
+        assert alloc.rb_count == used == 1
 
     def test_demand_matches_allocation(self):
         for residual, eff in [(2400.0, 0.377), (1000.0, 5.5547),

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 from mbsfnsim import engine
 from mbsfnsim.delivery import (MulticastDelivery, UnicastDelivery, _CopyJob,
                                _McastJob)
-from mbsfnsim.traffic import (CamPacket, UserBuffer, consume, draw_offsets,
-                              maybe_generate)
+from mbsfnsim.traffic import consume, draw_offsets, maybe_generate
 
 
-def _buffer(offset=7, period=100, bits=2400):
-    return UserBuffer(user_id=0, offset=offset, period=period,
-                      packet_bits=bits)
+def _by_phase(offsets):
+    """The phase table of sources 0, 1, ... with generation `offsets`."""
+    table = {}
+    for src, offset in enumerate(offsets):
+        table.setdefault(offset, []).append(src)
+    return table
 
 
 def _jobs(bits=2400):
@@ -41,53 +43,63 @@ def _job_of(delivery):
 
 class TestGeneration:
     def test_on_phase(self):
-        buf = _buffer()
-        pkt = maybe_generate(buf, 107)
-        assert isinstance(pkt, CamPacket)
-        assert pkt.size_bits == 2400
-        assert pkt.generation_tti == 107
+        sources, sequence = maybe_generate(_by_phase([7]), 100, 107)
+        assert list(sources) == [0] and sequence == 1
 
     def test_off_phase(self):
-        buf = _buffer()
-        assert maybe_generate(buf, 108) is None
+        sources, _ = maybe_generate(_by_phase([7]), 100, 108)
+        assert not sources
 
     def test_first_packet_at_offset(self):
-        buf = _buffer(offset=90)
-        assert all(maybe_generate(buf, t) is None for t in range(90))
-        assert maybe_generate(buf, 90) is not None
+        by_phase = _by_phase([90])
+        assert not any(maybe_generate(by_phase, 100, t)[0]
+                       for t in range(90))
+        assert maybe_generate(by_phase, 100, 90) == ([0], 0)
 
     def test_replacement_discards_partial_progress(self):
-        buf = _buffer()
         deliveries = _deliveries()
-        pkt = maybe_generate(buf, 7)
         for delivery in deliveries:
-            delivery.add(pkt, {1})
+            delivery.add(0, 0, 7, {1})
             consume(_job_of(delivery), 1440)   # 60% delivered
             assert _job_of(delivery).residual == 960
-        pkt = maybe_generate(buf, 107)
-        assert pkt.sequence == 1
         for delivery in deliveries:
-            delivery.add(pkt, {1})
+            delivery.add(0, 1, 107, {1})
             job = _job_of(delivery)
             assert job.sequence == 1
             assert job.residual == 2400     # fresh packet, old progress gone
 
     def test_sequences_increment(self):
-        buf = _buffer(offset=0)
-        seqs = [maybe_generate(buf, t).sequence for t in (0, 100, 200)]
-        assert seqs == [0, 1, 2]
-
-    def test_negative_tti_rejected(self):
-        with pytest.raises(ValueError):
-            maybe_generate(_buffer(), -1)
+        by_phase = _by_phase([0])
+        assert [maybe_generate(by_phase, 100, t)[1]
+                for t in (0, 100, 200)] == [0, 1, 2]
 
     @given(st.integers(0, 99), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
     def test_exactly_k_packets_per_k_periods(self, offset, k):
-        buf = _buffer(offset=offset)
-        count = sum(maybe_generate(buf, t) is not None
+        by_phase = _by_phase([offset])
+        count = sum(len(maybe_generate(by_phase, 100, t)[0])
                     for t in range(k * 100))
         assert count == k
+
+    @given(st.data(), st.integers(1, 120), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_per_source_counter(self, data, period, n_sources):
+        """Each TTI gives the sources in their phase, in drop order, and
+        the sequence a counter per source, started at its offset and
+        stepped at each of its messages, would give."""
+        offsets = data.draw(st.lists(st.integers(0, period - 1),
+                                     min_size=n_sources, max_size=n_sources))
+        horizon = data.draw(st.integers(1, 5 * period))
+        by_phase = _by_phase(offsets)
+        counter = [0] * n_sources
+        for tti in range(horizon):
+            expected = []
+            for src, offset in enumerate(offsets):
+                if tti >= offset and (tti - offset) % period == 0:
+                    expected.append((src, counter[src]))
+                    counter[src] += 1
+            sources, sequence = maybe_generate(by_phase, period, tti)
+            assert [(src, sequence) for src in sources] == expected
 
 
 class TestConsume:
