@@ -213,7 +213,7 @@ def _write_overlay(path, value_name, curves: dict[str, metrics.EcdfCurve]):
     grid = np.unique(np.concatenate([[]] + [curves[n].values for n in names]))
     cols = [curves[n].evaluate(grid) for n in names]
     metrics.write_csv(path, [value_name] + [f"cum_prob_{n}" for n in names],
-                      [[repr(float(v)) for v in row]
+                      [[metrics.format_value(v) for v in row]
                        for row in zip(grid, *cols)])
 
 

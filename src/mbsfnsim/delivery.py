@@ -7,7 +7,10 @@ transport block is decoded per recipient through `decode`, the jobs'
 residual bits drain (`traffic.consume`), and a finished message closes its
 latency entry in the recorder.  `serve` returns the RBs each area cell
 leaves to the ordinary users.  Link state is read through the `read_now`
-the engine passes, and only in the delivery's `read_subframes`.
+the engine passes, and only in the delivery's `read_subframes`.  Sources
+and receivers are rows 0..n_sources-1 of the link state's grids, as in
+the recorder.  A receiver that leaves the area is handed to
+`on_receiver_exit`.
 
 The scheduler, `traffic.consume` and the recorder are called through
 their module or class, never bound by name here, so code that wraps those
@@ -71,16 +74,17 @@ class MulticastDelivery:
     its residual bits.
     """
 
-    def __init__(self, cfg: ScenarioConfig, area_cells, recorder, row_of,
-                 decode, mbsfn_mask: np.ndarray, noise_variance: float):
+    def __init__(self, cfg: ScenarioConfig, area_cells, recorder,
+                 n_sources: int, decode, mbsfn_mask: np.ndarray,
+                 noise_variance: float):
         self.cfg, self.area_cells, self.recorder = cfg, area_cells, recorder
-        self.row_of, self.decode = row_of, decode
+        self.decode = decode
         self.mbsfn_mask, self.noise_variance = mbsfn_mask, noise_variance
         sizing_eff = link.cqi_efficiency(cfg.sizing_cqi, cfg.cqi_table)
         self.congested = False
         try:
             reserved = scheduler.required_subframes(
-                cfg.cam_size_bits, len(row_of), cfg.n_rb,
+                cfg.cam_size_bits, n_sources, cfg.n_rb,
                 cfg.usable_re_per_rb, sizing_eff, cfg.cam_period_ttis)
         except scheduler.CongestionInfeasibleError as exc:
             reserved = len(scheduler.MBSFN_LEGAL_SUBFRAMES)
@@ -92,7 +96,7 @@ class MulticastDelivery:
         self.read_subframes = self.reserved  # `serve` reads link state here
         # One generation period's messages over the RB grid.
         self.analytic_utilization_pct = metrics.utilization(
-            cfg.cam_size_bits, len(row_of), cfg.n_rb * cfg.cam_period_ttis,
+            cfg.cam_size_bits, n_sources, cfg.n_rb * cfg.cam_period_ttis,
             cfg.usable_re_per_rb, sizing_eff)
         self.multicast_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
         self.cam_rb_per_tti = np.zeros(cfg.n_tti, dtype=np.int64)
@@ -105,6 +109,11 @@ class MulticastDelivery:
         self.pending.pop(src, None)
         self.pending[src] = _McastJob(src, sequence, frozenset(receivers),
                                       float(self.cfg.cam_size_bits))
+
+    def on_receiver_exit(self, receiver: int) -> None:
+        """Nothing is queued per receiver: a receiver that left the area
+        still decodes the messages generated before it left, and the
+        recorder no longer waits for it."""
 
     def link_state(self, x: np.ndarray, steer: np.ndarray,
                    steer_products: np.ndarray) -> np.ndarray:
@@ -137,9 +146,8 @@ class MulticastDelivery:
             rbs = slice(alloc.rb_start, alloc.rb_start + alloc.rb_count)
             receivers = sorted(job.receivers)
             if receivers:
-                rows = np.array([self.row_of[r] for r in receivers], dtype=int)
                 ok = self.decode(link.effective_sinr_db_rows(
-                    now[rows][:, rbs]), tx_cqi)
+                    now[receivers][:, rbs]), tx_cqi)
                 job.failed.update(r for r, r_ok in zip(receivers, ok)
                                   if not r_ok)
             traffic.consume(job, alloc.capacity_bits)
@@ -155,9 +163,9 @@ class MulticastDelivery:
             return cfg.cqi_value
         if not area_sources:
             return cfg.sizing_cqi  # nobody left in the area to report
-        rows = np.array([self.row_of[s] for s in sorted(area_sources)])
         return scheduler.select_mbsfn_cqi(
-            link.cqi_from_sinr_rows(report[rows], cfg.cqi_table),
+            link.cqi_from_sinr_rows(report[sorted(area_sources)],
+                                    cfg.cqi_table),
             cfg.cqi_value)
 
     def measured_utilization_pct(self) -> float:
@@ -170,26 +178,26 @@ class UnicastDelivery:
     with the copy's own CQI through the area cell the receiver was dropped
     in, ahead of ordinary traffic.
 
-    Recipients stay subscribed at their drop cell, so ring cells never carry
-    copies and every area cell carries the same recipients-per-cell load.
-    `pending[cell]` holds the cell's undelivered copies, oldest first, keyed
-    by (source, receiver).  A copy's CQI is its receiver's, so `serve`
-    prices each receiver once per TTI and each cell's queue only up to the
-    copy whose RB demand fills the cell.
+    Recipients stay subscribed at their drop cell, `drop_cell[row]`, so
+    ring cells never carry copies and every area cell carries the same
+    recipients-per-cell load; a receiver's copies are dropped when it
+    leaves the area.  `pending[cell]` holds the cell's undelivered copies,
+    oldest first, keyed by (source, receiver).  A copy's CQI is its
+    receiver's, so `serve` prices each receiver once per TTI and each
+    cell's queue only up to the copy whose RB demand fills the cell.
     """
     reserved_per_frame = 0
     congested = False
     # Copies are sent, so link state read, in every subframe.
     read_subframes = frozenset(range(scheduler.SUBFRAMES_PER_FRAME))
 
-    def __init__(self, cfg: ScenarioConfig, area_cells, drop_cell, recorder,
-                 row_of, decode, noise_variance: float):
+    def __init__(self, cfg: ScenarioConfig, area_cells, drop_cell: list[int],
+                 recorder, decode, noise_variance: float):
         self.cfg, self.area_cells = cfg, area_cells
         self.drop_cell, self.recorder = drop_cell, recorder
-        self.row_of, self.decode = row_of, decode
-        self.noise_variance = noise_variance
+        self.decode, self.noise_variance = decode, noise_variance
         self.efficiency = cfg.cqi_table.efficiencies.tolist()
-        self.source_cells = np.array(list(drop_cell.values()), dtype=int)
+        self.source_cells = np.array(drop_cell, dtype=int)
         # One generation period's copies over the area cells' RB grids.
         n_sources = len(drop_cell)
         self.analytic_utilization_pct = metrics.utilization(
@@ -216,6 +224,13 @@ class UnicastDelivery:
             queue.pop((src, recv), None)
             queue[(src, recv)] = _CopyJob(src, sequence, recv, size)
 
+    def on_receiver_exit(self, receiver: int) -> None:
+        """Drop every copy queued for `receiver`, which left the area; the
+        recorder closed the entries that waited for it."""
+        queue = self.pending[self.drop_cell[receiver]]
+        for key in [key for key in queue if key[1] == receiver]:
+            del queue[key]
+
     def link_state(self, x: np.ndarray, steer: np.ndarray,
                    steer_products: np.ndarray) -> np.ndarray:
         """The sources' (source, rb) SINR against their drop cells, from
@@ -229,11 +244,11 @@ class UnicastDelivery:
         """Schedule every area cell's copies, then decode the granted ones
         as one batch with `read_now()`, this TTI's `link_state`, and the
         report's; returns the RBs each area cell leaves to ordinary users."""
-        cfg, row_of, efficiency = self.cfg, self.row_of, self.efficiency
+        cfg, efficiency = self.cfg, self.efficiency
         n_rb, n_re = cfg.n_rb, cfg.usable_re_per_rb
         # Rows are evaluated independently: each CQI is its row's alone.
         if cfg.cqi_policy == POLICY_FIXED:
-            cqi_of_row = [cfg.cqi_value] * len(row_of)
+            cqi_of_row = [cfg.cqi_value] * len(self.drop_cell)
         else:
             cqi_of_row = np.maximum(
                 link.cqi_from_sinr_rows(report, cfg.cqi_table),
@@ -246,7 +261,7 @@ class UnicastDelivery:
             for copy in queue.values():
                 if demand >= n_rb:
                     break
-                per_re = efficiency[cqi_of_row[row_of[copy.receiver]] - 1]
+                per_re = efficiency[cqi_of_row[copy.receiver] - 1]
                 head.append((copy, copy.residual, per_re))
                 demand += scheduler.rb_demand(copy.residual, n_re, per_re)
             allocations, used = scheduler.schedule_unicast_cam_baseline(
@@ -258,7 +273,7 @@ class UnicastDelivery:
             return left
         # One draw per copy, in cell-then-allocation order.
         copies = [alloc.key for alloc in granted]
-        rows = [row_of[copy.receiver] for copy in copies]
+        rows = [copy.receiver for copy in copies]
         eff_db = link.effective_sinr_db_slices(
             read_now(), np.array(rows),
             np.array([a.rb_start for a in granted]),

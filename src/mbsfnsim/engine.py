@@ -5,9 +5,10 @@ next min(n, TTIs left) TTIs, each through these stages, in this order:
 
 1. Mobility (`Mobility.step`): the tracked cars move, hand over and
    enter or leave the area per block of TTIs; a car that left the area
-   exits as a receiver.  Their macroscopic gain is evaluated once per
-   block: mobility hands each car over to its strongest cell with it, and
-   the channel snapshot scales the cars' tap gains by each TTI's row.
+   exits as a receiver, from the recorder and from the delivery.  Their
+   macroscopic gain is evaluated once per block: mobility hands each car
+   over to its strongest cell with it, and the channel snapshot scales the
+   cars' tap gains by each TTI's row.
 2. Link reads (`LinkReads.step`): this TTI's link state, evaluated only
    where it is read, and the CQI report's.
 3. Generation (`Runner._generate`): `traffic.maybe_generate` names the
@@ -21,16 +22,18 @@ next min(n, TTIs left) TTIs, each through these stages, in this order:
 5. Ordinary users (`OrdinaryUsers.serve`): the full-buffer users share
    the RBs the messages leave, round robin in each area cell.
 
-Each stage's state from TTI to TTI lives in an object (generation keeps
-none: the Runner holds only the sources' phases), so a run gives the
-same record however its TTIs are split into `advance` calls; `record()`
-returns its `RunRecord` once every TTI has run.  The caller that makes a
-Runner owns the fading pool it hands it.  `run(cfg)` creates one pool,
-advances a Runner on it one `channel.BLOCK_LEN` block at a time and
-shuts the pool down when the run ends or raises.  All randomness derives
-from the master seed through purpose-keyed streams, so a (config, seed)
-pair reproduces bit-identical results.  The schema is `config`'s and the
-deliveries are `delivery`'s.
+Inside a run a source is its row, 0..n_sources-1 in ascending user id,
+in every stage and in the recorder; user ids appear only in the drop and
+in `record()`.  Each stage's state from TTI to TTI lives in an object
+(generation keeps none: the Runner holds only the sources' phases), so a
+run gives the same record however its TTIs are split into `advance`
+calls; `record()` returns its `RunRecord` once every TTI has run.  The
+caller that makes a Runner owns the fading pool it hands it.  `run(cfg)`
+creates one pool, advances a Runner on it one `channel.BLOCK_LEN` block
+at a time and shuts the pool down when the run ends or raises.  All
+randomness derives from the master seed through purpose-keyed streams,
+so a (config, seed) pair reproduces bit-identical results.  The schema is
+`config`'s and the deliveries are `delivery`'s.
 """
 import functools
 import logging
@@ -89,7 +92,6 @@ class RunRecord:
         }
 
 
-
 def ordinary_stage(slots, sinr, n_re_per_rb: int, slope_db_per_decade: float,
                    table: link.CqiTable):
     """Link stage of the ordinary full-buffer users' round-robin slots.
@@ -107,7 +109,6 @@ def ordinary_stage(slots, sinr, n_re_per_rb: int, slope_db_per_decade: float,
     return bits, link.bler(eff_db, cqi, slope_db_per_decade, table)
 
 
-
 class Mobility:
     """The moving sources' positions, macroscopic gain, serving cells and
     area membership, advanced once per block of channel.BLOCK_LEN TTIs.
@@ -120,45 +121,47 @@ class Mobility:
     by an area cell, are the only ones obliged to receive (and report CQI
     for) messages.  A car that left the area stops blocking open entries
     and is excluded from new recipient sets: the area set is rebuilt, and
-    exits recorded in sorted order, only at a TTI whose in-area row
+    its exits listed in row order, only at a TTI whose in-area row
     differs from the one before.  The sources share one speed: they all
     move or all stand in their drop cells, in the area.
     """
 
-    def __init__(self, pop, sources, model, mbsfn_mask, recorder,
-                 n_tti: int):
+    def __init__(self, pop, sources, model, mbsfn_mask, n_tti: int):
         m = model.n_moving
-        # When the cars move, the sources are the model's rows 0..m-1.
-        self.moving = np.array(sources[:m], dtype=np.intp)
+        # When the cars move, the sources are the model's rows 0..m-1; the
+        # stage moves copies of their positions, never the drop's.
+        self.positions = pop.positions[sources[:m]]
+        self.velocities = pop.velocities[sources[:m]]
+        self.radius = pop.layout.boundary_radius
         self.gain = functools.partial(model.amplitude_gain, rows=slice(0, m))
-        self.pop, self.mbsfn_mask = pop, mbsfn_mask
-        self.recorder, self.n_tti = recorder, n_tti
+        self.mbsfn_mask, self.n_tti = mbsfn_mask, n_tti
         # Every car starts in its drop cell, so in the area.
-        self.area = set(sources)
+        self.area = set(range(len(sources)))
         self.in_area = np.ones(m, dtype=bool)
         self.gains = None
 
     def step(self, tti: int):
         """This TTI's gains of the moving sources, a new (n_moving,
-        n_cells) array, and the set of sources in the area."""
+        n_cells) array, the set of sources in the area, and those that
+        left it at this TTI, in row order."""
         k = tti % channel.BLOCK_LEN
         if k == 0:
             # Free the last block's gains before the next one is built; the
             # rows handed out are copies, so nothing else holds the block.
             self.gains = None
             self.gains, serving = topology.advance_mobility(
-                self.pop, channel.TTI_S, self.gain, self.moving,
-                min(channel.BLOCK_LEN, self.n_tti - tti))
+                self.positions, self.velocities, self.radius, channel.TTI_S,
+                self.gain, min(channel.BLOCK_LEN, self.n_tti - tti))
             rows = self.mbsfn_mask[serving]
             before = np.concatenate((self.in_area[None], rows[:-1]))
             self.changed = (rows != before).any(axis=1).tolist()
             self.rows, self.in_area = rows, rows[-1]
+        exits = ()
         if self.changed[k]:
-            area = set(self.moving[self.rows[k]].tolist())
-            for gone in sorted(self.area - area):
-                self.recorder.on_receiver_exit(gone, tti)
+            area = set(np.flatnonzero(self.rows[k]).tolist())
+            exits = sorted(self.area - area)
             self.area = area
-        return self.gains[k].copy(), self.area
+        return self.gains[k].copy(), self.area, exits
 
 
 class LinkReads:
@@ -280,9 +283,10 @@ class Runner:
         # Sources and recipients are the cars dropped inside the multicast
         # area; ordinary throughput is tracked for that area's static users,
         # since the outer ring never carries message traffic or
-        # reservations.  `rows_by_cell` gives each area cell's ordinary
-        # users as indices into `ordinary_tracked`.
-        drop_cell = pop.drop_cell.tolist()
+        # reservations.  Both are rows from here on: indices into `sources`
+        # and, in `rows_by_cell` (each area cell's ordinary users), into
+        # `ordinary_tracked`.
+        drop_cell = pop.serving_cell.tolist()
         sources, ordinary_tracked = [], []
         rows_by_cell = {c: [] for c in area_cells}
         for u, (cell, car) in enumerate(zip(drop_cell, pop.is_car.tolist())):
@@ -294,7 +298,6 @@ class Runner:
                 rows_by_cell[cell].append(len(ordinary_tracked))
                 ordinary_tracked.append(u)
         tracked = sources + ordinary_tracked
-        row_of = {u: i for i, u in enumerate(sources)}
         n_sources = len(sources)
 
         noise_var = channel.noise_variance_normalized(
@@ -306,12 +309,12 @@ class Runner:
         decode = delivery.decoder(cfg, rng_decode)
         if cfg.mode == config.MODE_MULTICAST:
             deliver = delivery.MulticastDelivery(
-                cfg, area_cells, recorder, row_of, decode, mbsfn_mask,
+                cfg, area_cells, recorder, n_sources, decode, mbsfn_mask,
                 noise_var)
         else:
             deliver = delivery.UnicastDelivery(
-                cfg, area_cells, {src: drop_cell[src] for src in sources},
-                recorder, row_of, decode, noise_var)
+                cfg, area_cells, [drop_cell[src] for src in sources],
+                recorder, decode, noise_var)
         if deliver.analytic_utilization_pct > 100.0:
             log.warning("offered message load is %.1f%% of capacity; expect "
                         "unbounded latency growth",
@@ -344,11 +347,10 @@ class Runner:
             pop.serving_cell[ordinary_tracked], model.steer,
             model.steer_products, noise_var), rng_decode)
         self.links = LinkReads(cfg, deliver, model, reported, n_sources)
-        self.mobility = Mobility(pop, sources, model, mbsfn_mask, recorder,
-                                 cfg.n_tti)
+        self.mobility = Mobility(pop, sources, model, mbsfn_mask, cfg.n_tti)
         # The sources that generate at each phase of the period, in order.
         self.by_phase = {}
-        for src, offset in zip(sources, traffic.draw_offsets(
+        for src, offset in enumerate(traffic.draw_offsets(
                 n_sources, cfg.cam_period_ttis, seed).tolist()):
             self.by_phase.setdefault(offset, []).append(src)
         self.cfg, self.tti, self.ordinary_tracked = cfg, 0, ordinary_tracked
@@ -360,7 +362,10 @@ class Runner:
         deliver, ordinary = self.delivery, self.ordinary
         stop = min(self.tti + max(n, 0), self.cfg.n_tti)
         for tti in range(self.tti, stop):
-            gamma, area_now = mobility.step(tti)
+            gamma, area_now, exits = mobility.step(tti)
+            for gone in exits:
+                self.recorder.on_receiver_exit(gone, tti)
+                deliver.on_receiver_exit(gone)
             read_now, report = links.step(tti, gamma)
             generate(tti, area_now)
             left = deliver.serve(tti, area_now, read_now, report)

@@ -11,9 +11,12 @@ its within-period delivery time plus k periods.
 per-source means, and each source alone.  An entry still open at run end
 is left out (`n_open_entries` counts it); a source with no closed entry
 has no curve and no mean.  An entry whose last blocking receiver left the
-area closes at that TTI and counts as delivered.  A message with no
-recipient closes when multicast transmits it; unicast sends it no copy
-and closes its entry at the end of its generation TTI.
+area closes at that TTI and counts as delivered (unicast drops the copies
+queued for that receiver).  A message with no recipient closes when
+multicast transmits it; unicast sends it no copy and closes its entry at
+the end of its generation TTI.  `LatencyRecorder` knows sources and
+receivers by their row in the run; its entries, and so every artifact,
+name a source by its user id.
 """
 from __future__ import annotations
 
@@ -124,16 +127,18 @@ def predicted_throughput_ratio(util_a: float, rb_a: float,
 class LatencyRecorder:
     """Tracks open per-packet entries until every recipient is served.
 
-    Each packet carries its own recipient set (membership can change between
-    generations).  A recipient is 'satisfied through' sequence s once it
-    fully receives any packet with sequence >= s from that source, so one
-    successful delivery can close several superseded entries at once.
+    Sources and receivers are rows 0..n-1 of `sources`, the sources' user
+    ids; a closed entry names its source by user id.  Each packet carries
+    its own recipient set (membership can change between generations).  A
+    recipient is 'satisfied through' sequence s once it fully receives any
+    packet with sequence >= s from that source, so one successful delivery
+    can close several superseded entries at once.
     """
 
     def __init__(self, sources, period: int):
         self.sources = list(sources)
         self.period = period
-        self._open: dict[int, list[list]] = {s: [] for s in self.sources}
+        self._open: list[list[list]] = [[] for _ in self.sources]
         self.entries: list[LatencyEntry] = []
 
     def on_generation(self, source: int, sequence: int, tti: int,
@@ -152,7 +157,8 @@ class LatencyRecorder:
                 pending -= satisfied
             if seq <= sequence and not pending:
                 self.entries.append(close_packet(
-                    source, seq, gen, delivery_tti, k_losses=sequence - seq))
+                    self.sources[source], seq, gen, delivery_tti,
+                    k_losses=sequence - seq))
             else:
                 remaining.append(entry)
         self._open[source] = remaining
@@ -160,15 +166,15 @@ class LatencyRecorder:
     def on_receiver_exit(self, receiver: int, tti: int) -> None:
         """`receiver` stopped being an intended recipient (left the area);
         open entries no longer wait for it."""
-        for source in self.sources:
+        for source, entries in enumerate(self._open):
             remaining = []
-            for entry in self._open[source]:
+            for entry in entries:
                 seq, gen, pending = entry
                 was_blocking = receiver in pending
                 pending.discard(receiver)
                 if was_blocking and not pending:
                     self.entries.append(close_packet(
-                        source, seq, gen, tti,
+                        self.sources[source], seq, gen, tti,
                         k_losses=max((tti - gen) // self.period, 0)))
                 else:
                     remaining.append(entry)
@@ -176,7 +182,7 @@ class LatencyRecorder:
 
     @property
     def n_open(self) -> int:
-        return sum(len(v) for v in self._open.values())
+        return sum(map(len, self._open))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ The layout is a hexagonal grid centred at the origin: an inner group of
 cells transmits the common multicast signal, the surrounding ring(s) act
 as interference sources only.  Users are dropped uniformly inside their
 cell's hexagon; car users move in a straight line at constant speed and
-wrap around the layout boundary.  The arguments are values of a checked
-`ScenarioConfig` (see `engine`), so no function here checks them again.
+wrap around the layout boundary.  `advance_mobility` moves the position
+array it is given, so the drop is never written after it is made.  The
+arguments are values of a checked `ScenarioConfig` (see `config`), so no
+function here checks them again.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +47,14 @@ class CellLayout:
 
 @dataclass
 class UserPopulation:
-    """Flat arrays indexed by user id; cars come first within each cell."""
+    """The drop: flat arrays indexed by user id, cars first within each
+    cell.  Nothing writes it after the drop; the moving cars' positions
+    live in the run's mobility stage."""
     layout: CellLayout
     is_car: np.ndarray                  # (n_users,) bool
-    serving_cell: np.ndarray            # (n_users,) int
+    serving_cell: np.ndarray            # (n_users,) int: the drop cell
     positions: np.ndarray               # (n_users, 2) metres
     velocities: np.ndarray              # (n_users, 2) m/s
-    drop_cell: np.ndarray = field(default=None)  # cell each user was dropped in
-
-    def __post_init__(self):
-        if self.drop_cell is None:
-            self.drop_cell = self.serving_cell.copy()
 
     @property
     def n_users(self) -> int:
@@ -164,39 +163,34 @@ def drop_users(layout: CellLayout, n_users_per_cell: int, n_cars_per_cell: int,
     )
 
 
-def advance_mobility(pop: UserPopulation, dt: float, gain_fn, users,
+def advance_mobility(positions: np.ndarray, velocities: np.ndarray,
+                     radius: float, dt: float, gain_fn,
                      n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """In place: move the users among `users` that have a velocity through
-    `n_steps` steps of velocity*dt, wrapping them at the layout boundary
-    and handing each one over to its strongest cell after every step.
+    """In place: move the cars at `positions` (cars, 2) through `n_steps`
+    steps of `velocities` * dt, wrapping them at the boundary disc of
+    `radius` and handing each one over to its strongest cell after every
+    step.
 
     `gain_fn(positions) -> (..., n_cells)` gives the macroscopic gain at
-    positions (..., 2) of the moved users, in `users` order.  Returns each
-    step's gains, (n_steps, moving, n_cells), and serving cells, (n_steps,
-    moving), the argmax of its gains; `pop` is left at the last step.  A
-    car moves by its own position and velocity alone, so moving a subset
-    gives those cars the values that moving every car would, and one call
-    of n steps gives bitwise the values of n calls of one step.  Handover
-    is instantaneous and cost-free.
+    positions (..., 2) of the cars.  Returns each step's gains, (n_steps,
+    cars, n_cells), and serving cells, (n_steps, cars), the argmax of its
+    gains; `positions` is left at the last step.  A car moves by its own
+    position and velocity alone, so moving a subset gives those cars the
+    values that moving every car would, and one call of n steps gives
+    bitwise the values of n calls of one step.  Handover is instantaneous
+    and cost-free.
     """
-    users = np.asarray(users, dtype=np.intp)
-    # Only users with a velocity move.  Their positions are gathered once,
-    # moved, wrapped and handed to `gain_fn`, and scattered back once.
-    v = pop.velocities.take(users, axis=0)
-    moves = v.any(axis=1)
-    moving = users[moves]
-    step = v[moves] * dt
+    step = velocities * dt
     # Row k is the position after k steps: numpy's cumulative sum adds the
     # rows in sequence, so it is bitwise k sequential `p + step` adds.
-    p = np.empty((n_steps + 1, len(moving), 2))
-    p[0] = pop.positions.take(moving, axis=0)
+    p = np.empty((n_steps + 1, len(positions), 2))
+    p[0] = positions
     p[1:] = step
     np.cumsum(p, axis=0, out=p)
 
     # Wrap-around: a car crossing the boundary disc re-enters on the
     # antipodal side, keeping its heading.  At the first step that leaves
     # a car outside, wrap it and move on from there again.
-    radius = pop.layout.boundary_radius
     k = 1
     while k <= n_steps:
         dist = np.hypot(p[k:, :, 0], p[k:, :, 1])
@@ -210,9 +204,7 @@ def advance_mobility(pop: UserPopulation, dt: float, gain_fn, users,
         p[k + 1:] = step
         np.cumsum(p[k:], axis=0, out=p[k:])
         k += 1
-    pop.positions[moving] = p[-1]
+    positions[:] = p[-1]
 
     gains = gain_fn(p[1:])
-    serving = gains.argmax(axis=2)
-    pop.serving_cell[moving] = serving[-1]
-    return gains, serving
+    return gains, gains.argmax(axis=2)

@@ -845,7 +845,7 @@ def test_tracer_counts_one_mobility_step_per_block(monkeypatch):
         def counted(*args, **kwargs):
             events.append(name)
             if name == "mobility":
-                steps.append(args[4])
+                steps.append(args[5])
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, attr, counted)
 
@@ -862,10 +862,11 @@ def test_tracer_counts_one_mobility_step_per_block(monkeypatch):
 @pytest.mark.parametrize("mode", [config.MODE_MULTICAST,
                                   config.MODE_UNICAST_BASELINE])
 def test_stages_run_in_order(mode, monkeypatch):
-    """Each TTI runs its stages in one order: mobility, any receiver exits,
-    the link reads, any generation, the delivery's `serve`, then the
-    ordinary users on the RBs it leaves.  The shims replace module and
-    class attributes, as perfbench's tracer does."""
+    """Each TTI runs its stages in one order: mobility, any receiver exits
+    (each to the recorder, then the delivery), the link reads, any
+    generation, the delivery's `serve`, then the ordinary users on the RBs
+    it leaves.  The shims replace module and class attributes, as
+    perfbench's tracer does."""
     events = []
 
     def shim(owner, attr, letter):
@@ -878,6 +879,8 @@ def test_stages_run_in_order(mode, monkeypatch):
 
     shim(engine.Mobility, "step", "m")
     shim(metrics.LatencyRecorder, "on_receiver_exit", "x")
+    shim(MulticastDelivery, "on_receiver_exit", "d")
+    shim(UnicastDelivery, "on_receiver_exit", "d")
     shim(engine.LinkReads, "step", "r")
     shim(traffic, "maybe_generate", "g")
     shim(MulticastDelivery, "serve", "s")
@@ -887,9 +890,92 @@ def test_stages_run_in_order(mode, monkeypatch):
     cfg = ScenarioConfig(mode=mode, shadowing_std_db=8.0, n_tti=300, seed=1)
     run(cfg)
     trace = "".join(events)
-    assert re.fullmatch(r"(mx*rg*so)*", trace), trace[:80]
+    assert re.fullmatch(r"(m(xd)*rg*so)*", trace), trace[:80]
     assert trace.count("m") == cfg.n_tti
     assert "x" in trace and "g" in trace
+
+
+def test_run_leaves_the_drop_as_drawn(monkeypatch):
+    """The mobility stage moves copies of the cars' positions: after a
+    300-TTI multicast run the population `drop_users` returned equals a
+    fresh draw at the same seed, also in its serving cells."""
+    drops = []
+    original = topology.drop_users
+
+    def kept(*args, **kwargs):
+        drops.append(original(*args, **kwargs))
+        return drops[-1]
+
+    monkeypatch.setattr(topology, "drop_users", kept)
+    cfg = ScenarioConfig(shadowing_std_db=8.0, n_tti=300, seed=1)
+    run(cfg)
+    (pop,) = drops
+    fresh = original(pop.layout, cfg.users_per_cell, cfg.cars_per_cell,
+                     cfg.car_speed_ms, rng_seed=cfg.seed)
+    for name in ("is_car", "serving_cell", "positions", "velocities"):
+        np.testing.assert_array_equal(getattr(pop, name),
+                                      getattr(fresh, name), err_msg=name)
+
+
+@pytest.mark.parametrize("mode", [config.MODE_MULTICAST,
+                                  config.MODE_UNICAST_BASELINE])
+def test_stages_know_sources_by_row(mode, monkeypatch):
+    """The delivery and the recorder are handed sources and receivers as
+    rows 0..n_sources-1, every row among them; the record's entries name
+    their sources by user id, from `record.sources`."""
+    seen = []
+
+    def shim(owner, attr, ids):
+        original = vars(owner)[attr]
+
+        def logged(self, *args):
+            seen.extend(ids(*args))
+            return original(self, *args)
+        monkeypatch.setattr(owner, attr, logged)
+
+    recorder = metrics.LatencyRecorder
+    deliveries = (MulticastDelivery, UnicastDelivery)
+    shim(recorder, "on_generation", lambda src, seq, tti, to: [src, *to])
+    shim(recorder, "on_delivery", lambda src, seq, tti, to: [src, *to])
+    shim(recorder, "on_receiver_exit", lambda gone, tti: [gone])
+    for cls in deliveries:
+        shim(cls, "add", lambda src, seq, tti, to: [src, *to])
+        shim(cls, "on_receiver_exit", lambda gone: [gone])
+    # At 400 km/h cars leave the area, and unicast entries close, within
+    # 300 TTIs.
+    record = run(ScenarioConfig(mode=mode, car_speed_kmh=400, n_tti=300,
+                                seed=1))
+    assert set(seen) == set(range(len(record.sources)))
+    assert record.entries
+    assert {e.source for e in record.entries} <= set(record.sources)
+    assert record.sources != list(range(len(record.sources)))
+
+
+def test_no_copy_granted_to_a_receiver_that_left(monkeypatch):
+    """A car that leaves the area takes its queued unicast copies with it:
+    at 400 km/h cars leave and come back within 300 TTIs, and no copy is
+    granted RBs while its receiver is outside the area."""
+    areas, absent = [], []
+    step = engine.Mobility.step
+    schedule = scheduler.schedule_unicast_cam_baseline
+
+    def stepped(self, tti):
+        out = step(self, tti)
+        areas.append(out[1])
+        return out
+
+    def granted(items, n_rb, n_re):
+        allocations, used = schedule(items, n_rb, n_re)
+        absent.extend(a.rb_count for a in allocations
+                      if a.key.receiver not in areas[-1])
+        return allocations, used
+
+    monkeypatch.setattr(engine.Mobility, "step", stepped)
+    monkeypatch.setattr(scheduler, "schedule_unicast_cam_baseline", granted)
+    record = run(ScenarioConfig(mode="unicast_baseline", car_speed_kmh=400,
+                                n_tti=300, seed=1))
+    assert min(map(len, areas)) < len(record.sources)
+    assert absent == [], (len(absent), sum(absent))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -969,9 +1055,8 @@ def _per_copy_serve(delivery, tti, area_sources, read_now, report):
         if cfg.cqi_policy == config.POLICY_FIXED:
             cqi[copy] = cfg.cqi_value
         else:
-            row = delivery.row_of[copy.receiver]
             cqi[copy] = max(int(link.cqi_from_sinr_rows(
-                report[row, None], table)[0]), max(cfg.cqi_value, 1))
+                report[copy.receiver, None], table)[0]), max(cfg.cqi_value, 1))
         return link.cqi_efficiency(cqi[copy], table)
 
     left, granted = {}, []
@@ -987,7 +1072,7 @@ def _per_copy_serve(delivery, tti, area_sources, read_now, report):
         return left
     copies = [alloc.key for alloc in granted]
     eff_db = grouped_slices(
-        read_now(), np.array([delivery.row_of[c.receiver] for c in copies]),
+        read_now(), np.array([c.receiver for c in copies]),
         np.array([a.rb_start for a in granted]),
         np.array([a.rb_count for a in granted]))
     ok = delivery.decode(eff_db, np.array([cqi[c] for c in copies]))
@@ -1019,19 +1104,17 @@ class _DeliveryLog:
 
 
 def _unicast_delivery(gen, policy, bound, n_rb, n_sources, n_cells):
-    """A `UnicastDelivery` over `n_cells` area cells with random drop
-    cells, and its log; `cfg` carries only the fields it reads, so any RB
-    count can be set."""
+    """A `UnicastDelivery` of sources 0..n_sources-1 over `n_cells` area
+    cells with random drop cells, and its log; `cfg` carries only the
+    fields it reads, so any RB count can be set."""
     cfg = types.SimpleNamespace(
         n_rb=n_rb, usable_re_per_rb=100, cqi_policy=policy, cqi_value=bound,
         n_tti=8, cam_size_bits=2400, cam_period_ttis=100, sizing_cqi=3,
         cqi_table=link.CQI_TABLE)
-    sources = [int(s) for s in 100 + np.arange(n_sources)]
-    drop_cell = {s: int(gen.integers(n_cells)) for s in sources}
+    drop_cell = [int(gen.integers(n_cells)) for _ in range(n_sources)]
     log = _DeliveryLog(int(gen.integers(2 ** 31)))
-    delivery = UnicastDelivery(
-        cfg, list(range(n_cells)), drop_cell, log,
-        {s: k for k, s in enumerate(sources)}, log.decode, 1.0)
+    delivery = UnicastDelivery(cfg, list(range(n_cells)), drop_cell, log,
+                               log.decode, 1.0)
     return delivery, log
 
 
@@ -1049,7 +1132,7 @@ def _random_unicast_case(seed, policy):
         gen.bit_generator.state = state
         pair.append(_unicast_delivery(gen, policy, bound, n_rb, n_sources,
                                       n_cells))
-    sources = list(pair[0][0].drop_cell)
+    sources = list(range(n_sources))
     ttis = []
     for tti in range(8):
         report, now = 10.0 ** (gen.uniform(-2.0, 2.5, (2, n_sources, n_rb)))
@@ -1085,8 +1168,7 @@ def _drive(delivery, serve, ttis):
         copies = [c for q in delivery.pending.values() for c in q.values()]
         for copy, kind in zip(copies, kinds):
             if kind != "keep":
-                copy.residual = float(
-                    residual[kind][delivery.row_of[copy.receiver]])
+                copy.residual = float(residual[kind][copy.receiver])
         left = serve(delivery, tti, None, lambda: now, report)
         seen.append((left, int(delivery.cam_rb_per_tti[tti]),
                      {cell: [(k, c.residual) for k, c in q.items()]
@@ -1157,7 +1239,7 @@ def test_serve_prices_only_the_granted_head(policy, monkeypatch):
                    else np.maximum(link.cqi_from_sinr_rows(report, table),
                                    max(cfg.cqi_value, 1)))
             whole = [[(c, c.residual, link.cqi_efficiency(
-                int(cqi[delivery.row_of[c.receiver]]), table))
+                int(cqi[c.receiver]), table))
                 for c in queue.values()] for queue in delivery.pending.values()]
             delivery.serve(tti, None, lambda: now, report)
             for queue, (head, got, n_rb, n_re) in zip(whole, calls):

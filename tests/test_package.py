@@ -1,8 +1,13 @@
-"""Rules that hold for every module of the package."""
+"""Rules that hold for every module of the package.
+
+Run as a script, `PYTHONPATH=src python tests/test_package.py` prints each
+module's code lines (`code_lines`) and their total.
+"""
 import ast
 import importlib
 import pathlib
 import pkgutil
+import textwrap
 
 import numpy as np
 
@@ -123,3 +128,49 @@ def test_only_engine_and_cli_start_pools():
         if any(name in executors for name in _referenced_names(tree)):
             naming.add(path.name)
     assert naming == {"engine.py", "cli.py"}
+
+
+def code_lines(source: str) -> int:
+    """The lines of `source` that hold code: non-blank, not a comment alone
+    and not inside a module, class or function docstring."""
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef,
+                  ast.AsyncFunctionDef)
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, documented)
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), 1)
+               if line.strip() and not line.strip().startswith("#")
+               and number not in docstrings)
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    source = textwrap.dedent('''\
+        """Module docstring,
+        two lines."""
+        import os  # a comment after code counts
+
+        # A comment alone does not.
+        def f(x):
+            """One line."""
+            return x
+
+
+        class C:
+            """Two
+            lines."""
+            text = """a string that is not a docstring
+        counts on each of its lines"""
+        ''')
+    assert code_lines(source) == 6
+
+
+if __name__ == "__main__":
+    total = 0
+    for path in sorted(pathlib.Path(mbsfnsim.__file__).parent.glob("*.py")):
+        n = code_lines(path.read_text(encoding="utf-8"))
+        total += n
+        print(f"{path.name:16} {n:5}")
+    print(f"{'total':16} {total:5}")

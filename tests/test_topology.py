@@ -150,7 +150,6 @@ def _sequential_drop(layout, n_users_per_cell, n_cars_per_cell, car_speed,
             vel.append(v)
     arrays = {"is_car": np.asarray(is_car, dtype=bool),
               "serving_cell": np.asarray(serving, dtype=np.int64),
-              "drop_cell": np.asarray(serving, dtype=np.int64),
               "positions": np.asarray(pos, dtype=float),
               "velocities": np.asarray(vel, dtype=float)}
     return arrays, taken
@@ -211,43 +210,46 @@ def _everyone(pop):
     return np.arange(pop.n_users)
 
 
-def _single_car_population(layout, position, velocity):
-    return topology.UserPopulation(
-        layout=layout,
-        is_car=np.array([True]),
-        serving_cell=np.array([0], dtype=np.int64),
-        positions=np.asarray([position], dtype=float),
-        velocities=np.asarray([velocity], dtype=float),
-    )
+def _cars(pop):
+    """Copies of the cars' positions, and their velocities."""
+    return pop.positions[pop.is_car], pop.velocities[pop.is_car]
+
+
+def _single_car(position, velocity):
+    return (np.asarray([position], dtype=float),
+            np.asarray([velocity], dtype=float))
 
 
 class TestAdvanceMobility:
     def test_kinematics(self):
         layout = build_layout(1, 1, 500.0)
-        pop = _single_car_population(layout, (0.0, 0.0), (27.78, 0.0))
-        advance_mobility(pop, 1.0, _distance_gain(layout), [0], 1)
-        np.testing.assert_allclose(pop.positions[0], (27.78, 0.0))
+        positions, velocities = _single_car((0.0, 0.0), (27.78, 0.0))
+        advance_mobility(positions, velocities, layout.boundary_radius, 1.0,
+                         _distance_gain(layout), 1)
+        np.testing.assert_allclose(positions[0], (27.78, 0.0))
 
     def test_zero_dt_identity(self):
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 6, 3, 27.78, rng_seed=1)
-        positions, serving = pop.positions.copy(), pop.serving_cell.copy()
+        positions, velocities = _cars(pop)
         # A drop cell is its user's nearest cell, so nobody hands over.
-        gains, cells = advance_mobility(pop, 0.0, _distance_gain(layout),
-                                        _everyone(pop), 3)
-        np.testing.assert_array_equal(pop.positions, positions)
-        np.testing.assert_array_equal(pop.serving_cell, serving)
+        gains, cells = advance_mobility(positions, velocities,
+                                        layout.boundary_radius, 0.0,
+                                        _distance_gain(layout), 3)
+        np.testing.assert_array_equal(positions, pop.positions[pop.is_car])
         assert gains.shape == (3, pop.is_car.sum(), layout.n_cells)
-        np.testing.assert_array_equal(cells, np.tile(serving[pop.is_car],
-                                                     (3, 1)))
+        np.testing.assert_array_equal(
+            cells, np.tile(pop.serving_cell[pop.is_car], (3, 1)))
 
     def test_wrap_and_reselection_against_gain_scan(self):
         layout = build_layout(1, 1, 500.0)
         radius = layout.boundary_radius
-        pop = _single_car_population(layout, (radius - 1.0, 0.0), (100.0, 0.0))
-        advance_mobility(pop, 1.0, _distance_gain(layout), [0], 1)
-        assert np.hypot(*pop.positions[0]) <= radius + 1e-9
-        assert pop.positions[0][0] < 0  # re-entered on the opposite side
+        positions, velocities = _single_car((radius - 1.0, 0.0),
+                                            (100.0, 0.0))
+        advance_mobility(positions, velocities, radius, 1.0,
+                         _distance_gain(layout), 1)
+        assert np.hypot(*positions[0]) <= radius + 1e-9
+        assert positions[0][0] < 0  # re-entered on the opposite side
 
         # Serving cell must match an exhaustive strongest-gain scan.
         rng = np.random.default_rng(0)
@@ -259,48 +261,46 @@ class TestAdvanceMobility:
             return -(128.1 + 37.6 * np.log10(np.maximum(d, 35.0) / 1000.0)) \
                 + shadow
 
-        (gains,), (cells,) = advance_mobility(pop, 1.0, gain_db, [0], 1)
+        (gains,), (cells,) = advance_mobility(positions, velocities, radius,
+                                              1.0, gain_db, 1)
         expected = []
         for cell in range(layout.n_cells):
-            d = max(np.hypot(*(pop.positions[0]
+            d = max(np.hypot(*(positions[0]
                                - layout.cell_positions[cell])), 35.0)
             expected.append(-(128.1 + 37.6 * math.log10(d / 1000.0))
                             + shadow[0, cell])
-        assert int(pop.serving_cell[0]) == int(np.argmax(expected))
-        assert cells[0] == pop.serving_cell[0]
+        assert cells[0] == int(np.argmax(expected))
         # The gains used for the handover are returned, for reuse.
         np.testing.assert_allclose(gains[0], expected)
 
     def test_preserves_counts_and_kinds(self):
+        """The cars move the arrays they are given, inside the disc; the
+        drop they were copied from is left as it was."""
         layout = build_layout(1, 1, 500.0)
         pop = drop_users(layout, 6, 3, 27.78, rng_seed=4)
-        n_users, is_car = pop.n_users, pop.is_car.copy()
-        positions = pop.positions.copy()
+        dropped = {name: getattr(pop, name).copy() for name in (
+            "is_car", "serving_cell", "positions", "velocities")}
+        positions, velocities = _cars(pop)
         for _ in range(50):
-            advance_mobility(pop, 5.0, _distance_gain(layout), _everyone(pop),
-                             1)
-        assert pop.n_users == n_users
-        np.testing.assert_array_equal(pop.is_car, is_car)
+            advance_mobility(positions, velocities, layout.boundary_radius,
+                             5.0, _distance_gain(layout), 1)
+        for name, value in dropped.items():
+            np.testing.assert_array_equal(getattr(pop, name), value)
         radius = layout.boundary_radius
-        assert np.all(np.hypot(*pop.positions.T) <= radius + 1e-9)
-        # static users never move; cars do
-        np.testing.assert_array_equal(pop.positions[~is_car],
-                                      positions[~is_car])
-        assert np.all(pop.positions[is_car] != positions[is_car])
+        assert np.all(np.hypot(*positions.T) <= radius + 1e-9)
+        assert np.all(positions != pop.positions[pop.is_car])
 
     def test_only_given_users_move_as_in_a_full_move(self):
+        """Moving every third car alone gives those cars bitwise the
+        positions and serving cells of moving every car."""
         layout = build_layout(1, 1, 500.0)
-        subset_pop = drop_users(layout, 6, 3, 27.78, rng_seed=6)
-        full_pop = drop_users(layout, 6, 3, 27.78, rng_seed=6)
-        positions = subset_pop.positions.copy()
-        serving = subset_pop.serving_cell.copy()
-        cars = np.flatnonzero(subset_pop.is_car)
-        # Some cars and one static user; only the cars among them move.
-        given = np.concatenate((cars[::3],
-                                np.flatnonzero(~subset_pop.is_car)[:1]))
-        rest = np.setdiff1d(np.arange(subset_pop.n_users), given)
+        pop = drop_users(layout, 6, 3, 27.78, rng_seed=6)
+        radius = layout.boundary_radius
+        cars = np.flatnonzero(pop.is_car)
+        subset = (pop.positions[cars[::3]], pop.velocities[cars[::3]])
+        full = (pop.positions[cars], pop.velocities[cars])
         shadow = np.random.default_rng(2).normal(
-            0.0, 8.0, size=(subset_pop.n_users, layout.n_cells))
+            0.0, 8.0, size=(pop.n_users, layout.n_cells))
 
         def gain_db(movers):
             """The gain of `movers`, the users that move, in user order."""
@@ -310,20 +310,16 @@ class TestAdvanceMobility:
                 return -d + shadow[movers]
             return gain
 
+        handed_over = False
         for _ in range(40):  # long enough for wraps and handovers
-            advance_mobility(subset_pop, 1.0, gain_db(cars[::3]), given, 1)
-            advance_mobility(full_pop, 1.0, gain_db(cars),
-                             _everyone(full_pop), 1)
-        np.testing.assert_array_equal(subset_pop.positions[given],
-                                      full_pop.positions[given])
-        np.testing.assert_array_equal(subset_pop.serving_cell[given],
-                                      full_pop.serving_cell[given])
-        np.testing.assert_array_equal(subset_pop.positions[rest],
-                                      positions[rest])
-        np.testing.assert_array_equal(subset_pop.serving_cell[rest],
-                                      serving[rest])
-        assert not np.array_equal(subset_pop.serving_cell[given],
-                                  serving[given])
+            _, (some,) = advance_mobility(*subset, radius, 1.0,
+                                          gain_db(cars[::3]), 1)
+            _, (every,) = advance_mobility(*full, radius, 1.0,
+                                           gain_db(cars), 1)
+            np.testing.assert_array_equal(some, every[::3])
+            handed_over |= np.any(some != pop.serving_cell[cars[::3]])
+        np.testing.assert_array_equal(subset[0], full[0][::3])
+        assert handed_over
 
     def test_wrap_keeps_cars_inside_at_the_speed_limit(self):
         """After a step of the disc's diameter, the most that
@@ -331,11 +327,12 @@ class TestAdvanceMobility:
         back inside the disc."""
         layout = build_layout(1, 1, 500.0)
         radius = layout.boundary_radius
-        pop = drop_users(layout, 6, 3, 2.0 * radius, rng_seed=3)
+        positions, velocities = _cars(
+            drop_users(layout, 6, 3, 2.0 * radius, rng_seed=3))
         for _ in range(100):
-            advance_mobility(pop, 1.0, _distance_gain(layout),
-                             _everyone(pop), 1)
-            assert np.all(np.hypot(*pop.positions.T) <= radius + 1e-9)
+            advance_mobility(positions, velocities, radius, 1.0,
+                             _distance_gain(layout), 1)
+            assert np.all(np.hypot(*positions.T) <= radius + 1e-9)
 
 
 def _parent_amplitude_gain(model, positions, rows, clamps):
@@ -386,7 +383,6 @@ def test_mobility_stage_bitwise_as_parent(mbsfn_rings, speed, caplog):
     speed_ms = speed(layout.boundary_radius)
     pops = [drop_users(layout, 6, 3, speed_ms, rng_seed=1) for _ in range(2)]
     pop, ref = pops
-    positions = pop.positions.copy()
     cars = np.flatnonzero(pop.is_car)
     # The model's moving users come first: the cars, in user order.
     tracked = np.concatenate((cars, np.flatnonzero(~pop.is_car)))
@@ -397,6 +393,7 @@ def test_mobility_stage_bitwise_as_parent(mbsfn_rings, speed, caplog):
             np.hypot(*pop.velocities[tracked].T), shadow[tracked],
             2.14e9, 25, 1)
         moving = cars[:model.n_moving]
+        positions, velocities = pop.positions[moving], pop.velocities[moving]
         rows = slice(0, model.n_moving)
         gain = functools.partial(model.amplitude_gain, rows=rows)
         wraps, clamps = [], []
@@ -405,8 +402,9 @@ def test_mobility_stage_bitwise_as_parent(mbsfn_rings, speed, caplog):
         handovers = most_wraps_in_a_block = 0
         # 2000 = 31 * 64 + 16.
         for n in [channel.BLOCK_LEN] * 31 + [16]:
-            gains, cells = advance_mobility(pop, channel.TTI_S, gain,
-                                            _everyone(pop), n)
+            gains, cells = advance_mobility(positions, velocities,
+                                            layout.boundary_radius,
+                                            channel.TTI_S, gain, n)
             assert gains.shape == (n, len(moving), layout.n_cells)
             assert cells.shape == (n, len(moving))
             for k in range(n):
@@ -416,8 +414,7 @@ def test_mobility_stage_bitwise_as_parent(mbsfn_rings, speed, caplog):
                 assert np.array_equal(gains[k], want)
                 assert np.array_equal(cells[k], ref.serving_cell[moving])
                 handovers += np.count_nonzero(ref.serving_cell != serving)
-            assert np.array_equal(pop.positions, ref.positions)
-            assert np.array_equal(pop.serving_cell, ref.serving_cell)
+            assert np.array_equal(positions, ref.positions[moving])
             most_wraps_in_a_block = max(most_wraps_in_a_block, max(
                 np.sum(wraps[-n:], axis=0), default=0))
     if speed_ms:
@@ -426,4 +423,4 @@ def test_mobility_stage_bitwise_as_parent(mbsfn_rings, speed, caplog):
         assert caplog.text.count("clamped") == 1
     else:
         assert not moving.size and not handovers
-        np.testing.assert_array_equal(pop.positions, positions)
+        np.testing.assert_array_equal(ref.positions, pop.positions)

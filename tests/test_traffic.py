@@ -27,9 +27,8 @@ def _deliveries():
     """A multicast and a unicast delivery of source 0 to receiver 1, both
     dropped in cell 0; they keep the jobs of the messages added."""
     cfg = engine.ScenarioConfig()
-    row_of = {0: 0, 1: 1}
-    return (MulticastDelivery(cfg, [0], None, row_of, None, None, 1.0),
-            UnicastDelivery(cfg, [0], {0: 0, 1: 0}, None, row_of, None, 1.0))
+    return (MulticastDelivery(cfg, [0], None, 2, None, None, 1.0),
+            UnicastDelivery(cfg, [0], [0, 0], None, None, 1.0))
 
 
 def _job_of(delivery):
