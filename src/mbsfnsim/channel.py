@@ -53,10 +53,6 @@ BLOCK_LEN = 64
 CHUNK_PAIRS = 200
 
 
-class ChannelStateError(RuntimeError):
-    """Internal-consistency failure (e.g. missing fading process)."""
-
-
 def normalized_tap_powers(powers_db) -> np.ndarray:
     p = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
     return p / p.sum()
@@ -286,8 +282,10 @@ class ChannelModel:
     so a pair's coefficient at RB r is x @ steer[:, r]; `steer_products`
     is its `steering_products`.
 
-    Moving users must come first in the user order, and the split between
-    them and the zero-Doppler users is fixed here.  A zero-Doppler user
+    `positions`, (n_users, 2), and `shadowing_db`, (n_users, n_cells), hold
+    the rows of the users whose speeds `user_speeds_ms` gives.  Moving
+    users must come first in the user order, and the split between them
+    and the zero-Doppler users is fixed here.  A zero-Doppler user
     neither moves nor fades, so its scaled taps (amplitude at its given
     position times fading) are evaluated once, at construction, as
     `static`, (n_static, n_cells, n_taps).  A snapshot holds the moving
@@ -302,9 +300,9 @@ class ChannelModel:
 
     `evaluated_ttis`, a boolean mask over TTIs 0..len-1, names the only
     TTIs a caller reads: a block sums the taps only at those, and
-    `snapshot` at any other TTI raises.  The phasors still step through
-    every TTI of a block up to its last read one, so each snapshot is
-    bitwise the same under any mask that reads its TTI.
+    `snapshot` at any other TTI raises KeyError.  The phasors still step
+    through every TTI of a block up to its last read one, so each snapshot
+    is bitwise the same under any mask that reads its TTI.
 
     `pool` is the thread pool on which the moving pairs' blocks step their
     chunks (see `FadingBank`), or None to step them inline; the static
@@ -321,19 +319,12 @@ class ChannelModel:
         self.cell_positions = np.asarray(cell_positions, dtype=float)
         self.n_cells = len(self.cell_positions)
         n_users = len(user_speeds_ms)
-        if shadowing_db.shape != (n_users, self.n_cells) \
-                or len(positions) != n_users:
-            raise ChannelStateError("positions or shadowing map do not match "
-                                    "users x cells")
         self.shadowing_db = shadowing_db
         self.n_rb = n_rb
         self.rb_freqs = (np.arange(n_rb) - (n_rb - 1) / 2.0) * RB_BANDWIDTH_HZ
         user_doppler = np.array([doppler_frequency(s, carrier_hz)
                                  for s in user_speeds_ms], dtype=float)
-        moving = user_doppler != 0.0
-        m = self.n_moving = int(moving.sum())
-        if moving[m:].any():
-            raise ChannelStateError("moving users must precede static ones")
+        m = self.n_moving = int(np.count_nonzero(user_doppler))
         self.bank = FadingBank(np.repeat(user_doppler[:m], self.n_cells),
                                VEHA_TAP_DELAYS, VEHA_TAP_POWERS_DB, seed,
                                n_static=(n_users - m) * self.n_cells)
@@ -370,10 +361,9 @@ class ChannelModel:
         return 10.0 ** ((-pathloss_db(d) + self.shadowing_db[rows]) / 20.0)
 
     def _tap_gains_at(self, tti: int) -> np.ndarray:
-        """Moving pairs' tap gains at `tti`: (n_moving * n_cells, n_taps)."""
+        """Moving pairs' tap gains at `tti`: (n_moving * n_cells, n_taps).
+        A TTI the mask does not read has no row: KeyError."""
         mask = self.evaluated_ttis
-        if not (0 <= tti < len(mask) and mask[tti]):
-            raise ChannelStateError(f"TTI {tti} is not an evaluated TTI")
         if tti not in self._rows:
             start = (tti // BLOCK_LEN) * BLOCK_LEN
             steps = np.flatnonzero(mask[start:start + BLOCK_LEN]).tolist()
@@ -387,8 +377,6 @@ class ChannelModel:
         """The moving users' scaled tap gains x[user, cell, tap] at `tti`,
         in a new (n_moving, n_cells, n_taps) array; `gamma` is their
         `amplitude_gain` at this TTI's positions, (n_moving, n_cells)."""
-        if gamma.shape != (self.n_moving, self.n_cells):
-            raise ChannelStateError("amplitude does not match moving users")
         return gamma[:, :, None] * self._tap_gains_at(tti).reshape(
             self.n_moving, self.n_cells, self.bank.n_taps)
 

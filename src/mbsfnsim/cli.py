@@ -34,10 +34,6 @@ import numpy as np
 from . import channel, config, engine, metrics
 
 
-class ScenarioParseError(ValueError):
-    pass
-
-
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("true", "yes", "1", "on"):
         return True
@@ -87,27 +83,26 @@ def parse_scenario_text(text: str,
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in schema:
-                raise ScenarioParseError(
-                    f"line {lineno}: unknown section [{section}]")
+                raise ValueError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
-            raise ScenarioParseError(f"line {lineno}: expected key = value")
+            raise ValueError(f"line {lineno}: expected key = value")
         if section is None:
-            raise ScenarioParseError(f"line {lineno}: key outside any section")
+            raise ValueError(f"line {lineno}: key outside any section")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in schema[section]:
-            raise ScenarioParseError(
+            raise ValueError(
                 f"line {lineno}: unknown key {key!r} in section [{section}]")
         if key in values:
-            raise ScenarioParseError(f"line {lineno}: {key!r} given twice")
+            raise ValueError(f"line {lineno}: {key!r} given twice")
         parse = (_parse_policy if key == _POLICY_KEY
                  else _PARSERS[schema[section][key]])
         try:
             parsed = parse(val)
         except ValueError as exc:
-            raise ScenarioParseError(f"line {lineno}: bad value for "
-                                     f"{key!r}: {exc}") from exc
+            raise ValueError(f"line {lineno}: bad value for {key!r}: "
+                             f"{exc}") from exc
         if key == _POLICY_KEY:
             values["cqi_policy"], values["cqi_value"] = parsed
         else:
@@ -264,12 +259,9 @@ def cmd_compare(cells: list[config.ScenarioConfig], out_dir: str) -> int:
             rec, rec_hi = by_bw[bw], by_bw[bw_hi]
             lo_util = rec.analytic_utilization_pct / 100.0
             hi_util = rec_hi.analytic_utilization_pct / 100.0
-            try:
-                predicted = metrics.predicted_throughput_ratio(
-                    lo_util, config.BANDWIDTH_TO_RB[bw],
-                    hi_util, config.BANDWIDTH_TO_RB[bw_hi])
-            except metrics.MetricsError:
-                predicted = float("nan")
+            predicted = metrics.predicted_throughput_ratio(
+                lo_util, config.BANDWIDTH_TO_RB[bw],
+                hi_util, config.BANDWIDTH_TO_RB[bw_hi])
             lo_tp = rec.mean_throughput_mbps()
             measured = (rec_hi.mean_throughput_mbps() / lo_tp
                         if lo_tp else float("nan"))

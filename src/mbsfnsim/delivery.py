@@ -68,10 +68,11 @@ class MulticastDelivery:
     for multicast, and decoded by every receiver in the area.
 
     The reservation is sized once from the sizing CQI, whatever the rate
-    adaptation.  A reserved subframe carries no ordinary traffic unless it
-    has nothing to send and `reassign_unused_subframes` hands it back.
-    `pending` holds each source's undelivered message, oldest first, with
-    its residual bits.
+    adaptation, and capped at the six legal subframes: a need above them
+    makes the delivery `congested`.  A reserved subframe carries no
+    ordinary traffic unless it has nothing to send and
+    `reassign_unused_subframes` hands it back.  `pending` holds each
+    source's undelivered message, oldest first, with its residual bits.
     """
 
     def __init__(self, cfg: ScenarioConfig, area_cells, recorder,
@@ -81,16 +82,14 @@ class MulticastDelivery:
         self.decode = decode
         self.mbsfn_mask, self.noise_variance = mbsfn_mask, noise_variance
         sizing_eff = link.cqi_efficiency(cfg.sizing_cqi, cfg.cqi_table)
-        self.congested = False
-        try:
-            reserved = scheduler.required_subframes(
-                cfg.cam_size_bits, n_sources, cfg.n_rb,
-                cfg.usable_re_per_rb, sizing_eff, cfg.cam_period_ttis)
-        except scheduler.CongestionInfeasibleError as exc:
-            reserved = len(scheduler.MBSFN_LEGAL_SUBFRAMES)
-            log.warning("reservation infeasible (%s); using the maximum of "
-                        "%d subframes per frame", exc, reserved)
-            self.congested = True
+        need = scheduler.required_subframes(
+            cfg.cam_size_bits, n_sources, cfg.n_rb, cfg.usable_re_per_rb,
+            sizing_eff, cfg.cam_period_ttis)
+        reserved = min(need, len(scheduler.MBSFN_LEGAL_SUBFRAMES))
+        self.congested = need > reserved
+        if self.congested:
+            log.warning("reservation infeasible (need %d subframes per "
+                        "frame); using the maximum of %d", need, reserved)
         self.reserved_per_frame = reserved
         self.reserved = scheduler.reserved_subframes(reserved)
         self.read_subframes = self.reserved  # `serve` reads link state here

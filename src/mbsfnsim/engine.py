@@ -113,17 +113,17 @@ class Mobility:
     """The moving sources' positions, macroscopic gain, serving cells and
     area membership, advanced once per block of channel.BLOCK_LEN TTIs.
 
-    The blocks line up with the fading blocks and end at the run's last
-    TTI.  Each block makes one `topology.advance_mobility` call, which
-    evaluates the block's gains in one `amplitude_gain` pass, and one pass
-    over its serving cells for the in-area rows; every TTI's values are
-    bitwise those of a step per TTI.  The cars in the area, i.e. served
-    by an area cell, are the only ones obliged to receive (and report CQI
-    for) messages.  A car that left the area stops blocking open entries
-    and is excluded from new recipient sets: the area set is rebuilt, and
-    its exits listed in row order, only at a TTI whose in-area row
-    differs from the one before.  The sources share one speed: they all
-    move or all stand in their drop cells, in the area.
+    The blocks line up with the fading blocks and end at the run's last TTI.
+    Each block makes one `topology.advance_mobility` call, which evaluates its
+    gains in one `amplitude_gain` pass, and one pass over its serving cells for
+    the in-area rows; every TTI's values are bitwise those of a step per TTI.
+    Only cars served by an area cell receive (and report CQI for) messages.  A
+    car that left the area stops blocking open entries and is excluded from new
+    recipient sets: the area set is rebuilt, and its exits listed in row order,
+    only at a TTI whose in-area row differs from the one before.  The set
+    starts as every source; TTI 0's step hands each moving car to its strongest
+    cell, with shadowing maybe a ring cell, and the recorder and the delivery
+    see those exits before the first generation.
     """
 
     def __init__(self, pop, sources, model, mbsfn_mask, n_tti: int):
@@ -135,7 +135,7 @@ class Mobility:
         self.radius = pop.layout.boundary_radius
         self.gain = functools.partial(model.amplitude_gain, rows=slice(0, m))
         self.mbsfn_mask, self.n_tti = mbsfn_mask, n_tti
-        # Every car starts in its drop cell, so in the area.
+        # Every source; TTI 0's step removes those served outside the area.
         self.area = set(range(len(sources)))
         self.in_area = np.ones(m, dtype=bool)
         self.gains = None
@@ -280,12 +280,11 @@ class Runner:
         shadow_full = channel.draw_shadowing(pop.n_users, layout.n_cells,
                                              cfg.shadowing_std_db, seed)
 
-        # Sources and recipients are the cars dropped inside the multicast
-        # area; ordinary throughput is tracked for that area's static users,
-        # since the outer ring never carries message traffic or
-        # reservations.  Both are rows from here on: indices into `sources`
-        # and, in `rows_by_cell` (each area cell's ordinary users), into
-        # `ordinary_tracked`.
+        # Sources and recipients are the cars dropped in the multicast area,
+        # and its static users are the tracked ordinary ones: the outer ring
+        # carries no message or reservation.  Both are rows from here on:
+        # indices into `sources` and, in `rows_by_cell` (each area cell's
+        # ordinary users), into `ordinary_tracked`.
         drop_cell = pop.serving_cell.tolist()
         sources, ordinary_tracked = [], []
         rows_by_cell = {c: [] for c in area_cells}

@@ -24,10 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class CqiRangeError(ValueError):
-    """CQI index outside 1..15."""
-
-
 # LTE 4-bit CQI table: efficiency in information bits per resource element
 # (modulation order times code rate) and the SINR above which the entry
 # sustains a 10% block error rate.
@@ -118,8 +114,6 @@ BLER_TARGET = 0.1
 
 
 def cqi_efficiency(cqi_index: int, table: CqiTable) -> float:
-    if not 1 <= cqi_index <= 15:
-        raise CqiRangeError(f"CQI index {cqi_index} outside 1..15")
     return float(table.efficiencies[cqi_index - 1])
 
 
@@ -218,10 +212,7 @@ def bler(effective_sinr_db, cqi_index, slope_db_per_decade: float,
     `cqi_index` is one index or an integer array matching the SINR array,
     one index per block.
     """
-    cqi = np.asarray(cqi_index)
-    if cqi.size and not (1 <= cqi.min() and cqi.max() <= 15):
-        raise CqiRangeError(f"CQI index {cqi_index} outside 1..15")
-    thr = table.thresholds_db[cqi - 1]
+    thr = table.thresholds_db[np.asarray(cqi_index) - 1]
     k = slope_db_per_decade * math.log(10.0) / (1.0 - BLER_TARGET)
     midpoint = thr - math.log(1.0 / BLER_TARGET - 1.0) / k
     x = np.asarray(effective_sinr_db, dtype=float)

@@ -22,15 +22,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-
-class MetricsError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,10 +42,8 @@ class LatencyEntry:
 
 def close_packet(source: int, sequence: int, generation_tti: int,
                  delivery_tti: int, k_losses: int) -> LatencyEntry:
-    """Finalize one latency entry; latency is delivery minus generation."""
-    if delivery_tti < generation_tti:
-        raise MetricsError(
-            f"delivery at {delivery_tti} precedes generation at {generation_tti}")
+    """Finalize one latency entry; latency is delivery minus generation,
+    which the recorder closes at or after."""
     return LatencyEntry(
         source=source,
         sequence=sequence,
@@ -77,9 +72,8 @@ class EcdfCurve:
 
 
 def ecdf(samples) -> EcdfCurve:
+    """The curve of one or more samples."""
     s = np.sort(np.asarray(samples, dtype=float).ravel())
-    if s.size == 0:
-        raise MetricsError("ECDF of an empty sample set")
     values, counts = np.unique(s, return_counts=True)
     probs = np.cumsum(counts) / s.size
     return EcdfCurve(samples=s, values=values, probs=probs)
@@ -117,10 +111,10 @@ def utilization(packet_bits: float, n_mbms_users: int, n_rb: float,
 def predicted_throughput_ratio(util_a: float, rb_a: float,
                                util_b: float, rb_b: float) -> float:
     """Expected ordinary-user throughput ratio between two bandwidth
-    configurations, from their RB counts and multicast utilizations."""
-    for u in (util_a, util_b):
-        if not 0.0 <= u < 1.0:
-            raise MetricsError(f"utilization {u} outside [0, 1)")
+    configurations, from their RB counts and multicast utilizations; nan
+    unless both utilizations are in [0, 1)."""
+    if not (0.0 <= util_a < 1.0 and 0.0 <= util_b < 1.0):
+        return math.nan
     return ((1.0 - util_b) * rb_b) / ((1.0 - util_a) * rb_a)
 
 

@@ -20,28 +20,15 @@ MBSFN_LEGAL_SUBFRAMES = (1, 2, 3, 6, 7, 8)
 SUBFRAMES_PER_FRAME = 10
 
 
-class SchedulingError(RuntimeError):
-    """Invalid scheduling state (e.g. no CQI reports in adaptive mode)."""
-
-
-class CongestionInfeasibleError(ValueError):
-    """The offered multicast load cannot fit the legal reservation."""
-
-
 def reserved_subframes(n_reserved_per_frame: int) -> frozenset[int]:
     """The subframe numbers (tti % 10) reserved for multicast: the first
-    `n_reserved_per_frame` legal ones."""
-    if not 0 <= n_reserved_per_frame <= len(MBSFN_LEGAL_SUBFRAMES):
-        raise SchedulingError(f"{n_reserved_per_frame} reserved subframes "
-                              "per frame: more than six, or negative")
+    `n_reserved_per_frame` (0..6) legal ones."""
     return frozenset(MBSFN_LEGAL_SUBFRAMES[:n_reserved_per_frame])
 
 
 def select_mbsfn_cqi(reports, bound: int) -> int:
-    """Adaptive transmission CQI: the worst report, clamped below by the
-    bound."""
-    if len(reports) == 0:
-        raise SchedulingError("adaptive CQI selection without reports")
+    """Adaptive transmission CQI: the worst of one or more reports,
+    clamped below by the bound."""
     return max(int(np.min(reports)), bound)
 
 
@@ -50,9 +37,10 @@ def required_subframes(packet_bits: float, n_mbms_users: int,
                        efficiency: float, period_ttis: int) -> int:
     """Minimum reserved subframes per radio frame so that one generation
     period's worth of messages fits the reservation, and at least one
-    when there is a message to carry.  Every argument but `n_mbms_users`
-    is positive: a `ScenarioConfig` field or an entry of its checked CQI
-    table."""
+    when there is a message to carry.  The need is not capped: above
+    six (MBSFN_LEGAL_SUBFRAMES) the load cannot fit.  Every argument but
+    `n_mbms_users` is positive: a `ScenarioConfig` field or an entry of
+    its checked CQI table."""
     if n_mbms_users <= 0:
         return 0
     bits_per_subframe = n_rb_per_subframe * n_re_per_rb * efficiency
@@ -60,13 +48,8 @@ def required_subframes(packet_bits: float, n_mbms_users: int,
     frames_per_period = period_ttis / SUBFRAMES_PER_FRAME
     # The slack absorbs rounding above a whole count; it must not round a
     # load far below one subframe down to none.
-    per_frame = max(math.ceil(subframes_per_period / frames_per_period
-                              - 1e-12), 1)
-    if per_frame > len(MBSFN_LEGAL_SUBFRAMES):
-        raise CongestionInfeasibleError(
-            f"need {per_frame} subframes/frame, only "
-            f"{len(MBSFN_LEGAL_SUBFRAMES)} are reservable")
-    return per_frame
+    return max(math.ceil(subframes_per_period / frames_per_period
+                         - 1e-12), 1)
 
 
 @dataclass(frozen=True)
@@ -89,15 +72,14 @@ def allocate_fifo(items, n_rb: int, n_re_per_rb: int) -> tuple[list[Allocation],
     """Serve (key, residual_bits, efficiency) items in order until RBs run out.
 
     Each item gets ceil(residual / per-RB capacity) RBs, capped by what is
-    left; leftover RBs stay with the next pending item.
+    left; leftover RBs stay with the next pending item.  Every residual
+    is positive: a delivery drops a job once it is drained.
     """
     allocations: list[Allocation] = []
     rb_next = 0
     for key, residual, efficiency in items:
         if rb_next >= n_rb:
             break
-        if residual <= 0:
-            continue
         per_rb = n_re_per_rb * efficiency
         want = rb_demand(residual, n_re_per_rb, efficiency)
         take = min(want, n_rb - rb_next)
@@ -129,15 +111,14 @@ def schedule_unicast_cam_baseline(pending, n_rb: int,
 
 def schedule_unicast_ordinary(user_ids, n_rb: int, rr_offset: int = 0
                               ) -> list[tuple[int, int, int]]:
-    """Even round-robin split of a cell's RBs over its full-buffer users.
+    """Even round-robin split of a cell's RBs over its one or more
+    full-buffer users.
 
     Returns (user_id, rb_start, rb_count) triples, one per user that gets
     at least one RB; allocations differ by at most one RB, with the
     remainder rotating by `rr_offset`.
     """
     users = list(user_ids)
-    if not users:
-        return []
     n = len(users)
     base, rem = divmod(n_rb, n)
     order = [users[(rr_offset + k) % n] for k in range(n)]

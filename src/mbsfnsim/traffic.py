@@ -33,7 +33,5 @@ def maybe_generate(by_phase: dict, period: int, tti: int) -> tuple:
 
 def consume(job, transmitted_bits: float) -> None:
     """Drain a delivery job's `residual` bits by a transmitted transport
-    block, down to 0."""
-    if transmitted_bits < 0:
-        raise ValueError("transmitted bits must be >= 0")
+    block, down to 0; every block carries a positive number of bits."""
     job.residual = max(job.residual - transmitted_bits, 0.0)

@@ -573,6 +573,63 @@ def test_short_run_properties(cfg):
         np.testing.assert_equal(getattr(again, f.name), getattr(rec, f.name))
 
 
+@pytest.fixture(scope="module")
+def table_files(tmp_path_factory):
+    """A `cqi_table_file` value by name: none, the standard table read
+    back from a file, and the standard table 3 dB harder."""
+    directory = tmp_path_factory.mktemp("tables")
+    return {"": "", "standard": write_cqi_table(directory / "standard.csv"),
+            "shifted": _shifted_table_file(directory)}
+
+
+policies = st.one_of(
+    st.tuples(st.just(config.POLICY_FIXED), st.integers(1, 15)),
+    st.tuples(st.just(config.POLICY_ADAPTIVE), st.integers(0, 15)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(mode=st.sampled_from([config.MODE_MULTICAST,
+                             config.MODE_UNICAST_BASELINE]),
+       policy=policies, bandwidth_mhz=st.sampled_from([5, 20]),
+       delay=st.integers(0, 3), reservation_cqi=st.integers(1, 15),
+       perfect_decode=st.booleans(), shadowing=st.sampled_from([0.0, 8.0]),
+       speed=st.sampled_from([0.0, 100.0]),
+       table=st.sampled_from(["", "standard", "shifted"]),
+       seed=st.integers(0, 2**16))
+def test_values_below_the_config_stay_in_range(
+        table_files, mode, policy, bandwidth_mhz, delay, reservation_cqi,
+        perfect_decode, shadowing, speed, table, seed):
+    """No check below the config is needed, because a valid config keeps
+    every value the loop derives in range: `link.bler` and
+    `link.cqi_efficiency` get CQIs in 1..15 only,
+    `scheduler.reserved_subframes` gets 0..6 only, and no entry closes
+    before its generation."""
+    cfg = ScenarioConfig(
+        mode=mode, cqi_policy=policy[0], cqi_value=policy[1],
+        bandwidth_mhz=bandwidth_mhz, cqi_feedback_delay_tti=delay,
+        reservation_cqi=reservation_cqi, perfect_decode=perfect_decode,
+        shadowing_std_db=shadowing, car_speed_kmh=speed,
+        cqi_table_file=table_files[table], n_tti=130, seed=seed)
+    cqis, reserved = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        def record(owner, name, log, value_of):
+            original = getattr(owner, name)
+
+            def recorded(*args):
+                log.extend(np.ravel(value_of(*args)).tolist())
+                return original(*args)
+            mp.setattr(owner, name, recorded)
+
+        record(link, "bler", cqis, lambda eff_db, cqi, slope, table: cqi)
+        record(link, "cqi_efficiency", cqis, lambda cqi, table: cqi)
+        record(scheduler, "reserved_subframes", reserved, lambda n: n)
+        rec = run(cfg)
+    assert cqis and set(cqis) <= set(range(1, 16))
+    assert set(reserved) <= set(range(7))
+    assert len(reserved) == (mode == config.MODE_MULTICAST)
+    assert all(e.delivery_tti >= e.generation_tti for e in rec.entries)
+
+
 class TestHandTracedSchedule:
     def test_single_car_perfect_channel(self):
         """One source, error-free decoding, top CQI: every delivery lands at
@@ -976,6 +1033,47 @@ def test_no_copy_granted_to_a_receiver_that_left(monkeypatch):
                                 n_tti=300, seed=1))
     assert min(map(len, areas)) < len(record.sources)
     assert absent == [], (len(absent), sum(absent))
+
+
+def test_cars_served_outside_the_area_at_tti_0_exit_first(monkeypatch):
+    """The area set starts as every source, and TTI 0's step removes the
+    cars whose strongest cell is outside the area: with shadowing at seed
+    1 some do, they exit to the recorder and the delivery before the
+    first generation, and every recipient set holds only cars in the area
+    at its TTI."""
+    steps, events = [], []
+    step = engine.Mobility.step
+
+    def stepped(self, tti):
+        out = step(self, tti)
+        steps.append(out)
+        return out
+
+    def logged(owner, attr, tag):
+        original = vars(owner)[attr]
+
+        def wrapped(self, *args):
+            events.append((tag, len(steps) - 1, *args))
+            return original(self, *args)
+        monkeypatch.setattr(owner, attr, wrapped)
+
+    monkeypatch.setattr(engine.Mobility, "step", stepped)
+    logged(metrics.LatencyRecorder, "on_receiver_exit", "recorder")
+    logged(MulticastDelivery, "on_receiver_exit", "delivery")
+    logged(metrics.LatencyRecorder, "on_generation", "generation")
+    cfg = ScenarioConfig(shadowing_std_db=8.0, n_tti=100, seed=1)
+    runner = engine.Runner(cfg, None)
+    runner.advance(cfg.n_tti)
+    gamma, _, exits = steps[0]
+    outside = ~runner.mobility.mbsfn_mask[gamma.argmax(axis=1)]
+    assert len(exits) > 0
+    assert list(exits) == np.flatnonzero(outside).tolist()
+    assert [e[:3] for e in events[:2 * len(exits)]] == [
+        (tag, 0, row) for row in exits for tag in ("recorder", "delivery")]
+    generations = [e for e in events if e[0] == "generation"]
+    assert generations
+    for _, tti, src, sequence, at, receivers in generations:
+        assert tti == at and set(receivers) <= steps[tti][1] - {src}
 
 
 @pytest.mark.parametrize("overrides", [

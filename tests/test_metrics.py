@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbsfnsim import metrics
-from mbsfnsim.metrics import (EcdfCurve, LatencyRecorder, MetricsError,
-                              close_packet, ecdf, latency_curves,
-                              predicted_throughput_ratio, utilization)
+from mbsfnsim.metrics import (EcdfCurve, LatencyRecorder, close_packet, ecdf,
+                              latency_curves, predicted_throughput_ratio,
+                              utilization)
 
 
 def assert_same_curve(a, b):
@@ -32,10 +34,6 @@ class TestClosePacket:
         entry = close_packet(0, 0, 107, 107 + 14 + 2 * 100, k_losses=2)
         assert entry.latency_ttis == 214
         assert entry.replacements == 2
-
-    def test_delivery_before_generation(self):
-        with pytest.raises(MetricsError):
-            close_packet(0, 0, 100, 99, k_losses=0)
 
 
 class TestScriptedLossPatterns:
@@ -78,10 +76,6 @@ class TestEcdf:
     def test_quartiles(self):
         curve = ecdf([1, 2, 3, 4])
         assert curve.evaluate(2.0) == pytest.approx(0.5)
-
-    def test_empty_error(self):
-        with pytest.raises(MetricsError):
-            ecdf([])
 
     def test_against_counting_oracle(self):
         rng = np.random.default_rng(8)
@@ -222,10 +216,8 @@ class TestPredictedRatio:
         assert predicted_throughput_ratio(0.0, 25, 0.0, 100) == 4.0
 
     def test_infeasible_utilization(self):
-        with pytest.raises(MetricsError):
-            predicted_throughput_ratio(1.0, 25, 0.2, 100)
-        with pytest.raises(MetricsError):
-            predicted_throughput_ratio(0.2, 25, 1.2, 100)
+        assert math.isnan(predicted_throughput_ratio(1.0, 25, 0.2, 100))
+        assert math.isnan(predicted_throughput_ratio(0.2, 25, 1.2, 100))
 
 
 class TestRecorderMembership:

@@ -130,6 +130,55 @@ def test_only_engine_and_cli_start_pools():
     assert naming == {"engine.py", "cli.py"}
 
 
+# The functions that check input from outside the program: the config and
+# its CQI table, the command line's readers, and the Runner's and
+# `replicate`'s guards on how they are called.
+_BOUNDARY = {"config.py:ScenarioConfig.__post_init__",
+             "link.py:CqiTable.__post_init__", "link.py:load_cqi_table",
+             "cli.py:_parse_bool", "cli.py:_parse_policy",
+             "cli.py:parse_scenario_text", "cli.py:resolve_scenario_path",
+             "cli.py:_check_out", "cli.py:_configs",
+             "engine.py:Runner.record", "engine.py:replicate"}
+
+
+def _raise_sites(node, scope):
+    """`scope` (a function's dotted name, or "" at module level) of every
+    `raise` under `node`, each with its line."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield from _raise_sites(
+                child, f"{scope}.{child.name}" if scope else child.name)
+        else:
+            if isinstance(child, ast.Raise):
+                yield scope, child.lineno
+            yield from _raise_sites(child, scope)
+
+
+def test_raises_only_at_the_boundary():
+    """Input is checked once, where it enters: every `raise` lies in a
+    boundary function (`_BOUNDARY`), and no module defines an exception
+    class.  Below the boundary a value is valid because a checked
+    `ScenarioConfig` made it so, and is not checked again."""
+    sites = []
+    for path in sorted(pathlib.Path(mbsfnsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [(f"{path.name}:{scope}", line)
+                  for scope, line in _raise_sites(tree, "")]
+    modules = [importlib.import_module(f"mbsfnsim.{m.name}")
+               for m in pkgutil.iter_modules(mbsfnsim.__path__)]
+    classes = [f"{module.__name__}.{name}"
+               for module in modules for name, value in vars(module).items()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == module.__name__]
+    outside = [f"{scope}:{line}" for scope, line in sites
+               if scope not in _BOUNDARY]
+    assert not outside and not classes, (
+        f"raise outside the boundary: {outside}; exception classes: "
+        f"{classes}")
+    assert len(sites) > 20
+
+
 def code_lines(source: str) -> int:
     """The lines of `source` that hold code: non-blank, not a comment alone
     and not inside a module, class or function docstring."""

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,11 +110,6 @@ class TestConsume:
         for job in _jobs():
             consume(job, 3000)
             assert job.residual == 0
-
-    def test_negative_bits_rejected(self):
-        for job in _jobs():
-            with pytest.raises(ValueError):
-                consume(job, -1.0)
 
     def test_non_increasing_between_generations(self):
         rng = np.random.default_rng(4)
