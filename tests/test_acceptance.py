@@ -3,8 +3,11 @@
 Criteria 5 and 7 share one 16-run battery (four derived seeds times four
 configurations at 10^4 TTIs) executed once per session; the rest are
 quick arithmetic, oracle or statistical checks.  Each test prints one
-pass/fail line.
+pass/fail line.  The battery's records are also pinned by digest, so a
+drift that only builds up over a long run moves them.
 """
+import dataclasses
+import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -53,6 +56,80 @@ def battery():
     for name, group in cells.items():
         out[name] = [next(it) for _ in group]
     return out
+
+
+def battery_digest(record) -> str:
+    """SHA-256 of a battery record's closed entries, per-TTI RB arrays,
+    ordinary throughputs and open count."""
+    entries = np.array([dataclasses.astuple(e) for e in record.entries],
+                       dtype=np.int64)
+    throughput = np.array(sorted(record.ordinary_throughput_mbps.items()),
+                          dtype=float)
+    h = hashlib.sha256(f"open {record.n_open_entries}\n".encode())
+    for name, arr in (("entries", entries), ("throughput", throughput),
+                      ("multicast_rb", record.multicast_rb_per_tti),
+                      ("cam_rb", record.cam_rb_per_tti)):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"array {name} {arr.dtype.str} {arr.shape}\n".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# Each battery run's `battery_digest`, in the fixture's seed order.
+BATTERY_GOLDEN = {
+    "mc_fixed_5": [
+        ("9d5e7fdcc5a929d4cf5af93529dc25c3"
+         "aaf5d0aa44401e0bea0a1664e1135616"),
+        ("7d9425801d8b3afb7062572e4ec5c3b3"
+         "afc2ebab2a295803bf740f9aac7ccd14"),
+        ("c91c7436f797f35fd99be044b7793289"
+         "74fe11a6cc5b245458683c046ab1963a"),
+        ("598a3b7467f08ac4e6ee33805b1835bc"
+         "93c21f1714620f06ec964de2f8d7b63c"),
+    ],
+    "mc_adaptive_5": [
+        ("8df52a736e0a701de1469657c0862252"
+         "43a1f9d43bdb70a97697ae05a7d8a8ea"),
+        ("957cb89537e5a42b3bd2c053745b6770"
+         "d75ac95f4ca244cff5f7c1f09014668a"),
+        ("3381d656ad1e37dd397cc4e6649ccf95"
+         "a7c52ffa036375becdd76890db80134e"),
+        ("0e8e1a75e0e0551ced8aec3c61f2c499"
+         "b134d820ce7365999253e44ca1ee979e"),
+    ],
+    "uc_fixed_5": [
+        ("111e18ff8434406c87248b428b859f38"
+         "c9e5740f64c2df6e784446d7f767349b"),
+        ("2b9c527fa33fe02edce61e8aa06372e5"
+         "c71fbd1c82d8d5228160d9d9f891eed8"),
+        ("ff277286dd4c4c4b854b40225a5fd38e"
+         "45d8fecd5ec89aaa46af0dbfb7bb316c"),
+        ("6711a9f71359f60884b73cce7d03d5ee"
+         "4e47c6d6b700adce757bc4e63411057c"),
+    ],
+    "mc_fixed_20": [
+        ("4f225f5ecd4cdc641330232c143e4542"
+         "130a5712d54fab352ad7b0d6dd3b437f"),
+        ("dc2fbe43f2f7baf87a3e599ee9e4f21f"
+         "449672ab1a766ea356880d3f9a585e8b"),
+        ("4900e1349adea129136cee53a4d03ffa"
+         "fc28bd97191a21b3a6baa66b5e02872b"),
+        ("30d88b3a417b59d9cadda49369a59b64"
+         "511e88f28fccf6a4d8746bc1e49c6f24"),
+    ],
+}
+
+
+def test_battery_digests(battery):
+    got = {name: [battery_digest(r) for r in records]
+           for name, records in battery.items()}
+    moved = [f"{name}[{i}]" for name, digests in got.items()
+             for i, d in enumerate(digests)
+             if d != BATTERY_GOLDEN.get(name, [None] * N_SEEDS)[i]]
+    _report("battery digests", not moved,
+            f"{sum(map(len, got.values())) - len(moved)} of 16 records "
+            f"match their digest" + (f"; moved: {moved}" if moved else ""))
+    assert got == BATTERY_GOLDEN
 
 
 def _mean(records, key):
