@@ -13,6 +13,25 @@ from mbsfnsim.channel import (ChannelModel, FadingBank, draw_shadowing,
                               noise_variance_normalized, normalized_tap_powers)
 
 
+def direct_tap_gains(bank, t) -> np.ndarray:
+    """The direct cosine sum of `bank`'s moving pairs at time(s) t seconds,
+    (len(t), n_pairs, n_taps): the oracle that the bank's phasor recurrence
+    must match."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    # Oscillator axis last, so each sum runs over contiguous cosines.
+    w, phase = (np.ascontiguousarray(np.moveaxis(a, 0, -1))
+                for a in (bank._w, bank._phase))
+    g = np.cos(w[None] * t[:, None, None, None, None]
+               + phase[None]).sum(axis=-1)
+    return 1.0 / math.sqrt(channel.N_OSCILLATORS) * (g[:, 0] + 1j * g[:, 1])
+
+
+def direct_coefficients(bank, t, freq_offsets_hz) -> np.ndarray:
+    """Fading per pair and frequency from the direct sum: (len(t),
+    n_pairs, n_freqs)."""
+    return direct_tap_gains(bank, t) @ bank.steering(freq_offsets_hz)
+
+
 def every_tti_model(*args, **kwargs):
     """A ChannelModel that may be read at any TTI below 4096; `engine.run`
     passes the mask of the TTIs it reads."""
@@ -67,8 +86,8 @@ class TestFading:
     def test_zero_doppler_is_static(self):
         bank = FadingBank(np.array([0.0]), channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed=3)
-        values = bank.coefficients(np.array([0.0, 0.5, 2.0]),
-                                   np.array([0.0]))[:, 0, 0]
+        values = direct_coefficients(bank, np.array([0.0, 0.5, 2.0]),
+                                     np.array([0.0]))[:, 0, 0]
         assert values[0] == pytest.approx(values[1])
         assert values[0] == pytest.approx(values[2])
 
@@ -76,13 +95,13 @@ class TestFading:
         # Time average over many coherence times of a single Rayleigh tap.
         bank = FadingBank(np.array([200.0]), (0.0,), (0.0,), seed=11)
         t = np.arange(10_000) * 1e-3
-        h = bank.coefficients(t, np.array([0.0]))[:, 0, 0]
+        h = direct_coefficients(bank, t, np.array([0.0]))[:, 0, 0]
         mean_power = float(np.mean(np.abs(h) ** 2))
         assert mean_power == pytest.approx(1.0, abs=0.05)
 
     def test_rayleigh_envelope_moments(self):
         bank = FadingBank(np.full(500, 100.0), (0.0,), (0.0,), seed=5)
-        g = bank.tap_gains(np.array([0.0, 1.0]))[:, :, 0].ravel()
+        g = direct_tap_gains(bank, np.array([0.0, 1.0]))[:, :, 0].ravel()
         assert np.mean(np.abs(g) ** 2) == pytest.approx(1.0, abs=0.05)
         assert np.mean(g.real) == pytest.approx(0.0, abs=0.05)
         assert np.mean(g.imag) == pytest.approx(0.0, abs=0.05)
@@ -96,7 +115,7 @@ class TestFading:
         dt = 2e-4
         n_lags = int(0.5 / fd / dt) + 1
         t = np.arange(n_lags) * dt
-        g = bank.tap_gains(t)[:, :, 0]
+        g = direct_tap_gains(bank, t)[:, :, 0]
         corr = np.array([np.mean((g[k] * np.conj(g[0])).real)
                          for k in range(n_lags)])
         oracle = j0(2.0 * math.pi * fd * t)
@@ -109,7 +128,7 @@ class TestFading:
         bank = FadingBank(np.full(800, 50.0), channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed=9)
         freqs = np.array([0.0, 15e3, 1.6e6])
-        h = bank.coefficients(0.0, freqs)[0]
+        h = direct_coefficients(bank, 0.0, freqs)[0]
         def corr(a, b):
             num = np.mean(a * np.conj(b))
             return abs(num) / math.sqrt(np.mean(np.abs(a) ** 2)
@@ -119,19 +138,23 @@ class TestFading:
 
     @pytest.mark.parametrize("doppler, t0_tti, n, tol", [
         pytest.param((120.0, 80.0), 0, 32, {"atol": 1e-9}, id="t0_zero"),
-        # A full block anchored late, at the default 100 km/h and 2.14 GHz:
-        # the recurrence's drift stays at rounding level.
+        # Full blocks late in a run, at the default 100 km/h and 2.14 GHz,
+        # walked from the anchor at TTI 0 on a one-chunk bank: the
+        # recurrence's drift stays at rounding level.
         pytest.param((channel.doppler_frequency(100.0 / 3.6, 2.14e9),) * 2,
                      10_000, channel.BLOCK_LEN, {"rtol": 1e-9},
                      id="t0_late_full_block"),
+        pytest.param((channel.doppler_frequency(100.0 / 3.6, 2.14e9),) * 2,
+                     100_000, channel.BLOCK_LEN, {"rtol": 1e-9},
+                     id="t0_late"),
     ])
     def test_block_path_matches_direct_evaluation(self, doppler, t0_tti, n,
                                                   tol):
         bank = FadingBank(np.array(doppler), channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed=13)
-        dt = channel.TTI_S
-        direct = bank.tap_gains((t0_tti + np.arange(n)) * dt)
-        block = bank.block_tap_gains(t0_tti * dt, range(n))
+        direct = direct_tap_gains(bank, (t0_tti + np.arange(n))
+                                  * channel.TTI_S)
+        block = bank.block_tap_gains(t0_tti, range(n))
         np.testing.assert_allclose(block, direct, **tol)
 
     @pytest.mark.parametrize("steps", [
@@ -143,28 +166,27 @@ class TestFading:
         bank = FadingBank(np.array([150.0, 0.0, 60.0]),
                           channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed=4)
-        t0 = 128 * channel.TTI_S
-        dense = bank.block_tap_gains(t0, range(channel.BLOCK_LEN))
-        sparse = bank.block_tap_gains(t0, steps)
+        dense = bank.block_tap_gains(128, range(channel.BLOCK_LEN))
+        sparse = bank.block_tap_gains(128, steps)
         assert sparse.shape == (len(steps), 3, bank.n_taps)
         np.testing.assert_array_equal(sparse, dense[steps])
 
 
-def _two_pass_recurrence(bank, t0, steps):
+def _two_pass_recurrence(bank, start, steps):
     """The phasor recurrence as one pass per quadrature over all pairs,
-    oscillator axis last: `z *= r` per step, `z.real.sum(axis=2)` per
-    requested step."""
+    oscillator axis last: anchored at TTI 0, `z *= r` per TTI up to the
+    block's last step, `z.real.sum(axis=2)` at each TTI start + step."""
     out = np.empty((len(steps), bank.n_pairs, bank.n_taps), dtype=complex)
     for q, part in enumerate((out.real, out.imag)):
         w = np.ascontiguousarray(np.moveaxis(bank._w[:, q], 0, -1))
         phase = np.ascontiguousarray(np.moveaxis(bank._phase[:, q], 0, -1))
-        z = np.exp(1j * (w * t0 + phase))
+        z = np.exp(1j * phase)
         r = np.exp(1j * (w * channel.TTI_S))
         at = 0
         for k, step in enumerate(steps):
-            for _ in range(step - at):
+            for _ in range(start + step - at):
                 z *= r
-            at = step
+            at = start + step
             part[k] = z.real.sum(axis=2)
     out *= 1.0 / math.sqrt(channel.N_OSCILLATORS)
     return out
@@ -208,25 +230,28 @@ class TestChunkedRecurrence:
                 bank._phase[:, q],
                 np.moveaxis(rng.uniform(-math.pi, math.pi, size=shape), -1, 0))
 
-    @pytest.mark.parametrize("t0_tti", [0, 10_000])
+    # A block a few blocks into the run.
+    LATE = 3 * channel.BLOCK_LEN
+
+    @pytest.mark.parametrize("t0_tti", [0, LATE])
     @pytest.mark.parametrize("steps", [range(channel.BLOCK_LEN), SPARSE, [0]],
                              ids=["dense", "sparse", "first"])
     def test_rows_independent_of_worker_count(self, steps, t0_tti):
         """Rows are bitwise the same with the chunks inline (no pool) and on
-        pools of 1, 2 and 3 workers, in the bank's first block that steps
-        and in a later one; `shutdown` joins the workers."""
-        t0 = t0_tti * channel.TTI_S
+        pools of 1, 2 and 3 workers, in the bank's first block and in the
+        same block asked for again after a later read, which anchors the
+        phasors again; `shutdown` joins the workers."""
         rows = {}
         for n in (0, 1, 2, 3):
             pool = ThreadPoolExecutor(n) if n else None
             before = set(threading.enumerate())
             bank = self._bank()
-            first = bank.block_tap_gains(t0, steps, pool)
-            bank.block_tap_gains(t0, [1], pool)
+            first = bank.block_tap_gains(t0_tti, steps, pool)
+            bank.block_tap_gains(t0_tti, [1], pool)
             workers = set(threading.enumerate()) - before
             assert (len(workers) > 0) == (n > 0)
             assert len(workers) <= n
-            rows[n] = first, bank.block_tap_gains(t0, steps, pool)
+            rows[n] = first, bank.block_tap_gains(t0_tti, steps, pool)
             if pool is not None:
                 pool.shutdown()
             assert not any(t.is_alive() for t in workers)
@@ -235,22 +260,25 @@ class TestChunkedRecurrence:
                 np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(rows[0][0], rows[0][1])
 
-    @pytest.mark.parametrize("t0_tti", [0, 10_000])
+    @pytest.mark.parametrize("t0_tti", [0, LATE])
     @pytest.mark.parametrize("steps", [range(channel.BLOCK_LEN), SPARSE, [0]],
                              ids=["dense", "sparse", "first"])
     def test_bitwise_equal_two_pass_recurrence(self, steps, t0_tti):
+        """A bank's first block, anchored at TTI 0 and walked to its
+        reads, and the bank's next block, stepped on from the first one's
+        last read, are bitwise the two-pass recurrence."""
         bank = self._bank()
-        t0 = t0_tti * channel.TTI_S
-        np.testing.assert_array_equal(bank.block_tap_gains(t0, steps),
-                                      _two_pass_recurrence(bank, t0, steps))
+        for start in (t0_tti, t0_tti + channel.BLOCK_LEN):
+            np.testing.assert_array_equal(
+                bank.block_tap_gains(start, steps),
+                _two_pass_recurrence(bank, start, steps))
 
     @pytest.mark.parametrize("chunk", [1, 7, N_PAIRS + 1])
     def test_rows_independent_of_chunk_size(self, chunk, monkeypatch):
-        t0 = 128 * channel.TTI_S
-        expected = self._bank().block_tap_gains(t0, self.SPARSE)
+        expected = self._bank().block_tap_gains(128, self.SPARSE)
         monkeypatch.setattr(channel, "CHUNK_PAIRS", chunk)
         np.testing.assert_array_equal(
-            self._bank().block_tap_gains(t0, self.SPARSE), expected)
+            self._bank().block_tap_gains(128, self.SPARSE), expected)
 
     def test_pool_passes_one_phasor_buffer_per_worker(self, monkeypatch):
         """59 chunks of 7 pairs on 4 workers, more than the host's CPUs,
@@ -258,16 +286,17 @@ class TestChunkedRecurrence:
         so two blocks' rows stay bitwise the inline ones, which phasors
         stepped by two chunks at once would break."""
         monkeypatch.setattr(channel, "CHUNK_PAIRS", 7)
-        starts = [0, 64 * channel.TTI_S]
+        starts = [0, channel.BLOCK_LEN]
         inline = self._bank()
-        expected = [inline.block_tap_gains(t0, self.SPARSE) for t0 in starts]
+        expected = [inline.block_tap_gains(start, self.SPARSE)
+                    for start in starts]
         bank = self._bank()
         pool = ThreadPoolExecutor(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = [bank.block_tap_gains(t0, self.SPARSE, pool)
-                   for t0 in starts]
+            got = [bank.block_tap_gains(start, self.SPARSE, pool)
+                   for start in starts]
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown()
@@ -276,9 +305,11 @@ class TestChunkedRecurrence:
 
     def test_rotation_built_once_and_never_for_static_rows(self,
                                                            monkeypatch):
-        """Each chunk takes one complex exp pass for its phasors per block,
-        and one for its rotation only in the first block that steps; a new
-        bank builds its own rotations."""
+        """Each chunk of a bank takes one complex exp pass for its phasors,
+        in the bank's first block, and one for its rotations, in its first
+        block that steps; every later block in order takes none.  A block
+        asked for before the phasors' TTI anchors them again, one pass per
+        chunk, and a new bank builds its own."""
         passes = []
         exp = np.exp
 
@@ -288,24 +319,38 @@ class TestChunkedRecurrence:
             return exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counted_exp)
-        bank, dt = self._bank(), channel.TTI_S
+        bank, n = self._bank(), channel.BLOCK_LEN
         n_chunks = -(-bank.n_pairs // channel.CHUNK_PAIRS)
         assert n_chunks == 3
 
-        def block_passes(bank, t0, steps):
+        def block_passes(bank, start, steps):
             passes.clear()
-            bank.block_tap_gains(t0, steps)
+            bank.block_tap_gains(start, steps)
             return len(passes)
 
-        assert block_passes(bank, 0.0, [0]) == n_chunks
-        assert block_passes(bank, 0.0, self.SPARSE) == 2 * n_chunks
-        assert block_passes(bank, 64 * dt, self.SPARSE) == n_chunks
-        assert block_passes(bank, 128 * dt, [0]) == n_chunks
+        assert block_passes(bank, 0, [0]) == n_chunks
+        assert block_passes(bank, n, self.SPARSE) == n_chunks
+        assert block_passes(bank, 2 * n, self.SPARSE) == 0
+        assert block_passes(bank, 3 * n, [0]) == 0
+        assert block_passes(bank, 4 * n, []) == 0
+        assert block_passes(bank, n, self.SPARSE) == n_chunks
         assert block_passes(FadingBank(self._doppler()[:5],
                                        channel.VEHA_TAP_DELAYS,
                                        channel.VEHA_TAP_POWERS_DB, 9),
-                            0.0, [0, 1]) == 2
-        assert block_passes(self._bank(), 0.0, [0]) == n_chunks
+                            0, [0, 1]) == 2
+        bank = self._bank()
+        assert block_passes(bank, 2 * n, self.SPARSE) == 2 * n_chunks
+        assert block_passes(bank, 3 * n, self.SPARSE) == 0
+
+    def test_block_before_the_phasors_gives_in_order_rows(self):
+        """Blocks asked for out of order, before the TTI the phasors stand
+        at, give bitwise the rows of the same blocks asked for in order."""
+        bank, n = self._bank(), channel.BLOCK_LEN
+        in_order = [bank.block_tap_gains(start, self.SPARSE)
+                    for start in (0, n, 2 * n)]
+        for k in (1, 0, 2, 1):
+            np.testing.assert_array_equal(
+                bank.block_tap_gains(k * n, self.SPARSE), in_order[k])
 
     @pytest.mark.parametrize("chunk", [7, channel.CHUNK_PAIRS])
     def test_static_pairs_bitwise_first_row_of_held_ones(self, chunk,
@@ -324,12 +369,12 @@ class TestChunkedRecurrence:
         moving, static = slice(0, self.N_PAIRS), slice(self.N_PAIRS, None)
         assert split.static.shape == (n_static, split.n_taps)
         np.testing.assert_array_equal(
-            split.static, held.block_tap_gains(0.0, [0])[0, static])
+            split.static, held.block_tap_gains(0, [0])[0, static])
         np.testing.assert_array_equal(split._w, held._w[:, :, moving])
         np.testing.assert_array_equal(split._phase, held._phase[:, :, moving])
         np.testing.assert_array_equal(
-            split.block_tap_gains(0.0, self.SPARSE),
-            held.block_tap_gains(0.0, self.SPARSE)[:, moving])
+            split.block_tap_gains(0, self.SPARSE),
+            held.block_tap_gains(0, self.SPARSE)[:, moving])
 
 
 def _small_model(pos, doppler=(100.0, 0.0), n_rb=4, shadow_std=0.0,
@@ -361,7 +406,7 @@ class TestChannelModel:
         assert model.snapshot(5, gamma).shape == (0, len(cells), n_taps)
         bank = FadingBank(np.zeros(2 * len(cells)), channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed=1)
-        fading_t5 = bank.coefficients(5e-3, model.rb_freqs)[0].reshape(
+        fading_t5 = direct_coefficients(bank, 5e-3, model.rb_freqs)[0].reshape(
             2, len(cells), model.n_rb)
         np.testing.assert_allclose(
             model.static @ model.steer,
@@ -380,7 +425,7 @@ class TestChannelModel:
         bank = FadingBank(np.array([channel.doppler_frequency(20.0, 2.14e9)]),
                           channel.VEHA_TAP_DELAYS, channel.VEHA_TAP_POWERS_DB,
                           seed=21)
-        fading = bank.coefficients(3e-3, model.rb_freqs[:1])[0, 0, 0]
+        fading = direct_coefficients(bank, 3e-3, model.rb_freqs[:1])[0, 0, 0]
         gamma = 10.0 ** ((-channel.pathloss_db(840.0) + 4.0) / 20.0)
         assert h[0, 0, 0] == pytest.approx(gamma * fading, rel=1e-6)
 
@@ -419,8 +464,8 @@ class TestStaticMovingSplit:
         full = FadingBank(doppler, channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, seed)
         start = (tti // channel.BLOCK_LEN) * channel.BLOCK_LEN
-        gains = full.block_tap_gains(start * channel.TTI_S,
-                                     range(channel.BLOCK_LEN))[tti - start]
+        gains = full.block_tap_gains(start, range(channel.BLOCK_LEN))[
+            tti - start]
         np.testing.assert_array_equal(model.steer,
                                       full.steering(model.rb_freqs))
         return (model.amplitude_gain(pos, slice(None))[:, :, None]
@@ -482,7 +527,7 @@ class TestStaticMovingSplit:
                              for s in speeds], len(self.CELLS))
         full = FadingBank(doppler, channel.VEHA_TAP_DELAYS,
                           channel.VEHA_TAP_POWERS_DB, 17)
-        gains = full.block_tap_gains(0.0, [0])[0, 3 * len(self.CELLS):]
+        gains = full.block_tap_gains(0, [0])[0, 3 * len(self.CELLS):]
         np.testing.assert_array_equal(
             model.static,
             model.amplitude_gain(pos[3:], slice(3, None))[:, :, None]
@@ -530,6 +575,26 @@ class TestStaticMovingSplit:
         for tti in np.flatnonzero(evaluated).tolist():
             np.testing.assert_array_equal(part.snapshot(tti, gamma),
                                           full.snapshot(tti, gamma))
+
+    @pytest.mark.parametrize("block_len", [16, 64, 100])
+    def test_snapshots_independent_of_block_len(self, block_len,
+                                                monkeypatch):
+        """Over several blocks of any length, each snapshot is bitwise the
+        two-pass recurrence, walked from TTI 0, times the amplitude."""
+        monkeypatch.setattr(channel, "BLOCK_LEN", block_len)
+        pos = np.array([[100.0, 50.0], [300.0, 10.0], [-80.0, 200.0]])
+        evaluated = np.isin(np.arange(300) % 10, [1, 2, 6, 7, 9])
+        model = ChannelModel(self.CELLS, pos, np.array([27.8, 13.9, 0.0]),
+                             draw_shadowing(3, len(self.CELLS), 8.0, 5),
+                             2.14e9, 6, 5, evaluated_ttis=evaluated,
+                             pool=None)
+        ttis = np.flatnonzero(evaluated).tolist()
+        gains = _two_pass_recurrence(model.bank, 0, ttis).reshape(
+            len(ttis), model.n_moving, len(self.CELLS), -1)
+        gamma = _moving_gamma(model, pos)
+        for tti, want in zip(ttis, gains):
+            np.testing.assert_array_equal(model.snapshot(tti, gamma),
+                                          gamma[:, :, None] * want)
 
     @pytest.mark.parametrize("tti", [0, 3, 64, 200])
     def test_snapshot_at_unread_tti_rejected(self, tti):

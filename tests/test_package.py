@@ -74,11 +74,6 @@ def _referenced_names(node):
             yield n.value
 
 
-# Test-only by design: acceptance criterion 6 and the channel tests take
-# it as the direct evaluation of the fading that the block path must match.
-_TEST_ONLY_METHODS = ["channel.py:FadingBank.coefficients"]
-
-
 def test_no_code_only_tests_call():
     """Every module-level function and class of the package, and every
     method of its classes but the special (dunder) ones, is used by the
@@ -114,7 +109,7 @@ def test_no_code_only_tests_call():
                and all(user is node
                        for user in member_users.get(node.name, ()))]
     assert len(trees) > len(sources) > 5
-    assert unused == _TEST_ONLY_METHODS
+    assert unused == []
 
 
 def test_only_engine_and_cli_start_pools():
