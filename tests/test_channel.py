@@ -576,6 +576,25 @@ class TestStaticMovingSplit:
             np.testing.assert_array_equal(part.snapshot(tti, gamma),
                                           full.snapshot(tti, gamma))
 
+    def test_block_freed_after_its_last_read(self):
+        """Handing out the row of a block's last read TTI frees the block's
+        tap gains; the snapshots already handed out keep their values."""
+        pos = np.array([[100.0, 50.0], [300.0, 10.0]])
+        evaluated = np.isin(np.arange(2 * channel.BLOCK_LEN) % 10, [1, 6])
+        model = ChannelModel(self.CELLS, pos, np.array([27.8, 0.0]),
+                             np.zeros((2, len(self.CELLS))), 2.14e9, 6,
+                             seed=1, evaluated_ttis=evaluated, pool=None)
+        gamma = _moving_gamma(model, pos)
+        ttis = np.flatnonzero(evaluated[:channel.BLOCK_LEN]).tolist()
+        kept = [model.snapshot(tti, gamma) for tti in ttis[:-1]]
+        assert model._gains is not None
+        kept.append(model.snapshot(ttis[-1], gamma))
+        assert model._gains is None and model._rows == {}
+        want = _two_pass_recurrence(model.bank, 0, ttis).reshape(
+            len(ttis), 1, len(self.CELLS), -1)
+        for got, rows in zip(kept, want):
+            np.testing.assert_array_equal(got, gamma[:, :, None] * rows)
+
     @pytest.mark.parametrize("block_len", [16, 64, 100])
     def test_snapshots_independent_of_block_len(self, block_len,
                                                 monkeypatch):
