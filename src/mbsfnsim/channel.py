@@ -2,34 +2,28 @@
 
 Every user-cell pair carries a static macroscopic amplitude (pathloss
 plus log-normal shadowing, frozen per run) and a time-varying microscopic
-fading term.  Fading is a tapped delay line whose taps are independent
-Rayleigh processes with a Jakes Doppler spectrum, generated by a
-sum-of-sinusoids (Zheng & Xiao, IEEE Trans. Commun. 2003) and evaluated by
-phasor rotation.
-
-The channel is held in the tap domain: a snapshot is each pair's tap
-gains scaled by its amplitude, x[user, cell, tap].  The complex
-coefficient at resource block r is x @ steer[:, r], where the steering
-matrix carries the taps' powers and delays; the link layer forms SINRs
-from x and the steering without building the per-RB coefficients.
-
-A zero-Doppler pair's fading does not change with t: its tap gains are
-the oscillator sums of cos(phase), taken once as its phases are drawn, and
-it has no frequencies and no phasors.  The other pairs' phasors are
-anchored once per run, at TTI 0, and stepped one TTI at a time from block
-to block, in chunks of pairs, so the tap gains at TTI t are a function of
-the seed, the pair and t alone.  The module owns no thread: a block maps
-its chunks on the thread pool its caller passes in (`engine.run` owns one
-per run), and without a pool runs them inline.  Each chunk steps phasors
-of its own and writes disjoint pairs with the same operations on either
-path, so the tap gains do not depend on the number of workers.
+fading term: a tapped delay line of independent Rayleigh taps with a
+Jakes Doppler spectrum, a sum of sinusoids (Zheng & Xiao, IEEE Trans.
+Commun. 2003) evaluated by phasor rotation.  A snapshot is each pair's
+tap gains scaled by its amplitude, x[user, cell, tap]; the coefficient at
+resource block r is x @ steer[:, r], the steering matrix carrying the
+taps' powers and delays.  A zero-Doppler pair's tap gains are constant.
+The other pairs' phasors are anchored once per run, at TTI 0, and stepped
+one TTI at a time, so the tap gains at TTI t are a function of the seed,
+the pair and t alone, whichever thread or process steps them.  The module
+starts no thread and no process: a block runs its chunks inline or on the
+pool it is handed, and `fading_child` steps the blocks in a child that
+its caller forks (`engine.run`).
 """
 from __future__ import annotations
 
 import functools
+import gc
 import logging
 import math
+import mmap
 import os
+import signal
 
 import numpy as np
 
@@ -72,8 +66,8 @@ def pathloss_db(distance_m):
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on: `engine.run`'s fading pool has
-    this many workers."""
+    """The CPUs this process may run on: `engine.run` forks a fading child
+    only if there are two or more, and gives its pool this many workers."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
@@ -121,23 +115,17 @@ class FadingBank:
     J0(2*pi*fd*tau) and E|g|^2 = 1 per tap.  Both quadratures are held
     oscillator axis first: (16, 2, pairs, taps).  The bank's state is its
     phasors and rotations, which `block_tap_gains` keeps from block to
-    block; a row is still a function of the seed, the pair and the TTI.
+    block.  The bank holds no thread and no per-worker buffer, only
+    per-chunk ones, so a row is bitwise the same inline, on any pool and
+    in a forked copy of the bank (`fading_child`).
 
     `n_static` zero-Doppler pairs follow the `doppler_hz` pairs in the
-    draw order but are not held: their tap gains are constant, so the bank
-    keeps them as `static`, (n_static, n_taps), each the oscillator sum of
-    cos(phase) in `block_tap_gains`' order and scaling.  numpy's cos(x) is
-    bitwise its exp(1j*x).real (a channel test pins this), so `static` is
-    bitwise the t = 0 row of a bank that held those pairs.  Their phases
-    are drawn and summed a chunk of CHUNK_PAIRS pairs at a time and never
-    held at full size, and their frequencies are never computed.
-
-    `block_tap_gains` steps the pairs in chunks of CHUNK_PAIRS.  From the
-    bank's first block that steps on, a bank of more than one chunk maps
-    them on the pool it is given, if any; otherwise they run inline, one
-    after another.  The bank holds no thread and no per-worker buffer, only
-    per-chunk ones, so a row is bitwise the same on either path, whatever
-    the number of workers.
+    draw order but are not held: the bank keeps their constant tap gains as
+    `static`, (n_static, n_taps), each the oscillator sum of cos(phase) in
+    `block_tap_gains`' order and scaling.  numpy's cos(x) is bitwise its
+    exp(1j*x).real (a channel test pins this), so `static` is bitwise the
+    t = 0 row of a bank that held those pairs.  Their phases are drawn and
+    summed CHUNK_PAIRS pairs at a time, and their frequencies never exist.
     """
 
     def __init__(self, doppler_hz: np.ndarray, tap_delays, tap_powers_db,
@@ -180,36 +168,35 @@ class FadingBank:
         # rotations exp(1j*w*TTI_S), built once `_rotating`.
         self._chunks, self._at, self._rotating = None, None, False
 
-    def block_tap_gains(self, start: int, steps, pool=None) -> np.ndarray:
+    def block_tap_gains(self, start: int, steps, pool=None, child=None,
+                        out=None) -> np.ndarray:
         """Per-tap complex gains at TTI start + i for each i in the ascending
-        `steps`, via a phasor recurrence: (len(steps), n_pairs, n_taps).
+        `steps`, (len(steps), n_pairs, n_taps), written to `out` if given.
 
         Each oscillator's phasor exp(1j*phase) is anchored once, at TTI 0,
-        and then advanced one TTI at a time by multiplying it with the
-        rotation exp(1j*w*TTI_S); a requested sample is the sum of the
-        phasors' real parts, in numpy's pairwise order (`_oscillator_sum`,
-        which also sums the `static` pairs' cosines).  The phasors persist
-        from block to block: a block steps them on from the previous
-        block's last read, through the gap, to its own reads.  So the row
-        at TTI t is exp(1j*phase)*r*r*...*r, t multiplies in order,
-        whatever blocks, reads, chunks or workers lead there; a block that
-        starts before the phasors' TTI anchors them again at TTI 0 and
-        walks forward.  Only the anchor and the rotations take trig.
-        Against the direct cosine sum, 40 pairs at 100 km/h differ by at
-        most 3.8e-12 over 10^4 TTIs, 3.6e-11 over 10^5 and 3.4e-10 over
-        10^6, no more than with an anchor per block: the direct sum's own
-        rounding of w*t dominates.
+        and advanced one TTI at a time by the rotation exp(1j*w*TTI_S); a
+        sample is the sum of the phasors' real parts in numpy's pairwise
+        order (`_oscillator_sum`).  The phasors persist from block to block,
+        so the row at TTI t is exp(1j*phase)*r*r*...*r, t multiplies in
+        order, whatever blocks, reads, chunks or workers lead there; a block
+        that starts before the phasors' TTI anchors them again.  Against the
+        direct cosine sum, 40 pairs at 100 km/h differ by at most 3.8e-12
+        over 10^4 TTIs, 3.6e-11 over 10^5 and 3.4e-10 over 10^6: the direct
+        sum's own rounding of w*t dominates.
 
         Each chunk of CHUNK_PAIRS pairs runs through all steps while it
-        stays in cache, on phasors and rotations of its own, and writes
-        only its own pairs of the result.  The bank's first block allocates
-        both for every chunk in one buffer and anchors the phasors; its
-        first block that steps builds the rotations.  From then on a bank
-        of more than one chunk maps its chunks on `pool`, when given; a
-        block that never steps, such as a 1-TTI run's, runs inline and so
-        starts no thread.
+        stays in cache, on phasors and rotations of its own, and writes only
+        its own pairs; two or more chunks map on `pool`, if given.  With
+        `child`, a `fading_child` of this bank, the block is the one it
+        yields for `start`, the blocks before it passed over; once the child
+        has ended without it, this bank steps it, and every later block,
+        itself, from TTI 0.
         """
-        out = np.empty((len(steps), self.n_pairs, self.n_taps), dtype=complex)
+        for first, gains in child or ():
+            if first == start:
+                return gains
+        if out is None:
+            out = np.empty((len(steps), self.n_pairs, self.n_taps), complex)
         if not len(steps):
             return out
         anchor = self._at is None or start < self._at
@@ -220,8 +207,7 @@ class FadingBank:
             self._chunks = self._chunk_buffers()
         self._rotating |= build
         starts = range(0, self.n_pairs, CHUNK_PAIRS)
-        run = (pool.map if pool is not None and len(starts) > 1
-               and self._rotating else map)
+        run = pool.map if pool is not None and len(starts) > 1 else map
         rows = functools.partial(self._chunk_rows, anchor, build, at, ttis,
                                  out)
         for _ in run(rows, starts, self._chunks):
@@ -269,6 +255,55 @@ class FadingBank:
                 * np.exp(-2j * math.pi * f[None, :] * self.tap_delays[:, None]))
 
 
+def fading_child(bank: FadingBank, mask, fork):
+    """(start, tap gains) of each block of `bank` that reads a TTI of
+    `mask`, in order, stepped one block ahead in a child.  The first
+    `next` forks the child with `fork(body)`, which calls `body(pool)`
+    with a thread pool of its own, exits and returns the child's pid.
+
+    The child steps its copy of the bank through the blocks, writes block
+    k into slot k % 2 of a shared anonymous mmap, sized for the largest
+    block, and sends a token down the ready pipe.  Asking for block k
+    sends one down the free pipe, freeing block k - 1's slot, and the
+    child takes one before it writes block k + 1: it is one block ahead at
+    most and never writes a slot that is read.  If the child exits early,
+    this logs one warning and stops; closing it, or its end, closes the
+    pipes and kills and reaps the child.
+    """
+    blocks = {s: steps for s in range(0, len(mask), BLOCK_LEN)
+              if (steps := np.flatnonzero(mask[s:s + BLOCK_LEN]).tolist())}
+    shape = (2, max(map(len, blocks.values())), bank.n_pairs, bank.n_taps)
+    slots = np.ndarray(shape, complex, mmap.mmap(-1, 16 * math.prod(shape)))
+    # This side keeps the free pipe's read end too: a token sent once the
+    # child has exited is lost, not an error.
+    (ready, ready_w), (free_r, free) = os.pipe(), os.pipe()
+
+    def body(pool):
+        # The objects the child inherits are this side's to finalize: a
+        # collection there must not run another child's `finally`.
+        gc.freeze()
+        os.close(free)  # EOF, and an exit, once this side is gone
+        for k, (s, steps) in enumerate(blocks.items()):
+            if k and not os.read(free_r, 1):
+                return
+            bank.block_tap_gains(s, steps, pool, out=slots[k % 2, :len(steps)])
+            os.write(ready_w, b".")
+    pid = fork(body)
+    os.close(ready_w)
+    try:
+        for k, (s, steps) in enumerate(blocks.items()):
+            os.write(free, b".")
+            if not os.read(ready, 1):
+                log.warning("fading child exited; inline from TTI %d", s)
+                return
+            yield s, slots[k % 2, :len(steps)]
+    finally:
+        for fd in (ready, free_r, free):
+            os.close(fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def steering_products(steer: np.ndarray) -> np.ndarray:
     """[Re M; -Im M], (2 * n_taps**2, n_rb), of a steering matrix S
     (n_taps, n_rb), with M[k * n_taps + l, r] = S[k, r] * conj(S[l, r]):
@@ -283,28 +318,20 @@ class ChannelModel:
 
     Shadowing is frozen per (user, cell) for the whole run; `amplitude_gain`
     turns positions into the macroscopic amplitude (pathloss plus
-    shadowing).  Fading evolves with the TTI clock (TTI_S).  Every array
-    the model hands out is x[user, cell, tap]: a pair's tap gains times
-    its amplitude.  `steer`, (n_taps, n_rb), maps taps to the RB centres,
-    so a pair's coefficient at RB r is x @ steer[:, r]; `steer_products`
-    is its `steering_products`.
+    shadowing).  Every array the model hands out is x[user, cell, tap]: a
+    pair's tap gains times its amplitude.  `steer`, (n_taps, n_rb), maps
+    taps to the RB centres, so a pair's coefficient at RB r is
+    x @ steer[:, r]; `steer_products` is its `steering_products`.
 
     `positions`, (n_users, 2), and `shadowing_db`, (n_users, n_cells), hold
-    the rows of the users whose speeds `user_speeds_ms` gives.  Moving
-    users must come first in the user order, and the split between them
-    and the zero-Doppler users is fixed here.  A zero-Doppler user
-    neither moves nor fades, so its scaled taps (amplitude at its given
-    position times fading) are evaluated once, at construction, as
-    `static`, (n_static, n_cells, n_taps).  A snapshot holds the moving
-    users' rows only; the caller evaluates their amplitude once per block
-    and passes in each TTI's, so the same gain can also drive handover.
-    The moving pairs' tap gains are evaluated by the bank's phasor
-    recurrence, run-long from TTI 0, over blocks of BLOCK_LEN consecutive
-    TTIs and chunks of CHUNK_PAIRS pairs; each snapshot scales one TTI of
-    them, and handing out a block's last read row frees the block.  Both
-    groups draw from one FadingBank stream: the bank holds the moving
-    pairs' oscillators and only the static pairs' constant tap gains
-    (`FadingBank.static`), so the split leaves every value unchanged.
+    the rows of the users whose speeds `user_speeds_ms` gives, moving users
+    first.  A zero-Doppler user neither moves nor fades, so its scaled taps
+    are evaluated once, as `static`, (n_static, n_cells, n_taps).  A
+    snapshot holds the moving users' rows only, scaled by the amplitude the
+    caller passes in, which can then also drive handover.  Their tap gains
+    come from the bank's run-long phasor recurrence in blocks of BLOCK_LEN
+    TTIs, and handing out a block's last read row frees the block.  Both
+    groups draw from one FadingBank stream, so the split changes no value.
 
     `evaluated_ttis`, a boolean mask over TTIs 0..len-1, names the only
     TTIs a caller reads: a block sums the taps only at those, and
@@ -312,18 +339,18 @@ class ChannelModel:
     through every TTI up to the last read one, so each snapshot is bitwise
     the same under any mask that reads its TTI and for any BLOCK_LEN.
 
-    `pool` is the thread pool on which the moving pairs' blocks step their
-    chunks (see `FadingBank`), or None to step them inline; the static
-    rows are the bank's cosine sums, taken at construction without the
-    pool.  The model only uses the pool: its
-    owner, `engine.run`, starts and ends it.  Snapshots are bitwise the
-    same for any number of workers.
+    With `fork`, and a mask that reads a TTI past the first block, the
+    first block read forks a `fading_child` that steps every block that
+    reads a TTI; a mask that reads the first block only has nothing to
+    overlap.  The model steps a block itself without a child and once the
+    child has exited; its owner ends the child with `close`.  Snapshots
+    are the same bits either way.
     """
 
     def __init__(self, cell_positions: np.ndarray, positions: np.ndarray,
                  user_speeds_ms: np.ndarray, shadowing_db: np.ndarray,
                  carrier_hz: float, n_rb: int, seed,
-                 evaluated_ttis: np.ndarray, pool):
+                 evaluated_ttis: np.ndarray, fork=None):
         self.cell_positions = np.asarray(cell_positions, dtype=float)
         self.n_cells = len(self.cell_positions)
         n_users = len(user_speeds_ms)
@@ -338,10 +365,11 @@ class ChannelModel:
                                n_static=(n_users - m) * self.n_cells)
         self.steer = self.bank.steering(self.rb_freqs)
         self.steer_products = steering_products(self.steer)
-        self.evaluated_ttis, self.pool = evaluated_ttis, pool
+        self.evaluated_ttis = evaluated_ttis
+        self.child = (fading_child(self.bank, evaluated_ttis, fork)
+                      if fork and evaluated_ttis[BLOCK_LEN:].any() else None)
         # The current block's tap gains and the row of each TTI in it.
-        self._gains = None
-        self._rows = {}
+        self._gains, self._rows = None, {}
         self._clamp_warned = False
         gamma = self.amplitude_gain(np.asarray(positions)[m:],
                                     slice(m, None))
@@ -377,12 +405,19 @@ class ChannelModel:
             start = (tti // BLOCK_LEN) * BLOCK_LEN
             steps = np.flatnonzero(mask[start:start + BLOCK_LEN]).tolist()
             self._gains = None
-            self._gains = self.bank.block_tap_gains(start, steps, self.pool)
+            self._gains = self.bank.block_tap_gains(start, steps,
+                                                    child=self.child)
             self._rows = {start + step: k for k, step in enumerate(steps)}
         gains = self._gains[self._rows[tti]]
         if tti == next(reversed(self._rows)):
             self._gains, self._rows = None, {}
         return gains
+
+    def close(self) -> None:
+        """Close the pipes to the fading child and kill and reap it, if it
+        was forked and has not ended."""
+        if self.child is not None:
+            self.child.close()
 
     def snapshot(self, tti: int, gamma: np.ndarray) -> np.ndarray:
         """The moving users' scaled tap gains x[user, cell, tap] at `tti`,

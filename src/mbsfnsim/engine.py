@@ -1,20 +1,18 @@
 """Run lifecycle: the 1 ms TTI loop and its deterministic state.
 
-`Runner(cfg, pool)` sets a run up; each `advance(n)` call then runs the
+`Runner(cfg)` sets a run up; each `advance(n)` call then runs the
 next min(n, TTIs left) TTIs, each through these stages, in this order:
 
 1. Mobility (`Mobility.step`): the tracked cars move, hand over and
    enter or leave the area per block of TTIs; a car that left the area
    exits as a receiver, from the recorder and from the delivery.  Their
-   macroscopic gain is evaluated once per block: mobility hands each car
-   over to its strongest cell with it, and the channel snapshot scales the
-   cars' tap gains by each TTI's row.
+   macroscopic gain, evaluated once per block, picks each car's serving
+   cell and scales its tap gains in the channel snapshot.
 2. Link reads (`LinkReads.step`): this TTI's link state, evaluated only
    where it is read, and the CQI report's.
 3. Generation (`Runner._generate`): `traffic.maybe_generate` names the
-   sources in their phase of the period and the sequence number the
-   clock gives their messages; each message replaces its source's
-   undelivered predecessor in the delivery.
+   sources in their phase of the period and their messages' sequence
+   number; each message replaces its source's undelivered predecessor.
 4. Delivery (`delivery.MulticastDelivery.serve` or
    `delivery.UnicastDelivery.serve`): the scheduler fills the subframe
    with messages, each transport block is decoded per recipient, the
@@ -24,19 +22,18 @@ next min(n, TTIs left) TTIs, each through these stages, in this order:
 
 Inside a run a source is its row, 0..n_sources-1 in ascending user id,
 in every stage and in the recorder; user ids appear only in the drop and
-in `record()`.  Each stage's state from TTI to TTI lives in an object
-(generation keeps none: the Runner holds only the sources' phases), so a
-run gives the same record however its TTIs are split into `advance`
-calls; `record()` returns its `RunRecord` once every TTI has run.  The
-caller that makes a Runner owns the fading pool it hands it.  `run(cfg)`
-creates one pool, advances a Runner on it one `channel.BLOCK_LEN` block
-at a time and shuts the pool down when the run ends or raises.  All
-randomness derives from the master seed through purpose-keyed streams,
-so a (config, seed) pair reproduces bit-identical results.  The schema is
-`config`'s and the deliveries are `delivery`'s.
+in `record()`.  Each stage's state from TTI to TTI lives in an object, so
+a run gives the same record however its TTIs are split into `advance`
+calls.  `run(cfg)` advances a Runner one `channel.BLOCK_LEN` block at a
+time, its fading stepped one block ahead by a child it forks with
+`os.fork` (`channel.fading_child`), and ends the child when the run
+ends or raises.  All randomness derives from the master seed through
+purpose-keyed streams, so a (config, seed) pair reproduces bit-identical
+results, with or without the child.
 """
 import functools
 import logging
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -98,9 +95,8 @@ def ordinary_stage(slots, sinr, n_re_per_rb: int, slope_db_per_decade: float,
 
     `slots` lists (row, rb_start, rb_count) with rb_count > 0.  Each slot's
     CQI and block error probability come from its effective SINR over its
-    RB slice of `sinr`: an ordinary user is static, so its reported channel
-    is its current one.  Returns per-slot transport-block bits and block
-    error probabilities, in slot order.
+    RB slice of `sinr`, reported and current alike for a static user.
+    Returns per-slot transport-block bits and block error probabilities.
     """
     rows, starts, counts = np.array(slots, dtype=np.intp).reshape(-1, 3).T
     eff_db = link.effective_sinr_db_slices(sinr, rows, starts, counts)
@@ -113,17 +109,16 @@ class Mobility:
     """The moving sources' positions, macroscopic gain, serving cells and
     area membership, advanced once per block of channel.BLOCK_LEN TTIs.
 
-    The blocks line up with the fading blocks and end at the run's last TTI.
-    Each block makes one `topology.advance_mobility` call, which evaluates its
-    gains in one `amplitude_gain` pass, and one pass over its serving cells for
-    the in-area rows; every TTI's values are bitwise those of a step per TTI.
-    Only cars served by an area cell receive (and report CQI for) messages.  A
-    car that left the area stops blocking open entries and is excluded from new
-    recipient sets: the area set is rebuilt, and its exits listed in row order,
-    only at a TTI whose in-area row differs from the one before.  The set
-    starts as every source; TTI 0's step hands each moving car to its strongest
-    cell, with shadowing maybe a ring cell, and the recorder and the delivery
-    see those exits before the first generation.
+    The blocks line up with the fading blocks.  Each makes one
+    `topology.advance_mobility` call, whose gains take one `amplitude_gain`
+    pass, and one pass over its serving cells; every TTI's values are
+    bitwise those of a step per TTI.  Only cars served by an area cell
+    receive (and report CQI for) messages.  A car that left the area stops
+    blocking open entries and gets no new message: the area set is rebuilt,
+    and its exits listed in row order, only at a TTI whose in-area row
+    changed.  The set starts as every source; TTI 0's step hands each car
+    to its strongest cell, maybe a ring cell, and the recorder and the
+    delivery see those exits before the first generation.
     """
 
     def __init__(self, pop, sources, model, mbsfn_mask, n_tti: int):
@@ -146,8 +141,7 @@ class Mobility:
         left it at this TTI, in row order."""
         k = tti % channel.BLOCK_LEN
         if k == 0:
-            # Free the last block's gains before the next one is built; the
-            # rows handed out are copies, so nothing else holds the block.
+            # Free the last block's gains (the rows handed out are copies).
             self.gains = None
             self.gains, serving = topology.advance_mobility(
                 self.positions, self.velocities, self.radius, channel.TTI_S,
@@ -168,17 +162,16 @@ class LinkReads:
     """This TTI's link state, evaluated lazily, and the report's.
 
     The delivery derives one (source, rb) SINR grid from the sources' taps
-    alone, through the model's steering (see `link`): the MBSFN SINR in
-    multicast mode, the SINR against the drop cell in unicast mode.  No
-    (user, cell, rb) channel is formed.  A delivery reads that grid only in
-    its `read_subframes` (multicast: the reserved ones; unicast: all ten);
-    an adaptive CQI at TTI t also reads the report of TTI max(t - delay, 0),
-    the TTIs `reported` marks.  The snapshot and the grid are evaluated at
-    a report TTI or where `serve` reads them (multicast: a message is
-    pending; unicast: a copy is granted RBs); elsewhere the feedback-delay
-    cache holds None.  CQI reports read the cached grid and decoding reads
-    this TTI's.  Standing cars are static rows, so their grid is evaluated
-    once, here.
+    through the model's steering (see `link`): the MBSFN SINR in multicast
+    mode, the SINR against the drop cell in unicast mode.  No (user, cell,
+    rb) channel is formed.  It reads that grid only in its
+    `read_subframes`; an adaptive CQI at TTI t also reads the report of TTI
+    max(t - delay, 0), the TTIs `reported` marks.  The snapshot and the
+    grid are evaluated at a report TTI or where `serve` reads them
+    (multicast: a message is pending; unicast: a copy is granted RBs);
+    elsewhere the feedback-delay cache holds None.  CQI reports read the
+    cached grid and decoding reads this TTI's.  Standing cars are static
+    rows, so their grid is evaluated once, here.
     """
 
     def __init__(self, cfg, delivery, model, reported, n_sources: int):
@@ -204,13 +197,12 @@ class OrdinaryUsers:
     """The area cells' ordinary full-buffer users, served round robin on
     the RBs the messages leave them.
 
-    An ordinary user is static, so its SINR, reported or current, is fixed
-    before the loop, and a cell's slots, with their bits and error
-    probabilities, depend only on its state (cell, RBs left, round-robin
-    offset): `ordinary_stage` prices each state once, and each TTI only
-    draws the decodes.  A TTI's new states are priced in one call; its
-    slots are priced independently, so each state's arrays are those it
-    would get alone.  `bits` holds each user's decoded bits by its row of
+    An ordinary user is static, so its SINR is fixed before the loop, and
+    a cell's slots, with their bits and error probabilities, depend only
+    on its state (cell, RBs left, round-robin offset): `ordinary_stage`
+    prices each state once, a TTI's new states in one call but each on its
+    own, so its arrays are those it would get alone, and each TTI only
+    draws the decodes.  `bits` holds each user's decoded bits by its row of
     `sinr`.
     """
 
@@ -258,15 +250,15 @@ class Runner:
     """One run, set up by the constructor and stepped by its caller.
 
     The constructor draws the layout, the drop and the channel model, and
-    builds the stages; the channel model maps its fading chunks on `pool`
-    (None steps them inline).  `advance(n)` runs the next min(n, TTIs
-    left) TTIs; `tti` is the next TTI to run.  `record()` returns the
-    `RunRecord` once `tti` has reached `cfg.n_tti`.  The Runner never
-    shuts `pool` down: its owner does, also when a call raises, after
-    which the Runner cannot go on.
+    builds the stages; the model steps the fading inline or, with `fork`,
+    in a forked child (`channel.ChannelModel`).  `advance(n)` runs the next
+    min(n, TTIs left) TTIs; `tti` is the next TTI to run.  `record()`
+    returns the `RunRecord` once `tti` has reached `cfg.n_tti`.  The
+    Runner's owner ends the child, with `links.model.close()`, also when a
+    call raises, after which the Runner cannot go on.
     """
 
-    def __init__(self, cfg: ScenarioConfig, pool):
+    def __init__(self, cfg: ScenarioConfig, fork=None):
         seed = cfg.seed
         rng_decode = np.random.default_rng(
             np.random.SeedSequence([seed, 0xDEC]))
@@ -281,10 +273,9 @@ class Runner:
                                              cfg.shadowing_std_db, seed)
 
         # Sources and recipients are the cars dropped in the multicast area,
-        # and its static users are the tracked ordinary ones: the outer ring
-        # carries no message or reservation.  Both are rows from here on:
-        # indices into `sources` and, in `rows_by_cell` (each area cell's
-        # ordinary users), into `ordinary_tracked`.
+        # and its static users are the tracked ordinary ones.  Both are rows
+        # from here on: indices into `sources` and, in `rows_by_cell` (each
+        # area cell's ordinary users), into `ordinary_tracked`.
         drop_cell = pop.serving_cell.tolist()
         sources, ordinary_tracked = [], []
         rows_by_cell = {c: [] for c in area_cells}
@@ -319,9 +310,8 @@ class Runner:
                         "unbounded latency growth",
                         deliver.analytic_utilization_pct)
 
-        # The TTIs whose link state is read: this TTI's in the delivery's
-        # subframes, and an adaptive CQI's report, from TTI
-        # max(t - delay, 0).
+        # The TTIs whose link state is read: the delivery's subframes, and
+        # an adaptive CQI's report, from TTI max(t - delay, 0).
         reads = np.zeros(cfg.n_tti, dtype=bool)
         for subframe in deliver.read_subframes:
             reads[subframe::scheduler.SUBFRAMES_PER_FRAME] = True
@@ -338,7 +328,7 @@ class Runner:
             n_rb=cfg.n_rb,
             seed=seed,
             evaluated_ttis=reads | reported,
-            pool=pool,
+            fork=fork,
         )
 
         self.ordinary = OrdinaryUsers(cfg, rows_by_cell, link.sinr_vs_cell(
@@ -409,18 +399,29 @@ class Runner:
 
 
 def run(cfg: ScenarioConfig) -> RunRecord:
-    """One whole run on its own fading pool, stepped a block at a time."""
-    # The pool's threads start at the first fading block that maps chunks
-    # on it, so the `finally` below joins every thread it starts.
-    pool = ThreadPoolExecutor(channel.usable_cpus(),
-                              thread_name_prefix="fading")
+    """One whole run, stepped a block at a time, its fading in a child
+    (`forked`) if there is `os.fork` and more than one usable CPU."""
+    cpus = channel.usable_cpus()
+    runner = Runner(cfg, functools.partial(forked, cpus)
+                    if cpus > 1 and hasattr(os, "fork") else None)
     try:
-        runner = Runner(cfg, pool)
         for _ in range(0, cfg.n_tti, channel.BLOCK_LEN):
             runner.advance(channel.BLOCK_LEN)
     finally:
-        pool.shutdown(cancel_futures=True)
+        runner.links.model.close()
     return runner.record()
+
+
+def forked(workers: int, body) -> int:
+    """The pid of a child forked to call `body(pool)` on a new pool of
+    `workers` threads and `os._exit`, also if `body` raises."""
+    if (pid := os.fork()) == 0:
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                body(pool)
+        finally:
+            os._exit(0)
+    return pid
 
 
 def derived_seeds(master_seed: int, n_seeds: int) -> list[int]:

@@ -1,3 +1,5 @@
+import functools
+import gc
 import logging
 import math
 import sys
@@ -8,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from mbsfnsim import channel
+from mbsfnsim import channel, engine
 from mbsfnsim.channel import (ChannelModel, FadingBank, draw_shadowing,
                               noise_variance_normalized, normalized_tap_powers)
+from test_engine import reaped, recorded_forks
 
 
 def direct_tap_gains(bank, t) -> np.ndarray:
@@ -36,7 +39,7 @@ def every_tti_model(*args, **kwargs):
     """A ChannelModel that may be read at any TTI below 4096; `engine.run`
     passes the mask of the TTIs it reads."""
     return ChannelModel(*args, evaluated_ttis=np.ones(4096, dtype=bool),
-                        pool=None, **kwargs)
+                        **kwargs)
 
 
 def _amplitude(distances_m, shadowing_db):
@@ -569,7 +572,7 @@ class TestStaticMovingSplit:
         evaluated = np.isin(np.arange(n_tti) % 10, [1, 2, 6, 7, 9])
         full = every_tti_model(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5)
         part = ChannelModel(self.CELLS, pos, speeds, shadow, 2.14e9, 6, 5,
-                            evaluated_ttis=evaluated, pool=None)
+                            evaluated_ttis=evaluated)
         np.testing.assert_array_equal(part.static, full.static)
         gamma = _moving_gamma(full, pos)
         for tti in np.flatnonzero(evaluated).tolist():
@@ -583,7 +586,7 @@ class TestStaticMovingSplit:
         evaluated = np.isin(np.arange(2 * channel.BLOCK_LEN) % 10, [1, 6])
         model = ChannelModel(self.CELLS, pos, np.array([27.8, 0.0]),
                              np.zeros((2, len(self.CELLS))), 2.14e9, 6,
-                             seed=1, evaluated_ttis=evaluated, pool=None)
+                             seed=1, evaluated_ttis=evaluated)
         gamma = _moving_gamma(model, pos)
         ttis = np.flatnonzero(evaluated[:channel.BLOCK_LEN]).tolist()
         kept = [model.snapshot(tti, gamma) for tti in ttis[:-1]]
@@ -605,8 +608,7 @@ class TestStaticMovingSplit:
         evaluated = np.isin(np.arange(300) % 10, [1, 2, 6, 7, 9])
         model = ChannelModel(self.CELLS, pos, np.array([27.8, 13.9, 0.0]),
                              draw_shadowing(3, len(self.CELLS), 8.0, 5),
-                             2.14e9, 6, 5, evaluated_ttis=evaluated,
-                             pool=None)
+                             2.14e9, 6, 5, evaluated_ttis=evaluated)
         ttis = np.flatnonzero(evaluated).tolist()
         gains = _two_pass_recurrence(model.bank, 0, ttis).reshape(
             len(ttis), model.n_moving, len(self.CELLS), -1)
@@ -615,6 +617,52 @@ class TestStaticMovingSplit:
             np.testing.assert_array_equal(model.snapshot(tti, gamma),
                                           gamma[:, :, None] * want)
 
+    def test_forked_child_snapshots_bitwise_inline(self, monkeypatch):
+        """A model whose blocks a forked child steps gives the inline
+        model's snapshots bitwise, also when the caller reads no TTI of
+        some blocks, which the child steps anyway; `close` reaps the
+        child.  A mask that reads one block only forks nothing."""
+        pos = np.array([[100.0, 50.0], [300.0, 10.0], [-80.0, 200.0]])
+        args = (self.CELLS, pos, np.array([27.8, 13.9, 0.0]),
+                draw_shadowing(3, len(self.CELLS), 8.0, 5), 2.14e9, 6, 5)
+        evaluated = np.isin(np.arange(6 * channel.BLOCK_LEN) % 10,
+                            [1, 2, 6, 7, 9])
+        fork = functools.partial(engine.forked, 2)
+        pids = recorded_forks(monkeypatch)
+        inline = ChannelModel(*args, evaluated_ttis=evaluated)
+        gamma = _moving_gamma(inline, pos)
+        lone = ChannelModel(
+            *args, evaluated_ttis=evaluated[:channel.BLOCK_LEN], fork=fork)
+        np.testing.assert_array_equal(lone.snapshot(1, gamma),
+                                      inline.snapshot(1, gamma))
+        lone.close()
+        assert pids == []
+        child = ChannelModel(*args, evaluated_ttis=evaluated, fork=fork)
+        try:
+            for tti in np.flatnonzero(evaluated).tolist():
+                if tti // channel.BLOCK_LEN in (0, 2, 5):
+                    np.testing.assert_array_equal(child.snapshot(tti, gamma),
+                                                  inline.snapshot(tti, gamma))
+        finally:
+            child.close()
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_dropped_model_reaps_its_child(self, monkeypatch):
+        """A model dropped mid-run without `close` still kills and reaps
+        its fading child, when its blocks' generator is collected."""
+        pos = np.array([[100.0, 50.0], [300.0, 10.0]])
+        evaluated = np.isin(np.arange(4 * channel.BLOCK_LEN) % 10, [1, 6])
+        pids = recorded_forks(monkeypatch)
+        model = ChannelModel(self.CELLS, pos, np.array([27.8, 0.0]),
+                             np.zeros((2, len(self.CELLS))), 2.14e9, 6,
+                             seed=1, evaluated_ttis=evaluated,
+                             fork=functools.partial(engine.forked, 2))
+        model.snapshot(1, _moving_gamma(model, pos))
+        assert len(pids) == 1
+        del model
+        gc.collect()
+        assert reaped(pids[0])
+
     @pytest.mark.parametrize("tti", [0, 3, 64, 200])
     def test_snapshot_at_unread_tti_rejected(self, tti):
         """A TTI the mask does not read has no row of tap gains."""
@@ -622,7 +670,7 @@ class TestStaticMovingSplit:
         evaluated = np.isin(np.arange(100) % 10, [1, 2, 6])
         model = ChannelModel(self.CELLS, pos, np.array([27.8, 0.0]),
                              np.zeros((2, len(self.CELLS))), 2.14e9, 6,
-                             seed=1, evaluated_ttis=evaluated, pool=None)
+                             seed=1, evaluated_ttis=evaluated)
         gamma = _moving_gamma(model, pos)
         model.snapshot(1, gamma)
         with pytest.raises(KeyError):

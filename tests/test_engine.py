@@ -1,5 +1,7 @@
+import functools
 import logging
 import math
+import os
 import pickle
 import re
 import sys
@@ -19,6 +21,29 @@ from mbsfnsim import (channel, config, engine, link, metrics, scheduler,
 from mbsfnsim.delivery import MulticastDelivery, UnicastDelivery, draw_success
 from mbsfnsim.engine import ScenarioConfig, derived_seeds, replicate, run
 from test_link import BAD_TABLES, grouped_slices, write_cqi_table
+
+
+def recorded_forks(monkeypatch) -> list:
+    """The pids of the children this process forks from now on, in order;
+    a child's own list stays empty in this process."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def reaped(pid: int) -> bool:
+    """Whether `pid` is no longer a child of this process to wait for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def small_config(**overrides):
@@ -205,8 +230,7 @@ def test_set_up_masks_are_those_of_isin(overrides):
     evaluates are bitwise those of `np.isin` over the area cells and over
     the subframes the delivery reads, with the adaptive reports'."""
     cfg = small_config(**overrides)
-    with ThreadPoolExecutor(1) as pool:
-        runner = engine.Runner(cfg, pool)
+    runner = engine.Runner(cfg)
     layout = topology.build_layout(cfg.mbsfn_rings, cfg.interference_rings,
                                    cfg.inter_site_distance_m)
     mask = runner.mobility.mbsfn_mask
@@ -228,14 +252,13 @@ def test_runner_steps_and_record():
     """`advance` runs no TTI for n <= 0 and stops at n_tti; `record`
     raises until every TTI has run."""
     cfg = small_config(n_tti=70)
-    with ThreadPoolExecutor(1) as pool:
-        runner = engine.Runner(cfg, pool)
-        for n, tti in ((0, 0), (-5, 0), (3, 3), (-1, 3)):
-            runner.advance(n)
-            assert runner.tti == tti
-        with pytest.raises(RuntimeError, match="67 TTIs left"):
-            runner.record()
-        runner.advance(100)
+    runner = engine.Runner(cfg)
+    for n, tti in ((0, 0), (-5, 0), (3, 3), (-1, 3)):
+        runner.advance(n)
+        assert runner.tti == tti
+    with pytest.raises(RuntimeError, match="67 TTIs left"):
+        runner.record()
+    runner.advance(100)
     assert runner.tti == 70
     assert runner.record().entries == run(cfg).entries
 
@@ -462,10 +485,12 @@ def test_unicast_reads_link_state_only_where_copies_are_sent(monkeypatch):
 @pytest.mark.parametrize("mode", [config.MODE_MULTICAST,
                                   config.MODE_UNICAST_BASELINE])
 def test_outputs_independent_of_cpu_count(mode, monkeypatch):
-    """A 5 MHz run's 399 moving fading pairs make two chunks: on a pool
-    of one worker with one CPU, of two workers with two.  The record is
-    the same."""
-    asked = []
+    """A 5 MHz run's 399 moving fading pairs make two chunks.  The record
+    is the same stepped inline (`Runner(cfg, None)`), by a forked child on
+    a pool of one worker, by `run` with two CPUs, whose child has two, and
+    by `run` with one CPU or without `os.fork`, which fork nothing.  `run`
+    reads the CPU count in this process."""
+    asked, pids = [], recorded_forks(monkeypatch)
 
     def cpus(n):
         def usable():
@@ -474,25 +499,40 @@ def test_outputs_independent_of_cpu_count(mode, monkeypatch):
         return usable
 
     cfg = ScenarioConfig(mode=mode, n_tti=200, seed=1)
-    records = []
-    for n in (1, 2):
+    inline = engine.Runner(cfg, None)
+    inline.advance(cfg.n_tti)
+    one = engine.Runner(cfg, functools.partial(engine.forked, 1))
+    try:
+        one.advance(cfg.n_tti)
+    finally:
+        one.links.model.close()
+    assert len(pids) == 1
+    records = [inline.record(), one.record()]
+    for n in (2, 1):
         monkeypatch.setattr(channel, "usable_cpus", cpus(n))
         records.append(run(cfg))
-    assert asked == [1, 2]
-    one, two = records
-    assert one.summary() == two.summary()
-    assert one.entries == two.entries
-    np.testing.assert_array_equal(one.multicast_rb_per_tti,
-                                  two.multicast_rb_per_tti)
-    np.testing.assert_array_equal(one.cam_rb_per_tti, two.cam_rb_per_tti)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(channel, "usable_cpus", cpus(2))
+    records.append(run(cfg))
+    assert asked == [2, 1, 2]
+    assert len(pids) == 2 and all(reaped(pid) for pid in pids)
+    first = records[0]
+    for other in records[1:]:
+        assert other.summary() == first.summary()
+        assert other.entries == first.entries
+        np.testing.assert_array_equal(other.multicast_rb_per_tti,
+                                      first.multicast_rb_per_tti)
+        np.testing.assert_array_equal(other.cam_rb_per_tti,
+                                      first.cam_rb_per_tti)
 
 
 @pytest.mark.parametrize("mode", [config.MODE_MULTICAST,
                                   config.MODE_UNICAST_BASELINE])
 def test_one_tti_run_starts_no_pool(mode, monkeypatch):
-    """A 1-TTI run never steps the fading, so its pool starts no thread."""
+    """A 1-TTI run never steps the fading, so it forks no child and starts
+    no thread."""
     monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
-    started = []
+    started, pids = [], recorded_forks(monkeypatch)
     start = threading.Thread.start
 
     def recorded_start(thread):
@@ -501,15 +541,16 @@ def test_one_tti_run_starts_no_pool(mode, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", recorded_start)
     run(ScenarioConfig(mode=mode, n_tti=1, seed=1))
-    assert started == []
+    assert started == [] and pids == []
 
 
 @pytest.mark.parametrize("fail_at", [None, 150])
 def test_no_thread_outlives_a_run(fail_at, monkeypatch):
-    """The fading pool's threads end with the run, also when a delivery
-    raises in the middle of the loop."""
+    """The run forks one fading child, which is reaped by the time `run`
+    returns or raises, also when a delivery raises in the middle of the
+    loop; the run starts no thread in this process."""
     monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
-    during = []
+    pids, during = recorded_forks(monkeypatch), []
     serve = MulticastDelivery.serve
 
     def watched(delivery, tti, *args):
@@ -527,7 +568,8 @@ def test_no_thread_outlives_a_run(fail_at, monkeypatch):
         with pytest.raises(RuntimeError, match="delivery failed"):
             run(cfg)
     assert threading.enumerate() == before
-    assert max(during) > len(before)
+    assert max(during) == len(before)
+    assert len(pids) == 1 and reaped(pids[0])
 
 
 short_configs = st.builds(

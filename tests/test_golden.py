@@ -26,18 +26,21 @@ here and say why.
 
 `PYTHONPATH=src python tests/test_golden.py` prints every config's digest.
 """
+import functools
 import hashlib
+import logging
 import os
 import pathlib
+import signal
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mbsfnsim import channel, cli, engine, link, metrics
+from test_engine import reaped, recorded_forks
 from test_link import write_cqi_table
 
 N_TTI = 256
@@ -208,46 +211,77 @@ RUNNER_STEPS = (1, 63, 64, 200)
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_runner_in_uneven_steps_gives_golden_digest(name, tmp_path):
     """A Runner advanced 1, 63, 64 and 200 TTIs, then the rest and more,
-    on a pool its caller owns, gives the run's golden digest."""
+    with a fading child its caller forks and ends, gives the run's golden
+    digest."""
     cfg, done = CONFIGS[name], 0
-    with ThreadPoolExecutor(2) as pool:
-        runner = engine.Runner(cfg, pool)
+    runner = engine.Runner(cfg, functools.partial(engine.forked, 2))
+    try:
         for n in RUNNER_STEPS:
             runner.advance(n)
             done += n
             assert runner.tti == min(done, cfg.n_tti)
         runner.advance(cfg.n_tti - runner.tti + 5)
         assert runner.tti == cfg.n_tti
+    finally:
+        runner.links.model.close()
     assert record_digest(runner.record(), tmp_path) == GOLDEN[name]
 
 
 def test_run_shuts_its_pool_down_when_advance_raises(monkeypatch):
-    """`run` shuts its fading pool down, and joins its threads, also when
-    a block's `advance` raises."""
+    """`run` kills and reaps its fading child, still running when a
+    block's `advance` raises, and starts no thread."""
     monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
-    shut, threads = [], []
-
-    class Pool(ThreadPoolExecutor):
-        def shutdown(self, *args, **kwargs):
-            shut.append(kwargs)
-            super().shutdown(*args, **kwargs)
-
-    advance = engine.Runner.advance
+    pids, running, waited = recorded_forks(monkeypatch), [], []
+    advance, waitpid = engine.Runner.advance, os.waitpid
 
     def failing(runner, n):
         advance(runner, n)
         if runner.tti == 2 * channel.BLOCK_LEN:
-            threads.append(threading.active_count())
+            running.append(os.waitid(
+                os.P_PID, pids[0], os.WEXITED | os.WNOHANG | os.WNOWAIT))
             raise RuntimeError("advance failed")
 
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
+    def recorded_waitpid(pid, options):
+        waited.append(waitpid(pid, options))
+        return waited[-1]
+
     monkeypatch.setattr(engine.Runner, "advance", failing)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
     before = threading.enumerate()
     with pytest.raises(RuntimeError, match="advance failed"):
         engine.run(BASE)
-    assert shut == [{"cancel_futures": True}]
     assert threading.enumerate() == before
-    assert threads[0] > len(before)
+    assert len(pids) == 1 and running == [None]
+    [(pid, status)] = waited
+    assert pid == pids[0] and os.WIFSIGNALED(status)
+    assert os.WTERMSIG(status) == signal.SIGKILL
+    assert reaped(pid)
+
+
+@pytest.mark.parametrize("name", ["mc_fixed_5", "mc_adaptive_5",
+                                  "uc_fixed_5"])
+def test_run_steps_inline_once_its_child_is_killed(name, tmp_path,
+                                                   monkeypatch, caplog):
+    """A fading child killed after the first block: the run logs one
+    warning, steps the remaining blocks itself, from TTI 0 on its own
+    bank, and still gives the golden digest; the child is reaped."""
+    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    pids, advance = recorded_forks(monkeypatch), engine.Runner.advance
+
+    def killing(runner, n):
+        advance(runner, n)
+        if runner.tti == channel.BLOCK_LEN:
+            os.kill(pids[0], signal.SIGKILL)
+
+    monkeypatch.setattr(engine.Runner, "advance", killing)
+    with caplog.at_level(logging.WARNING, logger="mbsfnsim"):
+        assert run_digest(CONFIGS[name], tmp_path) == GOLDEN[name]
+    [warned] = [r for r in caplog.records if "fading child" in r.msg]
+    assert warned.levelno == logging.WARNING
+    assert warned.name == "mbsfnsim.channel"
+    assert warned.args[0] in range(channel.BLOCK_LEN, BASE.n_tti,
+                                   channel.BLOCK_LEN)
+    assert len(pids) == 1 and reaped(pids[0])
 
 
 def test_standard_table_file_reproduces_golden(tmp_path):

@@ -113,16 +113,26 @@ def test_no_code_only_tests_call():
 
 
 def test_only_engine_and_cli_start_pools():
-    """Only `engine.run` (the fading threads) and `cli` (the `compare`
-    processes) name an executor; every other module uses the pool it is
-    handed, so no object below a run has a thread lifecycle."""
-    executors = ("ThreadPoolExecutor", "ProcessPoolExecutor")
-    naming = set()
+    """Only `engine` forks (`engine.forked`, the fading child) or names a
+    thread executor, and only `cli` names a process executor (the
+    `compare` processes); every other module uses the fork it is handed,
+    so no object below a run has a thread or process lifecycle."""
+    threads, processes = set(), set()
     for path in sorted(pathlib.Path(mbsfnsim.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if any(name in executors for name in _referenced_names(tree)):
-            naming.add(path.name)
-    assert naming == {"engine.py", "cli.py"}
+        names = set(_referenced_names(tree))
+        forks = any(
+            isinstance(n, ast.Attribute) and n.attr.startswith("fork")
+            and isinstance(n.value, ast.Name) and n.value.id == "os"
+            or isinstance(n, ast.ImportFrom) and n.module == "os"
+            and any(a.name.startswith("fork") for a in n.names)
+            for n in ast.walk(tree))
+        if forks or "ThreadPoolExecutor" in names:
+            threads.add(path.name)
+        if "ProcessPoolExecutor" in names:
+            processes.add(path.name)
+    assert threads == {"engine.py"}
+    assert processes == {"cli.py"}
 
 
 # The functions that check input from outside the program: the config and
