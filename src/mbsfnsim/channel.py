@@ -12,8 +12,9 @@ The other pairs' phasors are anchored once per run, at TTI 0, and stepped
 one TTI at a time, so the tap gains at TTI t are a function of the seed,
 the pair and t alone, whichever thread or process steps them.  The module
 starts no thread and no process: a block runs its chunks inline or on the
-pool it is handed, and `fading_child` steps the blocks in a child that
-its caller forks (`engine.run`).
+pool it is handed, and `fading_child` steps the blocks in a child forked
+by the `fork` it is handed.  Whether to fork, and with how many workers,
+is `engine`'s decision (`engine.usable_cpus`).
 """
 from __future__ import annotations
 
@@ -63,14 +64,6 @@ def pathloss_db(distance_m):
     clamped."""
     km = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M) / 1e3
     return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE_DB * np.log10(km)
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: `engine.run` forks a fading child
-    only if there are two or more, and gives its pool this many workers."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _unit_phasors(out) -> None:
@@ -255,11 +248,12 @@ class FadingBank:
                 * np.exp(-2j * math.pi * f[None, :] * self.tap_delays[:, None]))
 
 
-def fading_child(bank: FadingBank, mask, fork):
-    """(start, tap gains) of each block of `bank` that reads a TTI of
-    `mask`, in order, stepped one block ahead in a child.  The first
-    `next` forks the child with `fork(body)`, which calls `body(pool)`
-    with a thread pool of its own, exits and returns the child's pid.
+def fading_child(bank: FadingBank, blocks: dict, fork):
+    """(start, tap gains) of each of `blocks` (start -> steps read, as
+    `ChannelModel.blocks`) of `bank`, in order, stepped one block ahead in
+    a child.  The first `next` forks the child with `fork(body)`, which
+    calls `body(pool)` with a thread pool of its own, exits and returns
+    the child's pid.
 
     The child steps its copy of the bank through the blocks, writes block
     k into slot k % 2 of a shared anonymous mmap, sized for the largest
@@ -270,8 +264,6 @@ def fading_child(bank: FadingBank, mask, fork):
     this logs one warning and stops; closing it, or its end, closes the
     pipes and kills and reaps the child.
     """
-    blocks = {s: steps for s in range(0, len(mask), BLOCK_LEN)
-              if (steps := np.flatnonzero(mask[s:s + BLOCK_LEN]).tolist())}
     shape = (2, max(map(len, blocks.values())), bank.n_pairs, bank.n_taps)
     slots = np.ndarray(shape, complex, mmap.mmap(-1, 16 * math.prod(shape)))
     # This side keeps the free pipe's read end too: a token sent once the
@@ -334,7 +326,8 @@ class ChannelModel:
     groups draw from one FadingBank stream, so the split changes no value.
 
     `evaluated_ttis`, a boolean mask over TTIs 0..len-1, names the only
-    TTIs a caller reads: a block sums the taps only at those, and
+    TTIs a caller reads: `blocks` maps the start of each block that reads
+    one to the steps it reads, a block sums the taps only at those, and
     `snapshot` at any other TTI raises KeyError.  The phasors still step
     through every TTI up to the last read one, so each snapshot is bitwise
     the same under any mask that reads its TTI and for any BLOCK_LEN.
@@ -365,9 +358,11 @@ class ChannelModel:
                                n_static=(n_users - m) * self.n_cells)
         self.steer = self.bank.steering(self.rb_freqs)
         self.steer_products = steering_products(self.steer)
-        self.evaluated_ttis = evaluated_ttis
-        self.child = (fading_child(self.bank, evaluated_ttis, fork)
-                      if fork and evaluated_ttis[BLOCK_LEN:].any() else None)
+        mask = self.evaluated_ttis = evaluated_ttis
+        self.blocks = {s: steps for s in range(0, len(mask), BLOCK_LEN) if (
+            steps := np.flatnonzero(mask[s:s + BLOCK_LEN]).tolist())}
+        self.child = (fading_child(self.bank, self.blocks, fork)
+                      if fork and max(self.blocks, default=0) > 0 else None)
         # The current block's tap gains and the row of each TTI in it.
         self._gains, self._rows = None, {}
         self._clamp_warned = False
@@ -400,10 +395,9 @@ class ChannelModel:
         """Moving pairs' tap gains at `tti`: (n_moving * n_cells, n_taps).
         A TTI the mask does not read has no row: KeyError.  Handing out
         the block's last read row frees the block."""
-        mask = self.evaluated_ttis
         if tti not in self._rows:
             start = (tti // BLOCK_LEN) * BLOCK_LEN
-            steps = np.flatnonzero(mask[start:start + BLOCK_LEN]).tolist()
+            steps = self.blocks[start]
             self._gains = None
             self._gains = self.bank.block_tap_gains(start, steps,
                                                     child=self.child)

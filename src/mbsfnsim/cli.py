@@ -6,8 +6,8 @@ their line number.  `run` executes one scenario and writes the CSV
 artifact set; `compare` runs a {mode} x {bandwidth} x {CQI policy}
 matrix, overlays the distribution curves on a shared abscissa and, for
 bandwidth pairs, reports the predicted next to the measured ordinary
-throughput ratio.  `compare` runs its cells on up to one process per CPU
-this process may use (`channel.usable_cpus`); the outputs do not depend
+throughput ratio.  `compare` runs its cells with `engine.run_all`, on up
+to one process per CPU this process may use; the outputs do not depend
 on the number of processes.
 
 `main` validates every input before any run and reports a bad one as a
@@ -24,14 +24,13 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from importlib import resources
 from types import MappingProxyType
 
 import numpy as np
 
-from . import channel, config, engine, metrics
+from . import config, engine, metrics
 
 
 def _parse_bool(s: str) -> bool:
@@ -217,18 +216,14 @@ RATIO_COLUMNS = ("mode", "cqi_policy", "bandwidth_low", "bandwidth_high",
 
 
 def cmd_compare(cells: list[config.ScenarioConfig], out_dir: str) -> int:
-    # One process per cell, up to the CPUs this process may use.
-    workers = min(len(cells), channel.usable_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(engine.run, cells))
-    else:
-        records = [engine.run(cfg) for cfg in cells]
-
+    records = engine.run_all(cells)
     os.makedirs(out_dir, exist_ok=True)
-    summary_rows = []
+    summary_rows, groups = [], {}
     lat_mean_curves, lat_comb_curves, tp_curves = {}, {}, {}
     for cfg, record in zip(cells, records):
+        # Each (mode, policy) group's records by bandwidth.
+        groups.setdefault((cfg.mode, cfg.cqi_policy, cfg.cqi_value),
+                          {})[cfg.bandwidth_mhz] = record
         name = _cell_name(cfg)
         curves = metrics.write_run_outputs(os.path.join(out_dir, name),
                                            record)
@@ -249,10 +244,6 @@ def cmd_compare(cells: list[config.ScenarioConfig], out_dir: str) -> int:
                    "mean_throughput_mbps", tp_curves)
 
     # Each (mode, policy) group's bandwidth pairs, low before high.
-    groups = {}
-    for c, r in zip(cells, records):
-        groups.setdefault((c.mode, c.cqi_policy, c.cqi_value),
-                          {})[c.bandwidth_mhz] = r
     ratio_rows = []
     for (mode, policy, value), by_bw in sorted(groups.items()):
         for bw, bw_hi in itertools.combinations(sorted(by_bw), 2):

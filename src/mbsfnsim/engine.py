@@ -3,33 +3,22 @@
 `Runner(cfg)` sets a run up; each `advance(n)` call then runs the
 next min(n, TTIs left) TTIs, each through these stages, in this order:
 
-1. Mobility (`Mobility.step`): the tracked cars move, hand over and
-   enter or leave the area per block of TTIs; a car that left the area
-   exits as a receiver, from the recorder and from the delivery.  Their
-   macroscopic gain, evaluated once per block, picks each car's serving
-   cell and scales its tap gains in the channel snapshot.
-2. Link reads (`LinkReads.step`): this TTI's link state, evaluated only
-   where it is read, and the CQI report's.
-3. Generation (`Runner._generate`): `traffic.maybe_generate` names the
-   sources in their phase of the period and their messages' sequence
-   number; each message replaces its source's undelivered predecessor.
+1. Mobility (`Mobility.step`): the cars move, hand over, leave the area.
+2. Link reads (`LinkReads.step`): this TTI's link state and the report's.
+3. Generation (`Runner._generate`): the sources in phase send messages.
 4. Delivery (`delivery.MulticastDelivery.serve` or
-   `delivery.UnicastDelivery.serve`): the scheduler fills the subframe
-   with messages, each transport block is decoded per recipient, the
-   messages' residual bits drain and the latency log is appended.
-5. Ordinary users (`OrdinaryUsers.serve`): the full-buffer users share
-   the RBs the messages leave, round robin in each area cell.
+   `delivery.UnicastDelivery.serve`): messages are scheduled and decoded.
+5. Ordinary users (`OrdinaryUsers.serve`): they share the RBs left.
 
-Inside a run a source is its row, 0..n_sources-1 in ascending user id,
-in every stage and in the recorder; user ids appear only in the drop and
-in `record()`.  Each stage's state from TTI to TTI lives in an object, so
-a run gives the same record however its TTIs are split into `advance`
-calls.  `run(cfg)` advances a Runner one `channel.BLOCK_LEN` block at a
-time, its fading stepped one block ahead by a child it forks with
-`os.fork` (`channel.fading_child`), and ends the child when the run
-ends or raises.  All randomness derives from the master seed through
+Inside a run a source is its row, 0..n_sources-1 in ascending user id;
+user ids appear only in the drop and in `record()`.  Each stage's state
+lives in an object, so a run gives the same record however its TTIs are
+split into `advance` calls.  `run(cfg)` steps a Runner a block at a time,
+its fading in a forked child, and `run_all(cfgs)` maps runs over
+processes: this module alone starts processes and threads, as many as
+`usable_cpus()`.  All randomness derives from the master seed through
 purpose-keyed streams, so a (config, seed) pair reproduces bit-identical
-results, with or without the child.
+results in any process, with or without the child.
 """
 import functools
 import logging
@@ -107,18 +96,16 @@ def ordinary_stage(slots, sinr, n_re_per_rb: int, slope_db_per_decade: float,
 
 class Mobility:
     """The moving sources' positions, macroscopic gain, serving cells and
-    area membership, advanced once per block of channel.BLOCK_LEN TTIs.
+    area membership, advanced once per block of channel.BLOCK_LEN TTIs by
+    one `topology.advance_mobility` call, bitwise as one step per TTI.
 
-    The blocks line up with the fading blocks.  Each makes one
-    `topology.advance_mobility` call, whose gains take one `amplitude_gain`
-    pass, and one pass over its serving cells; every TTI's values are
-    bitwise those of a step per TTI.  Only cars served by an area cell
-    receive (and report CQI for) messages.  A car that left the area stops
-    blocking open entries and gets no new message: the area set is rebuilt,
-    and its exits listed in row order, only at a TTI whose in-area row
-    changed.  The set starts as every source; TTI 0's step hands each car
-    to its strongest cell, maybe a ring cell, and the recorder and the
-    delivery see those exits before the first generation.
+    Only cars served by an area cell receive (and report CQI for)
+    messages.  A car that left the area stops blocking open entries and
+    gets no new message: the area set is rebuilt, and its exits listed in
+    row order, only at a TTI whose in-area row changed.  The set starts as
+    every source; TTI 0's step hands each car to its strongest cell, maybe
+    a ring cell, and the recorder and the delivery see those exits before
+    the first generation.
     """
 
     def __init__(self, pop, sources, model, mbsfn_mask, n_tti: int):
@@ -130,7 +117,6 @@ class Mobility:
         self.radius = pop.layout.boundary_radius
         self.gain = functools.partial(model.amplitude_gain, rows=slice(0, m))
         self.mbsfn_mask, self.n_tti = mbsfn_mask, n_tti
-        # Every source; TTI 0's step removes those served outside the area.
         self.area = set(range(len(sources)))
         self.in_area = np.ones(m, dtype=bool)
         self.gains = None
@@ -161,17 +147,12 @@ class Mobility:
 class LinkReads:
     """This TTI's link state, evaluated lazily, and the report's.
 
-    The delivery derives one (source, rb) SINR grid from the sources' taps
-    through the model's steering (see `link`): the MBSFN SINR in multicast
-    mode, the SINR against the drop cell in unicast mode.  No (user, cell,
-    rb) channel is formed.  It reads that grid only in its
-    `read_subframes`; an adaptive CQI at TTI t also reads the report of TTI
+    The link state is the delivery's (source, rb) SINR grid of the
+    sources' taps.  An adaptive CQI at TTI t reads the report of TTI
     max(t - delay, 0), the TTIs `reported` marks.  The snapshot and the
-    grid are evaluated at a report TTI or where `serve` reads them
-    (multicast: a message is pending; unicast: a copy is granted RBs);
-    elsewhere the feedback-delay cache holds None.  CQI reports read the
-    cached grid and decoding reads this TTI's.  Standing cars are static
-    rows, so their grid is evaluated once, here.
+    grid are evaluated at a report TTI or where `serve` reads them;
+    elsewhere the feedback-delay cache holds None.  Standing cars are
+    static rows, so their grid is evaluated once, here.
     """
 
     def __init__(self, cfg, delivery, model, reported, n_sources: int):
@@ -250,10 +231,8 @@ class Runner:
     """One run, set up by the constructor and stepped by its caller.
 
     The constructor draws the layout, the drop and the channel model, and
-    builds the stages; the model steps the fading inline or, with `fork`,
-    in a forked child (`channel.ChannelModel`).  `advance(n)` runs the next
-    min(n, TTIs left) TTIs; `tti` is the next TTI to run.  `record()`
-    returns the `RunRecord` once `tti` has reached `cfg.n_tti`.  The
+    builds the stages; with `fork`, the model steps the fading in a forked
+    child (`channel.ChannelModel`).  `tti` is the next TTI to run.  The
     Runner's owner ends the child, with `links.model.close()`, also when a
     call raises, after which the Runner cannot go on.
     """
@@ -398,10 +377,31 @@ class Runner:
         )
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the most processes `run_all`
+    starts, and the workers of each run's fading child, if any."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def run_all(cfgs) -> list[RunRecord]:
+    """Each config's `run` record, in config order, on one process per
+    usable CPU up to the number of configs; in this process if that is
+    one.  An error raised in a run propagates once the processes end."""
+    processes = min(len(cfgs), usable_cpus())
+    if processes < 2:
+        return [run(cfg) for cfg in cfgs]
+    # Here, not at the top: the pool imports multiprocessing (1.3 MB RSS).
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(processes) as pool:
+        return list(pool.map(run, cfgs))
+
+
 def run(cfg: ScenarioConfig) -> RunRecord:
     """One whole run, stepped a block at a time, its fading in a child
     (`forked`) if there is `os.fork` and more than one usable CPU."""
-    cpus = channel.usable_cpus()
+    cpus = usable_cpus()
     runner = Runner(cfg, functools.partial(forked, cpus)
                     if cpus > 1 and hasattr(os, "fork") else None)
     try:
@@ -439,7 +439,7 @@ def replicate(config: ScenarioConfig, n_seeds: int) -> dict:
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     seeds = derived_seeds(config.seed, n_seeds)
-    records = [run(replace(config, seed=s)) for s in seeds]
+    records = run_all([replace(config, seed=s) for s in seeds])
     aggregate = {}
     for k in ("mean_latency_tti", "mean_throughput_mbps", "utilization_pct",
               "measured_utilization_pct"):

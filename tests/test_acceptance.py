@@ -10,14 +10,13 @@ import dataclasses
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import j0
 
-from mbsfnsim import channel, cli, engine, link, metrics, scheduler
+from mbsfnsim import cli, engine, link, metrics, scheduler
 from mbsfnsim.channel import FadingBank
 from test_channel import direct_coefficients, direct_tap_gains
 
@@ -46,14 +45,8 @@ def battery():
                         for s in seeds],
     }
     flat = [cfg for group in cells.values() for cfg in group]
-    workers = min(2, channel.usable_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(engine.run, flat))
-    else:
-        records = [engine.run(cfg) for cfg in flat]
     out = {}
-    it = iter(records)
+    it = iter(engine.run_all(flat))
     for name, group in cells.items():
         out[name] = [next(it) for _ in group]
     return out

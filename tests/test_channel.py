@@ -663,6 +663,39 @@ class TestStaticMovingSplit:
         gc.collect()
         assert reaped(pids[0])
 
+    def test_unread_block_leaves_the_child_stepping(self, monkeypatch):
+        """A snapshot in a block the mask does not read raises KeyError
+        before the model asks its fading child for a block: the child
+        still steps every later block, and this process steps none."""
+        pos = np.array([[100.0, 50.0], [300.0, 10.0]])
+        n = channel.BLOCK_LEN
+        evaluated = np.zeros(4 * n, dtype=bool)
+        evaluated[[1, 2 * n + 1, 3 * n + 1]] = True
+        args = (self.CELLS, pos, np.array([27.8, 0.0]),
+                np.zeros((2, len(self.CELLS))), 2.14e9, 6, 1, evaluated)
+        inline = ChannelModel(*args)
+        pids = recorded_forks(monkeypatch)
+        model = ChannelModel(*args, fork=functools.partial(engine.forked, 2))
+        gamma = _moving_gamma(model, pos)
+        model.snapshot(1, gamma)
+        stepped, chunk_rows = [], FadingBank._chunk_rows
+
+        def counted(bank, *rest):
+            stepped.append(rest)
+            return chunk_rows(bank, *rest)
+
+        monkeypatch.setattr(FadingBank, "_chunk_rows", counted)
+        try:
+            with pytest.raises(KeyError):
+                model.snapshot(n + 1, gamma)
+            got = [model.snapshot(t, gamma) for t in (2 * n + 1, 3 * n + 1)]
+        finally:
+            model.close()
+        assert stepped == [] and len(pids) == 1 and reaped(pids[0])
+        monkeypatch.undo()
+        for t, rows in zip((2 * n + 1, 3 * n + 1), got):
+            np.testing.assert_array_equal(rows, inline.snapshot(t, gamma))
+
     @pytest.mark.parametrize("tti", [0, 3, 64, 200])
     def test_snapshot_at_unread_tti_rejected(self, tti):
         """A TTI the mask does not read has no row of tap gains."""

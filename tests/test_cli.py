@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from mbsfnsim import channel, cli, config, engine
+from mbsfnsim import cli, config, engine
 from mbsfnsim.cli import (load_scenario, main, parse_scenario_text,
                           resolve_scenario_path)
 from test_link import BAD_TABLES, write_cqi_table
@@ -320,41 +320,6 @@ class TestCmdCompare:
             cells = json.load(fh)["cells"]
         assert all(c["n_tti"] == 150 and c["seed"] == 4 for c in cells)
 
-    def test_worker_count_capped_at_cells(self, tmp_path, monkeypatch):
-        """A pool never gets more workers than there are matrix cells."""
-        monkeypatch.setattr(channel, "usable_cpus", lambda: 64)
-        assert self._pool_sizes(tmp_path, monkeypatch) == [2]
-
-    def test_one_usable_cpu_runs_cells_in_this_process(self, tmp_path,
-                                                       monkeypatch):
-        monkeypatch.setattr(channel, "usable_cpus", lambda: 1)
-        assert self._pool_sizes(tmp_path, monkeypatch) == []
-
-    @staticmethod
-    def _pool_sizes(tmp_path, monkeypatch):
-        """The worker count of each pool a two-cell `compare` starts."""
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        rc = main(["compare", "--modes", "multicast", "--bandwidths", "5",
-                   "--cqi", "fixed:3,fixed:4", "--out",
-                   str(tmp_path / "cmp"), "--n-tti", "20"])
-        assert rc == 0
-        return sizes
-
 
 # The ids of each BAD_TABLES entry's two rows (run, then compare) in
 # `TestValidationBoundary.test_user_error_reported_before_any_run`.  Every
@@ -618,11 +583,55 @@ class TestValidationBoundary:
             raise ValueError("inside the run")
         monkeypatch.setattr(engine, "run", failing_run)
         # One process, so the failing run is this process's.
-        monkeypatch.setattr(channel, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 1)
         argv = [a.format(d=tmp_path) for a in command]
         with pytest.raises(ValueError, match="inside the run"):
             main(argv + ["--out", str(tmp_path / "out")])
         assert "error:" not in capsys.readouterr().err
+
+    def test_error_inside_the_pool_propagates(self, tmp_path, monkeypatch):
+        """At two usable CPUs a run that raises in `run_all`'s pool raises
+        the same error in the caller of `run_all` and of `compare`, and by
+        then every pool process and every run's fading child has ended
+        and been reaped."""
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        pids = tmp_path / "pids"
+        record, forked = engine.Runner.record, engine.forked
+
+        def log(kind, pid):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{kind} {pid}\n")
+
+        def failing(runner):
+            log("pool", os.getpid())
+            if runner.cfg.cqi_value == 4:
+                raise ValueError("inside the run")
+            return record(runner)
+
+        def logged_fork(workers, body):
+            pid = forked(workers, body)
+            log("child", pid)
+            return pid
+
+        monkeypatch.setattr(engine.Runner, "record", failing)
+        monkeypatch.setattr(engine, "forked", logged_fork)
+        cfgs = [config.ScenarioConfig(n_tti=150, cqi_value=v) for v in (3, 4)]
+        calls = (lambda: engine.run_all(cfgs),
+                 lambda: main(["compare", "--cqi", "fixed:3,fixed:4",
+                               "--n-tti", "150", "--out",
+                               str(tmp_path / "out")]))
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert type(raised.value) is ValueError
+            assert raised.value.args == ("inside the run",)
+        logged = [line.split() for line in pids.read_text().splitlines()]
+        pool = {int(pid) for kind, pid in logged if kind == "pool"}
+        children = [int(pid) for kind, pid in logged if kind == "child"]
+        assert pool and os.getpid() not in pool and len(children) == 4
+        for pid in pool | set(children):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestCqiTableOverride:

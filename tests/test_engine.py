@@ -509,10 +509,10 @@ def test_outputs_independent_of_cpu_count(mode, monkeypatch):
     assert len(pids) == 1
     records = [inline.record(), one.record()]
     for n in (2, 1):
-        monkeypatch.setattr(channel, "usable_cpus", cpus(n))
+        monkeypatch.setattr(engine, "usable_cpus", cpus(n))
         records.append(run(cfg))
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(channel, "usable_cpus", cpus(2))
+    monkeypatch.setattr(engine, "usable_cpus", cpus(2))
     records.append(run(cfg))
     assert asked == [2, 1, 2]
     assert len(pids) == 2 and all(reaped(pid) for pid in pids)
@@ -531,7 +531,7 @@ def test_outputs_independent_of_cpu_count(mode, monkeypatch):
 def test_one_tti_run_starts_no_pool(mode, monkeypatch):
     """A 1-TTI run never steps the fading, so it forks no child and starts
     no thread."""
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     started, pids = [], recorded_forks(monkeypatch)
     start = threading.Thread.start
 
@@ -549,7 +549,7 @@ def test_no_thread_outlives_a_run(fail_at, monkeypatch):
     """The run forks one fading child, which is reaped by the time `run`
     returns or raises, also when a delivery raises in the middle of the
     loop; the run starts no thread in this process."""
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     pids, during = recorded_forks(monkeypatch), []
     serve = MulticastDelivery.serve
 
@@ -779,6 +779,44 @@ class TestReplicate:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             replicate(small_config(), 0)
+
+
+class TestRunAll:
+    def test_pool_capped_at_run_count(self, monkeypatch):
+        """A pool never gets more processes than there are runs."""
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 64)
+        assert self._pool_sizes(monkeypatch) == [2]
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch):
+        """One usable CPU runs every config in this process."""
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 1)
+        assert self._pool_sizes(monkeypatch) == []
+
+    @staticmethod
+    def _pool_sizes(monkeypatch):
+        """The process count of each pool `run_all` starts for two runs,
+        whose records come back in config order."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        # `run_all` imports the pool class when it starts one.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            InlinePool)
+        cfgs = [small_config(n_tti=20, seed=s) for s in (3, 2)]
+        assert [r.seed for r in engine.run_all(cfgs)] == [3, 2]
+        return sizes
 
 
 def _mi_rows(sinr_rows):

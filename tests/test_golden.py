@@ -230,7 +230,7 @@ def test_runner_in_uneven_steps_gives_golden_digest(name, tmp_path):
 def test_run_shuts_its_pool_down_when_advance_raises(monkeypatch):
     """`run` kills and reaps its fading child, still running when a
     block's `advance` raises, and starts no thread."""
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     pids, running, waited = recorded_forks(monkeypatch), [], []
     advance, waitpid = engine.Runner.advance, os.waitpid
 
@@ -265,7 +265,7 @@ def test_run_steps_inline_once_its_child_is_killed(name, tmp_path,
     """A fading child killed after the first block: the run logs one
     warning, steps the remaining blocks itself, from TTI 0 on its own
     bank, and still gives the golden digest; the child is reaped."""
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     pids, advance = recorded_forks(monkeypatch), engine.Runner.advance
 
     def killing(runner, n):
@@ -297,14 +297,14 @@ def test_standard_table_file_reproduces_golden(tmp_path):
 
 def test_compare_golden_digest(tmp_path, monkeypatch):
     """Two processes share the eight cells."""
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     assert compare_digest(tmp_path) == COMPARE_GOLDEN
 
 
 def test_compare_golden_digest_in_one_process(tmp_path, monkeypatch):
     """One usable CPU runs every cell in this process: the same tree."""
-    monkeypatch.setattr(channel, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 1)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     assert compare_digest(tmp_path) == COMPARE_GOLDEN
 
 

@@ -48,7 +48,7 @@ def test_reads_no_environment_variable():
     """No module reads `os.environ` or `os.getenv`: a run's settings are
     its config fields and command-line arguments, and a setting derived
     from the host comes from what the process can measure, such as
-    `channel.usable_cpus()`."""
+    `engine.usable_cpus()`."""
     reads = []
     for path in sorted(pathlib.Path(mbsfnsim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -112,11 +112,12 @@ def test_no_code_only_tests_call():
     assert unused == []
 
 
-def test_only_engine_and_cli_start_pools():
-    """Only `engine` forks (`engine.forked`, the fading child) or names a
-    thread executor, and only `cli` names a process executor (the
-    `compare` processes); every other module uses the fork it is handed,
-    so no object below a run has a thread or process lifecycle."""
+def test_only_engine_starts_pools():
+    """Only `engine` forks (`engine.forked`, the fading child), names a
+    thread executor or names a process executor (`engine.run_all`, the
+    processes of `compare`, `replicate` and the battery); every other
+    module uses the fork it is handed, so no object below a run has a
+    thread or process lifecycle."""
     threads, processes = set(), set()
     for path in sorted(pathlib.Path(mbsfnsim.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -132,7 +133,7 @@ def test_only_engine_and_cli_start_pools():
         if "ProcessPoolExecutor" in names:
             processes.add(path.name)
     assert threads == {"engine.py"}
-    assert processes == {"cli.py"}
+    assert processes == {"engine.py"}
 
 
 # The functions that check input from outside the program: the config and
